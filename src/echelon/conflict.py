@@ -2,19 +2,24 @@
 
 Same-level hypotheses conflict when their evidence closures overlap
 (one item claimed by both) or when doctrine rules them implausible
-together (too close, incompatible headings).  Each connected group is
-analyzed in polynomial time: members are ordered heuristically, each is
-scored on the pooled evidence minus the closures of the members after
-it, and the product k estimates how likely all members are to be true
-despite the conflict.  (1-k)/k is the conflict measure: when it is
-under threshold the group is skipped (accrual jumps over the level)
-with a per-parent error estimate; otherwise the group is resolved
-exactly over maximal consistent sets, which is worst-case exponential.
+together (too close, incompatible headings).  Detection never tests
+every pair: an evidence index, a uniform grid and a heading circle
+generate a superset of the conflicting pairs (a conservative filter),
+and the exact pairwise test decides each of them.  Each connected
+group is analyzed in polynomial time: members are ordered
+heuristically, each is scored on the pooled evidence minus the
+closures of the members after it, and the product k estimates how
+likely all members are to be true despite the conflict.  (1-k)/k is
+the conflict measure: when it is under threshold the group is skipped
+(accrual jumps over the level) with a per-parent error estimate;
+otherwise the group is resolved exactly over maximal consistent sets,
+which is worst-case exponential.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,14 +30,14 @@ from echelon.accrual import (
     direct_posterior,
     posterior_given_subset,
 )
-from echelon.evidence import EMPTY_SET, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceKind, EvidenceSet
 from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
 )
-from echelon.geometry import distance, heading_difference
-from echelon.hypotheses import HypothesisGraph, Status
-from echelon.models import LEVELS, Level, ModelLibrary
+from echelon.geometry import HeadingCircle, distance, heading_difference, near_pairs
+from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
+from echelon.models import LEVELS, DoctrineConfig, Level, ModelLibrary
 
 
 class ConflictReason(enum.Enum):
@@ -97,14 +102,76 @@ class ConsistentSet:
     normalized_belief: float
 
 
-def _sharable(g: HypothesisGraph, hid: str) -> EvidenceSet:
-    # Terrain is context, not an associable measurement: two forces over
-    # the same ground are not in conflict for that reason alone.
-    return EvidenceSet.from_iterable(
-        i
-        for i in g.evidence_closure(hid)
-        if g.item(i).kind is not EvidenceKind.TERRAIN
-    )
+def _pair_reasons(
+    ha: Hypothesis,
+    hb: Hypothesis,
+    shares_evidence: bool,
+    sep: float | None,
+    max_delta: float | None,
+) -> frozenset[ConflictReason]:
+    """The exact conflict test of one pair, given whether their closures
+    share a non-terrain item and the doctrine resolved for their type
+    pair."""
+    reasons = set()
+    if shares_evidence:
+        reasons.add(ConflictReason.SHARED_EVIDENCE)
+    if sep is not None and distance(ha.location, hb.location) < sep:
+        reasons.add(ConflictReason.TOO_CLOSE)
+    if (
+        ha.heading is not None
+        and hb.heading is not None
+        and max_delta is not None
+        and heading_difference(ha.heading, hb.heading) > max_delta
+    ):
+        reasons.add(ConflictReason.ORIENTATION)
+    return frozenset(reasons)
+
+
+def _candidate_pairs(
+    hyps: list[Hypothesis],
+    sharable: list[frozenset[str]],
+    sep: dict[tuple[str, str], float | None],
+    max_delta: dict[tuple[str, str], float | None],
+) -> list[tuple[int, int]]:
+    """Sorted index pairs (i < j) that may conflict: a superset of the
+    pairs ``_pair_reasons`` flags, from three sources."""
+    pairs: set[tuple[int, int]] = set()
+
+    # shared evidence: an inverted index from item id to its holders
+    holders: dict[str, list[int]] = {}
+    for i, items in enumerate(sharable):
+        for item_id in items:
+            holders.setdefault(item_id, []).append(i)
+    for group in holders.values():
+        pairs.update(itertools.combinations(group, 2))
+
+    # too close: a grid whose cell is the largest separation in play
+    reach = max((d for d in sep.values() if d is not None and d > 0), default=None)
+    if reach is not None:
+        pairs.update(near_pairs([h.location for h in hyps], reach))
+
+    # orientation: no distance bound, so search headings on the circle,
+    # per type pair with a heading limit
+    headed: dict[str, list[int]] = {}
+    for i, h in enumerate(hyps):
+        if h.heading is not None:
+            headed.setdefault(h.force_type, []).append(i)
+    circles = {
+        t: HeadingCircle([hyps[i].heading for i in members])
+        for t, members in headed.items()
+    }
+    for (ta, tb), limit in max_delta.items():
+        if limit is None or ta not in headed or tb not in headed:
+            continue
+        partners = headed[tb]
+        for i in headed[ta]:
+            for k in circles[tb].beyond(hyps[i].heading, limit):
+                j = partners[k]
+                if ta != tb:
+                    pairs.add((min(i, j), max(i, j)))
+                elif j > i:  # within one type each pair is met from both ends
+                    pairs.add((i, j))
+    return sorted(pairs)
 
 
 def detect_conflicts(
@@ -117,65 +184,68 @@ def detect_conflicts(
     An edge joins two active same-level hypotheses when their closures
     share a non-terrain item, or doctrine flags them (closer than the
     type pair's minimum separation, or heading difference over the type
-    pair's maximum).
+    pair's maximum).  Doctrine is resolved once per type pair present.
+    Candidate pairs come from an evidence index, a grid and a heading
+    circle; they are a conservative filter and the exact test decides.
+    Candidates are tested in id order, as a test of every pair would be,
+    so union-find yields the same groups in the same order.
     """
+    # Terrain is context, not an associable measurement: two forces over
+    # the same ground are not in conflict for that reason alone.
+    terrain = frozenset(
+        i for i, item in g.evidence.items() if item.kind is EvidenceKind.TERRAIN
+    )
     out: list[ConflictSet] = []
     for lvl in LEVELS if level is None else (level,):
         ids = sorted(g.at_level(lvl, statuses={Status.ACTIVE}))
         if len(ids) < 2:
             continue
-        sharable = {i: _sharable(g, i) for i in ids}
-        edges: dict[tuple[str, str], frozenset[ConflictReason]] = {}
-        parent = {i: i for i in ids}
+        hyps = [g.get(i) for i in ids]
+        sharable = [g.evidence_closure(i).items - terrain for i in ids]
+        types = sorted({h.force_type for h in hyps})
+        type_pairs = [(ta, tb) for n, ta in enumerate(types) for tb in types[n:]]
+        sep = {p: lib.min_separation(*p) for p in type_pairs}
+        max_delta = {p: lib.max_heading_delta(*p) for p in type_pairs}
 
-        def find(x: str) -> str:
+        parent = list(range(len(ids)))
+
+        def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
             return x
 
-        for ai in range(len(ids)):
-            for bi in range(ai + 1, len(ids)):
-                a, b = ids[ai], ids[bi]
-                ha, hb = g.get(a), g.get(b)
-                reasons = set()
-                if sharable[a] & sharable[b]:
-                    reasons.add(ConflictReason.SHARED_EVIDENCE)
-                sep = lib.min_separation(ha.force_type, hb.force_type)
-                if sep is not None and distance(ha.location, hb.location) < sep:
-                    reasons.add(ConflictReason.TOO_CLOSE)
-                if ha.heading is not None and hb.heading is not None:
-                    max_delta = lib.max_heading_delta(ha.force_type, hb.force_type)
-                    if (
-                        max_delta is not None
-                        and heading_difference(ha.heading, hb.heading) > max_delta
-                    ):
-                        reasons.add(ConflictReason.ORIENTATION)
-                if reasons:
-                    edges[(a, b)] = frozenset(reasons)
-                    parent[find(a)] = find(b)
+        edges: list[tuple[int, int, frozenset[ConflictReason]]] = []
+        for a, b in _candidate_pairs(hyps, sharable, sep, max_delta):
+            ha, hb = hyps[a], hyps[b]
+            key = DoctrineConfig.key(ha.force_type, hb.force_type)
+            reasons = _pair_reasons(
+                ha,
+                hb,
+                not sharable[a].isdisjoint(sharable[b]),
+                sep[key],
+                max_delta[key],
+            )
+            if reasons:
+                edges.append((a, b, reasons))
+                parent[find(a)] = find(b)
 
-        groups: dict[str, list[str]] = {}
-        for i in ids:
-            groups.setdefault(find(i), []).append(i)
-        for root in sorted(groups):
-            members = sorted(groups[root])
+        groups: dict[int, list[str]] = {}
+        for n, i in enumerate(ids):
+            groups.setdefault(find(n), []).append(i)
+        group_edges: dict[int, dict[tuple[str, str], frozenset[ConflictReason]]] = {}
+        for a, b, reasons in edges:
+            group_edges.setdefault(find(a), {})[(ids[a], ids[b])] = reasons
+        for root in sorted(groups, key=lambda r: ids[r]):
+            members = groups[root]
             if len(members) < 2:
                 continue
-            pooled = EMPTY_SET
-            for m in members:
-                pooled = pooled | g.evidence_closure(m)
-            member_set = set(members)
-            group_edges = {
-                pair: rs
-                for pair, rs in edges.items()
-                if pair[0] in member_set and pair[1] in member_set
-            }
+            pooled = frozenset().union(*(g.evidence_closure(m).items for m in members))
             out.append(
                 ConflictSet(
                     members=tuple(members),
-                    pooled_evidence=pooled,
-                    reasons=group_edges,
+                    pooled_evidence=EvidenceSet(pooled),
+                    reasons=group_edges[root],
                     level=lvl,
                 )
             )
@@ -204,22 +274,26 @@ def approx_joint(
 ) -> ApproxJointResult:
     """k = product over members of P(member | pooled minus later closures).
 
-    Building the n-1 difference sets is polynomial in members and
-    evidence.  A member whose conditioning set retains nothing of its
-    closure contributes its prior.  The factor product runs in
-    id-canonical member order, so with pairwise-disjoint closures every
-    ordering yields the identical k, bit for bit.
+    The conditioning sets come from one reverse pass over the ordering,
+    linear in members times pooled evidence.  A member whose
+    conditioning set retains nothing of its closure contributes its
+    prior.  The factor product runs in id-canonical member order, so
+    with pairwise-disjoint closures every ordering yields the identical
+    k, bit for bit.
     """
     if sorted(ordering) != sorted(s.members):
         raise ValueError("ordering must be a permutation of the conflict members")
     closures = {m: g.evidence_closure(m) for m in s.members}
-    factors: list[float] = []
+    # cond_i = pooled - (union of the closures after i), built from one
+    # reverse suffix union
     conditioning: list[EvidenceSet] = []
-    for i, m in enumerate(ordering):
-        cond = s.pooled_evidence
-        for later in ordering[i + 1 :]:
-            cond = cond - closures[later]
-        conditioning.append(cond)
+    later: set[str] = set()
+    for m in reversed(ordering):
+        conditioning.append(EvidenceSet(s.pooled_evidence.items - later))
+        later |= closures[m].items
+    conditioning.reverse()
+    factors: list[float] = []
+    for m, cond in zip(ordering, conditioning):
         keep = cond & closures[m]
         if not keep:
             factors.append(g.get(m).prior)

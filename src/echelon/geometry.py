@@ -1,13 +1,94 @@
-"""Planar and angular helpers shared by matching, doctrine and scoring."""
+"""Planar and angular helpers shared by matching, doctrine and scoring.
+
+``near_pairs`` and ``HeadingCircle`` generate candidate pairs for the
+distance and heading tests of clustering and conflict detection.  Both
+are conservative filters: they may return pairs that fail the test, never
+miss one that passes, whatever the rounding; the caller's exact test
+decides.
+"""
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterable, Sequence
+
+# Slack on each end of a heading arc, in degrees: far above the rounding
+# of headings normalised to [0, 360) while their magnitude stays under
+# _PLACEABLE_HEADING (about 1e-9 degrees there).
+_ARC_MARGIN = 1e-6
+_PLACEABLE_HEADING = 2.0**20
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _axis_cells(v: float, reach: float) -> range | None:
+    """Grid cells (width ``reach``) along one axis holding every w with
+    |fl(w - v)| <= reach; None when they cannot be computed.
+
+    Every such w lies within reach + ulp(reach) of v.  The ends
+    v -+ (reach + slack) are rounded twice; a slack of four ulps of v and
+    of reach covers that extra unit and both roundings.  Division by the
+    cell width is monotone, so the cells of the two ends bound the cell
+    of every such w.  None also when the slack reaches a whole cell: far
+    out, where floats are that coarse, the grid would not narrow anything.
+    """
+    if not math.isfinite(reach):
+        return None
+    slack = 4.0 * (math.ulp(v) + math.ulp(reach))
+    if not slack < reach:
+        return None
+    first = (v - reach - slack) / reach
+    last = (v + reach + slack) / reach
+    if not (math.isfinite(first) and math.isfinite(last)):
+        return None
+    return range(math.floor(first), math.floor(last) + 1)
+
+
+def near_pairs(
+    points: Sequence[tuple[float, float]], reach: float
+) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, each once, of points that may lie
+    within ``reach`` (> 0) of each other.
+
+    Every pair whose rounded coordinate differences are both at most
+    ``reach`` in magnitude is returned; since ``distance`` is faithfully
+    rounded it never falls below either difference, so this covers both
+    ``distance <= reach`` and ``distance < reach``.  Points are binned on
+    a uniform grid with cell ``reach`` (fixed-radius near neighbours,
+    Bentley, Stanat & Williams 1977) and each scans only the cells its
+    reach overlaps.  A point whose cells cannot be computed (a non-finite
+    or near-overflow coordinate, or an infinite reach) is paired with
+    every other point.
+    """
+    grid: dict[tuple[int, int], list[int]] = {}
+    spans: list[tuple[int, range, range]] = []
+    loose: list[int] = []
+    for i, (x, y) in enumerate(points):
+        xs, ys = _axis_cells(x, reach), _axis_cells(y, reach)
+        if xs is None or ys is None:
+            loose.append(i)
+            continue
+        grid.setdefault((math.floor(x / reach), math.floor(y / reach)), []).append(i)
+        spans.append((i, xs, ys))
+    # each point sits in one cell, so no pair is found twice
+    pairs: list[tuple[int, int]] = []
+    for i, xs, ys in spans:
+        for cx in xs:
+            for cy in ys:
+                cell = grid.get((cx, cy))
+                if cell:
+                    pairs.extend((i, j) for j in cell if j > i)
+    is_loose = set(loose)
+    for i in loose:
+        pairs.extend(
+            (min(i, j), max(i, j))
+            for j in range(len(points))
+            if j != i and (j not in is_loose or j > i)
+        )
+    return pairs
 
 
 def centroid(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -19,6 +100,52 @@ def heading_difference(a: float, b: float) -> float:
     """Smallest absolute difference between two headings, in [0, 180]."""
     d = abs(a - b) % 360.0
     return 360.0 - d if d > 180.0 else d
+
+
+def _on_circle(heading: float) -> float | None:
+    """``heading`` normalised to [0, 360); None when it is not finite or
+    too large to normalise within the arc margin."""
+    if not abs(heading) < _PLACEABLE_HEADING:
+        return None
+    angle = heading % 360.0
+    # float mod can round a tiny negative heading up to exactly 360.0
+    return 0.0 if angle == 360.0 else angle
+
+
+class HeadingCircle:
+    """Headings sorted on the circle, to find those that may differ from a
+    given heading by more than a limit.
+
+    ``beyond`` bisects the complementary arc widened by a small margin,
+    so its cost follows the number of headings it returns.
+    """
+
+    def __init__(self, headings: Sequence[float]) -> None:
+        placed = sorted(
+            (angle, i)
+            for i, h in enumerate(headings)
+            if (angle := _on_circle(h)) is not None
+        )
+        # laid out twice so an arc across 0/360 is one contiguous range
+        self._angles = [a for a, _ in placed] + [a + 360.0 for a, _ in placed]
+        self._index = [i for _, i in placed] * 2
+        self._loose = [i for i, h in enumerate(headings) if _on_circle(h) is None]
+        self._all = list(range(len(headings)))
+
+    def beyond(self, heading: float, limit: float) -> list[int]:
+        """Indices of the headings h with possibly
+        ``heading_difference(heading, h) > limit``: a superset of them."""
+        if not limit < 180.0:  # no difference exceeds 180 (or a NaN limit)
+            return []
+        angle = _on_circle(heading)
+        lo = limit - _ARC_MARGIN
+        hi = 360.0 - limit + _ARC_MARGIN
+        if angle is None or hi - lo >= 360.0:
+            return self._all
+        # angle + hi < 720, inside the doubled layout
+        first = bisect.bisect_left(self._angles, angle + lo)
+        last = bisect.bisect_right(self._angles, angle + hi)
+        return self._index[first:last] + self._loose
 
 
 def mean_heading(headings: Iterable[float]) -> float | None:

@@ -83,6 +83,8 @@ class HypothesisGraph:
     _by_level: dict[Level, list[str]] = field(default_factory=dict)
     _closures: dict[str, EvidenceSet] = field(default_factory=dict)
     _counters: dict[Level, int] = field(default_factory=dict)
+    # child id -> ids of the hypotheses listing it as a component
+    _parents: dict[str, set[str]] = field(default_factory=dict)
 
     def add_evidence(self, item: EvidenceItem) -> None:
         if item.id in self.evidence:
@@ -133,6 +135,8 @@ class HypothesisGraph:
             raise ValueError(f"{h.id}: prior/posterior outside [0,1]")
         self.hypotheses[h.id] = h
         self._by_level.setdefault(h.level, []).append(h.id)
+        for cid in h.components:
+            self._parents.setdefault(cid, set()).add(h.id)
         return h.id
 
     def get(self, hid: str) -> Hypothesis:
@@ -168,6 +172,4 @@ class HypothesisGraph:
     def parents_of(self, hid: str) -> list[str]:
         """Ids of hypotheses having ``hid`` as a component, id-sorted."""
         self.get(hid)
-        return sorted(
-            h.id for h in self.hypotheses.values() if hid in h.components
-        )
+        return sorted(self._parents.get(hid, ()))

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from echelon.accrual import DEFAULT_CALIBRATION, FitCalibration
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.exceptions import ClusterCapWarning
-from echelon.geometry import centroid, distance, heading_difference, mean_heading
+from echelon.geometry import (
+    centroid,
+    distance,
+    heading_difference,
+    mean_heading,
+    near_pairs,
+)
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import ForceModel, Level, ModelLibrary, subsumes
 
@@ -168,21 +174,28 @@ def fit_score(
 def _clusters(
     g: HypothesisGraph, ids: list[str], radius: float
 ) -> list[list[str]]:
-    parent = {i: i for i in ids}
+    """Connected components of the graph joining children at most
+    ``radius`` apart, each id-sorted, ordered by their first id.
 
-    def find(x: str) -> str:
+    Candidate pairs come from a uniform grid with cell ``radius``
+    (``near_pairs``), a conservative filter; the distance test decides.
+    """
+    locations = [g.get(i).location for i in ids]
+    parent = list(range(len(ids)))
+
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for a, b in itertools.combinations(ids, 2):
-        if distance(g.get(a).location, g.get(b).location) <= radius:
+    for a, b in near_pairs(locations, radius):
+        if distance(locations[a], locations[b]) <= radius:
             parent[find(a)] = find(b)
-    groups: dict[str, list[str]] = {}
-    for i in ids:
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(groups[r]) for r in sorted(groups, key=lambda r: min(groups[r]))]
+    groups: dict[int, list[str]] = {}
+    for n, i in enumerate(ids):
+        groups.setdefault(find(n), []).append(i)
+    return sorted((sorted(members) for members in groups.values()), key=lambda m: m[0])
 
 
 def _cap_cluster(g: HypothesisGraph, cluster: list[str], cap: int) -> list[str]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from echelon.exceptions import (
     LibraryFormatError,
@@ -130,7 +130,11 @@ class DoctrineConfig:
     ``min_separation`` gives the closest two units of the given types
     may legally sit; ``max_heading_delta`` the largest heading
     difference they may legally show.  Lookups walk both refinement
-    chains and return the most specific entry.
+    chains and return the most specific entry: the one whose two types
+    sit the fewest refinement steps above the queried pair in total.
+    When several entries tie at that depth the strictest wins (the
+    largest separation, the smallest heading difference), so a lookup
+    gives the same answer in either argument order.
     """
 
     min_separation: Mapping[tuple[str, str], float] = field(default_factory=dict)
@@ -148,6 +152,12 @@ class ModelLibrary:
     types: Mapping[str, ForceType]
     models: Mapping[str, ForceModel]
     doctrine: DoctrineConfig = field(default_factory=DoctrineConfig)
+    # Resolved doctrine per (table, unordered type pair).  The library is
+    # immutable, so entries never go stale; a racing duplicate insert
+    # stores the same value.
+    _resolved: dict[tuple[str, str, str], float | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def type_of(self, name: str) -> ForceType:
         try:
@@ -166,25 +176,41 @@ class ModelLibrary:
         return out
 
     def min_separation(self, a: str, b: str) -> float | None:
-        return self._doctrine_lookup(self.doctrine.min_separation, a, b)
+        return self._doctrine_lookup("min_separation", a, b)
 
     def max_heading_delta(self, a: str, b: str) -> float | None:
-        return self._doctrine_lookup(self.doctrine.max_heading_delta, a, b)
+        return self._doctrine_lookup("max_heading_delta", a, b)
 
-    def _doctrine_lookup(
-        self, table: Mapping[tuple[str, str], float], a: str, b: str
-    ) -> float | None:
-        # Most specific applicable entry wins: walk ancestor pairs in
-        # order of combined refinement depth (shallowest climb first).
-        chain_a = isa_ancestors(a, self)
-        chain_b = isa_ancestors(b, self)
-        best: tuple[int, float] | None = None
-        for i, ta in enumerate(chain_a):
-            for j, tb in enumerate(chain_b):
-                val = table.get(DoctrineConfig.key(ta.name, tb.name))
-                if val is not None and (best is None or i + j < best[0]):
-                    best = (i + j, val)
-        return None if best is None else best[1]
+    def _doctrine_lookup(self, table: str, a: str, b: str) -> float | None:
+        key = (table, *DoctrineConfig.key(a, b))
+        if key not in self._resolved:
+            strictest = max if table == "min_separation" else min
+            self._resolved[key] = _resolve_doctrine(
+                self, getattr(self.doctrine, table), strictest, a, b
+            )
+        return self._resolved[key]
+
+
+def _resolve_doctrine(
+    lib: ModelLibrary,
+    table: Mapping[tuple[str, str], float],
+    strictest: Callable[[list[float]], float],
+    a: str,
+    b: str,
+) -> float | None:
+    # Most specific applicable entries: those of least combined
+    # refinement depth (shallowest climb up both chains).  On a tie the
+    # strictest value wins, which makes the result symmetric in a and b.
+    found = [
+        (i + j, val)
+        for i, ta in enumerate(isa_ancestors(a, lib))
+        for j, tb in enumerate(isa_ancestors(b, lib))
+        if (val := table.get(DoctrineConfig.key(ta.name, tb.name))) is not None
+    ]
+    if not found:
+        return None
+    depth = min(d for d, _ in found)
+    return strictest([val for d, val in found if d == depth])
 
 
 def isa_ancestors(type_name: str | ForceType, lib: ModelLibrary) -> list[ForceType]:

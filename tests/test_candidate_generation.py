@@ -1,0 +1,407 @@
+"""Candidate generation in conflict detection and clustering.
+
+``detect_conflicts`` and ``matching._clusters`` test only the pairs that
+an evidence index, a uniform grid and a heading circle propose.  These
+tests hold them to the all-pairs versions below, which stay here as the
+reference, on scenes built to sit on every boundary the filters have:
+limits hit exactly or missed by 1e-9, headings across 0/360, negative
+and large headings, negative coordinates, points on grid-cell edges,
+far-apart pairs sharing evidence and zero-metre separation rows.  The
+last test counts doctrine lookups and exact pair tests on generated
+clean scenes, so a return to all-pairs work fails without timing.
+"""
+
+import itertools
+import json
+import math
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from echelon import conflict, pipeline
+from echelon.conflict import ConflictReason, ConflictSet, detect_conflicts
+from echelon.evidence import EMPTY_SET, EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.geometry import distance, heading_difference
+from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
+from echelon.matching import _clusters
+from echelon.models import LEVELS, Level, ModelLibrary, load_library
+from echelon.scenario import NoiseSpec, dumps, generate, load_ground_truth
+
+from conftest import TANK_LIBRARY, add_leaf, company_node
+
+LIBRARY = load_library(
+    json.dumps(
+        {
+            "types": [
+                {"name": "vehicle", "level": "vehicle"},
+                {"name": "tracked", "level": "vehicle", "isa": "vehicle"},
+                {"name": "tank", "level": "vehicle", "isa": "tracked"},
+                {"name": "mbt", "level": "vehicle", "isa": "tank"},
+                {"name": "apc", "level": "vehicle", "isa": "tracked"},
+                {"name": "truck", "level": "vehicle", "isa": "vehicle"},
+                {"name": "array", "level": "array"},
+                {"name": "company", "level": "array", "isa": "array"},
+            ],
+            "doctrine": {
+                "min_separation": [
+                    {"a": "vehicle", "b": "vehicle", "meters": 30},
+                    {"a": "tank", "b": "tank", "meters": 60},
+                    {"a": "tank", "b": "tracked", "meters": 45},
+                    {"a": "apc", "b": "truck", "meters": 0},
+                    {"a": "array", "b": "array", "meters": 400},
+                ],
+                "max_heading_delta": [
+                    {"a": "tank", "b": "tank", "degrees": 90},
+                    {"a": "tracked", "b": "truck", "degrees": 150},
+                    {"a": "apc", "b": "apc", "degrees": 0},
+                    {"a": "company", "b": "company", "degrees": 45},
+                ],
+            },
+        }
+    )
+)
+VEHICLE_TYPES = ["vehicle", "tracked", "tank", "mbt", "apc", "truck"]
+ARRAY_TYPES = ["array", "company"]
+SEPARATIONS = [0.0, 30.0, 45.0, 60.0, 400.0]
+HEADING_LIMITS = [0.0, 45.0, 90.0, 150.0]
+NUDGES = [0.0, 0.0, 1e-9, -1e-9, 2.0**-40, -(2.0**-40)]
+EXAMPLES = dict(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+# -- all-pairs references ------------------------------------------------
+
+
+def reference_detect_conflicts(g, lib, level=None):
+    """Every same-level pair through the exact test, doctrine looked up
+    per pair; groups in union-find root order."""
+    out = []
+    for lvl in LEVELS if level is None else (level,):
+        ids = sorted(g.at_level(lvl, statuses={Status.ACTIVE}))
+        if len(ids) < 2:
+            continue
+        sharable = {
+            i: EvidenceSet.from_iterable(
+                e
+                for e in g.evidence_closure(i)
+                if g.item(e).kind is not EvidenceKind.TERRAIN
+            )
+            for i in ids
+        }
+        edges = {}
+        parent = {i: i for i in ids}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in itertools.combinations(ids, 2):
+            ha, hb = g.get(a), g.get(b)
+            reasons = set()
+            if sharable[a] & sharable[b]:
+                reasons.add(ConflictReason.SHARED_EVIDENCE)
+            sep = lib.min_separation(ha.force_type, hb.force_type)
+            if sep is not None and distance(ha.location, hb.location) < sep:
+                reasons.add(ConflictReason.TOO_CLOSE)
+            if ha.heading is not None and hb.heading is not None:
+                limit = lib.max_heading_delta(ha.force_type, hb.force_type)
+                diff = heading_difference(ha.heading, hb.heading)
+                if limit is not None and diff > limit:
+                    reasons.add(ConflictReason.ORIENTATION)
+            if reasons:
+                edges[(a, b)] = frozenset(reasons)
+                parent[find(a)] = find(b)
+        groups = {}
+        for i in ids:
+            groups.setdefault(find(i), []).append(i)
+        for root in sorted(groups):
+            members = sorted(groups[root])
+            if len(members) < 2:
+                continue
+            pooled = EMPTY_SET
+            for m in members:
+                pooled = pooled | g.evidence_closure(m)
+            inside = set(members)
+            out.append(
+                ConflictSet(
+                    members=tuple(members),
+                    pooled_evidence=pooled,
+                    reasons={
+                        p: rs
+                        for p, rs in edges.items()
+                        if p[0] in inside and p[1] in inside
+                    },
+                    level=lvl,
+                )
+            )
+    return out
+
+
+def reference_clusters(g, ids, radius):
+    parent = {i: i for i in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in itertools.combinations(ids, 2):
+        if distance(g.get(a).location, g.get(b).location) <= radius:
+            parent[find(a)] = find(b)
+    groups = {}
+    for i in ids:
+        groups.setdefault(find(i), []).append(i)
+    return [sorted(groups[r]) for r in sorted(groups, key=lambda r: min(groups[r]))]
+
+
+def as_compared(sets):
+    """Members, reasons with their order, pooled evidence and level."""
+    return [
+        (s.level, s.members, list(s.reasons.items()), s.pooled_evidence) for s in sets
+    ]
+
+
+# -- scene strategies ----------------------------------------------------
+
+finite = st.floats(-3000.0, 3000.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def places(draw, anchors):
+    """A free point, a point on grid-cell edges, or an earlier point moved
+    by doctrine-scale offsets (each coordinate possibly nudged)."""
+    kind = draw(st.sampled_from(["free", "edge", "offset", "offset", "far"]))
+    nudge = st.sampled_from(NUDGES)
+    if kind == "edge":
+        cell = draw(st.sampled_from(SEPARATIONS[1:]))
+        return tuple(draw(st.integers(-8, 8)) * cell + draw(nudge) for _ in range(2))
+    if kind == "offset" and anchors:
+        x, y = draw(st.sampled_from(anchors))
+        scale = draw(st.sampled_from(SEPARATIONS[1:]))
+        fractions = st.sampled_from([0.0, 0.5, 0.75, 0.99, 1.0, 1.5, 2.0])
+        sign = st.sampled_from([-1, 1])
+        return (
+            x + draw(sign) * draw(fractions) * scale + draw(nudge),
+            y + draw(sign) * draw(fractions) * scale + draw(nudge),
+        )
+    if kind == "far":
+        sign = st.sampled_from([-1.0, 1.0])
+        return tuple(draw(sign) * draw(st.floats(1e5, 1e7)) for _ in range(2))
+    return (draw(finite), draw(finite))
+
+
+@st.composite
+def headings(draw, anchors):
+    """None, a free heading (negative and >= 360 included), a circle
+    edge, or an earlier heading moved by a heading limit +- 1e-9."""
+    kind = draw(st.sampled_from(["none", "free", "edge", "limit"]))
+    if kind == "none":
+        return None
+    if kind == "edge":
+        return draw(
+            st.sampled_from(
+                [0.0, -0.0, 360.0, -360.0, 180.0, -180.0, 720.0, 359.999999999, -1e-20]
+            )
+        )
+    if kind == "limit" and anchors:
+        step = draw(st.sampled_from(HEADING_LIMITS)) * draw(st.sampled_from([-1, 1]))
+        wrap = 360.0 * draw(st.integers(-2, 2))
+        nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+        return draw(st.sampled_from(anchors)) + step + wrap + nudge
+    return draw(st.floats(-1000.0, 1500.0, allow_nan=False))
+
+
+@st.composite
+def scenes(draw):
+    """A graph of vehicles and arrays over a small shared evidence pool,
+    some members inactive."""
+    g = HypothesisGraph()
+    for e in range(6):
+        g.add_evidence(EvidenceItem(f"e{e}", EvidenceKind.DETECTION, 2.0))
+    for t in range(2):
+        g.add_evidence(EvidenceItem(f"t{t}", EvidenceKind.TERRAIN, 2.0))
+    points, hs = [], []
+    pool = [f"e{e}" for e in range(6)] + ["t0", "t1"]
+    n_vehicles = draw(st.integers(0, 14))
+    for v in range(n_vehicles):
+        x, y = draw(places(points))
+        heading = draw(headings(hs))
+        points.append((x, y))
+        if heading is not None:
+            hs.append(heading)
+        own = draw(st.lists(st.sampled_from(pool), max_size=2))
+        g.add_evidence(EvidenceItem(f"d{v}", EvidenceKind.DETECTION, 3.0))
+        g.insert(
+            Hypothesis(
+                id=f"v{v}",
+                force_type=draw(st.sampled_from(VEHICLE_TYPES)),
+                level=Level.VEHICLE,
+                location=(x, y),
+                own_evidence=EvidenceSet.from_iterable([f"d{v}", *own]),
+                heading=heading,
+                status=draw(st.sampled_from([Status.ACTIVE] * 4 + [Status.EXCLUDED])),
+            )
+        )
+    vehicle_ids = [f"v{v}" for v in range(n_vehicles)]
+    for a in range(draw(st.integers(0, 8)) if vehicle_ids else 0):
+        components = draw(
+            st.lists(st.sampled_from(vehicle_ids), min_size=1, max_size=3, unique=True)
+        )
+        x, y = draw(places(points))
+        heading = draw(headings(hs))
+        points.append((x, y))
+        g.insert(
+            Hypothesis(
+                id=f"a{a}",
+                force_type=draw(st.sampled_from(ARRAY_TYPES)),
+                level=Level.ARRAY,
+                location=(x, y),
+                model="m",
+                components=tuple(components),
+                heading=heading,
+                status=draw(st.sampled_from([Status.ACTIVE] * 4 + [Status.SKIPPED])),
+            )
+        )
+    return g
+
+
+# -- equivalence ---------------------------------------------------------
+
+
+@settings(**EXAMPLES)
+@given(scenes())
+def test_detect_conflicts_equals_all_pairs(g):
+    assert as_compared(detect_conflicts(g, LIBRARY)) == as_compared(
+        reference_detect_conflicts(g, LIBRARY)
+    )
+
+
+@settings(**EXAMPLES)
+@given(st.data())
+def test_clusters_equal_all_pairs(data):
+    g = HypothesisGraph()
+    points = []
+    for i in range(data.draw(st.integers(0, 25))):
+        points.append(data.draw(places(points)))
+        add_leaf(g, f"v{i:02d}", location=points[-1])
+    radius = data.draw(st.sampled_from(SEPARATIONS[1:] + [1.0, 1e-3]))
+    ids = sorted(g.at_level(Level.VEHICLE))
+    assert _clusters(g, ids, radius) == reference_clusters(g, ids, radius)
+
+
+def test_clusters_keep_a_pair_exactly_at_radius_across_two_cell_edges(empty_graph):
+    # 1 + 2**-53 rounds to 1.0, so the pair is exactly at the radius,
+    # while the two points fall two grid cells apart (floor -1 and 1)
+    g = empty_graph
+    add_leaf(g, "v0", location=(-(2.0**-53), 0.0))
+    add_leaf(g, "v1", location=(1.0, 0.0))
+    assert _clusters(g, ["v0", "v1"], 1.0) == [["v0", "v1"]]
+
+
+def test_non_finite_and_extreme_coordinates_match_all_pairs(empty_graph):
+    g = empty_graph
+    places = [
+        (math.nan, 0.0),
+        (math.inf, 0.0),
+        (-math.inf, math.inf),
+        (1.7e308, 0.0),
+        (1.7e308 - 2e292, 0.0),
+        (0.0, 0.0),
+        (10.0, 0.0),
+    ]
+    for i, loc in enumerate(places):
+        add_leaf(g, f"v{i}", force_type="tank", location=loc, heading=float(i) * 1e6)
+    ids = sorted(g.at_level(Level.VEHICLE))
+    assert _clusters(g, ids, 50.0) == reference_clusters(g, ids, 50.0)
+    assert as_compared(detect_conflicts(g, LIBRARY)) == as_compared(
+        reference_detect_conflicts(g, LIBRARY)
+    )
+
+
+# -- scaling guard -------------------------------------------------------
+
+
+def _grid_scene(tmp_path, battalions: int):
+    """Config path of a clean scene: tank battalions on a 5 km grid."""
+    lib = load_library(json.dumps(TANK_LIBRARY))
+    cols = math.ceil(math.sqrt(battalions))
+    forces = []
+    for i in range(battalions):
+        bx, by = (i % cols) * 5000.0, (i // cols) * 5000.0
+        forces.append(
+            {
+                "model": "tank-battalion-std",
+                "components": [
+                    company_node(bx + 1000.0, by + 1000.0),
+                    company_node(bx + 2000.0, by + 1000.0),
+                    company_node(bx + 1500.0, by + 1900.0),
+                ],
+            }
+        )
+    gt = {
+        "id": f"grid-{battalions}",
+        "area": {"width_m": cols * 5000.0, "height_m": cols * 5000.0},
+        "forces": forces,
+    }
+    noise = NoiseSpec(
+        p_detect=1.0, false_alarm_density=0.0, location_jitter=5.0, seed=battalions
+    )
+    scenario = generate(load_ground_truth(gt, lib), noise, lib)
+    (tmp_path / "library.json").write_text(json.dumps(TANK_LIBRARY))
+    (tmp_path / "scenario.json").write_text(dumps(scenario))
+    config = {
+        "library": "library.json",
+        "scenario": "scenario.json",
+        "matcher": {"gather_radius": 1200, "min_fit": 0.2},
+        "tau": 0.1,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return tmp_path / "config.json"
+
+
+def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
+    counts = {"min_separation": 0, "max_heading_delta": 0, "pair_tests": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("min_separation", "max_heading_delta"):
+        original = getattr(ModelLibrary, name)
+        monkeypatch.setattr(ModelLibrary, name, counted(name, original))
+    pair_tests = counted("pair_tests", conflict._pair_reasons)
+    monkeypatch.setattr(conflict, "_pair_reasons", pair_tests)
+
+    per_level = []
+
+    def detect(g, lib, level):
+        ids = g.at_level(level, statuses={Status.ACTIVE})
+        types = len({g.get(i).force_type for i in ids})
+        for c in counts:
+            counts[c] = 0
+        out = detect_conflicts(g, lib, level)
+        per_level.append((len(ids), types, dict(counts)))
+        return out
+
+    monkeypatch.setattr(pipeline, "detect_conflicts", detect)
+
+    for battalions in (4, 16):
+        per_level.clear()
+        scene = tmp_path / str(battalions)
+        scene.mkdir()
+        config = pipeline.RunConfig.from_file(_grid_scene(scene, battalions))
+        report = pipeline.run(config)
+        assert len(report["levels"]["battalion"]) == battalions
+        hypotheses = sum(n for n, _, _ in per_level)
+        assert hypotheses == 13 * battalions  # 9 vehicles, 3 arrays, 1 battalion each
+        for n, types, c in per_level:
+            assert c["min_separation"] <= types**2
+            assert c["max_heading_delta"] <= types**2
+            assert c["pair_tests"] <= n

@@ -179,6 +179,19 @@ def test_parents_of(empty_graph):
     assert g.parents_of("v1") == ["a0"]
 
 
+def test_parents_of_id_sorted_and_checked(empty_graph):
+    g = empty_graph
+    add_leaf(g, "v0", lam=2.0)
+    add_leaf(g, "v1", lam=2.0)
+    for n in (10, 2, 1):  # inserted out of id order
+        add_parent(g, f"a{n}", ["v0"])
+    assert g.parents_of("v0") == ["a1", "a10", "a2"]
+    assert g.parents_of("v1") == []
+    assert g.parents_of("a2") == []
+    with pytest.raises(UnknownHypothesisError):
+        g.parents_of("nope")
+
+
 def test_status_and_level_filters(empty_graph):
     g = empty_graph
     add_leaf(g, "v0")

@@ -232,6 +232,46 @@ def test_doctrine_lookup_most_specific():
     assert lib.max_heading_delta("BMP", "BMP") is None
 
 
+def test_doctrine_lookup_symmetric_on_depth_ties():
+    # (tank, veh) and (apc, veh) both sit one refinement step above
+    # (tank, apc): the strictest entry wins in either argument order
+    doc = {
+        "types": [
+            {"name": "veh", "level": "vehicle"},
+            {"name": "tank", "level": "vehicle", "isa": "veh"},
+            {"name": "apc", "level": "vehicle", "isa": "veh"},
+        ],
+        "doctrine": {
+            "min_separation": [
+                {"a": "tank", "b": "veh", "meters": 10},
+                {"a": "apc", "b": "veh", "meters": 50},
+                {"a": "veh", "b": "veh", "meters": 100},
+            ],
+            "max_heading_delta": [
+                {"a": "tank", "b": "veh", "degrees": 30},
+                {"a": "apc", "b": "veh", "degrees": 90},
+            ],
+        },
+    }
+    lib = load_library(json.dumps(doc))
+    assert lib.min_separation("tank", "apc") == 50
+    assert lib.min_separation("apc", "tank") == 50
+    assert lib.max_heading_delta("tank", "apc") == 30
+    assert lib.max_heading_delta("apc", "tank") == 30
+    # only ties are settled by strictness: a shallower entry still wins
+    # over the stricter (veh, veh) row
+    assert lib.min_separation("tank", "veh") == 10
+    assert lib.min_separation("tank", "tank") == 10
+    assert lib.min_separation("veh", "veh") == 100
+
+
+def test_doctrine_lookup_symmetric_across_tank_library(tank_lib):
+    names = sorted(tank_lib.types)
+    for a, b in itertools.product(names, repeat=2):
+        assert tank_lib.min_separation(a, b) == tank_lib.min_separation(b, a)
+        assert tank_lib.max_heading_delta(a, b) == tank_lib.max_heading_delta(b, a)
+
+
 def test_doctrine_dangling_type_rejected():
     doc = {"types": [], "doctrine": {"min_separation": [{"a": "x", "b": "x", "meters": 1}]}}
     with pytest.raises(LibraryValidationError, match="dangling"):
