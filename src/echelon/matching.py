@@ -2,10 +2,15 @@
 
 Child hypotheses are gathered into radius clusters; inside each cluster
 every slot assignment satisfying type subsumption and count bounds is
-enumerated exactly and scored on deployment geometry.  Enumeration is
-exponential only in cluster size, which is capped.  Candidates at or
-above the fit threshold become parent hypotheses carrying a fit
-evidence item whose likelihood ratio rises with geometric fit.
+enumerated exactly and scored on deployment geometry.  Assignments grow
+one child at a time, and with a positive fit threshold a partial
+assignment is dropped as soon as one of its pairs has satisfaction 0
+under a constraint (outside its interval by the slack margin or more),
+since every completion would score 0: the work follows the assignments
+that can fit, not every subset of the cluster.
+Candidates at or above the fit threshold become parent hypotheses
+carrying a fit evidence item whose likelihood ratio rises with
+geometric fit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,13 @@ from echelon.geometry import (
     near_pairs,
 )
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
-from echelon.models import ForceModel, Level, ModelLibrary, subsumes
+from echelon.models import (
+    DeploymentConstraint,
+    ForceModel,
+    Level,
+    ModelLibrary,
+    subsumes,
+)
 
 MATCHABLE = {Status.ACTIVE, Status.SKIPPED, Status.CONFIRMED}
 
@@ -37,7 +48,11 @@ class MatchConfig:
 
     slack is the fraction of a constraint's interval width over which
     satisfaction decays linearly to zero outside the interval; rho is
-    the per-missing-component score penalty.
+    the per-missing-component score penalty.  Candidates scoring below
+    min_fit are dropped.  A pair outside a constraint's interval by at
+    least the slack margin (or past bearing_tolerance by at least its
+    margin) makes the fit 0: with min_fit > 0 an assignment holding one
+    is never scored, while min_fit 0 keeps such zero-fit candidates.
     """
 
     gather_radius: float = 1500.0
@@ -113,6 +128,85 @@ def _geometric_mean(values: list[float]) -> float:
     return math.exp(math.fsum(math.log(v) for v in values) / len(values))
 
 
+def _pair_satisfaction(
+    hu: Hypothesis, hv: Hypothesis, c: DeploymentConstraint, slack: float
+) -> float:
+    """Satisfaction of one child pair under constraint ``c``, in [0, 1].
+
+    Distances inside the interval satisfy fully; outside, satisfaction
+    decays linearly over the slack margin.  When both headings are
+    known, a heading difference beyond bearing_tolerance scales it down
+    the same way.  Symmetric in the pair.
+    """
+    s = _interval_satisfaction(
+        distance(hu.location, hv.location), c.distance_min, c.distance_max, slack
+    )
+    if (
+        c.bearing_tolerance is not None
+        and hu.heading is not None
+        and hv.heading is not None
+    ):
+        diff = heading_difference(hu.heading, hv.heading)
+        if diff > c.bearing_tolerance:
+            margin = slack * c.bearing_tolerance
+            if margin <= 0.0:
+                s = 0.0
+            else:
+                s *= max(0.0, 1.0 - (diff - c.bearing_tolerance) / margin)
+    return s
+
+
+class _PairTable:
+    """Pair satisfaction under one model's constraints, each unordered
+    pair evaluated at most once per constraint."""
+
+    def __init__(self, g: HypothesisGraph, model: ForceModel, slack: float) -> None:
+        self._g = g
+        self._constraints = model.constraints
+        self._slack = slack
+        self._memo: list[dict[tuple[str, str], float]] = [
+            {} for _ in model.constraints
+        ]
+
+    def __call__(self, ci: int, u: str, v: str) -> float:
+        key = (u, v) if u <= v else (v, u)
+        memo = self._memo[ci]
+        s = memo.get(key)
+        if s is None:
+            s = memo[key] = _pair_satisfaction(
+                self._g.get(key[0]),
+                self._g.get(key[1]),
+                self._constraints[ci],
+                self._slack,
+            )
+        return s
+
+
+def _score(
+    model: ForceModel,
+    assignment: dict[int, tuple[str, ...]],
+    rho: float,
+    sat: _PairTable,
+) -> float:
+    per_constraint: list[float] = []
+    for ci, c in enumerate(model.constraints):
+        ids_a = assignment.get(c.slot_a, ())
+        ids_b = assignment.get(c.slot_b, ())
+        if c.slot_a == c.slot_b:
+            pairs = list(itertools.combinations(ids_a, 2))
+        else:
+            pairs = [(u, v) for u in ids_a for v in ids_b]
+        if not pairs:
+            continue
+        per_constraint.append(_geometric_mean([sat(ci, u, v) for u, v in pairs]))
+
+    missing = sum(
+        max(0, slot.count_min - len(assignment.get(i, ())))
+        for i, slot in enumerate(model.slots)
+    )
+    return _geometric_mean(per_constraint) * rho**missing
+
+
 def fit_score(
     g: HypothesisGraph,
     model: ForceModel,
@@ -130,45 +224,7 @@ def fit_score(
     way.  The score depends only on relative geometry, so it is
     invariant under rigid motions of the children.
     """
-    per_constraint: list[float] = []
-    for c in model.constraints:
-        ids_a = assignment.get(c.slot_a, ())
-        ids_b = assignment.get(c.slot_b, ())
-        if c.slot_a == c.slot_b:
-            pairs = list(itertools.combinations(ids_a, 2))
-        else:
-            pairs = [(u, v) for u in ids_a for v in ids_b]
-        if not pairs:
-            continue
-        sats: list[float] = []
-        for u, v in pairs:
-            hu, hv = g.get(u), g.get(v)
-            s = _interval_satisfaction(
-                distance(hu.location, hv.location),
-                c.distance_min,
-                c.distance_max,
-                cfg.slack,
-            )
-            if (
-                c.bearing_tolerance is not None
-                and hu.heading is not None
-                and hv.heading is not None
-            ):
-                diff = heading_difference(hu.heading, hv.heading)
-                if diff > c.bearing_tolerance:
-                    margin = cfg.slack * c.bearing_tolerance
-                    if margin <= 0.0:
-                        s = 0.0
-                    else:
-                        s *= max(0.0, 1.0 - (diff - c.bearing_tolerance) / margin)
-            sats.append(s)
-        per_constraint.append(_geometric_mean(sats))
-
-    missing = sum(
-        max(0, slot.count_min - len(assignment.get(i, ())))
-        for i, slot in enumerate(model.slots)
-    )
-    return _geometric_mean(per_constraint) * cfg.rho**missing
+    return _score(model, assignment, cfg.rho, _PairTable(g, model, cfg.slack))
 
 
 def _clusters(
@@ -217,16 +273,48 @@ def _enumerate_assignments(
     lib: ModelLibrary,
     model: ForceModel,
     pool: list[str],
-    max_missing: int,
+    cfg: MatchConfig,
+    sat: _PairTable,
 ):
+    """Slot assignments over ``pool`` short of at most ``cfg.max_missing``
+    required components, as (assignment, missing) pairs.
+
+    Slots are filled in order; each slot takes sizes ascending and, per
+    size, combinations in lexicographic pool order (the order of
+    ``itertools.combinations``), grown one child at a time.  When
+    ``cfg.min_fit > 0``, a partial assignment is dropped as soon as a
+    new child's pair with a child already in its slot or in an earlier
+    slot has satisfaction (``sat``) exactly 0.0 under some constraint:
+    every completion would score exactly 0, below ``min_fit``.
+    """
     eligible = [
         [c for c in pool if subsumes(s.required_type, g.get(c).force_type, lib)]
         for s in model.slots
     ]
+    # (constraint index, other slot) checked when a child joins a slot:
+    # each constraint once, at the later of its two slots
+    checks: list[list[tuple[int, int]]] = [[] for _ in model.slots]
+    if cfg.min_fit > 0:
+        for ci, c in enumerate(model.constraints):
+            later, earlier = max(c.slot_a, c.slot_b), min(c.slot_a, c.slot_b)
+            checks[later].append((ci, earlier))
+
+    def combos(
+        slot_idx: int, avail: list[str], size: int, acc: dict, chosen=(), start=0
+    ):
+        if len(chosen) == size:
+            yield chosen
+            return
+        for i in range(start, len(avail) - size + len(chosen) + 1):
+            x = avail[i]
+            if all(
+                sat(ci, x, y) != 0.0
+                for ci, other in checks[slot_idx]
+                for y in (chosen if other == slot_idx else acc[other])
+            ):
+                yield from combos(slot_idx, avail, size, acc, chosen + (x,), i + 1)
 
     def rec(slot_idx: int, used: frozenset[str], missing: int, acc: dict):
-        if missing > max_missing:
-            return
         if slot_idx == len(model.slots):
             if any(acc.values()):
                 yield dict(acc), missing
@@ -235,7 +323,9 @@ def _enumerate_assignments(
         avail = [c for c in eligible[slot_idx] if c not in used]
         for size in range(0, min(slot.count_max, len(avail)) + 1):
             short = max(0, slot.count_min - size)
-            for combo in itertools.combinations(avail, size):
+            if missing + short > cfg.max_missing:
+                continue
+            for combo in combos(slot_idx, avail, size, acc):
                 acc[slot_idx] = combo
                 yield from rec(slot_idx + 1, used | set(combo), missing + short, acc)
         acc.pop(slot_idx, None)
@@ -265,10 +355,11 @@ def match_level(
     for cluster in _clusters(g, child_ids, cfg.gather_radius):
         cluster = _cap_cluster(g, cluster, cfg.max_cluster)
         for model in models:
+            sat = _PairTable(g, model, cfg.slack)
             for assignment, missing in _enumerate_assignments(
-                g, lib, model, cluster, cfg.max_missing
+                g, lib, model, cluster, cfg, sat
             ):
-                score = fit_score(g, model, assignment, cfg)
+                score = _score(model, assignment, cfg.rho, sat)
                 if score >= cfg.min_fit:
                     candidates.append(
                         MatchCandidate(

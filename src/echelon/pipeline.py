@@ -12,6 +12,7 @@ deterministic given the config and seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,25 +116,52 @@ def _attached_terrain(
     return out
 
 
+def _finite(d: dict, key: str) -> float:
+    """Detection field ``key`` as a float; ScenarioError unless it is a
+    finite JSON number."""
+    value = d[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ScenarioError(
+        f"detection {d.get('id')!r}: {key} must be a finite number, got {value!r}"
+    )
+
+
 def build_graph(
     scenario: dict, lib: ModelLibrary, leaf_prior: float
 ) -> HypothesisGraph:
-    """Create leaf hypotheses from the scenario's detections."""
+    """Create leaf hypotheses from the scenario's detections.
+
+    ``detections`` must be a list of objects; ``x``, ``y`` and ``lambda``
+    of each, ``time`` when given and ``heading`` when given and not null
+    must be finite numbers.
+    """
     g = HypothesisGraph()
     terrain = _terrain_items(scenario)
     for t in terrain:
         g.add_evidence(t)
-    for d in scenario.get("detections", []):
+    detections = scenario.get("detections", [])
+    if not isinstance(detections, list):
+        raise ScenarioError("scenario: detections must be a list")
+    for d in detections:
+        if not isinstance(d, dict):
+            raise ScenarioError(f"scenario: detection {d!r} is not an object")
         lib.type_of(d["type"])  # unknown detection types are a domain error
+        location = (_finite(d, "x"), _finite(d, "y"))
+        heading = _finite(d, "heading") if d.get("heading") is not None else None
         item = EvidenceItem(
             id=str(d["id"]),
             kind=EvidenceKind.DETECTION,
-            likelihood_ratio=float(d["lambda"]),
-            location=(float(d["x"]), float(d["y"])),
-            heading=float(d["heading"]) if d.get("heading") is not None else None,
+            likelihood_ratio=_finite(d, "lambda"),
+            location=location,
+            heading=heading,
         )
         g.add_evidence(item)
-        location = (float(d["x"]), float(d["y"]))
         own = [item.id] + _attached_terrain(terrain, location)
         g.insert(
             Hypothesis(
@@ -141,11 +169,11 @@ def build_graph(
                 force_type=d["type"],
                 level=Level.VEHICLE,
                 location=location,
-                time=float(d.get("time", 0.0)),
+                time=_finite(d, "time") if "time" in d else 0.0,
                 own_evidence=EvidenceSet.from_iterable(own),
                 prior=leaf_prior,
                 posterior=leaf_prior,
-                heading=float(d["heading"]) if d.get("heading") is not None else None,
+                heading=heading,
             )
         )
     return g

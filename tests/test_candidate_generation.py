@@ -7,8 +7,10 @@ reference, on scenes built to sit on every boundary the filters have:
 limits hit exactly or missed by 1e-9, headings across 0/360, negative
 and large headings, negative coordinates, points on grid-cell edges,
 far-apart pairs sharing evidence and zero-metre separation rows.  The
-last test counts doctrine lookups and exact pair tests on generated
-clean scenes, so a return to all-pairs work fails without timing.
+last tests count doctrine lookups and exact pair tests, and the matcher's
+fit scores and pair evaluations, on generated clean scenes, so a return
+to all-pairs work or to scoring every slot assignment fails without
+timing.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from echelon import conflict, pipeline
+from echelon import conflict, matching, pipeline
 from echelon.conflict import ConflictReason, ConflictSet, detect_conflicts
 from echelon.evidence import EMPTY_SET, EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.geometry import distance, heading_difference
@@ -405,3 +407,59 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
             assert c["min_separation"] <= types**2
             assert c["max_heading_delta"] <= types**2
             assert c["pair_tests"] <= n
+
+
+def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypatch):
+    # gather_radius 1200 joins a battalion's three companies into one
+    # cluster of nine tanks; subsets mixing companies hold a pair ~1000 m
+    # apart, far outside the company interval, and are never scored.
+    # Every fit score, from match_level or fit_score, goes through _score.
+    counts = {"scores": 0}
+    clusters = []  # [children, pair evaluations] per cluster
+
+    def counted_score(*args):
+        counts["scores"] += 1
+        return original_score(*args)
+
+    def counted_pair(*args):
+        clusters[-1][1] += 1
+        return original_pair(*args)
+
+    def recorded_cluster(g, cluster, cap):
+        kept = original_cap(g, cluster, cap)
+        clusters.append([len(kept), 0])
+        return kept
+
+    original_score, original_pair, original_cap = (
+        matching._score, matching._pair_satisfaction, matching._cap_cluster
+    )
+    monkeypatch.setattr(matching, "_score", counted_score)
+    monkeypatch.setattr(matching, "_pair_satisfaction", counted_pair)
+    monkeypatch.setattr(matching, "_cap_cluster", recorded_cluster)
+
+    per_level = {}
+
+    def match(g, lib, level, cfg):
+        counts["scores"] = 0
+        clusters.clear()
+        out = matching.match_level(g, lib, level, cfg)
+        constraints = sum(len(m.constraints) for m in lib.models_at(level))
+        per_level[level] = (len(out), counts["scores"], constraints, list(clusters))
+        return out
+
+    monkeypatch.setattr(pipeline, "match_level", match)
+
+    for battalions in (4, 16):
+        per_level.clear()
+        scene = tmp_path / str(battalions)
+        scene.mkdir()
+        config = pipeline.RunConfig.from_file(_grid_scene(scene, battalions))
+        report = pipeline.run(config)
+        assert len(report["levels"]["battalion"]) == battalions
+        candidates, _, _, array_clusters = per_level[Level.ARRAY]
+        assert candidates == 3 * battalions
+        assert [n for n, _ in array_clusters] == [9] * battalions
+        for candidates, scores, constraints, level_clusters in per_level.values():
+            assert scores <= candidates
+            for n, pair_evaluations in level_clusters:
+                assert pair_evaluations <= constraints * n * (n - 1) // 2

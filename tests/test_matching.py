@@ -1,18 +1,27 @@
 import itertools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from echelon.exceptions import ClusterCapWarning
 from echelon.hypotheses import HypothesisGraph
 from echelon.matching import (
+    MATCHABLE,
+    MatchCandidate,
     MatchConfig,
+    _cap_cluster,
+    _clusters,
+    _enumerate_assignments,
+    _PairTable,
     candidate_to_hypothesis,
     fit_score,
     match_level,
 )
-from echelon.models import Level, subsumes
+from echelon.models import Level, load_library, subsumes
 
 from conftest import add_leaf
 
@@ -311,3 +320,199 @@ def test_match_config_from_dict_strict():
         MatchConfig.from_dict({"radius": 800})
     with pytest.raises(ValueError):
         MatchConfig(lambda_max=0.5)
+
+
+# -- pruned enumeration against the unpruned one ----------------------------
+#
+# ``_enumerate_assignments`` drops a partial assignment once one of its
+# pairs has satisfaction 0.0 (when min_fit > 0).  The reference below is
+# the enumeration without pruning: every slot's combinations from
+# itertools.combinations, sizes ascending.
+
+PROPERTY_TYPES = ["vehicle", "tracked", "tank", "apc"]
+INTERVALS = [(0.0, 0.0), (0.0, 100.0), (50.0, 250.0), (100.0, 100.0), (200.0, 600.0)]
+SLACKS = [0.0, 0.25, 0.5]
+
+
+def reference_assignments(g, lib, model, pool, max_missing):
+    eligible = [
+        [c for c in pool if subsumes(s.required_type, g.get(c).force_type, lib)]
+        for s in model.slots
+    ]
+
+    def rec(slot_idx, used, missing, acc):
+        if missing > max_missing:
+            return
+        if slot_idx == len(model.slots):
+            if any(acc.values()):
+                yield dict(acc), missing
+            return
+        slot = model.slots[slot_idx]
+        avail = [c for c in eligible[slot_idx] if c not in used]
+        for size in range(0, min(slot.count_max, len(avail)) + 1):
+            short = max(0, slot.count_min - size)
+            for combo in itertools.combinations(avail, size):
+                acc[slot_idx] = combo
+                yield from rec(slot_idx + 1, used | set(combo), missing + short, acc)
+        acc.pop(slot_idx, None)
+
+    yield from rec(0, frozenset(), 0, {})
+
+
+def reference_match_level(g, lib, level, cfg):
+    child_ids = sorted(g.at_level(Level(level - 1), statuses=MATCHABLE))
+    out = []
+    for cluster in _clusters(g, child_ids, cfg.gather_radius):
+        cluster = _cap_cluster(g, cluster, cfg.max_cluster)
+        for model in lib.models_at(level):
+            for assignment, missing in reference_assignments(
+                g, lib, model, cluster, cfg.max_missing
+            ):
+                score = fit_score(g, model, assignment, cfg)
+                if score >= cfg.min_fit:
+                    out.append(MatchCandidate(model, assignment, score, missing))
+    out.sort(key=lambda c: (-c.fit_score, c.model.name, c.children()))
+    return out
+
+
+def has_zero_pair(g, model, assignment, slack):
+    """Whether some pair a constraint applies to scores 0 on its own."""
+    alone = MatchConfig(rho=1.0, slack=slack)
+    for c in model.constraints:
+        ids_a = assignment.get(c.slot_a, ())
+        ids_b = assignment.get(c.slot_b, ())
+        if c.slot_a == c.slot_b:
+            subs = [{c.slot_a: pair} for pair in itertools.combinations(ids_a, 2)]
+        else:
+            subs = [{c.slot_a: (u,), c.slot_b: (v,)} for u in ids_a for v in ids_b]
+        if any(fit_score(g, model, sub, alone) == 0.0 for sub in subs):
+            return True
+    return False
+
+
+def as_listed(candidates):
+    """Everything compared, in order; fits bit for bit."""
+    return [
+        (c.model.name, list(c.assignment.items()), c.missing_slots, c.fit_score.hex())
+        for c in candidates
+    ]
+
+
+@st.composite
+def property_libraries(draw):
+    """One or two array models of one to three vehicle slots, with
+    same-slot and cross-slot constraints in both index orders."""
+    models = []
+    for m in range(draw(st.integers(1, 2))):
+        n_slots = draw(st.integers(1, 3))
+        slots = []
+        for _ in range(n_slots):
+            lo = draw(st.integers(0, 2))
+            hi = draw(st.integers(lo, 4 if n_slots == 1 else 2))
+            slot_type = draw(st.sampled_from(["vehicle", "tracked", *PROPERTY_TYPES]))
+            slots.append({"type": slot_type, "min": lo, "max": hi})
+        constraints = []
+        for _ in range(draw(st.integers(0, 3))):
+            d_min, d_max = draw(st.sampled_from(INTERVALS))
+            c = {
+                "slots": [draw(st.integers(0, n_slots - 1)) for _ in range(2)],
+                "d_min": d_min,
+                "d_max": d_max,
+            }
+            if draw(st.booleans()):
+                c["bearing_tol"] = draw(st.sampled_from([0.0, 20.0, 90.0]))
+            constraints.append(c)
+        models.append(
+            {"name": f"m{m}", "type": "company", "slots": slots,
+             "constraints": constraints, "prior": 0.3}
+        )
+    types = [
+        {"name": "vehicle", "level": "vehicle"},
+        {"name": "tracked", "level": "vehicle", "isa": "vehicle"},
+        {"name": "tank", "level": "vehicle", "isa": "tracked"},
+        {"name": "apc", "level": "vehicle", "isa": "tracked"},
+        {"name": "company", "level": "array"},
+    ]
+    return load_library(json.dumps({"types": types, "models": models}))
+
+
+@st.composite
+def property_scenes(draw, slack):
+    """Up to seven vehicles: free points, non-finite points, and points
+    moved from an earlier one along an axis by an interval end, by the
+    end of the slack margin d_max + slack*(d_max - d_min), or by either
+    nudged 1e-9."""
+    g = HypothesisGraph()
+    points = []
+    for i in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["free", "boundary", "boundary", "non-finite"]))
+        if kind == "boundary" and points:
+            x, y = draw(st.sampled_from(points))
+            d_min, d_max = draw(st.sampled_from(INTERVALS))
+            margin = slack * (d_max - d_min)
+            step = draw(st.sampled_from([d_min, d_max, d_max + margin, d_min - margin]))
+            step += draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9]))
+            if draw(st.booleans()):
+                point = (x + step, y)
+            else:
+                point = (x, y - step)
+        elif kind == "non-finite":
+            point = draw(
+                st.sampled_from([(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+            )
+        else:
+            point = (float(draw(st.integers(0, 700))), float(draw(st.integers(0, 700))))
+        points.append(point)
+        heading = draw(st.sampled_from([None, None, 0.0, 15.0, 30.0, 110.0, 200.0]))
+        add_leaf(
+            g, f"v{i}", force_type=draw(st.sampled_from(PROPERTY_TYPES)),
+            location=point, heading=heading,
+        )
+    return g
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_pruned_enumeration_equals_unpruned_reference(data):
+    lib = data.draw(property_libraries())
+    slack = data.draw(st.sampled_from(SLACKS))
+    g = data.draw(property_scenes(slack))
+    cfg = MatchConfig(
+        gather_radius=data.draw(st.sampled_from([400.0, 1e4])),
+        min_fit=data.draw(st.sampled_from([0.0, 5e-324, 1e-9, 0.2, 1.0])),
+        max_missing=data.draw(st.integers(0, 2)),
+        rho=data.draw(st.sampled_from([0.5, 1.0])),
+        slack=slack,
+    )
+
+    assert as_listed(match_level(g, lib, Level.ARRAY, cfg)) == as_listed(
+        reference_match_level(g, lib, Level.ARRAY, cfg)
+    )
+
+    def scored(model, assignments):
+        out = []
+        for assignment, missing in assignments:
+            score = fit_score(g, model, assignment, cfg)
+            if score >= cfg.min_fit:
+                out.append((list(assignment.items()), missing, score.hex()))
+        return out
+
+    ids = sorted(g.at_level(Level.VEHICLE))
+    for cluster in _clusters(g, ids, cfg.gather_radius):
+        for model in lib.models_at(Level.ARRAY):
+            got = list(
+                _enumerate_assignments(
+                    g, lib, model, cluster, cfg, _PairTable(g, model, cfg.slack)
+                )
+            )
+            ref = list(reference_assignments(g, lib, model, cluster, cfg.max_missing))
+            # min_fit 0 keeps zero-fit assignments; above it, exactly those
+            # holding a zero pair are gone and the rest keep their order
+            kept = [
+                (a, m) for a, m in ref
+                if cfg.min_fit == 0.0 or not has_zero_pair(g, model, a, cfg.slack)
+            ]
+            assert [(list(a.items()), m) for a, m in got] == [
+                (list(a.items()), m) for a, m in kept
+            ]
+            assert scored(model, got) == scored(model, ref)

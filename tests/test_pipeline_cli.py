@@ -183,6 +183,51 @@ class TestInferCommand:
         assert main(["infer", "--config", str(paths["config"])]) == 1
         assert "likelihood_ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value, text",
+        [
+            ("x", None, "null"),
+            ("x", math.nan, "NaN"),
+            ("y", -math.inf, "-Infinity"),
+            ("lambda", None, "null"),
+            ("heading", math.nan, "NaN"),
+            ("time", None, "null"),
+            ("time", math.inf, "Infinity"),
+            ("x", "900", '"900"'),
+            ("y", True, "true"),
+            ("x", 10**400, "1" + "0" * 400),
+        ],
+    )
+    def test_non_finite_detection_field_is_domain_error(
+        self, tmp_path, capsys, key, value, text
+    ):
+        paths = write_battalion_inputs(tmp_path)
+        detection = {"id": "d0", "type": "tank", "x": 0.0, "y": 0.0,
+                     "heading": 0.0, "lambda": 3.0, "time": 0.0, key: value}
+        doc = {"schema_version": 1, "scenario_id": "bad",
+               "detections": [detection], "terrain": []}
+        assert text in dumps(doc)  # the malformed token reaches the file as is
+        paths["scenario"].write_text(dumps(doc))
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        err = capsys.readouterr().err
+        assert "'d0'" in err and f"{key} must be a finite number" in err
+        assert not paths["report"].exists()
+
+    @pytest.mark.parametrize(
+        "detections, message",
+        [(5, "detections must be a list"), ([5], "detection 5 is not an object")],
+    )
+    def test_malformed_detections_are_domain_errors(
+        self, tmp_path, capsys, detections, message
+    ):
+        paths = write_battalion_inputs(tmp_path)
+        paths["scenario"].write_text(
+            dumps({"schema_version": 1, "scenario_id": "bad",
+                   "detections": detections, "terrain": []})
+        )
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        assert message in capsys.readouterr().err
+
     def test_report_to_stdout_without_out(self, tmp_path, capsys):
         paths = write_battalion_inputs(tmp_path)
         cfg = json.loads(paths["config"].read_text())
