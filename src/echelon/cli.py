@@ -165,8 +165,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         path = _fixture_path(args.fixtures, suite)
         if args.record:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps({"suite": suite, "records": records},
-                                       indent=2, sort_keys=True) + "\n")
+            path.write_text(dumps({"suite": suite, "records": records}))
             print(f"[{suite}] recorded {len(records)} networks -> {path}")
             continue
         if not path.exists():

@@ -26,6 +26,7 @@ import numpy as np
 from echelon import kernels
 from echelon.accrual import AccrualInputs, ComponentBelief, accrue_parent
 from echelon.exceptions import OracleStructureError, ZeroProbabilityEvent
+from echelon.scenario import dumps
 
 MAX_VARIABLES = 20
 IDENTITY_TOL = 1e-12
@@ -164,7 +165,7 @@ class OracleNetwork:
             "parents": {v: list(self.parents[v]) for v in self.variables},
             "tables": {v: [float(x) for x in self.tables[v]] for v in self.variables},
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return dumps(doc)
 
     @classmethod
     def from_json(cls, text: str, name: str = "network") -> "OracleNetwork":

@@ -91,15 +91,28 @@ class RunConfig:
 
 
 def _terrain_items(scenario: dict) -> list[EvidenceItem]:
+    """Terrain evidence from the scenario.
+
+    ``terrain`` must be a list of objects; ``x``, ``y`` and ``lambda`` of
+    each, and ``radius_m`` when given, must be finite numbers.
+    """
+    terrain = scenario.get("terrain", [])
+    if not isinstance(terrain, list):
+        raise ScenarioError("scenario: terrain must be a list")
     items = []
-    for i, t in enumerate(scenario.get("terrain", [])):
+    for i, t in enumerate(terrain):
+        if not isinstance(t, dict):
+            raise ScenarioError(f"scenario: terrain entry {t!r} is not an object")
+        tid = str(t.get("id", f"t{i}"))
+        where = f"terrain entry {tid!r}"
+        radius = _finite(t, "radius_m", where) if "radius_m" in t else 1000.0
         items.append(
             EvidenceItem(
-                id=str(t.get("id", f"t{i}")),
+                id=tid,
                 kind=EvidenceKind.TERRAIN,
-                likelihood_ratio=float(t["lambda"]),
-                location=(float(t["x"]), float(t["y"])),
-                sensor_context={"radius_m": float(t.get("radius_m", 1000.0))},
+                likelihood_ratio=_finite(t, "lambda", where),
+                location=(_finite(t, "x", where), _finite(t, "y", where)),
+                sensor_context={"radius_m": radius},
             )
         )
     return items
@@ -116,9 +129,9 @@ def _attached_terrain(
     return out
 
 
-def _finite(d: dict, key: str) -> float:
-    """Detection field ``key`` as a float; ScenarioError unless it is a
-    finite JSON number."""
+def _finite(d: dict, key: str, where: str) -> float:
+    """Field ``key`` of the scenario entry ``d`` as a float; ScenarioError
+    naming the entry (``where``) unless it is a finite JSON number."""
     value = d[key]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
@@ -127,9 +140,7 @@ def _finite(d: dict, key: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ScenarioError(
-        f"detection {d.get('id')!r}: {key} must be a finite number, got {value!r}"
-    )
+    raise ScenarioError(f"{where}: {key} must be a finite number, got {value!r}")
 
 
 def build_graph(
@@ -152,12 +163,13 @@ def build_graph(
         if not isinstance(d, dict):
             raise ScenarioError(f"scenario: detection {d!r} is not an object")
         lib.type_of(d["type"])  # unknown detection types are a domain error
-        location = (_finite(d, "x"), _finite(d, "y"))
-        heading = _finite(d, "heading") if d.get("heading") is not None else None
+        where = f"detection {d.get('id')!r}"
+        location = (_finite(d, "x", where), _finite(d, "y", where))
+        heading = _finite(d, "heading", where) if d.get("heading") is not None else None
         item = EvidenceItem(
             id=str(d["id"]),
             kind=EvidenceKind.DETECTION,
-            likelihood_ratio=_finite(d, "lambda"),
+            likelihood_ratio=_finite(d, "lambda", where),
             location=location,
             heading=heading,
         )
@@ -169,7 +181,7 @@ def build_graph(
                 force_type=d["type"],
                 level=Level.VEHICLE,
                 location=location,
-                time=_finite(d, "time") if "time" in d else 0.0,
+                time=_finite(d, "time", where) if "time" in d else 0.0,
                 own_evidence=EvidenceSet.from_iterable(own),
                 prior=leaf_prior,
                 posterior=leaf_prior,
@@ -286,6 +298,16 @@ def _build_report(
         entries.sort(key=lambda e: (e["out_of_range"], -e["posterior"], e["id"]))
         levels[level.label] = entries
 
+    # A scene has thousands of conflicting pairs but only a few distinct
+    # reason sets: sort each set's values once, emit a fresh list per pair.
+    reason_values: dict[frozenset, list[str]] = {}
+
+    def sorted_values(rs: frozenset) -> list[str]:
+        values = reason_values.get(rs)
+        if values is None:
+            values = reason_values[rs] = sorted(r.value for r in rs)
+        return list(values)
+
     conflicts = []
     for level, rep in conflict_log:
         conflicts.append(
@@ -293,7 +315,7 @@ def _build_report(
                 "level": level.label,
                 "members": list(rep.conflict_set.members),
                 "reasons": [
-                    {"pair": list(pair), "reasons": sorted(r.value for r in rs)}
+                    {"pair": list(pair), "reasons": sorted_values(rs)}
                     for pair, rs in sorted(rep.conflict_set.reasons.items())
                 ],
                 "ordering": list(rep.ordering),

@@ -17,9 +17,9 @@ confusion row's odds of the observed label.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str
 
 import numpy as np
 
@@ -315,8 +315,129 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
 
 
 def dumps(doc: dict) -> str:
-    """Canonical serialization: the byte-determinism contract."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: the byte-determinism contract.
+
+    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2)``
+    followed by a newline: keys sorted, two-space indent, non-ASCII as
+    ``\\uXXXX``, floats as ``float.__repr__`` and non-finite floats as
+    ``NaN``/``Infinity``/``-Infinity``.  It is written here because json
+    falls back to its pure-Python encoder whenever ``indent`` is set.
+
+    Accepted: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
+    ``int``, ``float``, ``bool`` and ``None``; subclasses of these (such
+    as enums with a ``str``, ``int`` or ``float`` mixin) are written as
+    their base type, as json writes them.  Any other value, and any
+    non-``str`` key, raises ``TypeError``.  Cycles are not detected.
+    """
+    parts: list[str] = []
+    text = _scalar(doc)
+    if text is None:
+        _write(doc, "", "\n", parts.append)
+    else:
+        parts.append(text)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_INF = float("inf")
+_float = float.__repr__
+_int = int.__repr__
+
+
+def _scalar(o) -> str | None:
+    """json's spelling of scalar ``o``, in json's order of checks; None
+    for a dict, list or tuple."""
+    if isinstance(o, str):
+        return _str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return _float(o)
+    if isinstance(o, (dict, list, tuple)):
+        return None
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write(o, head: str, nl: str, append) -> None:
+    """Append ``head`` and container ``o``, whose closing bracket goes
+    on a line that starts with ``nl``.
+
+    The dict and list loops write exact ``str``, finite ``float``,
+    ``int`` and ``None`` inline and recurse on exact ``dict`` and
+    ``list``; everything else goes through ``_scalar``.
+    """
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            append(head + "{}")
+            return
+        sep = head + "{" + inner
+        for key, v in sorted(o.items()):
+            prefix = sep + _str(key) + ": "
+            sep = "," + inner
+            t = type(v)
+            if t is str:
+                append(prefix + _str(v))
+            elif t is float and v - v == 0.0:
+                append(prefix + _float(v))
+            elif t is int:
+                append(prefix + _int(v))
+            elif v is None:
+                append(prefix + "null")
+            elif t is dict or t is list:
+                _write(v, prefix, inner, append)
+            else:
+                text = _scalar(v)
+                if text is None:
+                    _write(v, prefix, inner, append)
+                else:
+                    append(prefix + text)
+        append(nl + "}")
+        return
+    if not o:
+        append(head + "[]")
+        return
+    if type(o[0]) is str:
+        # the id lists: one C-level join; a non-str item makes
+        # encode_basestring_ascii raise, and the list is written item by item
+        try:
+            append(head + "[" + inner + ("," + inner).join(map(_str, o)) + nl + "]")
+            return
+        except TypeError:
+            pass
+    sep = head + "[" + inner
+    for v in o:
+        t = type(v)
+        if t is str:
+            append(sep + _str(v))
+        elif t is float and v - v == 0.0:
+            append(sep + _float(v))
+        elif t is int:
+            append(sep + _int(v))
+        elif v is None:
+            append(sep + "null")
+        elif t is dict or t is list:
+            _write(v, sep, inner, append)
+        else:
+            text = _scalar(v)
+            if text is None:
+                _write(v, sep, inner, append)
+            else:
+                append(sep + text)
+        sep = "," + inner
+    append(nl + "]")
 
 
 def score(

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +228,56 @@ class TestInferCommand:
         )
         assert main(["infer", "--config", str(paths["config"])]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, text",
+        [
+            ("x", None, "null"),
+            ("x", math.nan, "NaN"),
+            ("y", "900", '"900"'),
+            ("lambda", True, "true"),
+            ("radius_m", math.inf, "Infinity"),
+        ],
+    )
+    def test_non_finite_terrain_field_is_domain_error(
+        self, tmp_path, capsys, key, value, text
+    ):
+        paths = write_battalion_inputs(tmp_path)
+        terrain = {"id": "t0", "x": 0.0, "y": 0.0, "radius_m": 500.0,
+                   "lambda": 2.0, key: value}
+        doc = {"schema_version": 1, "scenario_id": "bad",
+               "detections": [], "terrain": [terrain]}
+        assert text in dumps(doc)  # the malformed token reaches the file as is
+        paths["scenario"].write_text(dumps(doc))
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        err = capsys.readouterr().err
+        assert f"terrain entry 't0': {key} must be a finite number" in err
+        assert "Traceback" not in err
+        assert not paths["report"].exists()
+
+    @pytest.mark.parametrize(
+        "terrain, message",
+        [
+            ({"x": 0}, "terrain must be a list"),
+            ([None], "terrain entry None is not an object"),
+            ([{"x": 0.0, "y": None, "lambda": 2.0}], "terrain entry 't0': y must be"),
+        ],
+    )
+    def test_malformed_terrain_is_domain_error(self, tmp_path, capsys, terrain, message):
+        paths = write_battalion_inputs(tmp_path)
+        paths["scenario"].write_text(
+            dumps({"schema_version": 1, "scenario_id": "bad",
+                   "detections": [], "terrain": terrain})
+        )
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_demo_report_is_byte_identical(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        out = tmp_path / "report.json"
+        rc = main(["infer", "--config", str(demo / "run_config.json"), "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == (demo / "report.json").read_bytes()
 
     def test_report_to_stdout_without_out(self, tmp_path, capsys):
         paths = write_battalion_inputs(tmp_path)

@@ -1,7 +1,11 @@
 import copy
+import enum
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from echelon.exceptions import ScenarioError
 from echelon.models import load_library
@@ -260,3 +264,75 @@ class TestScore:
         m = score(report, scen, 50.0)
         assert m["levels"]["array"]["hypotheses"] == 0
         assert m["levels"]["array"]["recall"] == 0.0
+
+
+class Mode(str, enum.Enum):
+    FAST = "fast"
+    QUOTED = 'say "é"'
+
+
+class Rank(enum.IntEnum):
+    LOW = 1
+    HUGE = 2**70
+
+
+class Ratio(float, enum.Enum):
+    HALF = 0.5
+    TINY = 5e-324
+
+
+SPECIAL_CHARS = [
+    '"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff",
+]
+SPECIAL_FLOATS = [
+    -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+
+strings = st.lists(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from(SPECIAL_CHARS)),
+    max_size=6,
+).map("".join)
+scalars = st.one_of(
+    strings,
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-(2**80), 2**80),
+    st.sampled_from([2**64, -(2**64) - 1, 10**30]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([*Mode, *Rank, *Ratio]),
+)
+
+
+def documents(depth: int):
+    """JSON-like documents nested at most ``depth`` containers deep."""
+    if depth == 0:
+        return scalars
+    inner = documents(depth - 1)
+    items = st.lists(inner, max_size=3)
+    return st.one_of(
+        scalars,
+        st.just({}),
+        st.just([]),
+        st.just(()),
+        items,
+        items.map(tuple),
+        st.lists(strings, min_size=1, max_size=4),  # all str: the id lists
+        st.tuples(strings, items).map(lambda t: [t[0], *t[1]]),  # str first, then mixed
+        st.lists(st.dictionaries(strings, inner, max_size=3), max_size=3),
+        st.dictionaries(strings, inner, max_size=4),
+    )
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(documents(5))
+    def test_matches_json_dumps(self, doc):
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc", [{1: "a"}, {"a": {None: 1}}, {"a": {1, 2}}, ["x", {1, 2}], [b"x"], object()]
+    )
+    def test_non_str_key_or_unsupported_value_raises(self, doc):
+        with pytest.raises(TypeError):
+            dumps(doc)
