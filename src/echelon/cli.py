@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -56,14 +57,19 @@ def cmd_infer(args: argparse.Namespace) -> int:
     except (json.JSONDecodeError, ValueError, EchelonError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.tau is not None:
-        cfg.tau = args.tau
-    if args.heuristic is not None:
-        cfg.heuristic = Heuristic(args.heuristic)
-    if args.out is not None:
-        cfg.out = args.out
+    overrides = {
+        "seed": args.seed,
+        "tau": args.tau,
+        "heuristic": None if args.heuristic is None else Heuristic(args.heuristic),
+        "out": args.out,
+    }
+    try:  # replace re-runs the config's range checks on the overrides
+        cfg = dataclasses.replace(
+            cfg, **{k: v for k, v in overrides.items() if v is not None}
+        )
+    except EchelonError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         report = run(cfg)
     except OSError as exc:

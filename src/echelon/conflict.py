@@ -5,8 +5,10 @@ Same-level hypotheses conflict when their evidence closures overlap
 together (too close, incompatible headings).  Detection never tests
 every pair: an evidence index, a uniform grid and a heading circle
 generate a superset of the conflicting pairs (a conservative filter),
-and the exact pairwise test decides each of them.  Each connected
-group is analyzed in polynomial time: members are ordered
+and the exact pairwise test decides each of them.  A pair's reasons
+are one of eight frozensets built once at import, so an edge costs no
+set of its own however many a scene has.  Each connected group is
+analyzed in polynomial time: members are ordered
 heuristically, each is scored on the pooled evidence minus the
 closures of the members after it, and the product k estimates how
 likely all members are to be true despite the conflict.  (1-k)/k is
@@ -59,7 +61,12 @@ class Decision(enum.Enum):
 
 @dataclass(frozen=True)
 class ConflictSet:
-    """A connected group of mutually incompatible hypotheses."""
+    """A connected group of mutually incompatible hypotheses.
+
+    ``reasons`` maps each conflicting pair ``(a, b)``, ``a < b``, to why
+    it conflicts; ``detect_conflicts`` inserts the pairs in ascending
+    order, which the report keeps.
+    """
 
     members: tuple[str, ...]
     pooled_evidence: EvidenceSet
@@ -102,29 +109,39 @@ class ConsistentSet:
     normalized_belief: float
 
 
+# Every subset of the three reasons, built once and indexed by flag bits
+# in definition order: 1 shared evidence, 2 too close, 4 orientation.  A
+# scene's thousands of edges share these eight sets.
+REASON_SETS = tuple(
+    frozenset(r for bit, r in enumerate(ConflictReason) if flags >> bit & 1)
+    for flags in range(8)
+)
+
+
 def _pair_reasons(
-    ha: Hypothesis,
-    hb: Hypothesis,
+    location_a: tuple[float, float],
+    location_b: tuple[float, float],
+    heading_a: float | None,
+    heading_b: float | None,
     shares_evidence: bool,
     sep: float | None,
     max_delta: float | None,
 ) -> frozenset[ConflictReason]:
     """The exact conflict test of one pair, given whether their closures
     share a non-terrain item and the doctrine resolved for their type
-    pair."""
-    reasons = set()
-    if shares_evidence:
-        reasons.add(ConflictReason.SHARED_EVIDENCE)
-    if sep is not None and distance(ha.location, hb.location) < sep:
-        reasons.add(ConflictReason.TOO_CLOSE)
+    pair.  The three tests set flag bits, and the result is the shared
+    frozenset of ``REASON_SETS`` those bits index (empty: no conflict)."""
+    flags = 1 if shares_evidence else 0
+    if sep is not None and distance(location_a, location_b) < sep:
+        flags |= 2
     if (
-        ha.heading is not None
-        and hb.heading is not None
+        heading_a is not None
+        and heading_b is not None
         and max_delta is not None
-        and heading_difference(ha.heading, hb.heading) > max_delta
+        and heading_difference(heading_a, heading_b) > max_delta
     ):
-        reasons.add(ConflictReason.ORIENTATION)
-    return frozenset(reasons)
+        flags |= 4
+    return REASON_SETS[flags]
 
 
 def _candidate_pairs(
@@ -135,7 +152,10 @@ def _candidate_pairs(
 ) -> list[tuple[int, int]]:
     """Sorted index pairs (i < j) that may conflict: a superset of the
     pairs ``_pair_reasons`` flags, from three sources."""
-    pairs: set[tuple[int, int]] = set()
+    # pair (i, j) is held as the integer i * n + j, cheaper to hash and
+    # sort than a tuple, and in the same order
+    n = len(hyps)
+    codes: set[int] = set()
 
     # shared evidence: an inverted index from item id to its holders
     holders: dict[str, list[int]] = {}
@@ -143,12 +163,12 @@ def _candidate_pairs(
         for item_id in items:
             holders.setdefault(item_id, []).append(i)
     for group in holders.values():
-        pairs.update(itertools.combinations(group, 2))
+        codes.update(i * n + j for i, j in itertools.combinations(group, 2))
 
     # too close: a grid whose cell is the largest separation in play
     reach = max((d for d in sep.values() if d is not None and d > 0), default=None)
     if reach is not None:
-        pairs.update(near_pairs([h.location for h in hyps], reach))
+        codes.update(i * n + j for i, j in near_pairs([h.location for h in hyps], reach))
 
     # orientation: no distance bound, so search headings on the circle,
     # per type pair with a heading limit
@@ -165,13 +185,12 @@ def _candidate_pairs(
             continue
         partners = headed[tb]
         for i in headed[ta]:
-            for k in circles[tb].beyond(hyps[i].heading, limit):
-                j = partners[k]
-                if ta != tb:
-                    pairs.add((min(i, j), max(i, j)))
-                elif j > i:  # within one type each pair is met from both ends
-                    pairs.add((i, j))
-    return sorted(pairs)
+            found = [partners[k] for k in circles[tb].beyond(hyps[i].heading, limit)]
+            if ta != tb:
+                codes.update(i * n + j if i < j else j * n + i for j in found)
+            else:  # within one type each pair is met from both ends
+                codes.update(i * n + j for j in found if j > i)
+    return [divmod(c, n) for c in sorted(codes)]
 
 
 def detect_conflicts(
@@ -206,6 +225,14 @@ def detect_conflicts(
         type_pairs = [(ta, tb) for n, ta in enumerate(types) for tb in types[n:]]
         sep = {p: lib.min_separation(*p) for p in type_pairs}
         max_delta = {p: lib.max_heading_delta(*p) for p in type_pairs}
+        # read by every candidate, so gathered once per level: locations,
+        # headings, type indices and the doctrine of each index pair
+        locations = [h.location for h in hyps]
+        headings = [h.heading for h in hyps]
+        type_index = {t: n for n, t in enumerate(types)}
+        kinds = [type_index[h.force_type] for h in hyps]
+        keys = [[DoctrineConfig.key(ta, tb) for tb in types] for ta in types]
+        rules = [[(sep[k], max_delta[k]) for k in row] for row in keys]
 
         parent = list(range(len(ids)))
 
@@ -217,25 +244,27 @@ def detect_conflicts(
 
         edges: list[tuple[int, int, frozenset[ConflictReason]]] = []
         for a, b in _candidate_pairs(hyps, sharable, sep, max_delta):
-            ha, hb = hyps[a], hyps[b]
-            key = DoctrineConfig.key(ha.force_type, hb.force_type)
+            pair_sep, pair_delta = rules[kinds[a]][kinds[b]]
             reasons = _pair_reasons(
-                ha,
-                hb,
+                locations[a],
+                locations[b],
+                headings[a],
+                headings[b],
                 not sharable[a].isdisjoint(sharable[b]),
-                sep[key],
-                max_delta[key],
+                pair_sep,
+                pair_delta,
             )
             if reasons:
                 edges.append((a, b, reasons))
                 parent[find(a)] = find(b)
 
+        roots = [find(n) for n in range(len(ids))]
         groups: dict[int, list[str]] = {}
-        for n, i in enumerate(ids):
-            groups.setdefault(find(n), []).append(i)
+        for root, i in zip(roots, ids):
+            groups.setdefault(root, []).append(i)
         group_edges: dict[int, dict[tuple[str, str], frozenset[ConflictReason]]] = {}
         for a, b, reasons in edges:
-            group_edges.setdefault(find(a), {})[(ids[a], ids[b])] = reasons
+            group_edges.setdefault(roots[a], {})[(ids[a], ids[b])] = reasons
         for root in sorted(groups, key=lambda r: ids[r]):
             members = groups[root]
             if len(members) < 2:

@@ -80,19 +80,36 @@ class MatchConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MatchConfig":
-        allowed = {
-            "gather_radius",
-            "min_fit",
-            "max_missing",
-            "max_cluster",
-            "rho",
-            "slack",
-            "lambda_max",
-        }
-        unknown = set(raw) - allowed
+        """The matcher block of a run config: an object whose known keys
+        hold finite JSON numbers (integers for ``max_missing`` and
+        ``max_cluster``), in the ranges ``__post_init__`` checks;
+        ValueError naming the key otherwise."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"matcher config must be an object, got {raw!r}")
+        integers = {"max_missing", "max_cluster"}
+        numbers = {"gather_radius", "min_fit", "rho", "slack", "lambda_max"}
+        unknown = set(raw) - integers - numbers
         if unknown:
             raise ValueError(f"matcher config: unknown keys {sorted(unknown)}")
+        for key, value in raw.items():
+            if key in integers:
+                if type(value) is not int:
+                    raise ValueError(
+                        f"matcher config: {key} must be an integer, got {value!r}"
+                    )
+            elif not (type(value) in (int, float) and _is_finite(value)):
+                raise ValueError(
+                    f"matcher config: {key} must be a finite number, got {value!r}"
+                )
         return cls(**raw)
+
+
+def _is_finite(value: int | float) -> bool:
+    """Whether a JSON number is finite as a float (a huge integer is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass

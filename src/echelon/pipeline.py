@@ -18,6 +18,7 @@ from pathlib import Path
 
 from echelon.accrual import DEFAULT_CALIBRATION, propagate_level
 from echelon.conflict import (
+    REASON_SETS,
     ConflictReport,
     Decision,
     Heuristic,
@@ -36,6 +37,10 @@ from echelon.scenario import SCHEMA_VERSION, dumps
 
 @dataclass
 class RunConfig:
+    """One inference run.  ``__post_init__`` checks the ranges, so every
+    config, including one with command-line overrides applied through
+    ``dataclasses.replace``, is valid before the pipeline starts."""
+
     library: str
     scenario: str
     out: str | None = None
@@ -47,6 +52,22 @@ class RunConfig:
     leaf_prior: float = 0.5
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not (0.0 < self.tau < math.inf):
+            raise ScenarioError(
+                f"run config: tau must be a finite number > 0, got {self.tau!r}"
+            )
+        for name in ("exclusion_floor", "leaf_prior"):
+            value = getattr(self, name)
+            if not (0.0 <= value <= 1.0):
+                raise ScenarioError(
+                    f"run config: {name} must be in [0, 1], got {value!r}"
+                )
+        if self.max_exact < 0:
+            raise ScenarioError(
+                f"run config: max_exact must be >= 0, got {self.max_exact!r}"
+            )
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
@@ -55,6 +76,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "RunConfig":
+        """Parse a run config, strictly: unknown or missing keys, and
+        values of the wrong JSON type or out of range, raise
+        ScenarioError (ValueError for the matcher block) naming the key.
+        """
+        if not isinstance(doc, dict):
+            raise ScenarioError("run config must be a JSON object")
         known = {
             "library",
             "scenario",
@@ -70,23 +97,46 @@ class RunConfig:
         unknown = set(doc) - known
         if unknown:
             raise ScenarioError(f"run config: unknown keys {sorted(unknown)}")
+        missing = {"library", "scenario"} - set(doc)
+        if missing:
+            raise ScenarioError(f"run config: missing keys {sorted(missing)}")
+        where = "run config"
+        for key in ("library", "scenario", "out"):
+            value = doc.get(key)
+            if not isinstance(value, str) and not (key == "out" and value is None):
+                raise ScenarioError(f"{where}: {key} must be a path string, got {value!r}")
+        heuristic = doc.get("heuristic", Heuristic.HIGHEST_POSTERIOR.value)
+        names = [h.value for h in Heuristic]
+        if heuristic not in names:
+            raise ScenarioError(
+                f"{where}: heuristic must be one of {names}, got {heuristic!r}"
+            )
 
         def resolve(p: str | None) -> str | None:
             if p is None or base_dir is None:
                 return p
             return str((base_dir / p).resolve()) if not Path(p).is_absolute() else p
 
+        def number(key: str, default: float) -> float:
+            return _finite(doc, key, where) if key in doc else default
+
+        def integer(key: str, default: int) -> int:
+            value = doc.get(key, default)
+            if type(value) is not int:
+                raise ScenarioError(f"{where}: {key} must be an integer, got {value!r}")
+            return value
+
         return cls(
             library=resolve(doc["library"]),
             scenario=resolve(doc["scenario"]),
             out=resolve(doc.get("out")),
             matcher=MatchConfig.from_dict(doc.get("matcher", {})),
-            tau=float(doc.get("tau", 0.1)),
-            heuristic=Heuristic(doc.get("heuristic", "highest_posterior")),
-            exclusion_floor=float(doc.get("exclusion_floor", 0.05)),
-            max_exact=int(doc.get("max_exact", 20)),
-            leaf_prior=float(doc.get("leaf_prior", 0.5)),
-            seed=int(doc.get("seed", 0)),
+            tau=number("tau", 0.1),
+            heuristic=Heuristic(heuristic),
+            exclusion_floor=number("exclusion_floor", 0.05),
+            max_exact=integer("max_exact", 20),
+            leaf_prior=number("leaf_prior", 0.5),
+            seed=integer("seed", 0),
         )
 
 
@@ -249,6 +299,11 @@ def run(cfg: RunConfig) -> dict:
     return _build_report(cfg, scenario, g, conflict_log)
 
 
+# The report's sorted reason values of every possible reason set: a scene
+# has thousands of conflicting pairs but these few sets.
+_REASON_VALUES = {rs: sorted(r.value for r in rs) for rs in REASON_SETS}
+
+
 def _trace_records(h: Hypothesis) -> list[dict] | None:
     if h.accrual is None:
         return None
@@ -298,25 +353,16 @@ def _build_report(
         entries.sort(key=lambda e: (e["out_of_range"], -e["posterior"], e["id"]))
         levels[level.label] = entries
 
-    # A scene has thousands of conflicting pairs but only a few distinct
-    # reason sets: sort each set's values once, emit a fresh list per pair.
-    reason_values: dict[frozenset, list[str]] = {}
-
-    def sorted_values(rs: frozenset) -> list[str]:
-        values = reason_values.get(rs)
-        if values is None:
-            values = reason_values[rs] = sorted(r.value for r in rs)
-        return list(values)
-
     conflicts = []
     for level, rep in conflict_log:
         conflicts.append(
             {
                 "level": level.label,
                 "members": list(rep.conflict_set.members),
+                # already in ascending pair order (detect_conflicts)
                 "reasons": [
-                    {"pair": list(pair), "reasons": sorted_values(rs)}
-                    for pair, rs in sorted(rep.conflict_set.reasons.items())
+                    {"pair": [a, b], "reasons": [*_REASON_VALUES[rs]]}
+                    for (a, b), rs in rep.conflict_set.reasons.items()
                 ],
                 "ordering": list(rep.ordering),
                 "per_member_conditioning": [

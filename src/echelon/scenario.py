@@ -323,6 +323,13 @@ def dumps(doc: dict) -> str:
     ``NaN``/``Infinity``/``-Infinity``.  It is written here because json
     falls back to its pure-Python encoder whenever ``indent`` is set.
 
+    A report holds thousands of small dicts with the same keys, so the
+    sorted, encoded key order is computed once per distinct key tuple
+    (a memo that lives for this call only), a list of ``str`` is written
+    with one join, and so is a list item that is a flat dict: one whose
+    values are all ``str``, finite ``float``, ``int``, ``None`` or lists
+    of ``str``.  Anything else takes the item-by-item path.
+
     Accepted: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
     ``int``, ``float``, ``bool`` and ``None``; subclasses of these (such
     as enums with a ``str``, ``int`` or ``float`` mixin) are written as
@@ -332,7 +339,7 @@ def dumps(doc: dict) -> str:
     parts: list[str] = []
     text = _scalar(doc)
     if text is None:
-        _write(doc, "", "\n", parts.append)
+        _write(doc, "", "\n", parts.append, {})
     else:
         parts.append(text)
     parts.append("\n")
@@ -370,13 +377,70 @@ def _scalar(o) -> str | None:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write(o, head: str, nl: str, append) -> None:
+def _order(o: dict, memo: dict) -> list[tuple[object, str]]:
+    """The keys of ``o`` in sorted order, each with its encoding, looked
+    up in ``memo`` by the dict's key tuple; a non-``str`` key raises
+    ``TypeError`` and is never stored."""
+    keys = tuple(o)
+    order = memo.get(keys)
+    if order is None:
+        order = memo[keys] = [(key, _str(key)) for key in sorted(keys)]
+    return order
+
+
+def _str_list(o: list, nl: str) -> str | None:
+    """List ``o`` of ``str`` written with one C-level join, its closing
+    bracket on a line that starts with ``nl``; None when an item is not
+    a ``str`` (``encode_basestring_ascii`` raises on it)."""
+    inner = nl + "  "
+    try:
+        return "[" + inner + ("," + inner).join(map(_str, o)) + nl + "]"
+    except TypeError:
+        return None
+
+
+def _flat(o: dict, nl: str, memo: dict) -> str | None:
+    """Non-empty dict ``o`` written with one join, its closing brace on
+    a line that starts with ``nl``; None unless every value is a
+    ``str``, finite ``float``, ``int``, ``None`` or list of ``str``."""
+    inner = nl + "  "
+    deeper = inner + "  "
+    items = []
+    for key, enc in _order(o, memo):
+        v = o[key]
+        t = type(v)
+        if t is list:
+            if not v:
+                items.append(enc + ": []")
+                continue
+            try:
+                text = ("," + deeper).join(map(_str, v))
+            except TypeError:
+                return None
+            items.append(enc + ": [" + deeper + text + inner + "]")
+        elif t is str:
+            items.append(enc + ": " + _str(v))
+        elif t is float and v - v == 0.0:
+            items.append(enc + ": " + _float(v))
+        elif t is int:
+            items.append(enc + ": " + _int(v))
+        elif v is None:
+            items.append(enc + ": null")
+        else:
+            return None
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _write(o, head: str, nl: str, append, memo: dict) -> None:
     """Append ``head`` and container ``o``, whose closing bracket goes
-    on a line that starts with ``nl``.
+    on a line that starts with ``nl``; ``memo`` holds the key orders of
+    this ``dumps`` call (``_order``).
 
     The dict and list loops write exact ``str``, finite ``float``,
-    ``int`` and ``None`` inline and recurse on exact ``dict`` and
-    ``list``; everything else goes through ``_scalar``.
+    ``int`` and ``None`` inline, lists of ``str`` (``_str_list``) and,
+    in a list, flat dicts (``_flat``) with one join each, and recurse on
+    other exact ``dict`` and ``list``; everything else goes through
+    ``_scalar``.
     """
     inner = nl + "  "
     if isinstance(o, dict):
@@ -384,8 +448,9 @@ def _write(o, head: str, nl: str, append) -> None:
             append(head + "{}")
             return
         sep = head + "{" + inner
-        for key, v in sorted(o.items()):
-            prefix = sep + _str(key) + ": "
+        for key, enc in _order(o, memo):
+            v = o[key]
+            prefix = sep + enc + ": "
             sep = "," + inner
             t = type(v)
             if t is str:
@@ -396,12 +461,18 @@ def _write(o, head: str, nl: str, append) -> None:
                 append(prefix + _int(v))
             elif v is None:
                 append(prefix + "null")
+            elif t is list and v and type(v[0]) is str:
+                text = _str_list(v, inner)
+                if text is None:
+                    _write(v, prefix, inner, append, memo)
+                else:
+                    append(prefix + text)
             elif t is dict or t is list:
-                _write(v, prefix, inner, append)
+                _write(v, prefix, inner, append, memo)
             else:
                 text = _scalar(v)
                 if text is None:
-                    _write(v, prefix, inner, append)
+                    _write(v, prefix, inner, append, memo)
                 else:
                     append(prefix + text)
         append(nl + "}")
@@ -410,13 +481,10 @@ def _write(o, head: str, nl: str, append) -> None:
         append(head + "[]")
         return
     if type(o[0]) is str:
-        # the id lists: one C-level join; a non-str item makes
-        # encode_basestring_ascii raise, and the list is written item by item
-        try:
-            append(head + "[" + inner + ("," + inner).join(map(_str, o)) + nl + "]")
+        text = _str_list(o, nl)
+        if text is not None:
+            append(head + text)
             return
-        except TypeError:
-            pass
     sep = head + "[" + inner
     for v in o:
         t = type(v)
@@ -428,12 +496,18 @@ def _write(o, head: str, nl: str, append) -> None:
             append(sep + _int(v))
         elif v is None:
             append(sep + "null")
+        elif t is dict and v:
+            text = _flat(v, inner, memo)
+            if text is None:
+                _write(v, sep, inner, append, memo)
+            else:
+                append(sep + text)
         elif t is dict or t is list:
-            _write(v, sep, inner, append)
+            _write(v, sep, inner, append, memo)
         else:
             text = _scalar(v)
             if text is None:
-                _write(v, sep, inner, append)
+                _write(v, sep, inner, append, memo)
             else:
                 append(sep + text)
         sep = "," + inner

@@ -5,6 +5,7 @@ import pytest
 
 from echelon.accrual import propagate_level
 from echelon.conflict import (
+    REASON_SETS,
     ConflictReason,
     ConflictSet,
     Decision,
@@ -65,6 +66,22 @@ class TestDetectConflicts:
         assert sets and sets[0].reasons[("v0", "v1")] == frozenset(
             {ConflictReason.ORIENTATION}
         )
+
+    def test_reason_sets_are_shared_and_pairs_ascending(self, empty_graph, tank_lib):
+        g = empty_graph
+        # v0-v1 too close and facing apart, v1-v2 facing apart, v2-v3 too close
+        for i, (x, heading) in enumerate([(0, 0.0), (10, 175.0), (500, 0.0), (510, 0.0)]):
+            add_leaf(g, f"v{i}", lam=3.0, location=(x, 0), heading=heading)
+        (s,) = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
+        too_close, orientation = ConflictReason.TOO_CLOSE, ConflictReason.ORIENTATION
+        assert list(s.reasons.items()) == [
+            (("v0", "v1"), frozenset({too_close, orientation})),
+            (("v1", "v2"), frozenset({orientation})),
+            (("v1", "v3"), frozenset({orientation})),
+            (("v2", "v3"), frozenset({too_close})),
+        ]
+        assert all(any(rs is shared for shared in REASON_SETS) for rs in s.reasons.values())
+        assert len(set(REASON_SETS)) == 8 and REASON_SETS[0] == frozenset()
 
     def test_shared_terrain_is_not_conflict(self, empty_graph, tank_lib):
         g = empty_graph

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +302,79 @@ class TestInferCommand:
         assert report["config"]["tau"] == 0.5
 
 
+def write_empty_run(tmp_path, **config):
+    """Library, empty scenario and a run config (the base keys updated by
+    ``config``; a value of ``...`` removes the key); returns its path."""
+    (tmp_path / "library.json").write_text(json.dumps(TANK_LIBRARY))
+    (tmp_path / "scenario.json").write_text(
+        dumps({"schema_version": 1, "scenario_id": "empty",
+               "detections": [], "terrain": []})
+    )
+    doc = {"library": "library.json", "scenario": "scenario.json", "out": "report.json"}
+    doc.update(config)
+    doc = {k: v for k, v in doc.items() if v is not ...}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestRunConfigValidation:
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"tau": None}, "tau must be a finite number"),
+            ({"tau": -1}, "tau must be a finite number > 0"),
+            ({"tau": 0}, "tau must be a finite number > 0"),
+            ({"tau": math.nan}, "tau must be a finite number"),
+            ({"tau": math.inf}, "tau must be a finite number"),
+            ({"tau": "0.1"}, "tau must be a finite number"),
+            ({"tau": True}, "tau must be a finite number"),
+            ({"matcher": 5}, "matcher config must be an object"),
+            ({"matcher": {"gather_radius": math.nan}}, "gather_radius must be a finite"),
+            ({"matcher": {"min_fit": None}}, "min_fit must be a finite number"),
+            ({"matcher": {"max_cluster": 2.5}}, "max_cluster must be an integer"),
+            ({"matcher": {"max_missing": -1}}, "max_missing/max_cluster out of range"),
+            ({"matcher": {"radius": 1}}, "unknown keys"),
+            ({"library": ...}, "missing keys ['library']"),
+            ({"scenario": 3}, "scenario must be a path string"),
+            ({"out": []}, "out must be a path string"),
+            ({"max_exact": 1.5}, "max_exact must be an integer"),
+            ({"max_exact": -1}, "max_exact must be >= 0"),
+            ({"seed": "7"}, "seed must be an integer"),
+            ({"exclusion_floor": 1.5}, "exclusion_floor must be in [0, 1]"),
+            ({"leaf_prior": -0.1}, "leaf_prior must be in [0, 1]"),
+            ({"heuristic": "best"}, "heuristic must be one of"),
+            ({"heuristic": 5}, "heuristic must be one of"),
+            ({"taus": 0.1}, "unknown keys ['taus']"),
+        ],
+    )
+    def test_invalid_config_is_domain_error(self, tmp_path, capsys, config, message):
+        path = write_empty_run(tmp_path, **config)
+        assert main(["infer", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid config" in err and message in err
+
+    def test_config_not_an_object_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        assert main(["infer", "--config", str(path)]) == 1
+        assert "run config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf", "-inf"])
+    def test_invalid_tau_override_is_domain_error(self, tmp_path, capsys, tau):
+        path = write_empty_run(tmp_path)
+        assert main(["infer", "--config", str(path), f"--tau={tau}"]) == 1
+        assert "tau must be a finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_valid_bounds_accepted(self, tmp_path):
+        path = write_empty_run(
+            tmp_path, max_exact=0, exclusion_floor=1, leaf_prior=0, seed=-3,
+            out=None, matcher={"gather_radius": 900, "max_cluster": 4},
+        )
+        assert main(["infer", "--config", str(path), "--tau", "1e-300"]) == 0
+
+
 class TestSkipFlow:
     def test_skip_estimates_and_direct_accrual(self, tmp_path):
         cfg_path = write_skip_scenario(tmp_path)
@@ -410,6 +485,86 @@ class TestNoisyEndToEnd:
         assert vehicle["truth_units"] == 9
         assert vehicle["matched"] <= detected
         assert metrics["levels"]["array"]["recall"] > 0.0
+
+
+def noisy_grid_report(tmp_path):
+    """The report of four tank battalions on a 5 km grid seen through a
+    noisy channel (p_detect 0.9, 0.5 false alarms per km^2, 15 m
+    jitter, noise seed 0)."""
+    from echelon.models import load_library
+    from echelon.scenario import NoiseSpec, generate, load_ground_truth
+    from conftest import company_node
+
+    library_text = json.dumps(TANK_LIBRARY)
+    lib = load_library(library_text)
+    forces = []
+    for i in range(4):
+        bx, by = (i % 2) * 5000.0, (i // 2) * 5000.0
+        forces.append(
+            {
+                "model": "tank-battalion-std",
+                "components": [
+                    company_node(bx + 1000.0, by + 1000.0),
+                    company_node(bx + 2000.0, by + 1000.0),
+                    company_node(bx + 1500.0, by + 1900.0),
+                ],
+            }
+        )
+    gt = load_ground_truth(
+        {"id": "grid-4", "area": {"width_m": 10000.0, "height_m": 10000.0},
+         "forces": forces},
+        lib,
+    )
+    noise = NoiseSpec(
+        p_detect=0.9, false_alarm_density=0.5, location_jitter=15.0, seed=0
+    )
+    (tmp_path / "library.json").write_text(library_text)
+    (tmp_path / "scenario.json").write_text(dumps(generate(gt, noise, lib)))
+    cfg = RunConfig.from_dict(
+        {
+            "library": "library.json",
+            "scenario": "scenario.json",
+            "matcher": {"gather_radius": 1200, "min_fit": 0.2},
+            "tau": 0.1,
+        },
+        base_dir=tmp_path,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # capped clusters, refused resolution
+        return run(cfg)
+
+
+class TestConflictReportBytes:
+    # sha256 of the noisy grid report, recorded before the conflict path
+    # and the writer were optimised: every byte of the conflicts section
+    # (reasons, per_member_conditioning, skip_error_estimates,
+    # consistent_sets) is pinned by it
+    REPORT_SHA256 = "cb85c53867371900595894050218db40ecd27b7466aa7663aa731a10e274ed7c"
+
+    def test_noisy_grid_report_is_byte_identical(self, tmp_path):
+        report = noisy_grid_report(tmp_path)
+        by_level = {}
+        for c in report["conflicts"]:
+            by_level.setdefault(c["level"], []).append(c)
+        # the scene covers the three decisions: a vehicle group refused
+        # exact resolution (skipped with its measure over tau), a
+        # resolved array pair, and a battalion pair skipped under tau
+        refused = [c for c in by_level["vehicle"] if len(c["members"]) == 101]
+        assert refused and refused[0]["decision"] == "skip"
+        assert refused[0]["measure"] >= report["config"]["tau"]
+        assert refused[0]["skip_error_estimates"]
+        assert any(
+            len(c["members"]) == 2 and c["decision"] == "resolve" and c["consistent_sets"]
+            for c in by_level["array"]
+        )
+        assert any(
+            len(c["members"]) == 2
+            and c["decision"] == "skip"
+            and c["measure"] < report["config"]["tau"]
+            for c in by_level["battalion"]
+        )
+        text = dumps(report)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
 
 
 class TestReportAudit:
