@@ -202,17 +202,13 @@ def _combined_et(p_ce: float, p_ct: float, p_c: float) -> float:
     return from_odds(odds(p_ce) * odds(p_ct) / odds(p_c))
 
 
-def direct_posterior(
-    g: HypothesisGraph, hid: str, keep: EvidenceSet | None = None
-) -> float:
-    """Accrue every retained closure item straight onto the force prior.
+def direct_posterior(g: HypothesisGraph, hid: str) -> float:
+    """Accrue every closure item straight onto the force prior.
 
     This is the level-skipping path: component structure is ignored and
     each item's likelihood ratio acts directly on the hypothesis.
     """
-    h = g.get(hid)
-    ids = [i for i in g.evidence_closure(hid) if keep is None or i in keep]
-    return posterior_from_evidence(h.prior, [g.item(i) for i in ids])
+    return _direct_result(g, hid, None).posterior
 
 
 def _direct_result(

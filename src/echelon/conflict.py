@@ -349,16 +349,10 @@ def conflict_measure(k: float) -> float:
     return (1.0 - k) / k
 
 
-def skip_error_estimate(
-    g: HypothesisGraph,
-    parent_id: str,
-    k: float,
-    calibration: FitCalibration = DEFAULT_CALIBRATION,
-) -> float:
+def skip_error_estimate(g: HypothesisGraph, parent_id: str, k: float) -> float:
     """Bound on the parent-posterior error from skipping the conflicted
     level: P(H | evidence) * (1-k)/k, with P(H | evidence) taken from
     the direct path (evidence flows straight to the parent)."""
-    del calibration  # the direct path needs no fit calibration
     if k == 0.0:
         return math.inf
     p_he = direct_posterior(g, parent_id)
@@ -445,10 +439,11 @@ def decide(
 ) -> ConflictReport:
     """Skip when the conflict measure is under tau, else resolve exactly.
 
-    Skipping marks members for level-jumping accrual and estimates the
-    resulting parent errors for every parent already in the graph.
-    Resolution redistributes member posteriors over maximal consistent
-    sets and excludes members falling under the floor.
+    Skipping marks members for level-jumping accrual; their parents do
+    not exist yet, so ``pipeline.run`` estimates the induced parent
+    errors once the next level is built.  Resolution redistributes
+    member posteriors over maximal consistent sets and excludes members
+    falling under the floor.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -482,11 +477,6 @@ def decide(
     if decision is Decision.SKIP:
         for m in s.members:
             g.get(m).status = Status.SKIPPED
-        parents = sorted({p for m in s.members for p in g.parents_of(m)})
-        for p in parents:
-            report.skip_error_estimates[p] = skip_error_estimate(
-                g, p, aj.k, calibration
-            )
     else:
         sets = resolve_exact(s, g, max_exact=max_exact)
         report.consistent_sets = sets

@@ -1,29 +1,15 @@
-"""Backend selection for the joint-table kernel.
+"""The joint-table kernel for binary-variable networks.
 
-Prefers the compiled extension; falls back to the numpy implementation
-when the extension was not built or ECHELON_PURE_PYTHON=1 is set.
-``BACKEND`` records which one is active.
+State s encodes variable v in bit v.  The per-state probability is the
+product over variables, in ascending variable order, of the variable's
+table entry (or its complement when the bit is 0).  The multiplication
+order is part of the contract: the packaged oracle fixtures record
+values computed in exactly this order.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-if os.environ.get("ECHELON_PURE_PYTHON") == "1":
-    from echelon import _joint_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from echelon import _joint as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from echelon import _joint_py as _impl
-
-        BACKEND = "python"
 
 
 def fill_joint(
@@ -35,16 +21,21 @@ def fill_joint(
 ) -> np.ndarray:
     """Joint probability of every one of the 2**n binary states.
 
-    See ``_joint.pyx`` for the packed-array layout.  Allocates and
-    returns the table; dispatch goes to the active backend.
+    ``parent_flat[parent_offset[v]:parent_offset[v+1]]`` lists variable
+    v's parents; parent j of v contributes bit j of the row index into
+    ``p_true[table_offset[v]:]``, which stores P(v=1 | parent row).
+    Vectorized over states; the loop over variables keeps the factor
+    order.
     """
-    out = np.empty(1 << n, dtype=np.float64)
-    _impl.fill_joint(
-        int(n),
-        np.ascontiguousarray(parent_offset, dtype=np.int32),
-        np.ascontiguousarray(parent_flat, dtype=np.int32),
-        np.ascontiguousarray(table_offset, dtype=np.int32),
-        np.ascontiguousarray(p_true, dtype=np.float64),
-        out,
-    )
-    return out
+    size = 1 << n
+    states = np.arange(size, dtype=np.int64)
+    acc = np.ones(size, dtype=np.float64)
+    for v in range(n):
+        base = parent_offset[v]
+        row = np.zeros(size, dtype=np.int64)
+        for j in range(base, parent_offset[v + 1]):
+            row |= ((states >> int(parent_flat[j])) & 1) << (j - base)
+        p = p_true[table_offset[v] + row]
+        bit = (states >> v) & 1
+        acc *= np.where(bit == 1, p, 1.0 - p)
+    return acc

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from echelon.exceptions import (
     LibraryFormatError,
@@ -401,10 +401,3 @@ def _validate_isa_chain(t: ForceType, lib: ModelLibrary) -> None:
             raise LibraryValidationError(f"cyclic isa chain through {parent.name!r}")
         seen.add(parent.name)
         cur = parent
-
-
-def iter_vehicle_types(lib: ModelLibrary) -> Iterator[ForceType]:
-    for name in sorted(lib.types):
-        t = lib.types[name]
-        if t.level == Level.VEHICLE:
-            yield t

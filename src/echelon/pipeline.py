@@ -272,17 +272,9 @@ def run(cfg: RunConfig) -> dict:
         # the error their level-jumping accrual may carry.
         for lvl, report in conflict_log:
             if lvl == level - 1 and report.decision is Decision.SKIP:
-                parents = sorted(
-                    {
-                        p
-                        for m in report.conflict_set.members
-                        for p in g.parents_of(m)
-                    }
-                )
-                for p in parents:
-                    report.skip_error_estimates[p] = skip_error_estimate(
-                        g, p, report.k, calibration
-                    )
+                members = report.conflict_set.members
+                for p in sorted({p for m in members for p in g.parents_of(m)}):
+                    report.skip_error_estimates[p] = skip_error_estimate(g, p, report.k)
 
         for s in detect_conflicts(g, lib, level):
             report = decide(

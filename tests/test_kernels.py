@@ -1,13 +1,7 @@
 import numpy as np
-import pytest
 
-from echelon import _joint_py, kernels
+from echelon import kernels
 from echelon.oracle import random_accrual_network, random_skip_network
-
-try:
-    from echelon import _joint as _joint_c
-except ImportError:
-    _joint_c = None
 
 
 def _packed(net):
@@ -27,10 +21,6 @@ def _packed(net):
     )
 
 
-def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "python")
-
-
 def test_joint_normalized_and_deterministic():
     net = random_accrual_network(0)
     j1 = net.joint()
@@ -39,16 +29,32 @@ def test_joint_normalized_and_deterministic():
     assert abs(j1.sum() - 1.0) < 1e-12
 
 
-@pytest.mark.skipif(_joint_c is None, reason="compiled kernel not built")
-def test_backends_bit_identical():
+def _scalar_fill(n, parent_offset, parent_flat, table_offset, p_true):
+    """One state at a time: multiply each variable's factor in ascending
+    variable order, the complement 1 - p when its bit is 0."""
+    out = []
+    for s in range(1 << n):
+        acc = 1.0
+        for v in range(n):
+            base = int(parent_offset[v])
+            row = 0
+            for j in range(base, int(parent_offset[v + 1])):
+                row |= ((s >> int(parent_flat[j])) & 1) << (j - base)
+            p = float(p_true[int(table_offset[v]) + row])
+            if (s >> v) & 1:
+                acc *= p
+            else:
+                acc *= 1.0 - p
+        out.append(acc)
+    return out
+
+
+def test_fill_matches_scalar_order_bit_for_bit():
     for seed in range(8):
-        net = random_skip_network(seed)
-        n, offsets, flat, toff, pflat = _packed(net)
-        out_c = np.empty(1 << n)
-        out_py = np.empty(1 << n)
-        _joint_c.fill_joint(n, offsets, flat, toff, pflat, out_c)
-        _joint_py.fill_joint(n, offsets, flat, toff, pflat, out_py)
-        assert np.array_equal(out_c, out_py), f"seed {seed}"
+        packed = _packed(random_skip_network(seed))
+        assert kernels.fill_joint(*packed).tolist() == _scalar_fill(*packed), (
+            f"seed {seed}"
+        )
 
 
 def test_single_variable_network():

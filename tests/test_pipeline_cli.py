@@ -388,7 +388,13 @@ class TestSkipFlow:
         assert list(conf["skip_error_estimates"]) == ["a0"]
         assert conf["skip_error_estimates"]["a0"] > 0.0
         company = report["levels"]["array"][0]
+        assert company["id"] == "a0"
         assert company["direct_accrual"]
+        # a0 accrues directly, so its posterior is the direct posterior
+        # that the skip-error bound scales
+        assert conf["skip_error_estimates"]["a0"] == (
+            company["posterior"] * (1 - conf["k"]) / conf["k"]
+        )
         statuses = {e["id"]: e["status"] for e in report["levels"]["vehicle"]}
         assert statuses["v.d0"] == "skipped" and statuses["v.d4"] == "skipped"
 
