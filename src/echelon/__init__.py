@@ -11,7 +11,6 @@ from echelon.accrual import (
     AccrualInputs,
     AccrualResult,
     ComponentBelief,
-    FitCalibration,
     accrue_parent,
     direct_posterior,
     posterior_given_subset,
@@ -77,7 +76,6 @@ __all__ = [
     "EvidenceItem",
     "EvidenceKind",
     "EvidenceSet",
-    "FitCalibration",
     "ForceModel",
     "ForceType",
     "GroundTruth",

@@ -17,13 +17,15 @@ Restricted evaluation (``posterior_given_subset``) recomputes any
 hypothesis bottom-up using only a subset of its evidence closure; the
 conflict analysis relies on it.  Restriction removes information, so an
 absent fit item neutralizes the fit ratio rather than disconfirming.
+
+A fit item with geometric score s contributes fit_num factor
+0.5 + 0.5*s and fit_den factor 0.5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from echelon.evidence import (
     EvidenceKind,
@@ -165,29 +167,6 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
     )
 
 
-def _default_fit_num(fit_score: float) -> float:
-    return 0.5 + 0.5 * fit_score
-
-
-def _default_fit_den(fit_score: float) -> float:
-    return 0.5
-
-
-@dataclass(frozen=True)
-class FitCalibration:
-    """Maps a geometric fit score onto the rule's fit probabilities.
-
-    Defaults: num = 0.5 + 0.5*score, den = 0.5.  Override
-    programmatically to recalibrate how strongly formation fit counts.
-    """
-
-    num: Callable[[float], float] = _default_fit_num
-    den: Callable[[float], float] = _default_fit_den
-
-
-DEFAULT_CALIBRATION = FitCalibration()
-
-
 def _combined_et(p_ce: float, p_ct: float, p_c: float) -> float:
     """Joint of evidence- and terrain-conditioned beliefs, by odds.
 
@@ -232,7 +211,6 @@ def _evaluate(
     g: HypothesisGraph,
     hid: str,
     keep: EvidenceSet | None,
-    calibration: FitCalibration,
 ) -> tuple[float, AccrualResult | None]:
     h = g.get(hid)
     if h.is_leaf():
@@ -252,7 +230,7 @@ def _evaluate(
     for cid in h.components:
         c = g.get(cid)
         c_keep = keep if keep is None else keep & g.evidence_closure(cid)
-        p_ce, _ = _evaluate(g, cid, c_keep, calibration)
+        p_ce, _ = _evaluate(g, cid, c_keep)
         terrain = [
             g.item(i)
             for i in c.own_evidence
@@ -281,8 +259,8 @@ def _evaluate(
             raise EvidenceResolutionError(
                 f"fit item {item_id!r} lacks a fit_score in sensor_context"
             )
-        fit_num *= calibration.num(float(score))
-        fit_den *= calibration.den(float(score))
+        fit_num *= 0.5 + 0.5 * float(score)
+        fit_den *= 0.5
 
     result = accrue_parent(
         AccrualInputs(
@@ -295,12 +273,7 @@ def _evaluate(
     return result.posterior, result
 
 
-def posterior_given_subset(
-    g: HypothesisGraph,
-    hid: str,
-    keep: EvidenceSet,
-    calibration: FitCalibration = DEFAULT_CALIBRATION,
-) -> float:
+def posterior_given_subset(g: HypothesisGraph, hid: str, keep: EvidenceSet) -> float:
     """Recompute a posterior bottom-up using only the items in ``keep``.
 
     ``keep`` must be a subset of the hypothesis's evidence closure.
@@ -311,15 +284,11 @@ def posterior_given_subset(
     if not keep.issubset(closure):
         extra = sorted(set(keep.items) - set(closure.items))
         raise SubsetError(f"{hid}: items {extra} are outside the evidence closure")
-    post, _ = _evaluate(g, hid, keep, calibration)
+    post, _ = _evaluate(g, hid, keep)
     return post
 
 
-def propagate_level(
-    g: HypothesisGraph,
-    level: Level,
-    calibration: FitCalibration = DEFAULT_CALIBRATION,
-) -> None:
+def propagate_level(g: HypothesisGraph, level: Level) -> None:
     """Recompute and store posteriors for every hypothesis at a level.
 
     Levels must be propagated bottom-up; hypotheses whose components
@@ -327,6 +296,6 @@ def propagate_level(
     """
     for hid in g.at_level(level):
         h = g.get(hid)
-        post, result = _evaluate(g, hid, None, calibration)
+        post, result = _evaluate(g, hid, None)
         h.posterior = post
         h.accrual = result

@@ -26,12 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from echelon.accrual import (
-    DEFAULT_CALIBRATION,
-    FitCalibration,
-    direct_posterior,
-    posterior_given_subset,
-)
+from echelon.accrual import direct_posterior, posterior_given_subset
 from echelon.evidence import EvidenceKind, EvidenceSet
 from echelon.exceptions import (
     DegenerateThresholdWarning,
@@ -299,7 +294,6 @@ def approx_joint(
     s: ConflictSet,
     ordering: tuple[str, ...],
     g: HypothesisGraph,
-    calibration: FitCalibration = DEFAULT_CALIBRATION,
 ) -> ApproxJointResult:
     """k = product over members of P(member | pooled minus later closures).
 
@@ -327,7 +321,7 @@ def approx_joint(
         if not keep:
             factors.append(g.get(m).prior)
         else:
-            factors.append(posterior_given_subset(g, m, keep, calibration))
+            factors.append(posterior_given_subset(g, m, keep))
 
     k = 1.0
     for _, f in sorted(zip(ordering, factors)):
@@ -435,7 +429,6 @@ def decide(
     heuristic: Heuristic = Heuristic.HIGHEST_POSTERIOR,
     exclusion_floor: float = 0.05,
     max_exact: int = 20,
-    calibration: FitCalibration = DEFAULT_CALIBRATION,
 ) -> ConflictReport:
     """Skip when the conflict measure is under tau, else resolve exactly.
 
@@ -454,7 +447,7 @@ def decide(
             stacklevel=2,
         )
     ordering = order_hypotheses(s, g, heuristic)
-    aj = approx_joint(s, ordering, g, calibration)
+    aj = approx_joint(s, ordering, g)
     measure = conflict_measure(aj.k)
     decision = Decision.SKIP if measure < tau else Decision.RESOLVE
     if decision is Decision.RESOLVE and len(s.members) > max_exact:

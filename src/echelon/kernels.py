@@ -9,33 +9,31 @@ values computed in exactly this order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 
 def fill_joint(
     n: int,
-    parent_offset: np.ndarray,
-    parent_flat: np.ndarray,
-    table_offset: np.ndarray,
-    p_true: np.ndarray,
+    parents: Sequence[Sequence[int]],
+    tables: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Joint probability of every one of the 2**n binary states.
 
-    ``parent_flat[parent_offset[v]:parent_offset[v+1]]`` lists variable
-    v's parents; parent j of v contributes bit j of the row index into
-    ``p_true[table_offset[v]:]``, which stores P(v=1 | parent row).
-    Vectorized over states; the loop over variables keeps the factor
-    order.
+    ``parents[v]`` lists variable v's parent indices; parent j of v
+    contributes bit j of the row index into ``tables[v]``, a float64
+    array that stores P(v=1 | parent row).  Vectorized over states; the
+    loop over variables keeps the factor order.
     """
     size = 1 << n
     states = np.arange(size, dtype=np.int64)
     acc = np.ones(size, dtype=np.float64)
     for v in range(n):
-        base = parent_offset[v]
         row = np.zeros(size, dtype=np.int64)
-        for j in range(base, parent_offset[v + 1]):
-            row |= ((states >> int(parent_flat[j])) & 1) << (j - base)
-        p = p_true[table_offset[v] + row]
+        for j, u in enumerate(parents[v]):
+            row |= ((states >> u) & 1) << j
+        p = tables[v][row]
         bit = (states >> v) & 1
         acc *= np.where(bit == 1, p, 1.0 - p)
     return acc

@@ -20,7 +20,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from echelon.accrual import DEFAULT_CALIBRATION, FitCalibration
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.exceptions import ClusterCapWarning
 from echelon.geometry import (
@@ -62,7 +61,6 @@ class MatchConfig:
     rho: float = 0.5
     slack: float = 0.25
     lambda_max: float = 9.0
-    calibration: FitCalibration = DEFAULT_CALIBRATION
 
     def __post_init__(self) -> None:
         if self.gather_radius <= 0:

@@ -80,21 +80,10 @@ class OracleNetwork:
         """Probability of every one of the 2**n states (cached)."""
         if self._joint is None:
             n = len(self.variables)
-            offsets = [0]
-            flat: list[int] = []
-            table_offsets = []
-            p_flat: list[float] = []
-            for v in self.variables:
-                flat.extend(self._index[p] for p in self.parents[v])
-                offsets.append(len(flat))
-                table_offsets.append(len(p_flat))
-                p_flat.extend(self.tables[v])
             self._joint = kernels.fill_joint(
                 n,
-                np.array(offsets, dtype=np.int32),
-                np.array(flat, dtype=np.int32),
-                np.array(table_offsets, dtype=np.int32),
-                np.array(p_flat, dtype=np.float64),
+                [[self._index[p] for p in self.parents[v]] for v in self.variables],
+                [self.tables[v] for v in self.variables],
             )
             self._states = np.arange(1 << n, dtype=np.int64)
         return self._joint

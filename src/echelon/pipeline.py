@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from echelon.accrual import DEFAULT_CALIBRATION, propagate_level
+from echelon.accrual import propagate_level
 from echelon.conflict import (
     REASON_SETS,
     ConflictReport,
@@ -246,7 +246,6 @@ def run(cfg: RunConfig) -> dict:
     lib = load_library(Path(cfg.library).read_text())
     scenario = json.loads(Path(cfg.scenario).read_text())
     g = build_graph(scenario, lib, cfg.leaf_prior)
-    calibration = cfg.matcher.calibration or DEFAULT_CALIBRATION
 
     terrain = [g.evidence[i] for i in sorted(g.evidence) if g.evidence[i].kind is EvidenceKind.TERRAIN]
     conflict_log: list[tuple[Level, ConflictReport]] = []
@@ -266,7 +265,7 @@ def run(cfg: RunConfig) -> dict:
                 h.own_evidence = EvidenceSet.from_iterable(own)
                 g.insert(h)
 
-        propagate_level(g, level, calibration)
+        propagate_level(g, level)
 
         # Parents of members skipped one level down now exist: estimate
         # the error their level-jumping accrual may carry.
@@ -284,7 +283,6 @@ def run(cfg: RunConfig) -> dict:
                 heuristic=cfg.heuristic,
                 exclusion_floor=cfg.exclusion_floor,
                 max_exact=cfg.max_exact,
-                calibration=calibration,
             )
             conflict_log.append((level, report))
 

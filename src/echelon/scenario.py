@@ -17,9 +17,9 @@ confusion row's odds of the observed label.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _str
 
 import numpy as np
 
@@ -317,201 +317,15 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
 def dumps(doc: dict) -> str:
     """Canonical serialization: the byte-determinism contract.
 
-    The text is exactly ``json.dumps(doc, sort_keys=True, indent=2)``
-    followed by a newline: keys sorted, two-space indent, non-ASCII as
+    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    followed by one newline: compact, keys sorted, non-ASCII as
     ``\\uXXXX``, floats as ``float.__repr__`` and non-finite floats as
-    ``NaN``/``Infinity``/``-Infinity``.  It is written here because json
-    falls back to its pure-Python encoder whenever ``indent`` is set.
-
-    A report holds thousands of small dicts with the same keys, so the
-    sorted, encoded key order is computed once per distinct key tuple
-    (a memo that lives for this call only), a list of ``str`` is written
-    with one join, and so is a list item that is a flat dict: one whose
-    values are all ``str``, finite ``float``, ``int``, ``None`` or lists
-    of ``str``.  Anything else takes the item-by-item path.
-
-    Accepted: ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
-    ``int``, ``float``, ``bool`` and ``None``; subclasses of these (such
-    as enums with a ``str``, ``int`` or ``float`` mixin) are written as
-    their base type, as json writes them.  Any other value, and any
-    non-``str`` key, raises ``TypeError``.  Cycles are not detected.
+    ``NaN``/``Infinity``/``-Infinity``.  json coerces ``int``, ``float``,
+    ``bool`` and ``None`` keys to strings; any value json cannot write
+    raises ``TypeError``.  ``python -m json.tool --indent 2 --sort-keys``
+    gives the indented view of the same document.
     """
-    parts: list[str] = []
-    text = _scalar(doc)
-    if text is None:
-        _write(doc, "", "\n", parts.append, {})
-    else:
-        parts.append(text)
-    parts.append("\n")
-    return "".join(parts)
-
-
-_INF = float("inf")
-_float = float.__repr__
-_int = int.__repr__
-
-
-def _scalar(o) -> str | None:
-    """json's spelling of scalar ``o``, in json's order of checks; None
-    for a dict, list or tuple."""
-    if isinstance(o, str):
-        return _str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return _float(o)
-    if isinstance(o, (dict, list, tuple)):
-        return None
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _order(o: dict, memo: dict) -> list[tuple[object, str]]:
-    """The keys of ``o`` in sorted order, each with its encoding, looked
-    up in ``memo`` by the dict's key tuple; a non-``str`` key raises
-    ``TypeError`` and is never stored."""
-    keys = tuple(o)
-    order = memo.get(keys)
-    if order is None:
-        order = memo[keys] = [(key, _str(key)) for key in sorted(keys)]
-    return order
-
-
-def _str_list(o: list, nl: str) -> str | None:
-    """List ``o`` of ``str`` written with one C-level join, its closing
-    bracket on a line that starts with ``nl``; None when an item is not
-    a ``str`` (``encode_basestring_ascii`` raises on it)."""
-    inner = nl + "  "
-    try:
-        return "[" + inner + ("," + inner).join(map(_str, o)) + nl + "]"
-    except TypeError:
-        return None
-
-
-def _flat(o: dict, nl: str, memo: dict) -> str | None:
-    """Non-empty dict ``o`` written with one join, its closing brace on
-    a line that starts with ``nl``; None unless every value is a
-    ``str``, finite ``float``, ``int``, ``None`` or list of ``str``."""
-    inner = nl + "  "
-    deeper = inner + "  "
-    items = []
-    for key, enc in _order(o, memo):
-        v = o[key]
-        t = type(v)
-        if t is list:
-            if not v:
-                items.append(enc + ": []")
-                continue
-            try:
-                text = ("," + deeper).join(map(_str, v))
-            except TypeError:
-                return None
-            items.append(enc + ": [" + deeper + text + inner + "]")
-        elif t is str:
-            items.append(enc + ": " + _str(v))
-        elif t is float and v - v == 0.0:
-            items.append(enc + ": " + _float(v))
-        elif t is int:
-            items.append(enc + ": " + _int(v))
-        elif v is None:
-            items.append(enc + ": null")
-        else:
-            return None
-    return "{" + inner + ("," + inner).join(items) + nl + "}"
-
-
-def _write(o, head: str, nl: str, append, memo: dict) -> None:
-    """Append ``head`` and container ``o``, whose closing bracket goes
-    on a line that starts with ``nl``; ``memo`` holds the key orders of
-    this ``dumps`` call (``_order``).
-
-    The dict and list loops write exact ``str``, finite ``float``,
-    ``int`` and ``None`` inline, lists of ``str`` (``_str_list``) and,
-    in a list, flat dicts (``_flat``) with one join each, and recurse on
-    other exact ``dict`` and ``list``; everything else goes through
-    ``_scalar``.
-    """
-    inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            append(head + "{}")
-            return
-        sep = head + "{" + inner
-        for key, enc in _order(o, memo):
-            v = o[key]
-            prefix = sep + enc + ": "
-            sep = "," + inner
-            t = type(v)
-            if t is str:
-                append(prefix + _str(v))
-            elif t is float and v - v == 0.0:
-                append(prefix + _float(v))
-            elif t is int:
-                append(prefix + _int(v))
-            elif v is None:
-                append(prefix + "null")
-            elif t is list and v and type(v[0]) is str:
-                text = _str_list(v, inner)
-                if text is None:
-                    _write(v, prefix, inner, append, memo)
-                else:
-                    append(prefix + text)
-            elif t is dict or t is list:
-                _write(v, prefix, inner, append, memo)
-            else:
-                text = _scalar(v)
-                if text is None:
-                    _write(v, prefix, inner, append, memo)
-                else:
-                    append(prefix + text)
-        append(nl + "}")
-        return
-    if not o:
-        append(head + "[]")
-        return
-    if type(o[0]) is str:
-        text = _str_list(o, nl)
-        if text is not None:
-            append(head + text)
-            return
-    sep = head + "[" + inner
-    for v in o:
-        t = type(v)
-        if t is str:
-            append(sep + _str(v))
-        elif t is float and v - v == 0.0:
-            append(sep + _float(v))
-        elif t is int:
-            append(sep + _int(v))
-        elif v is None:
-            append(sep + "null")
-        elif t is dict and v:
-            text = _flat(v, inner, memo)
-            if text is None:
-                _write(v, sep, inner, append, memo)
-            else:
-                append(sep + text)
-        elif t is dict or t is list:
-            _write(v, sep, inner, append, memo)
-        else:
-            text = _scalar(v)
-            if text is None:
-                _write(v, sep, inner, append, memo)
-            else:
-                append(sep + text)
-        sep = "," + inner
-    append(nl + "]")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def score(
@@ -583,12 +397,14 @@ def score(
     ranks: list[int] = []
     skip_count = 0
     estimates: dict[str, float] = {}
+    posts = {
+        e["id"]: e["posterior"] for lvl in report.get("levels", {}).values() for e in lvl
+    }
     for c in report.get("conflicts", []):
         if c["decision"] == "skip":
             skip_count += 1
             estimates.update(c.get("skip_error_estimates", {}))
         members = c["members"]
-        posts = {e["id"]: e["posterior"] for lvl in report["levels"].values() for e in lvl}
         ordered = sorted(members, key=lambda m: (-posts.get(m, 0.0), m))
         for rank, m in enumerate(ordered, start=1):
             if m in matched_hyp_to_unit:

