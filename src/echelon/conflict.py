@@ -3,11 +3,14 @@
 Same-level hypotheses conflict when their evidence closures overlap
 (one item claimed by both) or when doctrine rules them implausible
 together (too close, incompatible headings).  Detection never tests
-every pair: an evidence index, a uniform grid and a heading circle
-generate a superset of the conflicting pairs (a conservative filter),
-and the exact pairwise test decides each of them.  A pair's reasons
-are one of eight frozensets built once at import, so an edge costs no
-set of its own however many a scene has.  Each connected group is
+every pair: an evidence index, a uniform grid and a vectorised heading
+search generate a superset of the conflicting pairs (a conservative
+filter), held as one sorted numpy array of pair codes per level, and
+the exact test decides them all at once.  Edges stay arrays from there
+to the report: a group's ``reasons`` is a ``PairReasons`` view over
+member positions and reason flag bits, and a pair's reasons are one of
+eight frozensets built once at import, so an edge costs no Python
+object of its own however many a scene has.  Each connected group is
 analyzed in polynomial time: members are ordered
 heuristically, each is scored on the pooled evidence minus the
 closures of the members after it, and the product k estimates how
@@ -24,7 +27,10 @@ import enum
 import itertools
 import math
 import warnings
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from echelon.accrual import direct_posterior, posterior_given_subset
 from echelon.evidence import EvidenceKind, EvidenceSet
@@ -32,9 +38,9 @@ from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
 )
-from echelon.geometry import HeadingCircle, distance, heading_difference, near_pairs
-from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
-from echelon.models import LEVELS, DoctrineConfig, Level, ModelLibrary
+from echelon.geometry import beyond_pairs, distance, near_pairs
+from echelon.hypotheses import HypothesisGraph, Status
+from echelon.models import LEVELS, Level, ModelLibrary
 
 
 class ConflictReason(enum.Enum):
@@ -59,18 +65,24 @@ class ConflictSet:
     """A connected group of mutually incompatible hypotheses.
 
     ``reasons`` maps each conflicting pair ``(a, b)``, ``a < b``, to why
-    it conflicts; ``detect_conflicts`` inserts the pairs in ascending
-    order, which the report keeps.
+    it conflicts, in ascending pair order, which the report keeps.  It
+    is always a ``PairReasons`` view over the members: a plain mapping
+    passed in is converted (and sorted) on construction.
     """
 
     members: tuple[str, ...]
     pooled_evidence: EvidenceSet
-    reasons: dict[tuple[str, str], frozenset[ConflictReason]]
+    reasons: Mapping[tuple[str, str], frozenset[ConflictReason]]
     level: Level
 
     def __post_init__(self) -> None:
         if len(self.members) < 2:
             raise ValueError("a conflict set needs at least two members")
+        r = self.reasons
+        if not (isinstance(r, PairReasons) and r.members == self.members):
+            object.__setattr__(
+                self, "reasons", PairReasons.from_mapping(self.members, r)
+            )
 
 
 @dataclass(frozen=True)
@@ -113,79 +125,176 @@ REASON_SETS = tuple(
 )
 
 
-def _pair_reasons(
-    location_a: tuple[float, float],
-    location_b: tuple[float, float],
-    heading_a: float | None,
-    heading_b: float | None,
-    shares_evidence: bool,
-    sep: float | None,
-    max_delta: float | None,
-) -> frozenset[ConflictReason]:
-    """The exact conflict test of one pair, given whether their closures
-    share a non-terrain item and the doctrine resolved for their type
-    pair.  The three tests set flag bits, and the result is the shared
-    frozenset of ``REASON_SETS`` those bits index (empty: no conflict)."""
-    flags = 1 if shares_evidence else 0
-    if sep is not None and distance(location_a, location_b) < sep:
-        flags |= 2
-    if (
-        heading_a is not None
-        and heading_b is not None
-        and max_delta is not None
-        and heading_difference(heading_a, heading_b) > max_delta
-    ):
-        flags |= 4
-    return REASON_SETS[flags]
+# The flag bits of each reason set, for building a view from a mapping.
+_FLAGS = {rs: flags for flags, rs in enumerate(REASON_SETS)}
 
 
-def _candidate_pairs(
-    hyps: list[Hypothesis],
-    sharable: list[frozenset[str]],
-    sep: dict[tuple[str, str], float | None],
-    max_delta: dict[tuple[str, str], float | None],
-) -> list[tuple[int, int]]:
-    """Sorted index pairs (i < j) that may conflict: a superset of the
-    pairs ``_pair_reasons`` flags, from three sources."""
-    # pair (i, j) is held as the integer i * n + j, cheaper to hash and
-    # sort than a tuple, and in the same order
-    n = len(hyps)
-    codes: set[int] = set()
+class PairReasons(Mapping[tuple[str, str], frozenset[ConflictReason]]):
+    """Read-only view ``(a, b) -> reasons`` of a group's conflicting pairs.
 
-    # shared evidence: an inverted index from item id to its holders
+    The pairs are held as parallel arrays: positions ``first`` and
+    ``second`` into ``members``, and ``flags``, each pair's index into
+    ``REASON_SETS``.  They are in ascending (first, second) order, which
+    for id-sorted members is ascending pair order.  No object is kept
+    per pair; keys and values are made as they are read.
+    """
+
+    __slots__ = ("members", "first", "second", "flags")
+
+    def __init__(
+        self,
+        members: tuple[str, ...],
+        first: np.ndarray,
+        second: np.ndarray,
+        flags: np.ndarray,
+    ) -> None:
+        self.members = members
+        self.first = first
+        self.second = second
+        self.flags = flags
+
+    @classmethod
+    def from_mapping(
+        cls,
+        members: tuple[str, ...],
+        reasons: Mapping[tuple[str, str], frozenset[ConflictReason]],
+    ) -> "PairReasons":
+        """The view of a plain ``(id, id) -> reasons`` mapping, sorted."""
+        position = {m: i for i, m in enumerate(members)}
+        rows = sorted(
+            (position[a], position[b], _FLAGS[frozenset(rs)])
+            for (a, b), rs in reasons.items()
+        )
+        first, second, flags = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+        return cls(members, first, second, flags.astype(np.uint8))
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        m = self.members
+        return ((m[a], m[b]) for a, b in zip(self.first.tolist(), self.second.tolist()))
+
+    def __getitem__(self, pair: tuple[str, str]) -> frozenset[ConflictReason]:
+        try:
+            if not isinstance(pair, tuple):
+                raise TypeError
+            a, b = map(self.members.index, pair)
+        except (TypeError, ValueError):
+            raise KeyError(pair) from None
+        lo, hi = np.searchsorted(self.first, [a, a + 1])
+        k = lo + int(np.searchsorted(self.second[lo:hi], b))
+        if k < hi and self.second[k] == b:
+            return REASON_SETS[self.flags[k]]
+        raise KeyError(pair)
+
+    def items(self) -> ItemsView[tuple[str, str], frozenset[ConflictReason]]:
+        return _PairItems(self)
+
+    def values(self) -> ValuesView[frozenset[ConflictReason]]:
+        return _PairValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _PairItems(ItemsView):
+    def __iter__(self):
+        view = self._mapping
+        return zip(view, (REASON_SETS[f] for f in view.flags.tolist()))
+
+
+class _PairValues(ValuesView):
+    def __iter__(self):
+        return (REASON_SETS[f] for f in self._mapping.flags.tolist())
+
+
+_NO_CODES = np.empty(0, dtype=np.int64)
+
+
+def _shared_codes(sharable: list[frozenset[str]], n: int) -> np.ndarray:
+    """Sorted codes i·n+j (i < j) of the pairs whose closures share an
+    item, from an inverted index of item id to its holders: exact."""
     holders: dict[str, list[int]] = {}
     for i, items in enumerate(sharable):
         for item_id in items:
             holders.setdefault(item_id, []).append(i)
-    for group in holders.values():
-        codes.update(i * n + j for i, j in itertools.combinations(group, 2))
+    codes = [
+        i * n + j
+        for group in holders.values()
+        if len(group) > 1
+        for i, j in itertools.combinations(group, 2)
+    ]
+    return np.unique(np.array(codes, dtype=np.int64))
 
-    # too close: a grid whose cell is the largest separation in play
-    reach = max((d for d in sep.values() if d is not None and d > 0), default=None)
-    if reach is not None:
-        codes.update(i * n + j for i, j in near_pairs([h.location for h in hyps], reach))
 
-    # orientation: no distance bound, so search headings on the circle,
-    # per type pair with a heading limit
-    headed: dict[str, list[int]] = {}
-    for i, h in enumerate(hyps):
-        if h.heading is not None:
-            headed.setdefault(h.force_type, []).append(i)
-    circles = {
-        t: HeadingCircle([hyps[i].heading for i in members])
-        for t, members in headed.items()
-    }
-    for (ta, tb), limit in max_delta.items():
-        if limit is None or ta not in headed or tb not in headed:
-            continue
-        partners = headed[tb]
-        for i in headed[ta]:
-            found = [partners[k] for k in circles[tb].beyond(hyps[i].heading, limit)]
-            if ta != tb:
-                codes.update(i * n + j if i < j else j * n + i for j in found)
-            else:  # within one type each pair is met from both ends
-                codes.update(i * n + j for j in found if j > i)
-    return [divmod(c, n) for c in sorted(codes)]
+def _near_codes(
+    locations: list[tuple[float, float]],
+    kinds: list[int],
+    sep: list[list[float]],
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the grid's candidate pairs and of those among them that
+    are too close.  The grid's cell is the largest positive separation,
+    so it proposes every pair that can be too close.  The test stays a
+    scalar ``distance`` (``math.hypot``): ``np.hypot`` need not round the
+    same way, and the threshold is strict."""
+    reach = max((d for row in sep for d in row if d > 0), default=None)
+    if reach is None:
+        return _NO_CODES, _NO_CODES
+    near: list[int] = []
+    close: list[int] = []
+    for i, j in near_pairs(locations, reach):
+        near.append(i * n + j)
+        if distance(locations[i], locations[j]) < sep[kinds[i]][kinds[j]]:
+            close.append(i * n + j)
+    return np.array(near, dtype=np.int64), np.array(close, dtype=np.int64)
+
+
+def _turned_codes(
+    headings: np.ndarray, by_type: list[np.ndarray], delta: np.ndarray, n: int
+) -> np.ndarray:
+    """Codes of the pairs whose headings may differ by more than their
+    type pair's limit (``geometry.beyond_pairs``, per type pair); within
+    one type each pair is kept from its lower end."""
+    found = [_NO_CODES]
+    for ta, src in enumerate(by_type):
+        for tb in range(ta, len(by_type)):
+            dst = by_type[tb]
+            k, l = beyond_pairs(headings[src], headings[dst], float(delta[ta, tb]))
+            i, j = src[k], dst[l]
+            if ta == tb:
+                keep = j > i
+                i, j = i[keep], j[keep]
+            found.append(np.minimum(i, j) * n + np.maximum(i, j))
+    return np.concatenate(found)
+
+
+def _pair_flags(
+    codes: np.ndarray,
+    n: int,
+    shared: np.ndarray,
+    close: np.ndarray,
+    headings: np.ndarray,
+    kinds: np.ndarray,
+    delta: np.ndarray,
+) -> np.ndarray:
+    """The exact conflict test of every candidate pair at once: flag bits
+    1 shared evidence, 2 too close, 4 orientation, each pair's index into
+    ``REASON_SETS`` (0: no conflict).
+
+    Orientation uses ``heading_difference``'s float64 arithmetic, which
+    numpy performs identically; a missing heading or limit is NaN, so it
+    never flags.
+    """
+    first, second = np.divmod(codes, n)
+    flags = np.isin(codes, shared).astype(np.uint8)
+    flags |= np.isin(codes, close).astype(np.uint8) << 1
+    with np.errstate(invalid="ignore"):  # inf - inf and inf % 360 give NaN
+        d = np.abs(headings[first] - headings[second]) % 360.0
+        d = np.where(d > 180.0, 360.0 - d, d)
+        flags |= (d > delta[kinds[first], kinds[second]]).astype(np.uint8) << 2
+    return flags
 
 
 def detect_conflicts(
@@ -199,10 +308,13 @@ def detect_conflicts(
     share a non-terrain item, or doctrine flags them (closer than the
     type pair's minimum separation, or heading difference over the type
     pair's maximum).  Doctrine is resolved once per type pair present.
-    Candidate pairs come from an evidence index, a grid and a heading
-    circle; they are a conservative filter and the exact test decides.
-    Candidates are tested in id order, as a test of every pair would be,
-    so union-find yields the same groups in the same order.
+    A level's candidate pairs are one sorted array of codes i·n+j (i < j
+    over the id-sorted hypotheses) from an evidence index, a grid and a
+    heading search; they are a conservative filter and ``_pair_flags``
+    decides them all at once.  Union-find then takes the edges in id
+    order, as a test of every pair would, so it yields the same groups
+    in the same order.  Each group keeps its edges as arrays
+    (``PairReasons``).
     """
     # Terrain is context, not an associable measurement: two forces over
     # the same ground are not in conflict for that reason alone.
@@ -212,24 +324,40 @@ def detect_conflicts(
     out: list[ConflictSet] = []
     for lvl in LEVELS if level is None else (level,):
         ids = sorted(g.at_level(lvl, statuses={Status.ACTIVE}))
-        if len(ids) < 2:
+        n = len(ids)
+        if n < 2:
             continue
         hyps = [g.get(i) for i in ids]
         sharable = [g.evidence_closure(i).items - terrain for i in ids]
         types = sorted({h.force_type for h in hyps})
-        type_pairs = [(ta, tb) for n, ta in enumerate(types) for tb in types[n:]]
-        sep = {p: lib.min_separation(*p) for p in type_pairs}
-        max_delta = {p: lib.max_heading_delta(*p) for p in type_pairs}
-        # read by every candidate, so gathered once per level: locations,
-        # headings, type indices and the doctrine of each index pair
-        locations = [h.location for h in hyps]
-        headings = [h.heading for h in hyps]
-        type_index = {t: n for n, t in enumerate(types)}
+        type_index = {t: k for k, t in enumerate(types)}
         kinds = [type_index[h.force_type] for h in hyps]
-        keys = [[DoctrineConfig.key(ta, tb) for tb in types] for ta in types]
-        rules = [[(sep[k], max_delta[k]) for k in row] for row in keys]
+        # doctrine of each type-index pair, looked up once per unordered
+        # type pair; NaN where doctrine has no row
+        sep = np.full((len(types), len(types)), np.nan)
+        delta = np.full((len(types), len(types)), np.nan)
+        for ta, tb in itertools.combinations_with_replacement(range(len(types)), 2):
+            for table, lookup in ((sep, lib.min_separation), (delta, lib.max_heading_delta)):
+                value = lookup(types[ta], types[tb])
+                if value is not None:
+                    table[ta, tb] = table[tb, ta] = value
+        headings = np.array(
+            [math.nan if h.heading is None else h.heading for h in hyps]
+        )
+        kind_array = np.array(kinds, dtype=np.intp)
+        headed = np.array([h.heading is not None for h in hyps])
+        by_type = [np.flatnonzero(headed & (kind_array == k)) for k in range(len(types))]
 
-        parent = list(range(len(ids)))
+        shared = _shared_codes(sharable, n)
+        near, close = _near_codes([h.location for h in hyps], kinds, sep.tolist(), n)
+        turned = _turned_codes(headings, by_type, delta, n)
+        codes = np.unique(np.concatenate([shared, near, turned]))
+        flags = _pair_flags(codes, n, shared, close, headings, kind_array, delta)
+        hit = flags != 0
+        first, second = np.divmod(codes[hit], n)
+        flags = flags[hit]
+
+        parent = list(range(n))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -237,39 +365,45 @@ def detect_conflicts(
                 x = parent[x]
             return x
 
-        edges: list[tuple[int, int, frozenset[ConflictReason]]] = []
-        for a, b in _candidate_pairs(hyps, sharable, sep, max_delta):
-            pair_sep, pair_delta = rules[kinds[a]][kinds[b]]
-            reasons = _pair_reasons(
-                locations[a],
-                locations[b],
-                headings[a],
-                headings[b],
-                not sharable[a].isdisjoint(sharable[b]),
-                pair_sep,
-                pair_delta,
-            )
-            if reasons:
-                edges.append((a, b, reasons))
-                parent[find(a)] = find(b)
+        for a, b in zip(first.tolist(), second.tolist()):
+            # find(a) and find(b), inlined: this loop runs once per edge
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[a] = b
 
-        roots = [find(n) for n in range(len(ids))]
-        groups: dict[int, list[str]] = {}
-        for root, i in zip(roots, ids):
+        roots = [find(i) for i in range(n)]
+        groups: dict[int, list[int]] = {}
+        for i, root in enumerate(roots):
             groups.setdefault(root, []).append(i)
-        group_edges: dict[int, dict[tuple[str, str], frozenset[ConflictReason]]] = {}
-        for a, b, reasons in edges:
-            group_edges.setdefault(roots[a], {})[(ids[a], ids[b])] = reasons
-        for root in sorted(groups, key=lambda r: ids[r]):
-            members = groups[root]
-            if len(members) < 2:
+        # each hypothesis's position among its group's members, and the
+        # edges bucketed by group root, each bucket in ascending pair order
+        position = [0] * n
+        for indices in groups.values():
+            for p, i in enumerate(indices):
+                position[i] = p
+        position = np.array(position, dtype=np.intp)
+        edge_roots = np.array(roots, dtype=np.intp)[first]
+        order = np.argsort(edge_roots, kind="stable")
+        counts = np.bincount(edge_roots, minlength=n)
+        starts = (np.cumsum(counts) - counts).tolist()
+        counts = counts.tolist()
+        for root in sorted(groups):
+            indices = groups[root]
+            if len(indices) < 2:
                 continue
+            edges = order[starts[root] : starts[root] + counts[root]]
+            members = tuple(ids[i] for i in indices)
             pooled = frozenset().union(*(g.evidence_closure(m).items for m in members))
+            reasons = PairReasons(
+                members, position[first[edges]], position[second[edges]], flags[edges]
+            )
             out.append(
                 ConflictSet(
-                    members=tuple(members),
+                    members=members,
                     pooled_evidence=EvidenceSet(pooled),
-                    reasons=group_edges[root],
+                    reasons=reasons,
                     level=lvl,
                 )
             )
@@ -369,11 +503,10 @@ def resolve_exact(
         raise ResolutionTooLargeError(
             f"resolution too large: {n} members exceeds cap {max_exact}"
         )
-    idx = {m: i for i, m in enumerate(s.members)}
     adj = [0] * n
-    for (a, b) in s.reasons:
-        adj[idx[a]] |= 1 << idx[b]
-        adj[idx[b]] |= 1 << idx[a]
+    for a, b in zip(s.reasons.first.tolist(), s.reasons.second.tolist()):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     full = (1 << n) - 1
     comp = [(full ^ adj[v]) & ~(1 << v) for v in range(n)]
 

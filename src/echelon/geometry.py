@@ -1,17 +1,18 @@
 """Planar and angular helpers shared by matching, doctrine and scoring.
 
-``near_pairs`` and ``HeadingCircle`` generate candidate pairs for the
+``near_pairs`` and ``beyond_pairs`` generate candidate pairs for the
 distance and heading tests of clustering and conflict detection.  Both
 are conservative filters: they may return pairs that fail the test, never
 miss one that passes, whatever the rounding; the caller's exact test
-decides.
+decides.  ``beyond_pairs`` works on numpy arrays, all headings at once.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # Slack on each end of a heading arc, in degrees: far above the rounding
 # of headings normalised to [0, 360) while their magnitude stays under
@@ -102,50 +103,61 @@ def heading_difference(a: float, b: float) -> float:
     return 360.0 - d if d > 180.0 else d
 
 
-def _on_circle(heading: float) -> float | None:
-    """``heading`` normalised to [0, 360); None when it is not finite or
-    too large to normalise within the arc margin."""
-    if not abs(heading) < _PLACEABLE_HEADING:
-        return None
-    angle = heading % 360.0
+def _on_circle(headings: np.ndarray) -> np.ndarray:
+    """Headings normalised to [0, 360), as float ``%`` gives them."""
+    angles = np.remainder(headings, 360.0)
     # float mod can round a tiny negative heading up to exactly 360.0
-    return 0.0 if angle == 360.0 else angle
+    angles[angles == 360.0] = 0.0
+    return angles
 
 
-class HeadingCircle:
-    """Headings sorted on the circle, to find those that may differ from a
-    given heading by more than a limit.
+def _every_pair(ks: np.ndarray, ls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.repeat(ks, len(ls)), np.tile(ls, len(ks))
 
-    ``beyond`` bisects the complementary arc widened by a small margin,
-    so its cost follows the number of headings it returns.
+
+def beyond_pairs(
+    a: np.ndarray, b: np.ndarray, limit: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (k, l) of the pairs ``a[k]``, ``b[l]`` of headings
+    whose ``heading_difference`` may exceed ``limit``: a superset of them.
+
+    The headings of ``b`` are sorted on the circle and laid out twice, so
+    an arc across 0/360 is one contiguous range, and each heading of
+    ``a`` bisects (``np.searchsorted``) the complementary arc widened by
+    ``_ARC_MARGIN`` on each end; the cost follows the number of pairs
+    returned.  A heading that cannot be placed (not finite, or at least
+    ``_PLACEABLE_HEADING`` in magnitude) is paired with every heading on
+    the other side.
     """
+    nothing = np.empty(0, dtype=np.intp)
+    if not limit < 180.0:  # no difference exceeds 180 (or a NaN limit)
+        return nothing, nothing
+    lo = limit - _ARC_MARGIN
+    hi = 360.0 - limit + _ARC_MARGIN
+    if hi - lo >= 360.0:
+        return _every_pair(np.arange(len(a)), np.arange(len(b)))
+    placed_a = np.abs(a) < _PLACEABLE_HEADING
+    placed_b = np.abs(b) < _PLACEABLE_HEADING
+    on_b = np.flatnonzero(placed_b)
+    angles_b = _on_circle(b[on_b])
+    order = np.argsort(angles_b, kind="stable")
+    circle = np.concatenate([angles_b[order], angles_b[order] + 360.0])
+    index = np.concatenate([on_b[order], on_b[order]])
 
-    def __init__(self, headings: Sequence[float]) -> None:
-        placed = sorted(
-            (angle, i)
-            for i, h in enumerate(headings)
-            if (angle := _on_circle(h)) is not None
-        )
-        # laid out twice so an arc across 0/360 is one contiguous range
-        self._angles = [a for a, _ in placed] + [a + 360.0 for a, _ in placed]
-        self._index = [i for _, i in placed] * 2
-        self._loose = [i for i, h in enumerate(headings) if _on_circle(h) is None]
-        self._all = list(range(len(headings)))
-
-    def beyond(self, heading: float, limit: float) -> list[int]:
-        """Indices of the headings h with possibly
-        ``heading_difference(heading, h) > limit``: a superset of them."""
-        if not limit < 180.0:  # no difference exceeds 180 (or a NaN limit)
-            return []
-        angle = _on_circle(heading)
-        lo = limit - _ARC_MARGIN
-        hi = 360.0 - limit + _ARC_MARGIN
-        if angle is None or hi - lo >= 360.0:
-            return self._all
-        # angle + hi < 720, inside the doubled layout
-        first = bisect.bisect_left(self._angles, angle + lo)
-        last = bisect.bisect_right(self._angles, angle + hi)
-        return self._index[first:last] + self._loose
+    on_a = np.flatnonzero(placed_a)
+    angles_a = _on_circle(a[on_a])
+    # angle + hi < 720, inside the doubled layout
+    first = np.searchsorted(circle, angles_a + lo, side="left")
+    last = np.searchsorted(circle, angles_a + hi, side="right")
+    counts = last - first
+    # position p of the flattened ranges reads circle slot
+    # first[r] + (p - start of range r)
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    placed_k, loose_l = _every_pair(on_a, np.flatnonzero(~placed_b))
+    loose_k, every_l = _every_pair(np.flatnonzero(~placed_a), np.arange(len(b)))
+    ks = np.concatenate([np.repeat(on_a, counts), placed_k, loose_k])
+    ls = np.concatenate([index[np.arange(len(shift)) + shift], loose_l, every_l])
+    return ks, ls
 
 
 def mean_heading(headings: Iterable[float]) -> float | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -238,14 +239,17 @@ _MODEL_KEYS = {"name", "type", "slots", "constraints", "prior"}
 _SLOT_KEYS = {"type", "min", "max"}
 _CONSTRAINT_KEYS = {"slots", "d_min", "d_max", "bearing_tol"}
 _DOCTRINE_KEYS = {"min_separation", "max_heading_delta"}
-_PAIR_KEYS = {"a", "b", "meters", "degrees"}
 
 
 def load_library(text: str) -> ModelLibrary:
     """Parse and validate a serialized library.
 
     Strict: unknown keys anywhere in the document are rejected, so a
-    typo fails loudly instead of silently dropping a constraint.
+    typo fails loudly instead of silently dropping a constraint; a
+    missing key or a value of the wrong JSON type raises
+    LibraryFormatError naming the entry.  Names are strings, slot
+    counts and constraint slot indices integers, and distances,
+    headings and priors finite numbers (never booleans).
     """
     try:
         doc = json.loads(text)
@@ -257,8 +261,8 @@ def load_library(text: str) -> ModelLibrary:
     if unknown:
         raise LibraryFormatError(f"unknown top-level keys: {sorted(unknown)}")
 
-    types = _parse_types(doc.get("types", []))
-    models = _parse_models(doc.get("models", []))
+    types = _parse_types(_list(doc, "types", "library"))
+    models = _parse_models(_list(doc, "models", "library"))
     doctrine = _parse_doctrine(doc.get("doctrine", {}))
     lib = ModelLibrary(types=types, models=models, doctrine=doctrine)
     _validate(lib)
@@ -273,18 +277,58 @@ def _require_keys(obj: dict, allowed: set[str], what: str) -> None:
         raise LibraryFormatError(f"{what}: unknown keys {sorted(unknown)}")
 
 
+def _value(obj: dict, key: str, what: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise LibraryFormatError(f"{what}: missing key {key!r}") from None
+
+
+def _list(obj: dict, key: str, what: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise LibraryFormatError(f"{what}: {key} must be a list, got {value!r}")
+    return value
+
+
+def _text(obj: dict, key: str, what: str) -> str:
+    value = _value(obj, key, what)
+    if not isinstance(value, str):
+        raise LibraryFormatError(f"{what}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _integer(value: object, key: str, what: str) -> int:
+    if type(value) is not int:
+        raise LibraryFormatError(f"{what}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str, what: str) -> float:
+    """A finite JSON number (not a bool), as a float."""
+    value = _value(obj, key, what)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise LibraryFormatError(f"{what}: {key} must be a finite number, got {value!r}")
+
+
 def _parse_types(raw: list) -> dict[str, ForceType]:
     types: dict[str, ForceType] = {}
-    for entry in raw:
-        _require_keys(entry, _TYPE_KEYS, "type entry")
-        try:
-            t = ForceType(
-                name=entry["name"],
-                level=Level.from_label(entry["level"]),
-                isa_parent=entry.get("isa"),
-            )
-        except KeyError as exc:
-            raise LibraryFormatError(f"type entry missing key {exc}") from None
+    for k, entry in enumerate(raw):
+        what = f"type entry {k}"
+        _require_keys(entry, _TYPE_KEYS, what)
+        name = _text(entry, "name", what)
+        what = f"type {name!r}"
+        t = ForceType(
+            name=name,
+            level=Level.from_label(_text(entry, "level", what)),
+            isa_parent=None if entry.get("isa") is None else _text(entry, "isa", what),
+        )
         if t.name in types:
             raise LibraryValidationError(f"duplicate type {t.name!r}")
         types[t.name] = t
@@ -293,45 +337,47 @@ def _parse_types(raw: list) -> dict[str, ForceType]:
 
 def _parse_models(raw: list) -> dict[str, ForceModel]:
     models: dict[str, ForceModel] = {}
-    for entry in raw:
-        _require_keys(entry, _MODEL_KEYS, "model entry")
+    for k, entry in enumerate(raw):
+        what = f"model entry {k}"
+        _require_keys(entry, _MODEL_KEYS, what)
+        name = _text(entry, "name", what)
+        what = f"model {name!r}"
         slots = []
-        for s in entry.get("slots", []):
-            _require_keys(s, _SLOT_KEYS, "slot entry")
+        for i, s in enumerate(_list(entry, "slots", what)):
+            where = f"{what} slot {i}"
+            _require_keys(s, _SLOT_KEYS, where)
             slots.append(
                 ComponentSlot(
-                    required_type=s["type"],
-                    count_min=int(s["min"]),
-                    count_max=int(s["max"]),
+                    required_type=_text(s, "type", where),
+                    count_min=_integer(_value(s, "min", where), "min", where),
+                    count_max=_integer(_value(s, "max", where), "max", where),
                 )
             )
         constraints = []
-        for c in entry.get("constraints", []):
-            _require_keys(c, _CONSTRAINT_KEYS, "constraint entry")
-            pair = c["slots"]
+        for i, c in enumerate(_list(entry, "constraints", what)):
+            where = f"{what} constraint {i}"
+            _require_keys(c, _CONSTRAINT_KEYS, where)
+            pair = _value(c, "slots", where)
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise LibraryFormatError("constraint 'slots' must be a pair")
+                raise LibraryFormatError(f"{where}: 'slots' must be a pair")
             constraints.append(
                 DeploymentConstraint(
-                    slot_a=int(pair[0]),
-                    slot_b=int(pair[1]),
-                    distance_min=float(c["d_min"]),
-                    distance_max=float(c["d_max"]),
+                    slot_a=_integer(pair[0], "slots", where),
+                    slot_b=_integer(pair[1], "slots", where),
+                    distance_min=_number(c, "d_min", where),
+                    distance_max=_number(c, "d_max", where),
                     bearing_tolerance=(
-                        float(c["bearing_tol"]) if "bearing_tol" in c else None
+                        _number(c, "bearing_tol", where) if "bearing_tol" in c else None
                     ),
                 )
             )
-        try:
-            m = ForceModel(
-                name=entry["name"],
-                models_type=entry["type"],
-                slots=tuple(slots),
-                constraints=tuple(constraints),
-                prior=float(entry.get("prior", 0.5)),
-            )
-        except KeyError as exc:
-            raise LibraryFormatError(f"model entry missing key {exc}") from None
+        m = ForceModel(
+            name=name,
+            models_type=_text(entry, "type", what),
+            slots=tuple(slots),
+            constraints=tuple(constraints),
+            prior=_number(entry, "prior", what) if "prior" in entry else 0.5,
+        )
         if m.name in models:
             raise LibraryValidationError(f"duplicate model {m.name!r}")
         models[m.name] = m
@@ -340,15 +386,15 @@ def _parse_models(raw: list) -> dict[str, ForceModel]:
 
 def _parse_doctrine(raw: dict) -> DoctrineConfig:
     _require_keys(raw, _DOCTRINE_KEYS, "doctrine")
-    min_sep: dict[tuple[str, str], float] = {}
-    for entry in raw.get("min_separation", []):
-        _require_keys(entry, _PAIR_KEYS - {"degrees"}, "min_separation entry")
-        min_sep[DoctrineConfig.key(entry["a"], entry["b"])] = float(entry["meters"])
-    max_delta: dict[tuple[str, str], float] = {}
-    for entry in raw.get("max_heading_delta", []):
-        _require_keys(entry, _PAIR_KEYS - {"meters"}, "max_heading_delta entry")
-        max_delta[DoctrineConfig.key(entry["a"], entry["b"])] = float(entry["degrees"])
-    return DoctrineConfig(min_separation=min_sep, max_heading_delta=max_delta)
+    tables: dict[str, dict[tuple[str, str], float]] = {}
+    for table, unit in (("min_separation", "meters"), ("max_heading_delta", "degrees")):
+        rows = tables[table] = {}
+        for k, entry in enumerate(_list(raw, table, "doctrine")):
+            what = f"{table} row {k}"
+            _require_keys(entry, {"a", "b", unit}, what)
+            key = DoctrineConfig.key(_text(entry, "a", what), _text(entry, "b", what))
+            rows[key] = _number(entry, unit, what)
+    return DoctrineConfig(**tables)
 
 
 def _validate(lib: ModelLibrary) -> None:

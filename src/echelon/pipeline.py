@@ -198,10 +198,13 @@ def build_graph(
 ) -> HypothesisGraph:
     """Create leaf hypotheses from the scenario's detections.
 
-    ``detections`` must be a list of objects; ``x``, ``y`` and ``lambda``
-    of each, ``time`` when given and ``heading`` when given and not null
-    must be finite numbers.
+    The scenario must be a JSON object and ``detections`` a list of
+    objects; the ``type`` of each must be a string, and ``x``, ``y`` and
+    ``lambda``, ``time`` when given and ``heading`` when given and not
+    null must be finite numbers.
     """
+    if not isinstance(scenario, dict):
+        raise ScenarioError("scenario must be a JSON object")
     g = HypothesisGraph()
     terrain = _terrain_items(scenario)
     for t in terrain:
@@ -212,8 +215,10 @@ def build_graph(
     for d in detections:
         if not isinstance(d, dict):
             raise ScenarioError(f"scenario: detection {d!r} is not an object")
-        lib.type_of(d["type"])  # unknown detection types are a domain error
         where = f"detection {d.get('id')!r}"
+        if not isinstance(d.get("type"), str):
+            raise ScenarioError(f"{where}: type must be a string, got {d.get('type')!r}")
+        lib.type_of(d["type"])  # unknown detection types are a domain error
         location = (_finite(d, "x", where), _finite(d, "y", where))
         heading = _finite(d, "heading", where) if d.get("heading") is not None else None
         item = EvidenceItem(
@@ -289,9 +294,9 @@ def run(cfg: RunConfig) -> dict:
     return _build_report(cfg, scenario, g, conflict_log)
 
 
-# The report's sorted reason values of every possible reason set: a scene
-# has thousands of conflicting pairs but these few sets.
-_REASON_VALUES = {rs: sorted(r.value for r in rs) for rs in REASON_SETS}
+# The report's sorted reason values of every reason set, by flag bits: a
+# scene has thousands of conflicting pairs but these few sets.
+_REASON_VALUES = tuple(sorted(r.value for r in rs) for rs in REASON_SETS)
 
 
 def _trace_records(h: Hypothesis) -> list[dict] | None:
@@ -345,14 +350,18 @@ def _build_report(
 
     conflicts = []
     for level, rep in conflict_log:
+        members = rep.conflict_set.members
+        edges = rep.conflict_set.reasons  # a PairReasons view: read its arrays
         conflicts.append(
             {
                 "level": level.label,
-                "members": list(rep.conflict_set.members),
-                # already in ascending pair order (detect_conflicts)
+                "members": list(members),
+                # in ascending pair order, as the view holds them
                 "reasons": [
-                    {"pair": [a, b], "reasons": [*_REASON_VALUES[rs]]}
-                    for (a, b), rs in rep.conflict_set.reasons.items()
+                    {"pair": [members[a], members[b]], "reasons": [*_REASON_VALUES[f]]}
+                    for a, b, f in zip(
+                        edges.first.tolist(), edges.second.tolist(), edges.flags.tolist()
+                    )
                 ],
                 "ordering": list(rep.ordering),
                 "per_member_conditioning": [

@@ -1,16 +1,17 @@
 """Candidate generation in conflict detection and clustering.
 
 ``detect_conflicts`` and ``matching._clusters`` test only the pairs that
-an evidence index, a uniform grid and a heading circle propose.  These
-tests hold them to the all-pairs versions below, which stay here as the
-reference, on scenes built to sit on every boundary the filters have:
-limits hit exactly or missed by 1e-9, headings across 0/360, negative
-and large headings, negative coordinates, points on grid-cell edges,
-far-apart pairs sharing evidence and zero-metre separation rows.  The
-last tests count doctrine lookups and exact pair tests, and the matcher's
-fit scores and pair evaluations, on generated clean scenes, so a return
-to all-pairs work or to scoring every slot assignment fails without
-timing.
+an evidence index, a uniform grid and a vectorised heading search
+(``geometry.beyond_pairs``) propose.  These tests hold them to the
+all-pairs versions below, which stay here as the reference, on scenes
+built to sit on every boundary the filters have: limits hit exactly or
+missed by 1e-9, headings across 0/360, negative, large and non-finite
+headings, negative coordinates, points on grid-cell edges, far-apart
+pairs sharing evidence and zero-metre separation rows.  The last tests
+count doctrine lookups and the candidate pairs given to the exact test
+(``conflict._pair_flags``), and the matcher's fit scores and pair
+evaluations, on generated clean scenes, so a return to all-pairs work or
+to scoring every slot assignment fails without timing.
 """
 
 import itertools
@@ -324,6 +325,79 @@ def test_non_finite_and_extreme_coordinates_match_all_pairs(empty_graph):
     )
 
 
+HEADING_LIBRARY = load_library(
+    json.dumps(
+        {
+            "types": [
+                {"name": "vehicle", "level": "vehicle"},
+                {"name": "tank", "level": "vehicle", "isa": "vehicle"},
+                {"name": "apc", "level": "vehicle", "isa": "vehicle"},
+                {"name": "truck", "level": "vehicle", "isa": "vehicle"},
+            ],
+            "doctrine": {
+                "max_heading_delta": [
+                    {"a": "tank", "b": "tank", "degrees": 180},
+                    {"a": "tank", "b": "apc", "degrees": 200},
+                    {"a": "apc", "b": "apc", "degrees": 30},
+                    {"a": "truck", "b": "vehicle", "degrees": 179.999999},
+                    {"a": "truck", "b": "truck", "degrees": -5},
+                ]
+            },
+        }
+    )
+)
+SPECIAL_HEADINGS = [
+    None, math.nan, math.inf, -math.inf, 2.0**20, -(2.0**20), 2.0**20 - 2.0**-32,
+    1e300, 0.0, -0.0, 0.5, 180.0, 180.5, 359.9999999, -1e-20, 210.0, 1e6 + 0.25,
+]
+
+
+def _heading_scene(placed):
+    """Vehicles of the given (type, heading), 1 km apart on a line, so only
+    the orientation test can join them."""
+    g = HypothesisGraph()
+    for i, (force_type, heading) in enumerate(placed):
+        add_leaf(g, f"v{i:02d}", force_type=force_type, location=(1000.0 * i, 0.0),
+                 heading=heading)
+    return g
+
+
+def test_non_finite_headings_and_wide_limits_match_all_pairs():
+    # NaN and infinite headings never conflict, but they cannot be placed
+    # on the circle, so the search pairs them with every partner; limits of
+    # 180 and more flag nothing, a negative limit flags every headed pair
+    placed = [
+        (t, h)
+        for t in ("tank", "apc", "truck", "vehicle")
+        for h in SPECIAL_HEADINGS
+    ]
+    g = _heading_scene(placed)
+    found = detect_conflicts(g, HEADING_LIBRARY)
+    assert as_compared(found) == as_compared(
+        reference_detect_conflicts(g, HEADING_LIBRARY)
+    )
+    assert found and len(found[0].reasons) > 100
+
+
+@settings(**EXAMPLES)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["tank", "apc", "truck", "vehicle"]),
+            st.one_of(
+                st.sampled_from(SPECIAL_HEADINGS), st.floats(-1000.0, 1500.0)
+            ),
+        ),
+        max_size=12,
+    )
+)
+def test_special_headings_equal_all_pairs(placed):
+    g = _heading_scene(placed)
+    assert as_compared(detect_conflicts(g, HEADING_LIBRARY)) == as_compared(
+        reference_detect_conflicts(g, HEADING_LIBRARY)
+    )
+
+
 # -- scaling guard -------------------------------------------------------
 
 
@@ -366,7 +440,7 @@ def _grid_scene(tmp_path, battalions: int):
 
 
 def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
-    counts = {"min_separation": 0, "max_heading_delta": 0, "pair_tests": 0}
+    counts = {"min_separation": 0, "max_heading_delta": 0, "pair_tests": 0, "levels": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -378,8 +452,15 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
     for name in ("min_separation", "max_heading_delta"):
         original = getattr(ModelLibrary, name)
         monkeypatch.setattr(ModelLibrary, name, counted(name, original))
-    pair_tests = counted("pair_tests", conflict._pair_reasons)
-    monkeypatch.setattr(conflict, "_pair_reasons", pair_tests)
+    original_flags = conflict._pair_flags
+
+    def counted_flags(codes, *args):
+        # one call per level tests every candidate pair of that level
+        counts["pair_tests"] += len(codes)
+        counts["levels"] += 1
+        return original_flags(codes, *args)
+
+    monkeypatch.setattr(conflict, "_pair_flags", counted_flags)
 
     per_level = []
 
@@ -407,6 +488,7 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
             assert c["min_separation"] <= types**2
             assert c["max_heading_delta"] <= types**2
             assert c["pair_tests"] <= n
+            assert c["levels"] == (n >= 2)  # the count above is live
 
 
 def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypatch):

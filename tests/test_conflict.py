@@ -9,6 +9,7 @@ from echelon.conflict import (
     ConflictReason,
     ConflictSet,
     Decision,
+    PairReasons,
     Heuristic,
     approx_joint,
     conflict_measure,
@@ -82,6 +83,46 @@ class TestDetectConflicts:
         ]
         assert all(any(rs is shared for shared in REASON_SETS) for rs in s.reasons.values())
         assert len(set(REASON_SETS)) == 8 and REASON_SETS[0] == frozenset()
+
+    def test_reasons_view_reads_like_a_mapping(self, empty_graph, tank_lib):
+        g = empty_graph
+        for i, (x, heading) in enumerate([(0, 0.0), (10, 175.0), (500, 0.0), (510, 0.0)]):
+            add_leaf(g, f"v{i}", lam=3.0, location=(x, 0), heading=heading)
+        (s,) = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
+        view = s.reasons
+        assert isinstance(view, PairReasons) and view.members == s.members
+        assert len(view) == 4
+        assert ("v1", "v3") in view and ("v0", "v2") not in view
+        assert ("v3", "v1") not in view and ("v9", "v1") not in view
+        assert ("v0", "v1") in view.keys() and "v0" not in view
+        assert ["v0", "v1"] not in view and ("v0", "v1", "v2") not in view
+        assert view[("v1", "v3")] == frozenset({ConflictReason.ORIENTATION})
+        with pytest.raises(KeyError):
+            view[("v0", "v2")]
+        assert view.get(("v0", "v2")) is None
+        pairs = [pair for pair, _ in view.items()]
+        assert pairs == sorted(pairs) == list(view)
+        assert list(view.values()) == [view[p] for p in pairs]
+        assert view == dict(view.items())
+        assert "PairReasons(" in repr(view)
+        with pytest.raises(TypeError):
+            view[("v0", "v1")] = REASON_SETS[0]
+
+    def test_plain_mapping_becomes_a_sorted_view(self, empty_graph):
+        g = empty_graph
+        for hid in ("a", "b", "c"):
+            add_leaf(g, hid, lam=2.0)
+        orientation = frozenset({ConflictReason.ORIENTATION})
+        both = frozenset({ConflictReason.TOO_CLOSE, ConflictReason.SHARED_EVIDENCE})
+        s = ConflictSet(
+            members=("a", "b", "c"),
+            pooled_evidence=g.evidence_closure("a"),
+            reasons={("b", "c"): orientation, ("a", "c"): both},
+            level=Level.VEHICLE,
+        )
+        assert isinstance(s.reasons, PairReasons)
+        assert list(s.reasons.items()) == [(("a", "c"), both), (("b", "c"), orientation)]
+        assert s.reasons.flags.tolist() == [3, 4]
 
     def test_shared_terrain_is_not_conflict(self, empty_graph, tank_lib):
         g = empty_graph
@@ -306,6 +347,25 @@ class TestResolveExact:
         s = make_conflict_set(g, ["A", "B", "C"], edges=[("A", "B")])
         sets = resolve_exact(s, g)
         assert sorted(cs.included for cs in sets) == [("A", "C"), ("B", "C")]
+
+    def test_detected_group_resolves_as_the_same_plain_dict(self, empty_graph, tank_lib):
+        # too-close and facing-apart pairs joining six vehicles in one group
+        g = empty_graph
+        spots = [(0, 0.0), (10, 175.0), (20, 0.0), (30, 0.0), (500, 170.0), (505, 90.0)]
+        for i, (x, heading) in enumerate(spots):
+            add_leaf(g, f"v{i}", lam=3.0, location=(x, 0), heading=heading)
+            g.get(f"v{i}").posterior = 0.3 + 0.1 * i
+        (detected,) = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
+        plain = dict(detected.reasons.items())
+        rebuilt = ConflictSet(
+            members=detected.members,
+            pooled_evidence=detected.pooled_evidence,
+            reasons=dict(reversed(plain.items())),
+            level=detected.level,
+        )
+        assert rebuilt == detected
+        assert resolve_exact(rebuilt, g) == resolve_exact(detected, g)
+        assert len(resolve_exact(detected, g)) > 1
 
     def test_complete_graph_gives_singletons(self, empty_graph):
         g = empty_graph

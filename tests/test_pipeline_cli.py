@@ -112,6 +112,79 @@ class TestValidateCommand:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["doctrine"]["max_heading_delta"][0].update(degrees="x"),
+                "max_heading_delta row 0: degrees must be a finite number, got 'x'",
+            ),
+            (
+                lambda d: d["doctrine"]["min_separation"][0].pop("a"),
+                "min_separation row 0: missing key 'a'",
+            ),
+            (
+                lambda d: d["types"][0].update(level=5),
+                "type 'vehicle': level must be a string, got 5",
+            ),
+            (
+                lambda d: d["models"][0]["constraints"][0].update(slots=[0, "x"]),
+                "model 'tank-company-line' constraint 0: slots must be an integer",
+            ),
+            (
+                lambda d: d["models"][0]["constraints"][0].pop("d_min"),
+                "model 'tank-company-line' constraint 0: missing key 'd_min'",
+            ),
+            (
+                lambda d: d["models"][0]["slots"][0].update(min="x"),
+                "model 'tank-company-line' slot 0: min must be an integer",
+            ),
+            (
+                lambda d: d["models"][1].update(prior="x"),
+                "model 'tank-battalion-std': prior must be a finite number",
+            ),
+            (
+                lambda d: d["models"][1].update(prior=True),
+                "model 'tank-battalion-std': prior must be a finite number, got True",
+            ),
+            (
+                lambda d: d["models"][0]["slots"][0].update(max=4.0),
+                "slot 0: max must be an integer, got 4.0",
+            ),
+            (
+                lambda d: d["models"][0]["constraints"][0].update(bearing_tol=math.inf),
+                "constraint 0: bearing_tol must be a finite number, got inf",
+            ),
+            (
+                lambda d: d["doctrine"]["min_separation"][1].update(meters=math.nan),
+                "min_separation row 1: meters must be a finite number, got nan",
+            ),
+            (lambda d: d["types"][2].update(name=["tank"]), "type entry 2: name must be"),
+            (lambda d: d["types"][2].update(isa=3), "type 'tank': isa must be a string"),
+            (lambda d: d.update(models={}), "library: models must be a list"),
+            (lambda d: d["models"][0].pop("type"), "missing key 'type'"),
+        ],
+    )
+    def test_malformed_library_value_is_domain_error(
+        self, tmp_path, capsys, edit, message
+    ):
+        doc = json.loads(json.dumps(TANK_LIBRARY))
+        edit(doc)
+        p = tmp_path / "lib.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_malformed_library_is_domain_error_for_infer(self, tmp_path, capsys):
+        paths = write_battalion_inputs(tmp_path)
+        doc = json.loads(json.dumps(TANK_LIBRARY))
+        doc["types"][0]["level"] = 5
+        paths["library"].write_text(json.dumps(doc))
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        assert "level must be a string" in capsys.readouterr().err
+
 
 class TestInferCommand:
     def test_end_to_end_battalion(self, tmp_path):
@@ -218,7 +291,14 @@ class TestInferCommand:
 
     @pytest.mark.parametrize(
         "detections, message",
-        [(5, "detections must be a list"), ([5], "detection 5 is not an object")],
+        [
+            (5, "detections must be a list"),
+            ([5], "detection 5 is not an object"),
+            (
+                [{"id": "d0", "type": ["T-72-tank"], "x": 0.0, "y": 0.0, "lambda": 2.0}],
+                "detection 'd0': type must be a string, got ['T-72-tank']",
+            ),
+        ],
     )
     def test_malformed_detections_are_domain_errors(
         self, tmp_path, capsys, detections, message
@@ -230,6 +310,15 @@ class TestInferCommand:
         )
         assert main(["infer", "--config", str(paths["config"])]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [[], [{"detections": []}], 5, "scenario"])
+    def test_non_object_scenario_is_domain_error(self, tmp_path, capsys, document):
+        paths = write_battalion_inputs(tmp_path)
+        paths["scenario"].write_text(dumps(document))
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        err = capsys.readouterr().err
+        assert "scenario must be a JSON object" in err
+        assert not paths["report"].exists()
 
     @pytest.mark.parametrize(
         "key, value, text",
