@@ -7,18 +7,18 @@ every pair: an evidence index, a uniform grid and a vectorised heading
 search generate a superset of the conflicting pairs (a conservative
 filter), held as one sorted numpy array of pair codes per level, and
 the exact test decides them all at once.  Edges stay arrays from there
-to the report: a group's ``reasons`` is a ``PairReasons`` view over
-member positions and reason flag bits, and a pair's reasons are one of
-eight frozensets built once at import, so an edge costs no Python
-object of its own however many a scene has.  Each connected group is
-analyzed in polynomial time: members are ordered
-heuristically, each is scored on the pooled evidence minus the
-closures of the members after it, and the product k estimates how
-likely all members are to be true despite the conflict.  (1-k)/k is
-the conflict measure: when it is under threshold the group is skipped
-(accrual jumps over the level) with a per-parent error estimate;
-otherwise the group is resolved exactly over maximal consistent sets,
-which is worst-case exponential.
+to the report: a group's ``reasons`` is one int array of rows
+``(first position, second position, flags)``, and ``flags`` indexes
+eight reason frozensets built once at import, so an edge costs no
+Python object of its own however many a scene has.  Each connected
+group is analyzed in polynomial time: members are ordered
+heuristically, each is scored on its own closure minus the closures of
+the members after it, and the product k estimates how likely all
+members are to be true despite the conflict.  (1-k)/k is the conflict
+measure: when it is under threshold the group is skipped (accrual
+jumps over the level) with a per-parent error estimate; otherwise the
+group is resolved exactly over maximal consistent sets, which is
+worst-case exponential.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import enum
 import itertools
 import math
 import warnings
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,46 +59,40 @@ class Decision(enum.Enum):
     RESOLVE = "resolve"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConflictSet:
     """A connected group of mutually incompatible hypotheses.
 
-    ``reasons`` maps each conflicting pair ``(a, b)``, ``a < b``, to why
-    it conflicts, in ascending pair order, which the report keeps.  It
-    is always a ``PairReasons`` view over the members: a plain mapping
-    passed in is converted (and sorted) on construction.
+    ``members`` are sorted by id.  ``reasons`` holds one row per
+    conflicting pair, ``(first, second, flags)``: the pair's positions in
+    ``members`` (``first < second``) and the index into ``REASON_SETS``
+    of why it conflicts.  It is a read-only int array of shape (E, 3)
+    with rows in ascending pair order, which the report keeps.  An array
+    field has no truth value, so sets compare by identity.
     """
 
     members: tuple[str, ...]
-    pooled_evidence: EvidenceSet
-    reasons: Mapping[tuple[str, str], frozenset[ConflictReason]]
+    reasons: np.ndarray
     level: Level
 
     def __post_init__(self) -> None:
         if len(self.members) < 2:
             raise ValueError("a conflict set needs at least two members")
-        r = self.reasons
-        if not (isinstance(r, PairReasons) and r.members == self.members):
-            object.__setattr__(
-                self, "reasons", PairReasons.from_mapping(self.members, r)
-            )
 
 
 @dataclass(frozen=True)
 class ApproxJointResult:
-    """The ordered-product joint estimate with its per-member pieces."""
+    """The ordered-product joint estimate with its per-member factors."""
 
     k: float
     ordering: tuple[str, ...]
     factors: tuple[float, ...]
-    conditioning: tuple[EvidenceSet, ...]
 
 
 @dataclass
 class ConflictReport:
     conflict_set: ConflictSet
     ordering: tuple[str, ...]
-    per_member_conditioning: tuple[EvidenceSet, ...]
     k: float
     measure: float
     decision: Decision
@@ -123,90 +116,6 @@ REASON_SETS = tuple(
     frozenset(r for bit, r in enumerate(ConflictReason) if flags >> bit & 1)
     for flags in range(8)
 )
-
-
-# The flag bits of each reason set, for building a view from a mapping.
-_FLAGS = {rs: flags for flags, rs in enumerate(REASON_SETS)}
-
-
-class PairReasons(Mapping[tuple[str, str], frozenset[ConflictReason]]):
-    """Read-only view ``(a, b) -> reasons`` of a group's conflicting pairs.
-
-    The pairs are held as parallel arrays: positions ``first`` and
-    ``second`` into ``members``, and ``flags``, each pair's index into
-    ``REASON_SETS``.  They are in ascending (first, second) order, which
-    for id-sorted members is ascending pair order.  No object is kept
-    per pair; keys and values are made as they are read.
-    """
-
-    __slots__ = ("members", "first", "second", "flags")
-
-    def __init__(
-        self,
-        members: tuple[str, ...],
-        first: np.ndarray,
-        second: np.ndarray,
-        flags: np.ndarray,
-    ) -> None:
-        self.members = members
-        self.first = first
-        self.second = second
-        self.flags = flags
-
-    @classmethod
-    def from_mapping(
-        cls,
-        members: tuple[str, ...],
-        reasons: Mapping[tuple[str, str], frozenset[ConflictReason]],
-    ) -> "PairReasons":
-        """The view of a plain ``(id, id) -> reasons`` mapping, sorted."""
-        position = {m: i for i, m in enumerate(members)}
-        rows = sorted(
-            (position[a], position[b], _FLAGS[frozenset(rs)])
-            for (a, b), rs in reasons.items()
-        )
-        first, second, flags = np.array(rows, dtype=np.intp).reshape(-1, 3).T
-        return cls(members, first, second, flags.astype(np.uint8))
-
-    def __len__(self) -> int:
-        return len(self.flags)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        m = self.members
-        return ((m[a], m[b]) for a, b in zip(self.first.tolist(), self.second.tolist()))
-
-    def __getitem__(self, pair: tuple[str, str]) -> frozenset[ConflictReason]:
-        try:
-            if not isinstance(pair, tuple):
-                raise TypeError
-            a, b = map(self.members.index, pair)
-        except (TypeError, ValueError):
-            raise KeyError(pair) from None
-        lo, hi = np.searchsorted(self.first, [a, a + 1])
-        k = lo + int(np.searchsorted(self.second[lo:hi], b))
-        if k < hi and self.second[k] == b:
-            return REASON_SETS[self.flags[k]]
-        raise KeyError(pair)
-
-    def items(self) -> ItemsView[tuple[str, str], frozenset[ConflictReason]]:
-        return _PairItems(self)
-
-    def values(self) -> ValuesView[frozenset[ConflictReason]]:
-        return _PairValues(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _PairItems(ItemsView):
-    def __iter__(self):
-        view = self._mapping
-        return zip(view, (REASON_SETS[f] for f in view.flags.tolist()))
-
-
-class _PairValues(ValuesView):
-    def __iter__(self):
-        return (REASON_SETS[f] for f in self._mapping.flags.tolist())
 
 
 _NO_CODES = np.empty(0, dtype=np.int64)
@@ -313,8 +222,8 @@ def detect_conflicts(
     heading search; they are a conservative filter and ``_pair_flags``
     decides them all at once.  Union-find then takes the edges in id
     order, as a test of every pair would, so it yields the same groups
-    in the same order.  Each group keeps its edges as arrays
-    (``PairReasons``).
+    in the same order.  The level's edges become one (E, 3) array,
+    bucketed by group, and each group's ``reasons`` is its slice.
     """
     # Terrain is context, not an associable measurement: two forces over
     # the same ground are not in conflict for that reason alone.
@@ -386,6 +295,8 @@ def detect_conflicts(
         position = np.array(position, dtype=np.intp)
         edge_roots = np.array(roots, dtype=np.intp)[first]
         order = np.argsort(edge_roots, kind="stable")
+        table = np.column_stack((position[first], position[second], flags))[order]
+        table.flags.writeable = False
         counts = np.bincount(edge_roots, minlength=n)
         starts = (np.cumsum(counts) - counts).tolist()
         counts = counts.tolist()
@@ -393,17 +304,10 @@ def detect_conflicts(
             indices = groups[root]
             if len(indices) < 2:
                 continue
-            edges = order[starts[root] : starts[root] + counts[root]]
-            members = tuple(ids[i] for i in indices)
-            pooled = frozenset().union(*(g.evidence_closure(m).items for m in members))
-            reasons = PairReasons(
-                members, position[first[edges]], position[second[edges]], flags[edges]
-            )
             out.append(
                 ConflictSet(
-                    members=members,
-                    pooled_evidence=EvidenceSet(pooled),
-                    reasons=reasons,
+                    members=tuple(ids[i] for i in indices),
+                    reasons=table[starts[root] : starts[root] + counts[root]],
                     level=lvl,
                 )
             )
@@ -429,43 +333,33 @@ def approx_joint(
     ordering: tuple[str, ...],
     g: HypothesisGraph,
 ) -> ApproxJointResult:
-    """k = product over members of P(member | pooled minus later closures).
+    """k = product over members of P(member | its closure minus later closures).
 
-    The conditioning sets come from one reverse pass over the ordering,
-    linear in members times pooled evidence.  A member whose
-    conditioning set retains nothing of its closure contributes its
+    One reverse pass over the ordering keeps, for each member, the items
+    of its closure that no member after it claims: linear in the total
+    size of the closures.  A member that keeps nothing contributes its
     prior.  The factor product runs in id-canonical member order, so
     with pairwise-disjoint closures every ordering yields the identical
     k, bit for bit.
     """
     if sorted(ordering) != sorted(s.members):
         raise ValueError("ordering must be a permutation of the conflict members")
-    closures = {m: g.evidence_closure(m) for m in s.members}
-    # cond_i = pooled - (union of the closures after i), built from one
-    # reverse suffix union
-    conditioning: list[EvidenceSet] = []
+    factors: list[float] = []
     later: set[str] = set()
     for m in reversed(ordering):
-        conditioning.append(EvidenceSet(s.pooled_evidence.items - later))
-        later |= closures[m].items
-    conditioning.reverse()
-    factors: list[float] = []
-    for m, cond in zip(ordering, conditioning):
-        keep = cond & closures[m]
+        closure = g.evidence_closure(m).items
+        keep = closure - later
         if not keep:
             factors.append(g.get(m).prior)
         else:
-            factors.append(posterior_given_subset(g, m, keep))
+            factors.append(posterior_given_subset(g, m, EvidenceSet(keep)))
+        later |= closure
+    factors.reverse()
 
     k = 1.0
     for _, f in sorted(zip(ordering, factors)):
         k *= f
-    return ApproxJointResult(
-        k=k,
-        ordering=tuple(ordering),
-        factors=tuple(factors),
-        conditioning=tuple(conditioning),
-    )
+    return ApproxJointResult(k=k, ordering=tuple(ordering), factors=tuple(factors))
 
 
 def conflict_measure(k: float) -> float:
@@ -504,7 +398,7 @@ def resolve_exact(
             f"resolution too large: {n} members exceeds cap {max_exact}"
         )
     adj = [0] * n
-    for a, b in zip(s.reasons.first.tolist(), s.reasons.second.tolist()):
+    for a, b, _ in s.reasons.tolist():
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     full = (1 << n) - 1
@@ -595,7 +489,6 @@ def decide(
     report = ConflictReport(
         conflict_set=s,
         ordering=ordering,
-        per_member_conditioning=aj.conditioning,
         k=aj.k,
         measure=measure,
         decision=decision,

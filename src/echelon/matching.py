@@ -35,6 +35,7 @@ from echelon.models import (
     ForceModel,
     Level,
     ModelLibrary,
+    finite_number,
     subsumes,
 )
 
@@ -95,19 +96,11 @@ class MatchConfig:
                     raise ValueError(
                         f"matcher config: {key} must be an integer, got {value!r}"
                     )
-            elif not (type(value) in (int, float) and _is_finite(value)):
+            elif finite_number(value) is None:
                 raise ValueError(
                     f"matcher config: {key} must be a finite number, got {value!r}"
                 )
         return cls(**raw)
-
-
-def _is_finite(value: int | float) -> bool:
-    """Whether a JSON number is finite as a float (a huge integer is not)."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass

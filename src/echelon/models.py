@@ -304,17 +304,26 @@ def _integer(value: object, key: str, what: str) -> int:
     return value
 
 
-def _number(obj: dict, key: str, what: str) -> float:
-    """A finite JSON number (not a bool), as a float."""
-    value = _value(obj, key, what)
+def finite_number(value: object) -> float | None:
+    """``value`` as a float if it is a finite JSON number: not a bool, and
+    not an integer beyond the float range.  None otherwise."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an integer beyond the float range
-            number = math.inf
+            return None
         if math.isfinite(number):
             return number
-    raise LibraryFormatError(f"{what}: {key} must be a finite number, got {value!r}")
+    return None
+
+
+def _number(obj: dict, key: str, what: str) -> float:
+    """A finite JSON number (not a bool), as a float."""
+    value = _value(obj, key, what)
+    number = finite_number(value)
+    if number is None:
+        raise LibraryFormatError(f"{what}: {key} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_types(raw: list) -> dict[str, ForceType]:

@@ -31,7 +31,7 @@ from echelon.exceptions import ScenarioError
 from echelon.geometry import distance
 from echelon.hypotheses import Hypothesis, HypothesisGraph
 from echelon.matching import MatchConfig, candidate_to_hypothesis, match_level
-from echelon.models import LEVELS, Level, ModelLibrary, load_library
+from echelon.models import LEVELS, Level, ModelLibrary, finite_number, load_library
 from echelon.scenario import SCHEMA_VERSION, dumps
 
 
@@ -179,18 +179,24 @@ def _attached_terrain(
     return out
 
 
+def _field(d: dict, key: str, where: str):
+    """Field ``key`` of the scenario entry ``d``; ScenarioError naming the
+    entry (``where``) and the key when it is missing."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ScenarioError(f"{where}: missing key {key!r}") from None
+
+
 def _finite(d: dict, key: str, where: str) -> float:
     """Field ``key`` of the scenario entry ``d`` as a float; ScenarioError
     naming the entry (``where``) unless it is a finite JSON number."""
-    value = d[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ScenarioError(f"{where}: {key} must be a finite number, got {value!r}")
+    value = _field(d, key, where)
+    number = finite_number(value)
+    if number is None:
+        raise ScenarioError(f"{where}: {key} must be a finite number, got {value!r}")
+    return number
+
 
 
 def build_graph(
@@ -198,13 +204,25 @@ def build_graph(
 ) -> HypothesisGraph:
     """Create leaf hypotheses from the scenario's detections.
 
-    The scenario must be a JSON object and ``detections`` a list of
-    objects; the ``type`` of each must be a string, and ``x``, ``y`` and
-    ``lambda``, ``time`` when given and ``heading`` when given and not
-    null must be finite numbers.
+    The scenario must be a JSON object with no keys beyond
+    ``schema_version``, ``scenario_id``, ``detections``, ``terrain`` and
+    ``ground_truth``, and a ``schema_version``, when given, equal to
+    ``SCHEMA_VERSION``.  ``detections`` must be a list of objects, each
+    with an ``id`` and a string ``type``; ``x``, ``y`` and ``lambda``,
+    ``time`` when given and ``heading`` when given and not null must be
+    finite numbers.
     """
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
+    known = {"schema_version", "scenario_id", "detections", "terrain", "ground_truth"}
+    unknown = set(scenario) - known
+    if unknown:
+        raise ScenarioError(f"scenario: unknown keys {sorted(unknown)}")
+    version = scenario.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ScenarioError(
+            f"scenario: schema_version must be {SCHEMA_VERSION}, got {version!r}"
+        )
     g = HypothesisGraph()
     terrain = _terrain_items(scenario)
     for t in terrain:
@@ -212,17 +230,18 @@ def build_graph(
     detections = scenario.get("detections", [])
     if not isinstance(detections, list):
         raise ScenarioError("scenario: detections must be a list")
-    for d in detections:
+    for k, d in enumerate(detections):
         if not isinstance(d, dict):
             raise ScenarioError(f"scenario: detection {d!r} is not an object")
-        where = f"detection {d.get('id')!r}"
+        did = str(_field(d, "id", f"detection entry {k}"))
+        where = f"detection {d['id']!r}"
         if not isinstance(d.get("type"), str):
             raise ScenarioError(f"{where}: type must be a string, got {d.get('type')!r}")
         lib.type_of(d["type"])  # unknown detection types are a domain error
         location = (_finite(d, "x", where), _finite(d, "y", where))
         heading = _finite(d, "heading", where) if d.get("heading") is not None else None
         item = EvidenceItem(
-            id=str(d["id"]),
+            id=did,
             kind=EvidenceKind.DETECTION,
             likelihood_ratio=_finite(d, "lambda", where),
             location=location,
@@ -232,7 +251,7 @@ def build_graph(
         own = [item.id] + _attached_terrain(terrain, location)
         g.insert(
             Hypothesis(
-                id=f"v.{d['id']}",
+                id=f"v.{did}",
                 force_type=d["type"],
                 level=Level.VEHICLE,
                 location=location,
@@ -351,22 +370,16 @@ def _build_report(
     conflicts = []
     for level, rep in conflict_log:
         members = rep.conflict_set.members
-        edges = rep.conflict_set.reasons  # a PairReasons view: read its arrays
         conflicts.append(
             {
                 "level": level.label,
                 "members": list(members),
-                # in ascending pair order, as the view holds them
+                # in ascending pair order, as the conflict set holds them
                 "reasons": [
                     {"pair": [members[a], members[b]], "reasons": [*_REASON_VALUES[f]]}
-                    for a, b, f in zip(
-                        edges.first.tolist(), edges.second.tolist(), edges.flags.tolist()
-                    )
+                    for a, b, f in rep.conflict_set.reasons.tolist()
                 ],
                 "ordering": list(rep.ordering),
-                "per_member_conditioning": [
-                    list(c) for c in rep.per_member_conditioning
-                ],
                 "k": rep.k,
                 "measure": rep.measure,
                 "decision": rep.decision.value,

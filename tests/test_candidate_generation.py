@@ -22,8 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from echelon import conflict, matching, pipeline
-from echelon.conflict import ConflictReason, ConflictSet, detect_conflicts
-from echelon.evidence import EMPTY_SET, EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.conflict import ConflictReason, detect_conflicts
+from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.geometry import distance, heading_difference
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.matching import _clusters
@@ -78,7 +78,8 @@ EXAMPLES = dict(
 
 def reference_detect_conflicts(g, lib, level=None):
     """Every same-level pair through the exact test, doctrine looked up
-    per pair; groups in union-find root order."""
+    per pair; groups in union-find root order, each as ``as_compared``
+    gives a detected group."""
     out = []
     for lvl in LEVELS if level is None else (level,):
         ids = sorted(g.at_level(lvl, statuses={Status.ACTIVE}))
@@ -124,20 +125,16 @@ def reference_detect_conflicts(g, lib, level=None):
             members = sorted(groups[root])
             if len(members) < 2:
                 continue
-            pooled = EMPTY_SET
-            for m in members:
-                pooled = pooled | g.evidence_closure(m)
             inside = set(members)
             out.append(
-                ConflictSet(
-                    members=tuple(members),
-                    pooled_evidence=pooled,
-                    reasons={
-                        p: rs
+                (
+                    lvl,
+                    tuple(members),
+                    [
+                        (p, rs)
                         for p, rs in edges.items()
                         if p[0] in inside and p[1] in inside
-                    },
-                    level=lvl,
+                    ],
                 )
             )
     return out
@@ -162,9 +159,17 @@ def reference_clusters(g, ids, radius):
 
 
 def as_compared(sets):
-    """Members, reasons with their order, pooled evidence and level."""
+    """Level, members and ``((a, b), reasons)`` pairs in their order."""
     return [
-        (s.level, s.members, list(s.reasons.items()), s.pooled_evidence) for s in sets
+        (
+            s.level,
+            s.members,
+            [
+                ((s.members[a], s.members[b]), conflict.REASON_SETS[f])
+                for a, b, f in s.reasons.tolist()
+            ],
+        )
+        for s in sets
     ]
 
 
@@ -278,9 +283,8 @@ def scenes(draw):
 @settings(**EXAMPLES)
 @given(scenes())
 def test_detect_conflicts_equals_all_pairs(g):
-    assert as_compared(detect_conflicts(g, LIBRARY)) == as_compared(
-        reference_detect_conflicts(g, LIBRARY)
-    )
+    found = detect_conflicts(g, LIBRARY)
+    assert as_compared(found) == reference_detect_conflicts(g, LIBRARY)
 
 
 @settings(**EXAMPLES)
@@ -320,9 +324,8 @@ def test_non_finite_and_extreme_coordinates_match_all_pairs(empty_graph):
         add_leaf(g, f"v{i}", force_type="tank", location=loc, heading=float(i) * 1e6)
     ids = sorted(g.at_level(Level.VEHICLE))
     assert _clusters(g, ids, 50.0) == reference_clusters(g, ids, 50.0)
-    assert as_compared(detect_conflicts(g, LIBRARY)) == as_compared(
-        reference_detect_conflicts(g, LIBRARY)
-    )
+    found = detect_conflicts(g, LIBRARY)
+    assert as_compared(found) == reference_detect_conflicts(g, LIBRARY)
 
 
 HEADING_LIBRARY = load_library(
@@ -373,9 +376,7 @@ def test_non_finite_headings_and_wide_limits_match_all_pairs():
     ]
     g = _heading_scene(placed)
     found = detect_conflicts(g, HEADING_LIBRARY)
-    assert as_compared(found) == as_compared(
-        reference_detect_conflicts(g, HEADING_LIBRARY)
-    )
+    assert as_compared(found) == reference_detect_conflicts(g, HEADING_LIBRARY)
     assert found and len(found[0].reasons) > 100
 
 
@@ -393,9 +394,8 @@ def test_non_finite_headings_and_wide_limits_match_all_pairs():
 )
 def test_special_headings_equal_all_pairs(placed):
     g = _heading_scene(placed)
-    assert as_compared(detect_conflicts(g, HEADING_LIBRARY)) == as_compared(
-        reference_detect_conflicts(g, HEADING_LIBRARY)
-    )
+    found = detect_conflicts(g, HEADING_LIBRARY)
+    assert as_compared(found) == reference_detect_conflicts(g, HEADING_LIBRARY)
 
 
 # -- scaling guard -------------------------------------------------------

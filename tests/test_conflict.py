@@ -1,15 +1,17 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from echelon.accrual import propagate_level
+from echelon.accrual import posterior_given_subset, propagate_level
 from echelon.conflict import (
     REASON_SETS,
     ConflictReason,
     ConflictSet,
     Decision,
-    PairReasons,
     Heuristic,
     approx_joint,
     conflict_measure,
@@ -21,11 +23,17 @@ from echelon.conflict import (
 )
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.exceptions import DegenerateThresholdWarning, ResolutionTooLargeError
-from echelon.hypotheses import Status
+from echelon.hypotheses import HypothesisGraph, Status
 from echelon.models import Level
 from echelon.oracle import make_two_evidence_network
 
 from conftest import add_leaf, add_parent
+
+
+def edges(s):
+    """A conflict set's rows as ``((a, b), reasons)`` pairs, in row order."""
+    m = s.members
+    return [((m[a], m[b]), REASON_SETS[f]) for a, b, f in s.reasons.tolist()]
 
 
 class TestDetectConflicts:
@@ -46,8 +54,7 @@ class TestDetectConflicts:
         assert len(sets) == 1
         s = sets[0]
         assert s.members == ("a0", "a1")
-        assert s.reasons[("a0", "a1")] == frozenset({ConflictReason.SHARED_EVIDENCE})
-        assert s.pooled_evidence == g.evidence_closure("a0") | g.evidence_closure("a1")
+        assert edges(s) == [(("a0", "a1"), frozenset({ConflictReason.SHARED_EVIDENCE}))]
 
     def test_doctrine_too_close(self, empty_graph, tank_lib):
         g = empty_graph
@@ -56,7 +63,7 @@ class TestDetectConflicts:
         add_leaf(g, "v1", lam=3.0, location=(10, 0))
         sets = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
         assert len(sets) == 1
-        assert sets[0].reasons[("v0", "v1")] == frozenset({ConflictReason.TOO_CLOSE})
+        assert edges(sets[0]) == [(("v0", "v1"), frozenset({ConflictReason.TOO_CLOSE}))]
 
     def test_doctrine_orientation(self, empty_graph, tank_lib):
         g = empty_graph
@@ -64,9 +71,9 @@ class TestDetectConflicts:
         add_leaf(g, "v0", lam=3.0, location=(0, 0), heading=0.0)
         add_leaf(g, "v1", lam=3.0, location=(500, 0), heading=175.0)
         sets = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
-        assert sets and sets[0].reasons[("v0", "v1")] == frozenset(
-            {ConflictReason.ORIENTATION}
-        )
+        assert sets and edges(sets[0]) == [
+            (("v0", "v1"), frozenset({ConflictReason.ORIENTATION}))
+        ]
 
     def test_reason_sets_are_shared_and_pairs_ascending(self, empty_graph, tank_lib):
         g = empty_graph
@@ -75,54 +82,31 @@ class TestDetectConflicts:
             add_leaf(g, f"v{i}", lam=3.0, location=(x, 0), heading=heading)
         (s,) = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
         too_close, orientation = ConflictReason.TOO_CLOSE, ConflictReason.ORIENTATION
-        assert list(s.reasons.items()) == [
+        assert edges(s) == [
             (("v0", "v1"), frozenset({too_close, orientation})),
             (("v1", "v2"), frozenset({orientation})),
             (("v1", "v3"), frozenset({orientation})),
             (("v2", "v3"), frozenset({too_close})),
         ]
-        assert all(any(rs is shared for shared in REASON_SETS) for rs in s.reasons.values())
+        assert s.reasons.tolist() == [[0, 1, 6], [1, 2, 4], [1, 3, 4], [2, 3, 2]]
         assert len(set(REASON_SETS)) == 8 and REASON_SETS[0] == frozenset()
 
-    def test_reasons_view_reads_like_a_mapping(self, empty_graph, tank_lib):
+    def test_reasons_are_slices_of_one_read_only_level_array(
+        self, empty_graph, tank_lib
+    ):
         g = empty_graph
-        for i, (x, heading) in enumerate([(0, 0.0), (10, 175.0), (500, 0.0), (510, 0.0)]):
-            add_leaf(g, f"v{i}", lam=3.0, location=(x, 0), heading=heading)
-        (s,) = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
-        view = s.reasons
-        assert isinstance(view, PairReasons) and view.members == s.members
-        assert len(view) == 4
-        assert ("v1", "v3") in view and ("v0", "v2") not in view
-        assert ("v3", "v1") not in view and ("v9", "v1") not in view
-        assert ("v0", "v1") in view.keys() and "v0" not in view
-        assert ["v0", "v1"] not in view and ("v0", "v1", "v2") not in view
-        assert view[("v1", "v3")] == frozenset({ConflictReason.ORIENTATION})
-        with pytest.raises(KeyError):
-            view[("v0", "v2")]
-        assert view.get(("v0", "v2")) is None
-        pairs = [pair for pair, _ in view.items()]
-        assert pairs == sorted(pairs) == list(view)
-        assert list(view.values()) == [view[p] for p in pairs]
-        assert view == dict(view.items())
-        assert "PairReasons(" in repr(view)
-        with pytest.raises(TypeError):
-            view[("v0", "v1")] = REASON_SETS[0]
-
-    def test_plain_mapping_becomes_a_sorted_view(self, empty_graph):
-        g = empty_graph
-        for hid in ("a", "b", "c"):
-            add_leaf(g, hid, lam=2.0)
-        orientation = frozenset({ConflictReason.ORIENTATION})
-        both = frozenset({ConflictReason.TOO_CLOSE, ConflictReason.SHARED_EVIDENCE})
-        s = ConflictSet(
-            members=("a", "b", "c"),
-            pooled_evidence=g.evidence_closure("a"),
-            reasons={("b", "c"): orientation, ("a", "c"): both},
-            level=Level.VEHICLE,
-        )
-        assert isinstance(s.reasons, PairReasons)
-        assert list(s.reasons.items()) == [(("a", "c"), both), (("b", "c"), orientation)]
-        assert s.reasons.flags.tolist() == [3, 4]
+        # two vehicle groups: v0-v1 and v2-v3 too close, 500 m apart
+        for i, x in enumerate([0, 10, 500, 510]):
+            add_leaf(g, f"v{i}", lam=3.0, location=(x, 0))
+        first, second = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
+        assert (first.members, second.members) == (("v0", "v1"), ("v2", "v3"))
+        for s in (first, second):
+            assert s.reasons.shape == (1, 3) and s.reasons.tolist() == [[0, 1, 2]]
+            assert not s.reasons.flags.writeable
+            with pytest.raises(ValueError):
+                s.reasons[0, 2] = 0
+        assert first.reasons.base is second.reasons.base
+        assert first != ConflictSet(first.members, first.reasons, first.level)
 
     def test_shared_terrain_is_not_conflict(self, empty_graph, tank_lib):
         g = empty_graph
@@ -145,16 +129,14 @@ class TestDetectConflicts:
 
 
 def make_conflict_set(g, members, reason=ConflictReason.TOO_CLOSE, edges=None):
-    pooled = EvidenceSet()
-    for m in members:
-        pooled = pooled | g.evidence_closure(m)
+    members = tuple(sorted(members))
     if edges is None:
-        edges = list(itertools.combinations(sorted(members), 2))
-    reasons = {tuple(sorted(e)): frozenset({reason}) for e in edges}
+        edges = list(itertools.combinations(members, 2))
+    flags = REASON_SETS.index(frozenset({reason}))
+    rows = sorted((*sorted(map(members.index, e)), flags) for e in edges)
     return ConflictSet(
-        members=tuple(sorted(members)),
-        pooled_evidence=pooled,
-        reasons=reasons,
+        members=members,
+        reasons=np.array(rows, dtype=np.intp).reshape(-1, 3),
         level=g.get(members[0]).level,
     )
 
@@ -205,7 +187,6 @@ class TestApproxJoint:
         assert res.factors[0] == 0.9
         assert res.factors[1] == 0.8
         assert res.k == pytest.approx(0.72, abs=1e-12)
-        assert list(res.conditioning[0]) == ["e1"]
 
         swapped = approx_joint(s, ("C2", "C1"), g)
         # the mirrored display: P(C2|e2) * P(C1|e1,e12)
@@ -261,6 +242,74 @@ class TestApproxJoint:
         s = make_conflict_set(g, ["A", "B"])
         with pytest.raises(ValueError):
             approx_joint(s, ("A", "A"), g)
+
+
+def pooled_reference(s, ordering, g):
+    """Factors and k as first formulated: member i is scored on
+    ``(pooled - later) & closure_i``, with ``pooled`` the union of every
+    member's closure and ``later`` that of the members after i."""
+    closures = [g.evidence_closure(m) for m in ordering]
+    pooled = EvidenceSet()
+    for c in closures:
+        pooled = pooled | c
+    factors = []
+    for i, m in enumerate(ordering):
+        later = EvidenceSet()
+        for c in closures[i + 1 :]:
+            later = later | c
+        keep = (pooled - later) & closures[i]
+        factors.append(posterior_given_subset(g, m, keep) if keep else g.get(m).prior)
+    k = 1.0
+    for _, f in sorted(zip(ordering, factors)):
+        k *= f
+    return tuple(factors), k
+
+
+RATIOS = st.sampled_from([0.25, 0.5, 1.5, 2.0, 3.0, 9.0])
+
+
+@st.composite
+def overlapping_groups(draw):
+    """A graph whose vehicles draw detections and terrain from small shared
+    pools and whose arrays share vehicles, with one level's hypotheses as
+    a conflict set and a random ordering of it."""
+    g = HypothesisGraph()
+    for t in range(2):
+        g.add_evidence(EvidenceItem(f"t{t}", EvidenceKind.TERRAIN, draw(RATIOS)))
+    pool = [f"d{i}" for i in range(5)] + ["t0", "t1"]
+    ratios = {f"d{i}": draw(RATIOS) for i in range(5)}
+    vehicles = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    for v in vehicles:
+        own = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        prior = draw(st.sampled_from([0.2, 0.5, 0.7]))
+        add_leaf(g, v, prior=prior, items=[(i, ratios.get(i, 1.0)) for i in own])
+    propagate_level(g, Level.VEHICLE)
+    if draw(st.booleans()):
+        members = vehicles
+    else:
+        members = [f"a{i}" for i in range(draw(st.integers(2, 4)))]
+        for a in members:
+            children = st.lists(
+                st.sampled_from(vehicles), min_size=1, max_size=3, unique=True
+            )
+            score = {"fit_score": draw(st.floats(0, 1))}
+            fit = EvidenceItem(f"f.{a}", EvidenceKind.FIT, 2.0, sensor_context=score)
+            add_parent(g, a, sorted(draw(children)), items=[fit])
+        propagate_level(g, Level.ARRAY)
+    s = make_conflict_set(g, members)
+    return g, s, tuple(draw(st.permutations(s.members)))
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(overlapping_groups())
+def test_approx_joint_equals_pooled_formulation(case):
+    g, s, ordering = case
+    res = approx_joint(s, ordering, g)
+    factors, k = pooled_reference(s, ordering, g)
+    assert res.factors == factors
+    assert res.k == k
 
 
 class TestConflictMeasure:
@@ -356,14 +405,14 @@ class TestResolveExact:
             add_leaf(g, f"v{i}", lam=3.0, location=(x, 0), heading=heading)
             g.get(f"v{i}").posterior = 0.3 + 0.1 * i
         (detected,) = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
-        plain = dict(detected.reasons.items())
-        rebuilt = ConflictSet(
-            members=detected.members,
-            pooled_evidence=detected.pooled_evidence,
-            reasons=dict(reversed(plain.items())),
-            level=detected.level,
-        )
-        assert rebuilt == detected
+        plain = dict(edges(detected))
+        position = {m: i for i, m in enumerate(detected.members)}
+        rows = [
+            [position[a], position[b], REASON_SETS.index(rs)]
+            for (a, b), rs in reversed(plain.items())
+        ]
+        rebuilt = ConflictSet(detected.members, np.array(rows), detected.level)
+        assert sorted(rebuilt.reasons.tolist()) == detected.reasons.tolist()
         assert resolve_exact(rebuilt, g) == resolve_exact(detected, g)
         assert len(resolve_exact(detected, g)) > 1
 

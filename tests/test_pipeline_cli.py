@@ -363,6 +363,68 @@ class TestInferCommand:
         assert main(["infer", "--config", str(paths["config"])]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"detectionz": []}, "scenario: unknown keys ['detectionz']"),
+            ({"seed": 0, "notes": ""}, "scenario: unknown keys ['notes', 'seed']"),
+            ({"schema_version": 99}, "scenario: schema_version must be 1, got 99"),
+            ({"schema_version": "1"}, "schema_version must be 1, got '1'"),
+            ({"schema_version": 1.0}, "schema_version must be 1, got 1.0"),
+            ({"schema_version": True}, "schema_version must be 1, got True"),
+            ({"schema_version": None}, "schema_version must be 1, got None"),
+        ],
+    )
+    def test_malformed_scenario_document_is_domain_error(
+        self, tmp_path, capsys, extra, message
+    ):
+        paths = write_battalion_inputs(tmp_path)
+        doc = {"schema_version": 1, "scenario_id": "bad", "detections": [],
+               "terrain": [], **extra}
+        paths["scenario"].write_text(dumps(doc))
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not paths["report"].exists()
+
+    def test_scenario_without_schema_version_is_accepted(self, tmp_path):
+        paths = write_battalion_inputs(tmp_path)
+        doc = {"scenario_id": "bare", "detections": [], "terrain": [],
+               "ground_truth": {}}
+        paths["scenario"].write_text(dumps(doc))
+        assert main(["infer", "--config", str(paths["config"])]) == 0
+        assert json.loads(paths["report"].read_text())["scenario_id"] == "bare"
+
+    @pytest.mark.parametrize(
+        "section, key, message",
+        [
+            ("detections", "id", "detection entry 0: missing key 'id'"),
+            ("detections", "x", "detection 'd0': missing key 'x'"),
+            ("detections", "y", "detection 'd0': missing key 'y'"),
+            ("detections", "lambda", "detection 'd0': missing key 'lambda'"),
+            ("terrain", "x", "terrain entry 't0': missing key 'x'"),
+            ("terrain", "y", "terrain entry 't0': missing key 'y'"),
+            ("terrain", "lambda", "terrain entry 't0': missing key 'lambda'"),
+        ],
+    )
+    def test_missing_entry_key_names_entry_and_key(
+        self, tmp_path, capsys, section, key, message
+    ):
+        paths = write_battalion_inputs(tmp_path)
+        entries = {
+            "detections": {"id": "d0", "type": "tank", "x": 0.0, "y": 0.0,
+                           "lambda": 3.0},
+            "terrain": {"id": "t0", "x": 0.0, "y": 0.0, "lambda": 2.0},
+        }
+        del entries[section][key]
+        doc = {"schema_version": 1, "scenario_id": "bad",
+               "detections": [entries["detections"]], "terrain": [entries["terrain"]]}
+        paths["scenario"].write_text(dumps(doc))
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not paths["report"].exists()
+
     def test_demo_report_is_byte_identical(self, tmp_path):
         demo = Path(__file__).resolve().parents[1] / "demo"
         out = tmp_path / "report.json"
@@ -646,11 +708,40 @@ def noisy_grid_report(tmp_path):
         return run(cfg)
 
 
+def with_per_member_conditioning(report):
+    """The report with each conflict's ``per_member_conditioning`` put
+    back, derived from the report alone: a member's closure is its
+    ``own_evidence`` and its ``components``' closures, and its set is the
+    union of the members' closures minus those of the members after it
+    in ``ordering``."""
+    records = {e["id"]: e for entries in report["levels"].values() for e in entries}
+    closures = {}
+
+    def closure(hid):
+        if hid not in closures:
+            e = records[hid]
+            closures[hid] = set(e["own_evidence"]).union(
+                *(closure(c) for c in e["components"])
+            )
+        return closures[hid]
+
+    for c in report["conflicts"]:
+        pooled = set().union(*(closure(m) for m in c["members"]))
+        later = set()
+        conditioning = []
+        for m in reversed(c["ordering"]):
+            conditioning.append(sorted(pooled - later))
+            later |= closure(m)
+        c["per_member_conditioning"] = conditioning[::-1]
+    return report
+
+
 class TestConflictReportBytes:
     # sha256 of the noisy grid report as indent-2 JSON with sorted keys,
-    # recorded before the conflict path was optimised: every value of
-    # the conflicts section (reasons, per_member_conditioning,
-    # skip_error_estimates, consistent_sets) is pinned by it
+    # recorded before the conflict path was optimised, when the report
+    # still wrote per_member_conditioning: every value of the conflicts
+    # section (reasons, skip_error_estimates, consistent_sets) is pinned
+    # by it, and the hash holds with that field derived from the report
     REPORT_SHA256 = "cb85c53867371900595894050218db40ecd27b7466aa7663aa731a10e274ed7c"
 
     def test_noisy_grid_report_is_byte_identical(self, tmp_path):
@@ -675,7 +766,9 @@ class TestConflictReportBytes:
             and c["measure"] < report["config"]["tau"]
             for c in by_level["battalion"]
         )
-        text = json.dumps(json.loads(dumps(report)), sort_keys=True, indent=2) + "\n"
+        assert all("per_member_conditioning" not in c for c in report["conflicts"])
+        derived = with_per_member_conditioning(json.loads(dumps(report)))
+        text = json.dumps(derived, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
 
 
