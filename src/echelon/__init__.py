@@ -50,6 +50,7 @@ from echelon.models import (
     DoctrineConfig,
     ForceModel,
     ForceType,
+    HeadingLimit,
     Level,
     ModelLibrary,
     isa_ancestors,
@@ -79,6 +80,7 @@ __all__ = [
     "ForceModel",
     "ForceType",
     "GroundTruth",
+    "HeadingLimit",
     "Heuristic",
     "Hypothesis",
     "HypothesisGraph",

@@ -2,15 +2,16 @@
 
 Same-level hypotheses conflict when their evidence closures overlap
 (one item claimed by both) or when doctrine rules them implausible
-together (too close, incompatible headings).  Detection never tests
-every pair: an evidence index, a uniform grid and a vectorised heading
-search generate a superset of the conflicting pairs (a conservative
-filter), held as one sorted numpy array of pair codes per level, and
-the exact test decides them all at once.  Edges stay arrays from there
-to the report: a group's ``reasons`` is one int array of rows
-``(first position, second position, flags)``, and ``flags`` indexes
-eight reason frozensets built once at import, so an edge costs no
-Python object of its own however many a scene has.  Each connected
+together (too close, or incompatible headings while near each other):
+a conflict is local.  Detection never tests every pair: an evidence
+index finds the shared items, and one uniform grid proposes every pair
+near enough for a doctrine test (a conservative filter), which the
+exact tests decide.  A level's edges are one sorted numpy array of pair
+codes, and they stay arrays from there to the report: a group's
+``reasons`` is one int array of rows ``(first position, second
+position, flags)``, and ``flags`` indexes eight reason frozensets built
+once at import, so an edge costs no Python object of its own however
+many a scene has.  Each connected
 group is analyzed in polynomial time: members are ordered
 heuristically, each is scored on its own closure minus the closures of
 the members after it, and the product k estimates how likely all
@@ -37,8 +38,8 @@ from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
 )
-from echelon.geometry import beyond_pairs, distance, near_pairs
-from echelon.hypotheses import HypothesisGraph, Status
+from echelon.geometry import distance, near_pairs
+from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import LEVELS, Level, ModelLibrary
 
 
@@ -137,72 +138,58 @@ def _shared_codes(sharable: list[frozenset[str]], n: int) -> np.ndarray:
     return np.unique(np.array(codes, dtype=np.int64))
 
 
-def _near_codes(
-    locations: list[tuple[float, float]],
-    kinds: list[int],
-    sep: list[list[float]],
-    n: int,
+def _doctrine_codes(
+    hyps: list[Hypothesis], kinds: np.ndarray, doctrine: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the grid's candidate pairs and of those among them that
-    are too close.  The grid's cell is the largest positive separation,
-    so it proposes every pair that can be too close.  The test stays a
-    scalar ``distance`` (``math.hypot``): ``np.hypot`` need not round the
-    same way, and the threshold is strict."""
-    reach = max((d for row in sep for d in row if d > 0), default=None)
-    if reach is None:
-        return _NO_CODES, _NO_CODES
-    near: list[int] = []
-    close: list[int] = []
-    for i, j in near_pairs(locations, reach):
-        near.append(i * n + j)
-        if distance(locations[i], locations[j]) < sep[kinds[i]][kinds[j]]:
-            close.append(i * n + j)
-    return np.array(near, dtype=np.int64), np.array(close, dtype=np.int64)
+    """Codes of the pairs too close, and of those facing apart within
+    reach; ``doctrine`` holds the separation, heading limit and reach of
+    each type-index pair, NaN where doctrine has no row.
 
-
-def _turned_codes(
-    headings: np.ndarray, by_type: list[np.ndarray], delta: np.ndarray, n: int
-) -> np.ndarray:
-    """Codes of the pairs whose headings may differ by more than their
-    type pair's limit (``geometry.beyond_pairs``, per type pair); within
-    one type each pair is kept from its lower end."""
-    found = [_NO_CODES]
-    for ta, src in enumerate(by_type):
-        for tb in range(ta, len(by_type)):
-            dst = by_type[tb]
-            k, l = beyond_pairs(headings[src], headings[dst], float(delta[ta, tb]))
-            i, j = src[k], dst[l]
-            if ta == tb:
-                keep = j > i
-                i, j = i[keep], j[keep]
-            found.append(np.minimum(i, j) * n + np.maximum(i, j))
-    return np.concatenate(found)
-
-
-def _pair_flags(
-    codes: np.ndarray,
-    n: int,
-    shared: np.ndarray,
-    close: np.ndarray,
-    headings: np.ndarray,
-    kinds: np.ndarray,
-    delta: np.ndarray,
-) -> np.ndarray:
-    """The exact conflict test of every candidate pair at once: flag bits
-    1 shared evidence, 2 too close, 4 orientation, each pair's index into
-    ``REASON_SETS`` (0: no conflict).
-
-    Orientation uses ``heading_difference``'s float64 arithmetic, which
-    numpy performs identically; a missing heading or limit is NaN, so it
-    never flags.
+    One grid (``near_pairs``) at the level's largest positive separation
+    or reach proposes every pair either test can flag.  The heading test
+    runs on all of them at once, with ``heading_difference``'s float64
+    arithmetic, which numpy performs identically; a missing heading or
+    row is NaN, so it never flags.  The scalar ``distance``
+    (``math.hypot``) then decides every pair that has a positive
+    separation or faces apart: ``np.hypot`` need not round the same way,
+    and the separation threshold is strict.
     """
-    first, second = np.divmod(codes, n)
-    flags = np.isin(codes, shared).astype(np.uint8)
-    flags |= np.isin(codes, close).astype(np.uint8) << 1
+    sep, delta, within = doctrine
+    bounds = np.concatenate((sep, within))
+    reach = float(bounds[bounds > 0].max(initial=0.0))
+    if reach == 0.0:
+        return _NO_CODES, _NO_CODES
+    locations = [h.location for h in hyps]
+    headings = np.array([math.nan if h.heading is None else h.heading for h in hyps])
+    first, second = near_pairs(locations, reach)
+    types = kinds[first], kinds[second]
     with np.errstate(invalid="ignore"):  # inf - inf and inf % 360 give NaN
         d = np.abs(headings[first] - headings[second]) % 360.0
         d = np.where(d > 180.0, 360.0 - d, d)
-        flags |= (d > delta[kinds[first], kinds[second]]).astype(np.uint8) << 2
+        turned = d > delta[types]
+    close_below = sep[types]
+    face_within = np.where(turned, within[types], np.nan)
+    ask = turned | (close_below > 0)
+    close: list[int] = []
+    facing: list[int] = []
+    columns = (first, second, close_below, face_within)
+    for i, j, s, w in zip(*(column[ask].tolist() for column in columns)):
+        apart = distance(locations[i], locations[j])
+        if apart < s:
+            close.append(i * n + j)
+        if apart <= w:
+            facing.append(i * n + j)
+    return np.array(close, dtype=np.int64), np.array(facing, dtype=np.int64)
+
+
+def _pair_flags(
+    codes: np.ndarray, shared: np.ndarray, close: np.ndarray, facing: np.ndarray
+) -> np.ndarray:
+    """Flag bits of every conflicting pair at once: 1 shared evidence,
+    2 too close, 4 orientation, each pair's index into ``REASON_SETS``."""
+    flags = np.isin(codes, shared).astype(np.uint8)
+    flags |= np.isin(codes, close).astype(np.uint8) << 1
+    flags |= np.isin(codes, facing).astype(np.uint8) << 2
     return flags
 
 
@@ -216,14 +203,15 @@ def detect_conflicts(
     An edge joins two active same-level hypotheses when their closures
     share a non-terrain item, or doctrine flags them (closer than the
     type pair's minimum separation, or heading difference over the type
-    pair's maximum).  Doctrine is resolved once per type pair present.
-    A level's candidate pairs are one sorted array of codes i·n+j (i < j
-    over the id-sorted hypotheses) from an evidence index, a grid and a
-    heading search; they are a conservative filter and ``_pair_flags``
-    decides them all at once.  Union-find then takes the edges in id
-    order, as a test of every pair would, so it yields the same groups
-    in the same order.  The level's edges become one (E, 3) array,
-    bucketed by group, and each group's ``reasons`` is its slice.
+    pair's maximum while at most its reach apart).  Doctrine is resolved
+    once per type pair present.  A level's edges are one sorted array of
+    codes i·n+j (i < j over the id-sorted hypotheses): the pairs an
+    evidence index finds and those the doctrine tests flag among a
+    grid's candidates, whose reasons ``_pair_flags`` sets all at once.
+    Union-find then takes the edges in id order, as a test of every pair
+    would, so it yields the same groups in the same order.  The level's
+    edges become one (E, 3) array, bucketed by group, and each group's
+    ``reasons`` is its slice.
     """
     # Terrain is context, not an associable measurement: two forces over
     # the same ground are not in conflict for that reason alone.
@@ -240,31 +228,22 @@ def detect_conflicts(
         sharable = [g.evidence_closure(i).items - terrain for i in ids]
         types = sorted({h.force_type for h in hyps})
         type_index = {t: k for k, t in enumerate(types)}
-        kinds = [type_index[h.force_type] for h in hyps]
         # doctrine of each type-index pair, looked up once per unordered
         # type pair; NaN where doctrine has no row
-        sep = np.full((len(types), len(types)), np.nan)
-        delta = np.full((len(types), len(types)), np.nan)
+        doctrine = np.full((3, len(types), len(types)), np.nan)
+        lookups = (lib.min_separation, lib.max_heading_delta, lib.heading_reach)
         for ta, tb in itertools.combinations_with_replacement(range(len(types)), 2):
-            for table, lookup in ((sep, lib.min_separation), (delta, lib.max_heading_delta)):
+            for table, lookup in zip(doctrine, lookups):
                 value = lookup(types[ta], types[tb])
                 if value is not None:
                     table[ta, tb] = table[tb, ta] = value
-        headings = np.array(
-            [math.nan if h.heading is None else h.heading for h in hyps]
-        )
-        kind_array = np.array(kinds, dtype=np.intp)
-        headed = np.array([h.heading is not None for h in hyps])
-        by_type = [np.flatnonzero(headed & (kind_array == k)) for k in range(len(types))]
+        kinds = np.array([type_index[h.force_type] for h in hyps], dtype=np.intp)
 
         shared = _shared_codes(sharable, n)
-        near, close = _near_codes([h.location for h in hyps], kinds, sep.tolist(), n)
-        turned = _turned_codes(headings, by_type, delta, n)
-        codes = np.unique(np.concatenate([shared, near, turned]))
-        flags = _pair_flags(codes, n, shared, close, headings, kind_array, delta)
-        hit = flags != 0
-        first, second = np.divmod(codes[hit], n)
-        flags = flags[hit]
+        close, facing = _doctrine_codes(hyps, kinds, doctrine, n)
+        codes = np.unique(np.concatenate([shared, close, facing]))
+        flags = _pair_flags(codes, shared, close, facing)
+        first, second = np.divmod(codes, n)
 
         parent = list(range(n))
 
@@ -381,6 +360,24 @@ def skip_error_estimate(g: HypothesisGraph, parent_id: str, k: float) -> float:
     return p_he * (1.0 - k) / k
 
 
+def _expand(comp: list[int], cliques: list[int], r: int, p: int, x: int) -> None:
+    """Pivoted Bron-Kerbosch step over bitmasks: append to ``cliques``
+    every maximal clique of the graph ``comp`` that extends ``r`` with
+    vertices of ``p`` and none of ``x``."""
+    if p == 0 and x == 0:
+        cliques.append(r)
+        return
+    pivot = (p | x).bit_length() - 1
+    candidates = p & ~comp[pivot]
+    while candidates:
+        v = candidates & -candidates
+        vi = v.bit_length() - 1
+        _expand(comp, cliques, r | v, p & comp[vi], x & comp[vi])
+        p &= ~v
+        x |= v
+        candidates &= ~v
+
+
 def resolve_exact(
     s: ConflictSet, g: HypothesisGraph, max_exact: int = 20
 ) -> list[ConsistentSet]:
@@ -405,22 +402,7 @@ def resolve_exact(
     comp = [(full ^ adj[v]) & ~(1 << v) for v in range(n)]
 
     cliques: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            cliques.append(r)
-            return
-        pivot = (p | x).bit_length() - 1
-        candidates = p & ~comp[pivot]
-        while candidates:
-            v = candidates & -candidates
-            vi = v.bit_length() - 1
-            expand(r | v, p & comp[vi], x & comp[vi])
-            p &= ~v
-            x |= v
-            candidates &= ~v
-
-    expand(0, full, 0)
+    _expand(comp, cliques, 0, full, 0)
 
     posteriors = [g.get(m).posterior for m in s.members]
     raw: list[tuple[tuple[str, ...], float]] = []

@@ -253,7 +253,8 @@ def _clusters(
             x = parent[x]
         return x
 
-    for a, b in near_pairs(locations, radius):
+    first, second = near_pairs(locations, radius)
+    for a, b in zip(first.tolist(), second.tolist()):
         if distance(locations[a], locations[b]) <= radius:
             parent[find(a)] = find(b)
     groups: dict[int, list[str]] = {}
@@ -307,8 +308,26 @@ def _enumerate_assignments(
             later, earlier = max(c.slot_a, c.slot_b), min(c.slot_a, c.slot_b)
             checks[later].append((ci, earlier))
 
+    yield from _Enumeration(model, eligible, checks, sat, cfg.max_missing).rec(
+        0, frozenset(), 0, {}
+    )
+
+
+class _Enumeration:
+    """The recursion of ``_enumerate_assignments``.  Its generators are
+    methods, not nested functions: a nested function that calls itself is
+    a reference cycle, and one holding ``sat`` would keep the whole
+    hypothesis graph alive until the cyclic garbage collector runs."""
+
+    def __init__(self, model, eligible, checks, sat, max_missing) -> None:
+        self.slots = model.slots
+        self.eligible = eligible
+        self.checks = checks
+        self.sat = sat
+        self.max_missing = max_missing
+
     def combos(
-        slot_idx: int, avail: list[str], size: int, acc: dict, chosen=(), start=0
+        self, slot_idx: int, avail: list[str], size: int, acc: dict, chosen=(), start=0
     ):
         if len(chosen) == size:
             yield chosen
@@ -316,29 +335,27 @@ def _enumerate_assignments(
         for i in range(start, len(avail) - size + len(chosen) + 1):
             x = avail[i]
             if all(
-                sat(ci, x, y) != 0.0
-                for ci, other in checks[slot_idx]
+                self.sat(ci, x, y) != 0.0
+                for ci, other in self.checks[slot_idx]
                 for y in (chosen if other == slot_idx else acc[other])
             ):
-                yield from combos(slot_idx, avail, size, acc, chosen + (x,), i + 1)
+                yield from self.combos(slot_idx, avail, size, acc, chosen + (x,), i + 1)
 
-    def rec(slot_idx: int, used: frozenset[str], missing: int, acc: dict):
-        if slot_idx == len(model.slots):
+    def rec(self, slot_idx: int, used: frozenset[str], missing: int, acc: dict):
+        if slot_idx == len(self.slots):
             if any(acc.values()):
                 yield dict(acc), missing
             return
-        slot = model.slots[slot_idx]
-        avail = [c for c in eligible[slot_idx] if c not in used]
+        slot = self.slots[slot_idx]
+        avail = [c for c in self.eligible[slot_idx] if c not in used]
         for size in range(0, min(slot.count_max, len(avail)) + 1):
             short = max(0, slot.count_min - size)
-            if missing + short > cfg.max_missing:
+            if missing + short > self.max_missing:
                 continue
-            for combo in combos(slot_idx, avail, size, acc):
+            for combo in self.combos(slot_idx, avail, size, acc):
                 acc[slot_idx] = combo
-                yield from rec(slot_idx + 1, used | set(combo), missing + short, acc)
+                yield from self.rec(slot_idx + 1, used | set(combo), missing + short, acc)
         acc.pop(slot_idx, None)
-
-    yield from rec(0, frozenset(), 0, {})
 
 
 def match_level(

@@ -40,6 +40,7 @@ from echelon.scenario import (
 from conftest import add_leaf, battalion_ground_truth, write_battalion_inputs
 from test_conflict import brute_force_mis, make_conflict_set
 from test_matching import brute_force_candidates, candidate_keys
+from test_pipeline_cli import noisy_grid_config, run_counting_refusals
 
 
 def report(n, text):
@@ -373,3 +374,37 @@ def test_criterion_9_skip_error_realism(tmp_path):
     )
     report(9, f"{sum(outcomes)}/50 scenes within {SKIPERR_FACTOR}x of the skip-error "
               f"estimate (need {SKIPERR_RATE:.0%})")
+
+
+# (battalions, noise seed): array and battalion matches at 100 m before
+# orientation conflicts needed nearness, when every vehicle was skipped
+# in one refused group (vehicles matched 0 of 81, 81 and 144)
+NOISY_SCENES = {(9, 1): (15, 2), (9, 2): (12, 3), (16, 0): (24, 2)}
+
+
+@pytest.mark.parametrize("battalions, seed", sorted(NOISY_SCENES))
+def test_criterion_10_noisy_conflicts_stay_local(tmp_path, battalions, seed):
+    """Noisy multi-battalion scenes (p_detect 0.9, 0.5 false alarms per
+    km^2, 15 m jitter): every vehicle conflict group is small enough to
+    resolve exactly, none is refused, and recall at 100 m does not fall.
+    With local orientation conflicts the scenes match vehicles 70/81,
+    75/81 and 128/144, arrays 15/27, 12/27 and 28/48 (24 before), and
+    battalions 2/9, 3/9 and 3/16 (2 before)."""
+    cfg, scenario = noisy_grid_config(tmp_path, battalions, seed)
+    out, refused = run_counting_refusals(cfg)
+    assert refused == 0
+    vehicle_groups = [
+        len(c["members"]) for c in out["conflicts"] if c["level"] == "vehicle"
+    ]
+    assert vehicle_groups and max(vehicle_groups) <= cfg.max_exact
+    levels = score(out, scenario, match_radius=100.0)["levels"]
+    arrays, battalions_before = NOISY_SCENES[(battalions, seed)]
+    assert levels["array"]["matched"] >= arrays
+    assert levels["battalion"]["matched"] >= battalions_before
+    assert levels["vehicle"]["matched"] > 0
+    report(
+        10,
+        f"{battalions} noisy battalions (seed {seed}): largest vehicle group "
+        f"{max(vehicle_groups)} <= {cfg.max_exact}, none refused, arrays "
+        f"{levels['array']['matched']}/{levels['array']['truth_units']} at 100 m",
+    )

@@ -1,13 +1,13 @@
 """Candidate generation in conflict detection and clustering.
 
 ``detect_conflicts`` and ``matching._clusters`` test only the pairs that
-an evidence index, a uniform grid and a vectorised heading search
-(``geometry.beyond_pairs``) propose.  These tests hold them to the
-all-pairs versions below, which stay here as the reference, on scenes
-built to sit on every boundary the filters have: limits hit exactly or
-missed by 1e-9, headings across 0/360, negative, large and non-finite
-headings, negative coordinates, points on grid-cell edges, far-apart
-pairs sharing evidence and zero-metre separation rows.  The last tests
+an evidence index and a uniform grid (``geometry.near_pairs``) propose.
+These tests hold them to the all-pairs versions below, which stay here
+as the reference, on scenes built to sit on every boundary the filters
+and tests have: limits and reaches hit exactly or missed by 1e-9,
+headings across 0/360, negative, large and non-finite headings, negative
+coordinates, points on grid-cell edges, far-apart pairs sharing evidence
+or facing apart, and zero-metre separation rows.  The last tests
 count doctrine lookups and the candidate pairs given to the exact test
 (``conflict._pair_flags``), and the matcher's fit scores and pair
 evaluations, on generated clean scenes, so a return to all-pairs work or
@@ -54,10 +54,13 @@ LIBRARY = load_library(
                     {"a": "array", "b": "array", "meters": 400},
                 ],
                 "max_heading_delta": [
-                    {"a": "tank", "b": "tank", "degrees": 90},
+                    {"a": "tank", "b": "tank", "degrees": 90, "within_m": 60},
                     {"a": "tracked", "b": "truck", "degrees": 150},
-                    {"a": "apc", "b": "apc", "degrees": 0},
-                    {"a": "company", "b": "company", "degrees": 45},
+                    {"a": "apc", "b": "apc", "degrees": 0, "within_m": 45},
+                    # (mbt, apc) ties on depth and degrees: the reach 400 wins
+                    {"a": "tank", "b": "apc", "degrees": 45, "within_m": 30},
+                    {"a": "mbt", "b": "tracked", "degrees": 45, "within_m": 400},
+                    {"a": "company", "b": "company", "degrees": 45, "within_m": 400},
                 ],
             },
         }
@@ -65,7 +68,7 @@ LIBRARY = load_library(
 )
 VEHICLE_TYPES = ["vehicle", "tracked", "tank", "mbt", "apc", "truck"]
 ARRAY_TYPES = ["array", "company"]
-SEPARATIONS = [0.0, 30.0, 45.0, 60.0, 400.0]
+SEPARATIONS = [0.0, 30.0, 45.0, 60.0, 400.0, 600.0]
 HEADING_LIMITS = [0.0, 45.0, 90.0, 150.0]
 NUDGES = [0.0, 0.0, 1e-9, -1e-9, 2.0**-40, -(2.0**-40)]
 EXAMPLES = dict(
@@ -112,8 +115,13 @@ def reference_detect_conflicts(g, lib, level=None):
                 reasons.add(ConflictReason.TOO_CLOSE)
             if ha.heading is not None and hb.heading is not None:
                 limit = lib.max_heading_delta(ha.force_type, hb.force_type)
+                reach = lib.heading_reach(ha.force_type, hb.force_type)
                 diff = heading_difference(ha.heading, hb.heading)
-                if limit is not None and diff > limit:
+                if (
+                    limit is not None
+                    and diff > limit
+                    and distance(ha.location, hb.location) <= reach
+                ):
                     reasons.add(ConflictReason.ORIENTATION)
             if reasons:
                 edges[(a, b)] = frozenset(reasons)
@@ -340,10 +348,10 @@ HEADING_LIBRARY = load_library(
             "doctrine": {
                 "max_heading_delta": [
                     {"a": "tank", "b": "tank", "degrees": 180},
-                    {"a": "tank", "b": "apc", "degrees": 200},
-                    {"a": "apc", "b": "apc", "degrees": 30},
-                    {"a": "truck", "b": "vehicle", "degrees": 179.999999},
-                    {"a": "truck", "b": "truck", "degrees": -5},
+                    {"a": "tank", "b": "apc", "degrees": 200, "within_m": 1e5},
+                    {"a": "apc", "b": "apc", "degrees": 30, "within_m": 40000},
+                    {"a": "truck", "b": "vehicle", "degrees": 179.999999, "within_m": 1e5},
+                    {"a": "truck", "b": "truck", "degrees": -5, "within_m": 20000},
                 ]
             },
         }
@@ -357,7 +365,9 @@ SPECIAL_HEADINGS = [
 
 def _heading_scene(placed):
     """Vehicles of the given (type, heading), 1 km apart on a line, so only
-    the orientation test can join them."""
+    the orientation test can join them: pairs of the rows with a reach of
+    20 or 40 km (met exactly by some pairs) or 100 km, none with the
+    default reach."""
     g = HypothesisGraph()
     for i, (force_type, heading) in enumerate(placed):
         add_leaf(g, f"v{i:02d}", force_type=force_type, location=(1000.0 * i, 0.0),
@@ -366,9 +376,8 @@ def _heading_scene(placed):
 
 
 def test_non_finite_headings_and_wide_limits_match_all_pairs():
-    # NaN and infinite headings never conflict, but they cannot be placed
-    # on the circle, so the search pairs them with every partner; limits of
-    # 180 and more flag nothing, a negative limit flags every headed pair
+    # NaN and infinite headings never conflict; limits of 180 and more
+    # flag nothing, a negative limit flags every headed pair within reach
     placed = [
         (t, h)
         for t in ("tank", "apc", "truck", "vehicle")

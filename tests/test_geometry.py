@@ -1,25 +1,81 @@
+import itertools
 import math
+import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echelon.geometry import (
-    beyond_pairs,
     centroid,
     distance,
     heading_difference,
     mean_heading,
+    near_pairs,
 )
 
-HEADINGS = st.one_of(
-    st.floats(-1000.0, 1500.0),
-    st.sampled_from(
-        [math.nan, math.inf, -math.inf, 2.0**20, -(2.0**20), 1e300, 0.0, -0.0,
-         180.0, 360.0, -1e-20, 359.999999999]
-    ),
-)
+REACHES = [1.0, 1e-3, 30.0, 600.0, 1e-300, 1e300, math.inf]
+SPECIAL = [math.nan, math.inf, -math.inf, sys.float_info.max, -1.7e308, 1e300,
+           2.0**52, -0.0, 5e-324]
+
+
+@st.composite
+def coordinates(draw, reach):
+    """A free value, a cell edge (possibly nudged), or a special value."""
+    kind = draw(st.sampled_from(["free", "edge", "edge", "special"]))
+    if kind == "special":
+        return draw(st.sampled_from(SPECIAL))
+    if kind == "edge" and math.isfinite(reach):
+        nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9, 2.0**-40, -(2.0**-40)]))
+        return draw(st.integers(-8, 8)) * reach + nudge
+    return draw(st.floats(-3000.0, 3000.0))
+
+
+def reference_near_pairs(points, reach):
+    """The grid rule one pair at a time: (i, j) when either point is loose
+    or the cell of j lies in the cells the reach of i overlaps."""
+
+    def span(v):
+        if not math.isfinite(reach):
+            return None
+        slack = 4.0 * (math.ulp(v) + math.ulp(reach))
+        first, last = (v - reach - slack) / reach, (v + reach + slack) / reach
+        if not (slack < reach and math.isfinite(first) and math.isfinite(last)):
+            return None
+        return math.floor(first), math.floor(last)
+
+    spans = [(span(x), span(y)) for x, y in points]
+    pairs = []
+    for i, j in itertools.combinations(range(len(points)), 2):
+        (xs, ys), (xt, yt) = spans[i], spans[j]
+        if None in (xs, ys, xt, yt) or (
+            xs[0] <= math.floor(points[j][0] / reach) <= xs[1]
+            and ys[0] <= math.floor(points[j][1] / reach) <= ys[1]
+        ):
+            pairs.append((i, j))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_near_pairs_equal_the_grid_rule_and_cover_every_near_pair(data):
+    reach = data.draw(st.sampled_from(REACHES))
+    points = data.draw(
+        st.lists(st.tuples(coordinates(reach), coordinates(reach)), max_size=20)
+    )
+    # some points on another's cell edge or exactly one reach away
+    if points and math.isfinite(reach):
+        x, y = points[0]
+        points += [(x + reach, y), (x, y - reach), (x - reach, y + reach)]
+    first, second = near_pairs(points, reach)
+    found = list(zip(first.tolist(), second.tolist()))
+    assert found == sorted(set(found))  # ascending, each pair once
+    assert all(i < j for i, j in found)
+    assert found == reference_near_pairs(points, reach)
+    for i, j in itertools.combinations(range(len(points)), 2):
+        (xi, yi), (xj, yj) = points[i], points[j]
+        if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
+            assert (i, j) in found
 
 
 def test_distance_and_centroid():
@@ -39,31 +95,3 @@ def test_mean_heading_wraps():
     assert mean_heading([90.0]) == pytest.approx(90.0)
     assert mean_heading([]) is None
     assert mean_heading(h for h in (350.0, 10.0)) == pytest.approx(0.0, abs=1e-9)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(HEADINGS, max_size=10),
-    st.lists(HEADINGS, max_size=10),
-    st.sampled_from([-5.0, 0.0, 1e-9, 30.0, 90.0, 179.999999, 180.0, 200.0, math.nan]),
-    st.sampled_from([0.0, 1e-9, -1e-9]),
-)
-def test_beyond_pairs_covers_every_pair_over_the_limit(a, b, limit, nudge):
-    # headings sitting exactly on, or 1e-9 off, the limit from each other
-    if a and b:
-        b = b + [a[0] + limit + nudge, a[-1] - limit - nudge]
-    ks, ls = beyond_pairs(np.array(a, dtype=float), np.array(b, dtype=float), limit)
-    found = list(zip(ks.tolist(), ls.tolist()))
-    assert len(found) == len(set(found))  # each pair once
-    over = {
-        (k, l)
-        for k, x in enumerate(a)
-        for l, y in enumerate(b)
-        if heading_difference(x, y) > limit
-    }
-    assert over <= set(found)
-    # a filter, not every pair: a placed pair it returns differs by more
-    # than the limit less the arc margin
-    for k, l in found:
-        if abs(a[k]) < 2.0**20 and abs(b[l]) < 2.0**20 and 0.0 < limit < 180.0:
-            assert heading_difference(a[k], b[l]) > limit - 2e-6

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -163,6 +164,20 @@ class TestValidateCommand:
             (lambda d: d["types"][2].update(isa=3), "type 'tank': isa must be a string"),
             (lambda d: d.update(models={}), "library: models must be a list"),
             (lambda d: d["models"][0].pop("type"), "missing key 'type'"),
+            *(
+                (
+                    lambda d, v=v: d["doctrine"]["max_heading_delta"][0].update(
+                        within_m=v
+                    ),
+                    "max_heading_delta row 0: within_m must be a finite number > 0, "
+                    f"got {v!r}",
+                )
+                for v in (math.nan, math.inf, -math.inf, 0, -5.0, True, "600", None)
+            ),
+            (
+                lambda d: d["doctrine"]["max_heading_delta"][0].update(within=600),
+                "max_heading_delta row 0: unknown keys ['within']",
+            ),
         ],
     )
     def test_malformed_library_value_is_domain_error(
@@ -622,6 +637,15 @@ class TestCompanyLevelConflict:
         assert math.fsum(posts.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def run_counting_refusals(cfg):
+    """The report of ``run(cfg)`` and how many conflict groups were
+    refused exact resolution (each warns "resolution too large")."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run(cfg)
+    return report, sum("resolution too large" in str(w.message) for w in caught)
+
+
 class TestNoisyEndToEnd:
     def test_noisy_battalion_runs_and_scores(self, tmp_path):
         from echelon.models import load_library
@@ -646,13 +670,15 @@ class TestNoisyEndToEnd:
         cfg.matcher = type(cfg.matcher)(
             gather_radius=1200, min_fit=0.2, max_missing=1, lambda_max=9.0
         )
-        # the jittered scene breeds a conflict component too large to
-        # resolve exactly; decide falls back to skipping it
-        with pytest.warns(UserWarning, match="resolution too large"):
-            report = run(cfg)
-        with pytest.warns(UserWarning, match="resolution too large"):
-            rerun = run(cfg)
+        # the jittered scene's false alarms face every way, yet conflicts
+        # stay local: each vehicle group is small enough to resolve exactly
+        report, refused = run_counting_refusals(cfg)
+        rerun, _ = run_counting_refusals(cfg)
         assert dumps(rerun) == dumps(report)  # deterministic despite the mess
+        assert refused == 0
+        vehicle_groups = [c for c in report["conflicts"] if c["level"] == "vehicle"]
+        assert vehicle_groups
+        assert max(len(c["members"]) for c in vehicle_groups) <= cfg.max_exact
         metrics = score(report, scenario, match_radius=100.0)
         vehicle = metrics["levels"]["vehicle"]
         detected = sum(1 for v in scenario["ground_truth"]["vehicles"] if v["detected"])
@@ -661,19 +687,20 @@ class TestNoisyEndToEnd:
         assert metrics["levels"]["array"]["recall"] > 0.0
 
 
-def noisy_grid_report(tmp_path):
-    """The report of four tank battalions on a 5 km grid seen through a
-    noisy channel (p_detect 0.9, 0.5 false alarms per km^2, 15 m
-    jitter, noise seed 0)."""
+def noisy_grid_config(tmp_path, battalions=4, seed=0):
+    """Run config and scenario of tank battalions on a 5 km grid seen
+    through a noisy channel (p_detect 0.9, 0.5 false alarms per km^2,
+    15 m jitter, the given noise seed)."""
     from echelon.models import load_library
     from echelon.scenario import NoiseSpec, generate, load_ground_truth
     from conftest import company_node
 
     library_text = json.dumps(TANK_LIBRARY)
     lib = load_library(library_text)
+    cols = math.ceil(math.sqrt(battalions))
     forces = []
-    for i in range(4):
-        bx, by = (i % 2) * 5000.0, (i // 2) * 5000.0
+    for i in range(battalions):
+        bx, by = (i % cols) * 5000.0, (i // cols) * 5000.0
         forces.append(
             {
                 "model": "tank-battalion-std",
@@ -684,16 +711,18 @@ def noisy_grid_report(tmp_path):
                 ],
             }
         )
+    side = cols * 5000.0
     gt = load_ground_truth(
-        {"id": "grid-4", "area": {"width_m": 10000.0, "height_m": 10000.0},
+        {"id": f"grid-{battalions}", "area": {"width_m": side, "height_m": side},
          "forces": forces},
         lib,
     )
     noise = NoiseSpec(
-        p_detect=0.9, false_alarm_density=0.5, location_jitter=15.0, seed=0
+        p_detect=0.9, false_alarm_density=0.5, location_jitter=15.0, seed=seed
     )
+    scenario = generate(gt, noise, lib)
     (tmp_path / "library.json").write_text(library_text)
-    (tmp_path / "scenario.json").write_text(dumps(generate(gt, noise, lib)))
+    (tmp_path / "scenario.json").write_text(dumps(scenario))
     cfg = RunConfig.from_dict(
         {
             "library": "library.json",
@@ -703,8 +732,14 @@ def noisy_grid_report(tmp_path):
         },
         base_dir=tmp_path,
     )
+    return cfg, scenario
+
+
+def noisy_grid_report(tmp_path):
+    """The report of four noisy battalions (noise seed 0)."""
+    cfg, _ = noisy_grid_config(tmp_path)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # capped clusters, refused resolution
+        warnings.simplefilter("ignore")  # capped clusters
         return run(cfg)
 
 
@@ -738,38 +773,71 @@ def with_per_member_conditioning(report):
 
 class TestConflictReportBytes:
     # sha256 of the noisy grid report as indent-2 JSON with sorted keys,
-    # recorded before the conflict path was optimised, when the report
-    # still wrote per_member_conditioning: every value of the conflicts
-    # section (reasons, skip_error_estimates, consistent_sets) is pinned
-    # by it, and the hash holds with that field derived from the report
-    REPORT_SHA256 = "cb85c53867371900595894050218db40ecd27b7466aa7663aa731a10e274ed7c"
+    # with per_member_conditioning derived from the report (the field
+    # the report once wrote), so every value of the conflicts section
+    # (reasons, orderings, measures, consistent_sets) is pinned by it;
+    # recorded once orientation conflicts became local
+    REPORT_SHA256 = "d878fd74242f5e71e205e64e280ff2a138bddc8ac5bc9371cc754133ffe3fecd"
 
     def test_noisy_grid_report_is_byte_identical(self, tmp_path):
         report = noisy_grid_report(tmp_path)
         by_level = {}
         for c in report["conflicts"]:
             by_level.setdefault(c["level"], []).append(c)
-        # the scene covers the three decisions: a vehicle group refused
-        # exact resolution (skipped with its measure over tau), a
-        # resolved array pair, and a battalion pair skipped under tau
-        refused = [c for c in by_level["vehicle"] if len(c["members"]) == 101]
-        assert refused and refused[0]["decision"] == "skip"
-        assert refused[0]["measure"] >= report["config"]["tau"]
-        assert refused[0]["skip_error_estimates"]
-        assert any(
-            len(c["members"]) == 2 and c["decision"] == "resolve" and c["consistent_sets"]
-            for c in by_level["array"]
+        # the false alarms that face apart from nearby tanks form ten
+        # small vehicle groups joined by orientation alone, and the
+        # overlapping company candidates one array group; every group is
+        # resolved exactly, none skipped, and no battalions conflict
+        vehicle = by_level.pop("vehicle")
+        assert sorted(len(c["members"]) for c in vehicle) == [2] * 5 + [3, 4, 4, 8, 10]
+        assert all(
+            r["reasons"] == ["orientation"] for c in vehicle for r in c["reasons"]
         )
-        assert any(
-            len(c["members"]) == 2
-            and c["decision"] == "skip"
-            and c["measure"] < report["config"]["tau"]
-            for c in by_level["battalion"]
-        )
+        assert [len(c["members"]) for c in by_level.pop("array")] == [9]
+        assert not by_level
+        for c in report["conflicts"]:
+            assert c["decision"] == "resolve" and c["consistent_sets"]
+            assert c["measure"] >= report["config"]["tau"]
+            assert not c["skip_error_estimates"]
         assert all("per_member_conditioning" not in c for c in report["conflicts"])
         derived = with_per_member_conditioning(json.loads(dumps(report)))
         text = json.dumps(derived, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
+
+
+class TestNoCyclicGarbage:
+    """A run's hypothesis graph is freed by reference counting alone:
+    with the cyclic collector off, a run leaves nothing for it to find,
+    so memory does not wait on when a collection happens to run."""
+
+    @staticmethod
+    def garbage_of(cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # capped clusters
+            run(cfg)  # the first run fills import-time and module caches
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.garbage.clear()
+                run(cfg)
+                gc.collect()
+                return list(gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                if enabled:
+                    gc.enable()
+
+    def test_demo_run_leaves_no_cycles(self):
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        assert self.garbage_of(RunConfig.from_file(demo / "run_config.json")) == []
+
+    def test_noisy_run_leaves_no_cycles(self, tmp_path):
+        # matching, and exact resolution of the local vehicle groups
+        cfg, _ = noisy_grid_config(tmp_path)
+        assert self.garbage_of(cfg) == []
 
 
 class TestReportAudit:
