@@ -50,7 +50,6 @@ from echelon.models import (
     DoctrineConfig,
     ForceModel,
     ForceType,
-    HeadingLimit,
     Level,
     ModelLibrary,
     isa_ancestors,
@@ -80,7 +79,6 @@ __all__ = [
     "ForceModel",
     "ForceType",
     "GroundTruth",
-    "HeadingLimit",
     "Heuristic",
     "Hypothesis",
     "HypothesisGraph",

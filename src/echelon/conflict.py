@@ -40,7 +40,7 @@ from echelon.exceptions import (
 )
 from echelon.geometry import distance, near_pairs
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
-from echelon.models import LEVELS, Level, ModelLibrary
+from echelon.models import HEADING_REACH_M, LEVELS, Level, ModelLibrary
 
 
 class ConflictReason(enum.Enum):
@@ -142,42 +142,47 @@ def _doctrine_codes(
     hyps: list[Hypothesis], kinds: np.ndarray, doctrine: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Codes of the pairs too close, and of those facing apart within
-    reach; ``doctrine`` holds the separation, heading limit and reach of
-    each type-index pair, NaN where doctrine has no row.
+    ``HEADING_REACH_M``; ``doctrine`` holds the separation and heading
+    limit of each type-index pair, NaN where doctrine has no row.
 
-    One grid (``near_pairs``) at the level's largest positive separation
-    or reach proposes every pair either test can flag.  The heading test
-    runs on all of them at once, with ``heading_difference``'s float64
+    One grid (``near_pairs``) at the level's largest positive separation,
+    or at the heading reach if that is larger and the level has a heading
+    row, proposes every pair either test can flag.  The heading test runs
+    on all of them at once, with ``heading_difference``'s float64
     arithmetic, which numpy performs identically; a missing heading or
-    row is NaN, so it never flags.  The scalar ``distance``
-    (``math.hypot``) then decides every pair that has a positive
-    separation or faces apart: ``np.hypot`` need not round the same way,
-    and the separation threshold is strict.
+    row is NaN, so it never flags.  ``distance`` never falls below the
+    magnitude of either coordinate difference, so a pair whose larger
+    difference already reaches its separation, or exceeds the heading
+    reach, cannot pass that test and is dropped.  The scalar ``distance``
+    (``math.hypot``) decides the rest: ``np.hypot`` need not round the
+    same way, and the separation threshold is strict.
     """
-    sep, delta, within = doctrine
-    bounds = np.concatenate((sep, within))
-    reach = float(bounds[bounds > 0].max(initial=0.0))
+    sep, delta = doctrine
+    reach = float(sep[sep > 0].max(initial=0.0))
+    if not np.isnan(delta).all():
+        reach = max(reach, HEADING_REACH_M)
     if reach == 0.0:
         return _NO_CODES, _NO_CODES
     locations = [h.location for h in hyps]
+    xy = np.array(locations, dtype=float).reshape(-1, 2)
     headings = np.array([math.nan if h.heading is None else h.heading for h in hyps])
-    first, second = near_pairs(locations, reach)
+    first, second = near_pairs(xy, reach)
     types = kinds[first], kinds[second]
     with np.errstate(invalid="ignore"):  # inf - inf and inf % 360 give NaN
+        span = np.abs(xy[first] - xy[second]).max(axis=1)
         d = np.abs(headings[first] - headings[second]) % 360.0
         d = np.where(d > 180.0, 360.0 - d, d)
-        turned = d > delta[types]
+        turned = (d > delta[types]) & (span <= HEADING_REACH_M)
     close_below = sep[types]
-    face_within = np.where(turned, within[types], np.nan)
-    ask = turned | (close_below > 0)
+    ask = turned | (span < close_below)
     close: list[int] = []
     facing: list[int] = []
-    columns = (first, second, close_below, face_within)
-    for i, j, s, w in zip(*(column[ask].tolist() for column in columns)):
+    columns = (first, second, close_below, turned)
+    for i, j, s, t in zip(*(column[ask].tolist() for column in columns)):
         apart = distance(locations[i], locations[j])
         if apart < s:
             close.append(i * n + j)
-        if apart <= w:
+        if t and apart <= HEADING_REACH_M:
             facing.append(i * n + j)
     return np.array(close, dtype=np.int64), np.array(facing, dtype=np.int64)
 
@@ -203,9 +208,9 @@ def detect_conflicts(
     An edge joins two active same-level hypotheses when their closures
     share a non-terrain item, or doctrine flags them (closer than the
     type pair's minimum separation, or heading difference over the type
-    pair's maximum while at most its reach apart).  Doctrine is resolved
-    once per type pair present.  A level's edges are one sorted array of
-    codes i·n+j (i < j over the id-sorted hypotheses): the pairs an
+    pair's maximum while at most ``HEADING_REACH_M`` apart).  Doctrine is
+    resolved once per type pair present.  A level's edges are one sorted
+    array of codes i·n+j (i < j over the id-sorted hypotheses): the pairs an
     evidence index finds and those the doctrine tests flag among a
     grid's candidates, whose reasons ``_pair_flags`` sets all at once.
     Union-find then takes the edges in id order, as a test of every pair
@@ -230,8 +235,8 @@ def detect_conflicts(
         type_index = {t: k for k, t in enumerate(types)}
         # doctrine of each type-index pair, looked up once per unordered
         # type pair; NaN where doctrine has no row
-        doctrine = np.full((3, len(types), len(types)), np.nan)
-        lookups = (lib.min_separation, lib.max_heading_delta, lib.heading_reach)
+        doctrine = np.full((2, len(types), len(types)), np.nan)
+        lookups = (lib.min_separation, lib.max_heading_delta)
         for ta, tb in itertools.combinations_with_replacement(range(len(types)), 2):
             for table, lookup in zip(doctrine, lookups):
                 value = lookup(types[ta], types[tb])

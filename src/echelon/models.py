@@ -4,8 +4,8 @@ Force types live in a within-level refinement ("is-a") hierarchy, while
 composition models span levels ("part-of"): a model at one level lists
 component slots whose types sit exactly one level below.  Doctrine adds
 plausibility tables (minimum separations, heading compatibility within
-a reach) used as non-evidential conflict tests.  A loaded library is
-immutable and safe to share across threads.
+``HEADING_REACH_M``) used as non-evidential conflict tests.  A loaded
+library is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from echelon.exceptions import (
     LibraryFormatError,
@@ -124,18 +124,9 @@ class ForceModel:
                     )
 
 
-# Reach, in meters, of a max_heading_delta row that gives no within_m:
-# two units farther apart than their row's reach never conflict by heading.
-DEFAULT_WITHIN_M = 600.0
-
-
-class HeadingLimit(NamedTuple):
-    """One ``max_heading_delta`` row: the largest heading difference, in
-    degrees, two units may legally show while at most ``within_m``
-    meters apart."""
-
-    degrees: float
-    within_m: float
+# Reach of every max_heading_delta row, in meters: two units farther
+# apart than this never conflict by heading, however they face.
+HEADING_REACH_M = 600.0
 
 
 @dataclass(frozen=True)
@@ -144,17 +135,17 @@ class DoctrineConfig:
 
     ``min_separation`` gives the closest two units of the given types
     may legally sit; ``max_heading_delta`` the largest heading
-    difference they may legally show within its reach.  Lookups walk
-    both refinement chains and return the most specific entry: the one
-    whose two types sit the fewest refinement steps above the queried
-    pair in total.  When several entries tie at that depth the strictest
-    wins (the largest separation; the smallest heading difference, then
-    the larger reach), so a lookup gives the same answer in either
-    argument order, and a heading row's reach comes with its degrees.
+    difference they may legally show while at most ``HEADING_REACH_M``
+    apart.  Lookups walk both refinement chains and return the most
+    specific entry: the one whose two types sit the fewest refinement
+    steps above the queried pair in total.  When several entries tie at
+    that depth the strictest wins (the
+    largest separation, the smallest heading difference), so a lookup
+    gives the same answer in either argument order.
     """
 
     min_separation: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    max_heading_delta: Mapping[tuple[str, str], HeadingLimit] = field(default_factory=dict)
+    max_heading_delta: Mapping[tuple[str, str], float] = field(default_factory=dict)
 
     @staticmethod
     def key(a: str, b: str) -> tuple[str, str]:
@@ -171,7 +162,7 @@ class ModelLibrary:
     # Resolved doctrine per (table, unordered type pair).  The library is
     # immutable, so entries never go stale; a racing duplicate insert
     # stores the same value.
-    _resolved: dict[tuple[str, str, str], float | HeadingLimit | None] = field(
+    _resolved: dict[tuple[str, str, str], float | None] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -195,38 +186,28 @@ class ModelLibrary:
         return self._doctrine_lookup("min_separation", a, b)
 
     def max_heading_delta(self, a: str, b: str) -> float | None:
-        limit = self._doctrine_lookup("max_heading_delta", a, b)
-        return None if limit is None else limit.degrees
+        return self._doctrine_lookup("max_heading_delta", a, b)
 
-    def heading_reach(self, a: str, b: str) -> float | None:
-        """``within_m`` of the row ``max_heading_delta(a, b)`` comes from."""
-        limit = self._doctrine_lookup("max_heading_delta", a, b)
-        return None if limit is None else limit.within_m
-
-    def _doctrine_lookup(self, table: str, a: str, b: str):
+    def _doctrine_lookup(self, table: str, a: str, b: str) -> float | None:
         key = (table, *DoctrineConfig.key(a, b))
         if key not in self._resolved:
-            strictest = max if table == "min_separation" else _strictest_heading
+            strictest = max if table == "min_separation" else min
             self._resolved[key] = _resolve_doctrine(
                 self, getattr(self.doctrine, table), strictest, a, b
             )
         return self._resolved[key]
 
 
-def _strictest_heading(rows: list[HeadingLimit]) -> HeadingLimit:
-    return min(rows, key=lambda r: (r.degrees, -r.within_m))
-
-
 def _resolve_doctrine(
     lib: ModelLibrary,
-    table: Mapping[tuple[str, str], float | HeadingLimit],
-    strictest: Callable[[list], float | HeadingLimit],
+    table: Mapping[tuple[str, str], float],
+    strictest: Callable[[list[float]], float],
     a: str,
     b: str,
-) -> float | HeadingLimit | None:
+) -> float | None:
     # Most specific applicable entries: those of least combined
     # refinement depth (shallowest climb up both chains).  On a tie the
-    # strictest entry wins, which makes the result symmetric in a and b.
+    # strictest value wins, which makes the result symmetric in a and b.
     found = [
         (i + j, val)
         for i, ta in enumerate(isa_ancestors(a, lib))
@@ -420,27 +401,15 @@ def _parse_models(raw: list) -> dict[str, ForceModel]:
 
 def _parse_doctrine(raw: dict) -> DoctrineConfig:
     _require_keys(raw, _DOCTRINE_KEYS, "doctrine")
-    separation: dict[tuple[str, str], float] = {}
-    heading: dict[tuple[str, str], HeadingLimit] = {}
-    for k, entry in enumerate(_list(raw, "min_separation", "doctrine")):
-        what = f"min_separation row {k}"
-        _require_keys(entry, {"a", "b", "meters"}, what)
-        separation[_type_pair(entry, what)] = _number(entry, "meters", what)
-    for k, entry in enumerate(_list(raw, "max_heading_delta", "doctrine")):
-        what = f"max_heading_delta row {k}"
-        _require_keys(entry, {"a", "b", "degrees", "within_m"}, what)
-        key = _type_pair(entry, what)
-        within = finite_number(entry.get("within_m", DEFAULT_WITHIN_M))
-        if within is None or within <= 0:
-            raise LibraryFormatError(
-                f"{what}: within_m must be a finite number > 0, got {entry['within_m']!r}"
-            )
-        heading[key] = HeadingLimit(_number(entry, "degrees", what), within)
-    return DoctrineConfig(min_separation=separation, max_heading_delta=heading)
-
-
-def _type_pair(entry: dict, what: str) -> tuple[str, str]:
-    return DoctrineConfig.key(_text(entry, "a", what), _text(entry, "b", what))
+    tables: dict[str, dict[tuple[str, str], float]] = {}
+    for table, unit in (("min_separation", "meters"), ("max_heading_delta", "degrees")):
+        rows = tables[table] = {}
+        for k, entry in enumerate(_list(raw, table, "doctrine")):
+            what = f"{table} row {k}"
+            _require_keys(entry, {"a", "b", unit}, what)
+            key = DoctrineConfig.key(_text(entry, "a", what), _text(entry, "b", what))
+            rows[key] = _number(entry, unit, what)
+    return DoctrineConfig(**tables)
 
 
 def _validate(lib: ModelLibrary) -> None:

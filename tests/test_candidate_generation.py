@@ -27,7 +27,7 @@ from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.geometry import distance, heading_difference
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.matching import _clusters
-from echelon.models import LEVELS, Level, ModelLibrary, load_library
+from echelon.models import HEADING_REACH_M, LEVELS, Level, ModelLibrary, load_library
 from echelon.scenario import NoiseSpec, dumps, generate, load_ground_truth
 
 from conftest import TANK_LIBRARY, add_leaf, company_node
@@ -54,13 +54,10 @@ LIBRARY = load_library(
                     {"a": "array", "b": "array", "meters": 400},
                 ],
                 "max_heading_delta": [
-                    {"a": "tank", "b": "tank", "degrees": 90, "within_m": 60},
+                    {"a": "tank", "b": "tank", "degrees": 90},
                     {"a": "tracked", "b": "truck", "degrees": 150},
-                    {"a": "apc", "b": "apc", "degrees": 0, "within_m": 45},
-                    # (mbt, apc) ties on depth and degrees: the reach 400 wins
-                    {"a": "tank", "b": "apc", "degrees": 45, "within_m": 30},
-                    {"a": "mbt", "b": "tracked", "degrees": 45, "within_m": 400},
-                    {"a": "company", "b": "company", "degrees": 45, "within_m": 400},
+                    {"a": "apc", "b": "apc", "degrees": 0},
+                    {"a": "company", "b": "company", "degrees": 45},
                 ],
             },
         }
@@ -115,12 +112,11 @@ def reference_detect_conflicts(g, lib, level=None):
                 reasons.add(ConflictReason.TOO_CLOSE)
             if ha.heading is not None and hb.heading is not None:
                 limit = lib.max_heading_delta(ha.force_type, hb.force_type)
-                reach = lib.heading_reach(ha.force_type, hb.force_type)
                 diff = heading_difference(ha.heading, hb.heading)
                 if (
                     limit is not None
                     and diff > limit
-                    and distance(ha.location, hb.location) <= reach
+                    and distance(ha.location, hb.location) <= HEADING_REACH_M
                 ):
                     reasons.add(ConflictReason.ORIENTATION)
             if reasons:
@@ -348,10 +344,10 @@ HEADING_LIBRARY = load_library(
             "doctrine": {
                 "max_heading_delta": [
                     {"a": "tank", "b": "tank", "degrees": 180},
-                    {"a": "tank", "b": "apc", "degrees": 200, "within_m": 1e5},
-                    {"a": "apc", "b": "apc", "degrees": 30, "within_m": 40000},
-                    {"a": "truck", "b": "vehicle", "degrees": 179.999999, "within_m": 1e5},
-                    {"a": "truck", "b": "truck", "degrees": -5, "within_m": 20000},
+                    {"a": "tank", "b": "apc", "degrees": 200},
+                    {"a": "apc", "b": "apc", "degrees": 30},
+                    {"a": "truck", "b": "vehicle", "degrees": 179.999999},
+                    {"a": "truck", "b": "truck", "degrees": -5},
                 ]
             },
         }
@@ -364,13 +360,13 @@ SPECIAL_HEADINGS = [
 
 
 def _heading_scene(placed):
-    """Vehicles of the given (type, heading), 1 km apart on a line, so only
-    the orientation test can join them: pairs of the rows with a reach of
-    20 or 40 km (met exactly by some pairs) or 100 km, none with the
-    default reach."""
+    """Vehicles of the given (type, heading), 10 m apart on a line, so only
+    the orientation test can join them: pairs up to 60 places apart lie
+    within ``HEADING_REACH_M`` (60 places exactly on it), those further
+    apart beyond it."""
     g = HypothesisGraph()
     for i, (force_type, heading) in enumerate(placed):
-        add_leaf(g, f"v{i:02d}", force_type=force_type, location=(1000.0 * i, 0.0),
+        add_leaf(g, f"v{i:02d}", force_type=force_type, location=(10.0 * i, 0.0),
                  heading=heading)
     return g
 
@@ -449,7 +445,13 @@ def _grid_scene(tmp_path, battalions: int):
 
 
 def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
-    counts = {"min_separation": 0, "max_heading_delta": 0, "pair_tests": 0, "levels": 0}
+    counts = {
+        "min_separation": 0,
+        "max_heading_delta": 0,
+        "distance_tests": 0,
+        "pair_tests": 0,
+        "levels": 0,
+    }
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -461,6 +463,10 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
     for name in ("min_separation", "max_heading_delta"):
         original = getattr(ModelLibrary, name)
         monkeypatch.setattr(ModelLibrary, name, counted(name, original))
+    # the exact doctrine tests of the grid's candidates, one distance each
+    monkeypatch.setattr(
+        conflict, "distance", counted("distance_tests", conflict.distance)
+    )
     original_flags = conflict._pair_flags
 
     def counted_flags(codes, *args):
@@ -496,6 +502,7 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
         for n, types, c in per_level:
             assert c["min_separation"] <= types**2
             assert c["max_heading_delta"] <= types**2
+            assert c["distance_tests"] <= n
             assert c["pair_tests"] <= n
             assert c["levels"] == (n >= 2)  # the count above is live
 

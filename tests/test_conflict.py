@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -25,10 +24,10 @@ from echelon.conflict import (
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.exceptions import DegenerateThresholdWarning, ResolutionTooLargeError
 from echelon.hypotheses import HypothesisGraph, Status
-from echelon.models import DEFAULT_WITHIN_M, Level, load_library
+from echelon.models import HEADING_REACH_M, Level
 from echelon.oracle import make_two_evidence_network
 
-from conftest import TANK_LIBRARY, add_leaf, add_parent
+from conftest import add_leaf, add_parent
 
 
 def edges(s):
@@ -78,27 +77,15 @@ class TestDetectConflicts:
 
     def test_orientation_needs_nearness(self, empty_graph, tank_lib):
         g = empty_graph
-        # the tank-tank row gives no within_m, so the pair must be at most
-        # DEFAULT_WITHIN_M apart: v0-v1 sit exactly that far, v2-v3 1 mm more
+        # facing apart conflicts only within HEADING_REACH_M: v0-v1 sit
+        # exactly that far apart, v2-v3 1 mm more
         add_leaf(g, "v0", lam=3.0, location=(0, 0), heading=0.0)
-        add_leaf(g, "v1", lam=3.0, location=(DEFAULT_WITHIN_M, 0), heading=175.0)
+        add_leaf(g, "v1", lam=3.0, location=(HEADING_REACH_M, 0), heading=175.0)
         add_leaf(g, "v2", lam=3.0, location=(0, 5000), heading=0.0)
-        add_leaf(g, "v3", lam=3.0, location=(600.001, 5000), heading=175.0)
+        add_leaf(
+            g, "v3", lam=3.0, location=(HEADING_REACH_M + 0.001, 5000), heading=175.0
+        )
         sets = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
-        assert [edges(s) for s in sets] == [
-            [(("v0", "v1"), frozenset({ConflictReason.ORIENTATION}))]
-        ]
-
-    def test_orientation_reach_from_the_library(self, empty_graph):
-        doc = json.loads(json.dumps(TANK_LIBRARY))
-        doc["doctrine"]["max_heading_delta"][0]["within_m"] = 2000
-        lib = load_library(json.dumps(doc))
-        g = empty_graph
-        add_leaf(g, "v0", lam=3.0, location=(0, 0), heading=0.0)
-        add_leaf(g, "v1", lam=3.0, location=(1500, 0), heading=175.0)
-        add_leaf(g, "v2", lam=3.0, location=(3501, 0), heading=0.0)
-        # 1500 m is past the default reach but within the row's; 2001 m is not
-        sets = detect_conflicts(g, lib, level=Level.VEHICLE)
         assert [edges(s) for s in sets] == [
             [(("v0", "v1"), frozenset({ConflictReason.ORIENTATION}))]
         ]

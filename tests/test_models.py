@@ -8,14 +8,7 @@ from echelon.exceptions import (
     LibraryValidationError,
     UnknownTypeError,
 )
-from echelon.models import (
-    DEFAULT_WITHIN_M,
-    HeadingLimit,
-    Level,
-    isa_ancestors,
-    load_library,
-    subsumes,
-)
+from echelon.models import Level, isa_ancestors, load_library, subsumes
 
 from conftest import TANK_LIBRARY
 
@@ -237,7 +230,6 @@ def test_doctrine_lookup_most_specific():
     assert lib.min_separation("BMP", "tank") == 25
     assert lib.min_separation("BMP", "BMP") == 25
     assert lib.max_heading_delta("BMP", "BMP") is None
-    assert lib.heading_reach("BMP", "BMP") is None
 
 
 def test_doctrine_lookup_symmetric_on_depth_ties():
@@ -273,40 +265,11 @@ def test_doctrine_lookup_symmetric_on_depth_ties():
     assert lib.min_separation("veh", "veh") == 100
 
 
-def test_heading_reach_comes_from_the_row_of_the_limit():
-    # (tank, veh) and (apc, veh) tie on depth for (tank, apc); the smaller
-    # limit's row gives the reach, and on equal limits the larger reach wins
-    doc = {
-        "types": [
-            {"name": "veh", "level": "vehicle"},
-            {"name": "tank", "level": "vehicle", "isa": "veh"},
-            {"name": "apc", "level": "vehicle", "isa": "veh"},
-            {"name": "truck", "level": "vehicle", "isa": "veh"},
-        ],
-        "doctrine": {
-            "max_heading_delta": [
-                {"a": "tank", "b": "veh", "degrees": 30, "within_m": 100},
-                {"a": "apc", "b": "veh", "degrees": 90, "within_m": 5000},
-                {"a": "truck", "b": "veh", "degrees": 30, "within_m": 800},
-                {"a": "veh", "b": "veh", "degrees": 10},
-            ],
-        },
-    }
-    lib = load_library(json.dumps(doc))
-    assert lib.heading_reach("tank", "apc") == lib.heading_reach("apc", "tank") == 100
-    assert lib.heading_reach("apc", "apc") == 5000
-    assert lib.heading_reach("tank", "truck") == lib.heading_reach("truck", "tank") == 800
-    assert lib.max_heading_delta("tank", "truck") == 30
-    assert lib.heading_reach("veh", "veh") == DEFAULT_WITHIN_M == 600
-    assert lib.doctrine.max_heading_delta[("veh", "veh")] == HeadingLimit(10, 600)
-
-
 def test_doctrine_lookup_symmetric_across_tank_library(tank_lib):
     names = sorted(tank_lib.types)
     for a, b in itertools.product(names, repeat=2):
         assert tank_lib.min_separation(a, b) == tank_lib.min_separation(b, a)
         assert tank_lib.max_heading_delta(a, b) == tank_lib.max_heading_delta(b, a)
-        assert tank_lib.heading_reach(a, b) == tank_lib.heading_reach(b, a)
 
 
 def test_doctrine_dangling_type_rejected():

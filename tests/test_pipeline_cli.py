@@ -164,20 +164,6 @@ class TestValidateCommand:
             (lambda d: d["types"][2].update(isa=3), "type 'tank': isa must be a string"),
             (lambda d: d.update(models={}), "library: models must be a list"),
             (lambda d: d["models"][0].pop("type"), "missing key 'type'"),
-            *(
-                (
-                    lambda d, v=v: d["doctrine"]["max_heading_delta"][0].update(
-                        within_m=v
-                    ),
-                    "max_heading_delta row 0: within_m must be a finite number > 0, "
-                    f"got {v!r}",
-                )
-                for v in (math.nan, math.inf, -math.inf, 0, -5.0, True, "600", None)
-            ),
-            (
-                lambda d: d["doctrine"]["max_heading_delta"][0].update(within=600),
-                "max_heading_delta row 0: unknown keys ['within']",
-            ),
         ],
     )
     def test_malformed_library_value_is_domain_error(
