@@ -32,13 +32,11 @@ def _read_text(path: str) -> str:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        text = _read_text(args.library)
+        lib = load_library(_read_text(args.library))
     except OSError as exc:
         print(f"error: cannot read {args.library}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        lib = load_library(text)
-    except EchelonError as exc:
+    except (EchelonError, ValueError) as exc:  # ValueError: not UTF-8 text
         print(f"invalid library: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     print(
@@ -54,7 +52,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (json.JSONDecodeError, ValueError, EchelonError) as exc:
+    except (ValueError, EchelonError) as exc:  # ValueError: not JSON
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     overrides = {
@@ -75,9 +73,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EchelonError, ValueError, KeyError) as exc:
-        # ValueError/KeyError cover malformed values inside otherwise
-        # well-formed scenario/config documents
+    except (EchelonError, ValueError) as exc:
+        # ValueError: a scenario that is not JSON, or an evidence value
+        # out of its range
         print(f"inference failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
@@ -96,20 +94,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         gt_doc = json.loads(_read_text(args.ground_truth))
         noise_doc = json.loads(_read_text(args.noise))
-        lib = load_library(_read_text(args.library)) if args.library else None
+        library_text = _read_text(args.library) if args.library else None
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to read
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
+        lib = None if library_text is None else load_library(library_text)
         gt = load_ground_truth(gt_doc, lib)
         noise = load_noise_spec(noise_doc)
         if args.seed is not None:
-            noise = load_noise_spec({**noise_doc, "seed": args.seed})
+            noise = dataclasses.replace(noise, seed=args.seed)
         scenario = generate(gt, noise, lib)
-    except (EchelonError, ValueError, KeyError, TypeError) as exc:
+    except (EchelonError, ValueError) as exc:  # ValueError: from numpy's draws
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:

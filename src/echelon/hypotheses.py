@@ -35,13 +35,11 @@ _ID_PREFIX = {
 
 
 class Status(enum.Enum):
-    """SKIPPED and EXCLUDED are set by conflict handling; CONFIRMED is
-    reserved for downstream consumers and never set by the engine."""
+    """SKIPPED and EXCLUDED are set by conflict handling."""
 
     ACTIVE = "active"
     SKIPPED = "skipped"
     EXCLUDED = "excluded"
-    CONFIRMED = "confirmed"
 
 
 @dataclass

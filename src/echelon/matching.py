@@ -32,14 +32,15 @@ from echelon.geometry import (
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import (
     DeploymentConstraint,
+    Fields,
     ForceModel,
     Level,
     ModelLibrary,
-    finite_number,
+    field_names,
     subsumes,
 )
 
-MATCHABLE = {Status.ACTIVE, Status.SKIPPED, Status.CONFIRMED}
+MATCHABLE = {Status.ACTIVE, Status.SKIPPED}
 
 
 @dataclass(frozen=True)
@@ -78,29 +79,12 @@ class MatchConfig:
             raise ValueError("lambda_max must exceed 1")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "MatchConfig":
-        """The matcher block of a run config: an object whose known keys
-        hold finite JSON numbers (integers for ``max_missing`` and
-        ``max_cluster``), in the ranges ``__post_init__`` checks;
-        ValueError naming the key otherwise."""
-        if not isinstance(raw, dict):
-            raise ValueError(f"matcher config must be an object, got {raw!r}")
-        integers = {"max_missing", "max_cluster"}
-        numbers = {"gather_radius", "min_fit", "rho", "slack", "lambda_max"}
-        unknown = set(raw) - integers - numbers
-        if unknown:
-            raise ValueError(f"matcher config: unknown keys {sorted(unknown)}")
-        for key, value in raw.items():
-            if key in integers:
-                if type(value) is not int:
-                    raise ValueError(
-                        f"matcher config: {key} must be an integer, got {value!r}"
-                    )
-            elif finite_number(value) is None:
-                raise ValueError(
-                    f"matcher config: {key} must be a finite number, got {value!r}"
-                )
-        return cls(**raw)
+    def from_dict(cls, raw: object) -> "MatchConfig":
+        """The matcher block of a run config, read strictly (``Fields``):
+        ValueError naming the key.  Values pass through as given, so the
+        report echoes them as written."""
+        f = Fields(raw, field_names(cls), "matcher config", ValueError)
+        return cls(**f.numbers(cls, as_given=True))
 
 
 @dataclass

@@ -10,11 +10,12 @@ library is immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from echelon.exceptions import (
     LibraryFormatError,
@@ -240,79 +241,27 @@ def subsumes(general: str, specific: str, lib: ModelLibrary) -> bool:
     return any(t.name == general for t in isa_ancestors(specific, lib))
 
 
-_TYPE_KEYS = {"name", "level", "isa"}
-_MODEL_KEYS = {"name", "type", "slots", "constraints", "prior"}
-_SLOT_KEYS = {"type", "min", "max"}
-_CONSTRAINT_KEYS = {"slots", "d_min", "d_max", "bearing_tol"}
-_DOCTRINE_KEYS = {"min_separation", "max_heading_delta"}
-
-
 def load_library(text: str) -> ModelLibrary:
-    """Parse and validate a serialized library.
-
-    Strict: unknown keys anywhere in the document are rejected, so a
-    typo fails loudly instead of silently dropping a constraint; a
-    missing key or a value of the wrong JSON type raises
-    LibraryFormatError naming the entry.  Names are strings, slot
-    counts and constraint slot indices integers, and distances,
-    headings and priors finite numbers (never booleans).
-    """
+    """Parse and validate a serialized library, strictly (``Fields``), so
+    a typo fails loudly instead of silently dropping a constraint."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to convert
         raise LibraryFormatError(f"library is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise LibraryFormatError("library document must be a JSON object")
-    unknown = set(doc) - {"types", "models", "doctrine"}
-    if unknown:
-        raise LibraryFormatError(f"unknown top-level keys: {sorted(unknown)}")
-
-    types = _parse_types(_list(doc, "types", "library"))
-    models = _parse_models(_list(doc, "models", "library"))
-    doctrine = _parse_doctrine(doc.get("doctrine", {}))
+    doc = Fields(doc, ("types", "models", "doctrine"), "library", LibraryFormatError)
+    types = _parse_types(doc.list("types", []))
+    models = _parse_models(doc.list("models", []))
+    doctrine = _parse_doctrine(doc.value("doctrine", {}))
     lib = ModelLibrary(types=types, models=models, doctrine=doctrine)
     _validate(lib)
     return lib
 
 
-def _require_keys(obj: dict, allowed: set[str], what: str) -> None:
-    if not isinstance(obj, dict):
-        raise LibraryFormatError(f"{what} must be an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise LibraryFormatError(f"{what}: unknown keys {sorted(unknown)}")
-
-
-def _value(obj: dict, key: str, what: str):
-    try:
-        return obj[key]
-    except KeyError:
-        raise LibraryFormatError(f"{what}: missing key {key!r}") from None
-
-
-def _list(obj: dict, key: str, what: str) -> list:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise LibraryFormatError(f"{what}: {key} must be a list, got {value!r}")
-    return value
-
-
-def _text(obj: dict, key: str, what: str) -> str:
-    value = _value(obj, key, what)
-    if not isinstance(value, str):
-        raise LibraryFormatError(f"{what}: {key} must be a string, got {value!r}")
-    return value
-
-
-def _integer(value: object, key: str, what: str) -> int:
-    if type(value) is not int:
-        raise LibraryFormatError(f"{what}: {key} must be an integer, got {value!r}")
-    return value
-
-
 def finite_number(value: object) -> float | None:
     """``value`` as a float if it is a finite JSON number: not a bool, and
     not an integer beyond the float range.  None otherwise."""
+    if type(value) is float:  # the common case, first
+        return value if math.isfinite(value) else None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
@@ -323,26 +272,125 @@ def finite_number(value: object) -> float | None:
     return None
 
 
-def _number(obj: dict, key: str, what: str) -> float:
-    """A finite JSON number (not a bool), as a float."""
-    value = _value(obj, key, what)
-    number = finite_number(value)
-    if number is None:
-        raise LibraryFormatError(f"{what}: {key} must be a finite number, got {value!r}")
-    return number
+# Each kind of field as an error names it, and its reading: the value as
+# read, or None when the JSON value is not of that kind.
+_KINDS: dict[str, Callable[[object], object]] = {
+    "a string": lambda v: v if isinstance(v, str) else None,
+    "an integer": lambda v: v if type(v) is int else None,
+    "a finite number": finite_number,
+    "a finite number > 0": lambda v: n if (n := finite_number(v)) and n > 0 else None,
+    "a list": lambda v: v if isinstance(v, list) else None,
+}
+_NUMERIC = {"int": "an integer", "float": "a finite number"}
+_REQUIRED = object()
+
+
+def checked(value: object, kind: str, key: str, where: str, error: type[Exception]):
+    """``value``, field ``key`` of the object ``where``, read as ``kind``
+    (one of ``_KINDS``); ``error`` naming both when it is not one."""
+    read = _KINDS[kind](value)
+    if read is None:
+        raise error(f"{where}: {key} must be {kind}, got {value!r}")
+    return read
+
+
+def field_names(cls: type) -> tuple[str, ...]:
+    """The fields of dataclass ``cls``: the keys its JSON object may hold."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+class Fields:
+    """One JSON object of an input document, read strictly.
+
+    Every input document (library, scenario, run config, ground truth and
+    noise spec) is read through this class.  The constructor rejects a
+    value that is not an object and any key outside ``allowed`` (None
+    allows any).  Each accessor reads one field as a string, an integer
+    (not a bool, nor a float such as 2.0), a finite number (returned as a
+    float; not a bool, NaN, Infinity or an integer beyond the float
+    range) or a list.  A field without a default is required.  Every
+    failure raises ``error`` with a message naming the object
+    (``where``) and the key.
+    """
+
+    __slots__ = ("raw", "where", "error")
+
+    def __init__(
+        self,
+        raw: object,
+        allowed: Collection[str] | None,
+        where: str,
+        error: type[Exception],
+    ) -> None:
+        if not isinstance(raw, dict):
+            raise error(f"{where} must be a JSON object, got {raw!r}")
+        unknown = () if allowed is None else raw.keys() - allowed
+        if unknown:
+            raise error(f"{where}: unknown keys {sorted(unknown)}")
+        self.raw = raw
+        self.where = where
+        self.error = error
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.raw
+
+    def given(self, key: str) -> bool:
+        """True when the field is present and not null."""
+        return self.raw.get(key) is not None
+
+    def value(self, key: str, default: object = _REQUIRED):
+        """The field as given, or ``default`` when it is absent."""
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise self.error(f"{self.where}: missing key {key!r}")
+        return default
+
+    def check(self, key: str, value: object, kind: str):
+        """``value`` (field ``key``, or an element of it) read as ``kind``."""
+        return checked(value, kind, key, self.where, self.error)
+
+    def _read(self, key: str, kind: str, default: object):
+        if key not in self.raw:
+            return self.value(key, default)
+        return checked(self.raw[key], kind, key, self.where, self.error)
+
+    def text(self, key: str, default: object = _REQUIRED) -> str:
+        return self._read(key, "a string", default)
+
+    def integer(self, key: str, default: object = _REQUIRED) -> int:
+        return self._read(key, "an integer", default)
+
+    def number(self, key: str, default: object = _REQUIRED) -> float:
+        return self._read(key, "a finite number", default)
+
+    def list(self, key: str, default: object = _REQUIRED) -> list:
+        return self._read(key, "a list", default)
+
+    def numbers(self, cls: type, as_given: bool = False) -> dict:
+        """Each field of dataclass ``cls`` annotated ``int`` or ``float``
+        that this object holds, read as an integer or a finite number; with
+        ``as_given`` the JSON value passes through unconverted."""
+        out = {}
+        for f in dataclasses.fields(cls):
+            kind = _NUMERIC.get(getattr(f.type, "__name__", f.type))  # int or "int"
+            if kind is not None and f.name in self.raw:
+                value = self.raw[f.name]
+                read = self.check(f.name, value, kind)
+                out[f.name] = value if as_given else read
+        return out
 
 
 def _parse_types(raw: list) -> dict[str, ForceType]:
     types: dict[str, ForceType] = {}
     for k, entry in enumerate(raw):
-        what = f"type entry {k}"
-        _require_keys(entry, _TYPE_KEYS, what)
-        name = _text(entry, "name", what)
-        what = f"type {name!r}"
+        f = Fields(entry, ("name", "level", "isa"), f"type entry {k}", LibraryFormatError)
+        name = f.text("name")
+        f.where = f"type {name!r}"
         t = ForceType(
             name=name,
-            level=Level.from_label(_text(entry, "level", what)),
-            isa_parent=None if entry.get("isa") is None else _text(entry, "isa", what),
+            level=Level.from_label(f.text("level")),
+            isa_parent=f.text("isa") if f.given("isa") else None,
         )
         if t.name in types:
             raise LibraryValidationError(f"duplicate type {t.name!r}")
@@ -353,45 +401,48 @@ def _parse_types(raw: list) -> dict[str, ForceType]:
 def _parse_models(raw: list) -> dict[str, ForceModel]:
     models: dict[str, ForceModel] = {}
     for k, entry in enumerate(raw):
-        what = f"model entry {k}"
-        _require_keys(entry, _MODEL_KEYS, what)
-        name = _text(entry, "name", what)
-        what = f"model {name!r}"
+        f = Fields(
+            entry,
+            ("name", "type", "slots", "constraints", "prior"),
+            f"model entry {k}",
+            LibraryFormatError,
+        )
+        name = f.text("name")
+        f.where = what = f"model {name!r}"
         slots = []
-        for i, s in enumerate(_list(entry, "slots", what)):
-            where = f"{what} slot {i}"
-            _require_keys(s, _SLOT_KEYS, where)
+        for i, raw_slot in enumerate(f.list("slots", [])):
+            s = Fields(
+                raw_slot, ("type", "min", "max"), f"{what} slot {i}", LibraryFormatError
+            )
             slots.append(
-                ComponentSlot(
-                    required_type=_text(s, "type", where),
-                    count_min=_integer(_value(s, "min", where), "min", where),
-                    count_max=_integer(_value(s, "max", where), "max", where),
-                )
+                ComponentSlot(s.text("type"), s.integer("min"), s.integer("max"))
             )
         constraints = []
-        for i, c in enumerate(_list(entry, "constraints", what)):
-            where = f"{what} constraint {i}"
-            _require_keys(c, _CONSTRAINT_KEYS, where)
-            pair = _value(c, "slots", where)
+        for i, raw_constraint in enumerate(f.list("constraints", [])):
+            c = Fields(
+                raw_constraint,
+                ("slots", "d_min", "d_max", "bearing_tol"),
+                f"{what} constraint {i}",
+                LibraryFormatError,
+            )
+            pair = c.value("slots")
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise LibraryFormatError(f"{where}: 'slots' must be a pair")
+                raise LibraryFormatError(f"{c.where}: 'slots' must be a pair")
             constraints.append(
                 DeploymentConstraint(
-                    slot_a=_integer(pair[0], "slots", where),
-                    slot_b=_integer(pair[1], "slots", where),
-                    distance_min=_number(c, "d_min", where),
-                    distance_max=_number(c, "d_max", where),
-                    bearing_tolerance=(
-                        _number(c, "bearing_tol", where) if "bearing_tol" in c else None
-                    ),
+                    slot_a=c.check("slots", pair[0], "an integer"),
+                    slot_b=c.check("slots", pair[1], "an integer"),
+                    distance_min=c.number("d_min"),
+                    distance_max=c.number("d_max"),
+                    bearing_tolerance=c.number("bearing_tol", None),
                 )
             )
         m = ForceModel(
             name=name,
-            models_type=_text(entry, "type", what),
+            models_type=f.text("type"),
             slots=tuple(slots),
             constraints=tuple(constraints),
-            prior=_number(entry, "prior", what) if "prior" in entry else 0.5,
+            **f.numbers(ForceModel),
         )
         if m.name in models:
             raise LibraryValidationError(f"duplicate model {m.name!r}")
@@ -399,16 +450,14 @@ def _parse_models(raw: list) -> dict[str, ForceModel]:
     return models
 
 
-def _parse_doctrine(raw: dict) -> DoctrineConfig:
-    _require_keys(raw, _DOCTRINE_KEYS, "doctrine")
+def _parse_doctrine(raw: object) -> DoctrineConfig:
+    doctrine = Fields(raw, field_names(DoctrineConfig), "doctrine", LibraryFormatError)
     tables: dict[str, dict[tuple[str, str], float]] = {}
     for table, unit in (("min_separation", "meters"), ("max_heading_delta", "degrees")):
         rows = tables[table] = {}
-        for k, entry in enumerate(_list(raw, table, "doctrine")):
-            what = f"{table} row {k}"
-            _require_keys(entry, {"a", "b", unit}, what)
-            key = DoctrineConfig.key(_text(entry, "a", what), _text(entry, "b", what))
-            rows[key] = _number(entry, unit, what)
+        for k, entry in enumerate(doctrine.list(table, [])):
+            f = Fields(entry, ("a", "b", unit), f"{table} row {k}", LibraryFormatError)
+            rows[DoctrineConfig.key(f.text("a"), f.text("b"))] = f.number(unit)
     return DoctrineConfig(**tables)
 
 

@@ -11,8 +11,8 @@ deterministic given the config and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +31,15 @@ from echelon.exceptions import ScenarioError
 from echelon.geometry import distance
 from echelon.hypotheses import Hypothesis, HypothesisGraph
 from echelon.matching import MatchConfig, candidate_to_hypothesis, match_level
-from echelon.models import LEVELS, Level, ModelLibrary, finite_number, load_library
+from echelon.models import (
+    LEVELS,
+    Fields,
+    Level,
+    ModelLibrary,
+    checked,
+    field_names,
+    load_library,
+)
 from echelon.scenario import SCHEMA_VERSION, dumps
 
 
@@ -53,10 +61,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tau < math.inf):
-            raise ScenarioError(
-                f"run config: tau must be a finite number > 0, got {self.tau!r}"
-            )
+        checked(self.tau, "a finite number > 0", "tau", "run config", ScenarioError)
         for name in ("exclusion_floor", "leaf_prior"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -75,94 +80,56 @@ class RunConfig:
         return cls.from_dict(doc, base_dir=path.parent)
 
     @classmethod
-    def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "RunConfig":
-        """Parse a run config, strictly: unknown or missing keys, and
-        values of the wrong JSON type or out of range, raise
-        ScenarioError (ValueError for the matcher block) naming the key.
-        """
-        if not isinstance(doc, dict):
-            raise ScenarioError("run config must be a JSON object")
-        known = {
-            "library",
-            "scenario",
-            "out",
-            "matcher",
-            "tau",
-            "heuristic",
-            "exclusion_floor",
-            "max_exact",
-            "leaf_prior",
-            "seed",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ScenarioError(f"run config: unknown keys {sorted(unknown)}")
-        missing = {"library", "scenario"} - set(doc)
-        if missing:
-            raise ScenarioError(f"run config: missing keys {sorted(missing)}")
-        where = "run config"
-        for key in ("library", "scenario", "out"):
-            value = doc.get(key)
-            if not isinstance(value, str) and not (key == "out" and value is None):
-                raise ScenarioError(f"{where}: {key} must be a path string, got {value!r}")
-        heuristic = doc.get("heuristic", Heuristic.HIGHEST_POSTERIOR.value)
-        names = [h.value for h in Heuristic]
-        if heuristic not in names:
-            raise ScenarioError(
-                f"{where}: heuristic must be one of {names}, got {heuristic!r}"
-            )
+    def from_dict(cls, doc: object, base_dir: Path | None = None) -> "RunConfig":
+        """Parse a run config strictly (``Fields``): ScenarioError naming
+        the key (ValueError for the matcher block).  Only the keys present
+        are passed on, so an absent one takes the field's default."""
+        f = Fields(doc, field_names(cls), "run config", ScenarioError)
 
-        def resolve(p: str | None) -> str | None:
-            if p is None or base_dir is None:
+        def path(key: str) -> str:
+            p = f.text(key)
+            if base_dir is None or Path(p).is_absolute():
                 return p
-            return str((base_dir / p).resolve()) if not Path(p).is_absolute() else p
+            return str((base_dir / p).resolve())
 
-        def number(key: str, default: float) -> float:
-            return _finite(doc, key, where) if key in doc else default
-
-        def integer(key: str, default: int) -> int:
-            value = doc.get(key, default)
-            if type(value) is not int:
-                raise ScenarioError(f"{where}: {key} must be an integer, got {value!r}")
-            return value
-
-        return cls(
-            library=resolve(doc["library"]),
-            scenario=resolve(doc["scenario"]),
-            out=resolve(doc.get("out")),
-            matcher=MatchConfig.from_dict(doc.get("matcher", {})),
-            tau=number("tau", 0.1),
-            heuristic=Heuristic(heuristic),
-            exclusion_floor=number("exclusion_floor", 0.05),
-            max_exact=integer("max_exact", 20),
-            leaf_prior=number("leaf_prior", 0.5),
-            seed=integer("seed", 0),
-        )
+        kw = f.numbers(cls)
+        kw["library"] = path("library")
+        kw["scenario"] = path("scenario")
+        if f.given("out"):
+            kw["out"] = path("out")
+        if "matcher" in f:
+            kw["matcher"] = MatchConfig.from_dict(f.value("matcher"))
+        if "heuristic" in f:
+            heuristic, names = f.value("heuristic"), [h.value for h in Heuristic]
+            if heuristic not in names:
+                raise ScenarioError(
+                    f"run config: heuristic must be one of {names}, got {heuristic!r}"
+                )
+            kw["heuristic"] = Heuristic(heuristic)
+        return cls(**kw)
 
 
-def _terrain_items(scenario: dict) -> list[EvidenceItem]:
-    """Terrain evidence from the scenario.
+_SCENARIO_KEYS = (
+    "schema_version", "scenario_id", "detections", "terrain", "ground_truth"
+)
+_DETECTION_KEYS = ("id", "type", "x", "y", "heading", "lambda", "time")
+_TERRAIN_KEYS = ("id", "x", "y", "radius_m", "lambda")
 
-    ``terrain`` must be a list of objects; ``x``, ``y`` and ``lambda`` of
-    each, and ``radius_m`` when given, must be finite numbers.
-    """
-    terrain = scenario.get("terrain", [])
-    if not isinstance(terrain, list):
-        raise ScenarioError("scenario: terrain must be a list")
+
+def _terrain_items(terrain: list) -> list[EvidenceItem]:
+    """Terrain evidence from the scenario's ``terrain`` list (``build_graph``)."""
     items = []
-    for i, t in enumerate(terrain):
-        if not isinstance(t, dict):
-            raise ScenarioError(f"scenario: terrain entry {t!r} is not an object")
-        tid = str(t.get("id", f"t{i}"))
-        where = f"terrain entry {tid!r}"
-        radius = _finite(t, "radius_m", where) if "radius_m" in t else 1000.0
+    for i, raw in enumerate(terrain):
+        t = Fields(raw, _TERRAIN_KEYS, f"terrain entry {i}", ScenarioError)
+        tid = str(t.value("id", f"t{i}"))
+        t.where = f"terrain entry {tid!r}"
         items.append(
             EvidenceItem(
                 id=tid,
                 kind=EvidenceKind.TERRAIN,
-                likelihood_ratio=_finite(t, "lambda", where),
-                location=(_finite(t, "x", where), _finite(t, "y", where)),
-                sensor_context={"radius_m": radius},
+                likelihood_ratio=t.number("lambda"),
+                location=(t.number("x"), t.number("y")),
+                sensor_context={"radius_m": t.number("radius_m", 1000.0)},
             )
         )
     return items
@@ -179,71 +146,39 @@ def _attached_terrain(
     return out
 
 
-def _field(d: dict, key: str, where: str):
-    """Field ``key`` of the scenario entry ``d``; ScenarioError naming the
-    entry (``where``) and the key when it is missing."""
-    try:
-        return d[key]
-    except KeyError:
-        raise ScenarioError(f"{where}: missing key {key!r}") from None
-
-
-def _finite(d: dict, key: str, where: str) -> float:
-    """Field ``key`` of the scenario entry ``d`` as a float; ScenarioError
-    naming the entry (``where``) unless it is a finite JSON number."""
-    value = _field(d, key, where)
-    number = finite_number(value)
-    if number is None:
-        raise ScenarioError(f"{where}: {key} must be a finite number, got {value!r}")
-    return number
-
-
-
 def build_graph(
-    scenario: dict, lib: ModelLibrary, leaf_prior: float
+    scenario: object, lib: ModelLibrary, leaf_prior: float
 ) -> HypothesisGraph:
     """Create leaf hypotheses from the scenario's detections.
 
-    The scenario must be a JSON object with no keys beyond
-    ``schema_version``, ``scenario_id``, ``detections``, ``terrain`` and
-    ``ground_truth``, and a ``schema_version``, when given, equal to
-    ``SCHEMA_VERSION``.  ``detections`` must be a list of objects, each
-    with an ``id`` and a string ``type``; ``x``, ``y`` and ``lambda``,
-    ``time`` when given and ``heading`` when given and not null must be
-    finite numbers.
+    The scenario is read strictly (``Fields``): its objects hold no keys
+    but the ``_*_KEYS`` above, a ``schema_version``, when given, equals
+    ``SCHEMA_VERSION``, a detection has an ``id`` and a string ``type``,
+    and ``x``, ``y``, ``lambda``, ``time`` and ``radius_m`` when given,
+    and ``heading`` when given and not null, are finite numbers.
     """
-    if not isinstance(scenario, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    known = {"schema_version", "scenario_id", "detections", "terrain", "ground_truth"}
-    unknown = set(scenario) - known
-    if unknown:
-        raise ScenarioError(f"scenario: unknown keys {sorted(unknown)}")
-    version = scenario.get("schema_version", SCHEMA_VERSION)
+    doc = Fields(scenario, _SCENARIO_KEYS, "scenario", ScenarioError)
+    version = doc.value("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioError(
             f"scenario: schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
     g = HypothesisGraph()
-    terrain = _terrain_items(scenario)
+    terrain = _terrain_items(doc.list("terrain", []))
     for t in terrain:
         g.add_evidence(t)
-    detections = scenario.get("detections", [])
-    if not isinstance(detections, list):
-        raise ScenarioError("scenario: detections must be a list")
-    for k, d in enumerate(detections):
-        if not isinstance(d, dict):
-            raise ScenarioError(f"scenario: detection {d!r} is not an object")
-        did = str(_field(d, "id", f"detection entry {k}"))
-        where = f"detection {d['id']!r}"
-        if not isinstance(d.get("type"), str):
-            raise ScenarioError(f"{where}: type must be a string, got {d.get('type')!r}")
-        lib.type_of(d["type"])  # unknown detection types are a domain error
-        location = (_finite(d, "x", where), _finite(d, "y", where))
-        heading = _finite(d, "heading", where) if d.get("heading") is not None else None
+    for k, raw in enumerate(doc.list("detections", [])):
+        d = Fields(raw, _DETECTION_KEYS, f"detection entry {k}", ScenarioError)
+        did = str(d.value("id"))
+        d.where = f"detection {raw['id']!r}"
+        force_type = d.text("type")
+        lib.type_of(force_type)  # unknown detection types are a domain error
+        location = (d.number("x"), d.number("y"))
+        heading = d.number("heading") if d.given("heading") else None
         item = EvidenceItem(
             id=did,
             kind=EvidenceKind.DETECTION,
-            likelihood_ratio=_finite(d, "lambda", where),
+            likelihood_ratio=d.number("lambda"),
             location=location,
             heading=heading,
         )
@@ -252,10 +187,10 @@ def build_graph(
         g.insert(
             Hypothesis(
                 id=f"v.{did}",
-                force_type=d["type"],
+                force_type=force_type,
                 level=Level.VEHICLE,
                 location=location,
-                time=_finite(d, "time", where) if "time" in d else 0.0,
+                time=d.number("time", 0.0),
                 own_evidence=EvidenceSet.from_iterable(own),
                 prior=leaf_prior,
                 posterior=leaf_prior,
@@ -272,7 +207,7 @@ def run(cfg: RunConfig) -> dict:
     g = build_graph(scenario, lib, cfg.leaf_prior)
 
     terrain = [g.evidence[i] for i in sorted(g.evidence) if g.evidence[i].kind is EvidenceKind.TERRAIN]
-    conflict_log: list[tuple[Level, ConflictReport]] = []
+    conflict_log: list[ConflictReport] = []
 
     for level in LEVELS:
         if level > Level.VEHICLE:
@@ -293,8 +228,9 @@ def run(cfg: RunConfig) -> dict:
 
         # Parents of members skipped one level down now exist: estimate
         # the error their level-jumping accrual may carry.
-        for lvl, report in conflict_log:
-            if lvl == level - 1 and report.decision is Decision.SKIP:
+        for report in conflict_log:
+            below = report.conflict_set.level == level - 1
+            if below and report.decision is Decision.SKIP:
                 members = report.conflict_set.members
                 for p in sorted({p for m in members for p in g.parents_of(m)}):
                     report.skip_error_estimates[p] = skip_error_estimate(g, p, report.k)
@@ -308,7 +244,7 @@ def run(cfg: RunConfig) -> dict:
                 exclusion_floor=cfg.exclusion_floor,
                 max_exact=cfg.max_exact,
             )
-            conflict_log.append((level, report))
+            conflict_log.append(report)
 
     return _build_report(cfg, scenario, g, conflict_log)
 
@@ -336,7 +272,7 @@ def _build_report(
     cfg: RunConfig,
     scenario: dict,
     g: HypothesisGraph,
-    conflict_log: list[tuple[Level, ConflictReport]],
+    conflict_log: list[ConflictReport],
 ) -> dict:
     levels: dict[str, list[dict]] = {}
     for level in LEVELS:
@@ -368,11 +304,11 @@ def _build_report(
         levels[level.label] = entries
 
     conflicts = []
-    for level, rep in conflict_log:
+    for rep in conflict_log:
         members = rep.conflict_set.members
         conflicts.append(
             {
-                "level": level.label,
+                "level": rep.conflict_set.level.label,
                 "members": list(members),
                 # in ascending pair order, as the conflict set holds them
                 "reasons": [
@@ -399,26 +335,17 @@ def _build_report(
             }
         )
 
+    # The config echo: every field but the paths, and the seed, which the
+    # report holds at its top level.
+    config = dataclasses.asdict(cfg)
+    for key in ("library", "scenario", "out", "seed"):
+        del config[key]
+    config["heuristic"] = cfg.heuristic.value
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario_id": scenario.get("scenario_id"),
         "seed": cfg.seed,
-        "config": {
-            "tau": cfg.tau,
-            "heuristic": cfg.heuristic.value,
-            "exclusion_floor": cfg.exclusion_floor,
-            "max_exact": cfg.max_exact,
-            "leaf_prior": cfg.leaf_prior,
-            "matcher": {
-                "gather_radius": cfg.matcher.gather_radius,
-                "min_fit": cfg.matcher.min_fit,
-                "max_missing": cfg.matcher.max_missing,
-                "max_cluster": cfg.matcher.max_cluster,
-                "rho": cfg.matcher.rho,
-                "slack": cfg.matcher.slack,
-                "lambda_max": cfg.matcher.lambda_max,
-            },
-        },
+        "config": config,
         "levels": levels,
         "conflicts": conflicts,
     }

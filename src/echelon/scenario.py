@@ -25,7 +25,7 @@ import numpy as np
 
 from echelon.exceptions import ScenarioError
 from echelon.geometry import centroid, distance
-from echelon.models import Level, ModelLibrary, subsumes
+from echelon.models import Fields, Level, ModelLibrary, field_names, subsumes
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +70,8 @@ class NoiseSpec:
             raise ScenarioError("p_detect outside [0,1]")
         if self.false_alarm_density < 0 or self.location_jitter < 0:
             raise ScenarioError("negative noise magnitude")
+        if self.seed < 0:
+            raise ScenarioError(f"noise spec: seed must be >= 0, got {self.seed!r}")
         for row_type, row in self.misclassification.items():
             total = math.fsum(row.values())
             if abs(total - 1.0) > 1e-9:
@@ -80,14 +82,23 @@ class NoiseSpec:
                 raise ScenarioError(f"negative entry in row {row_type!r}")
 
 
-def load_ground_truth(doc: dict, lib: ModelLibrary | None = None) -> GroundTruth:
-    """Parse (and, when a library is given, validate) a ground-truth doc."""
-    area = doc.get("area", {})
+def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTruth:
+    """Parse a ground-truth doc strictly (``Fields``), and validate its
+    placements when a library is given; ScenarioError naming the entry
+    and key.  ``terrain`` is a list of objects, passed through as given."""
+    f = Fields(doc, ("id", "area", "forces", "terrain"), "ground truth", ScenarioError)
+    area = Fields(
+        f.value("area", {}), ("width_m", "height_m"), "ground truth area", ScenarioError
+    )
+    terrain = f.list("terrain", [])
+    for i, t in enumerate(terrain):
+        Fields(t, None, f"ground truth terrain entry {i}", ScenarioError)
+    forces = f.list("forces", [])
     gt = GroundTruth(
-        forces=tuple(_parse_node(f) for f in doc.get("forces", [])),
-        area=(float(area.get("width_m", 10000.0)), float(area.get("height_m", 10000.0))),
-        terrain=tuple(doc.get("terrain", [])),
-        scenario_id=str(doc.get("id", "scenario")),
+        forces=tuple(_parse_node(n, f"force {i}") for i, n in enumerate(forces)),
+        area=(area.number("width_m", 10000.0), area.number("height_m", 10000.0)),
+        terrain=tuple(terrain),
+        scenario_id=f.text("id", "scenario"),
     )
     if lib is not None:
         for force in gt.forces:
@@ -95,38 +106,49 @@ def load_ground_truth(doc: dict, lib: ModelLibrary | None = None) -> GroundTruth
     return gt
 
 
-def load_noise_spec(doc: dict) -> NoiseSpec:
-    known = {
-        "p_detect",
-        "false_alarm_density",
-        "misclassification",
-        "location_jitter",
-        "seed",
-        "lambda_hit",
-        "false_alarm_types",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ScenarioError(f"noise spec: unknown keys {sorted(unknown)}")
-    doc = dict(doc)
-    if "false_alarm_types" in doc:
-        doc["false_alarm_types"] = tuple(doc["false_alarm_types"])
-    return NoiseSpec(**doc)
-
-
-def _parse_node(raw: dict) -> GroundTruthNode:
-    if "type" in raw:
-        return GroundTruthNode(
-            vehicle_type=raw["type"],
-            x=float(raw["x"]),
-            y=float(raw["y"]),
-            heading=float(raw["heading"]) if "heading" in raw else None,
+def load_noise_spec(doc: object) -> NoiseSpec:
+    """Parse a noise spec strictly (``Fields``); values pass through as
+    given.  ``misclassification`` maps each type to a row object of
+    finite numbers, and ``false_alarm_types`` is a list of strings."""
+    f = Fields(doc, field_names(NoiseSpec), "noise spec", ScenarioError)
+    spec = f.numbers(NoiseSpec, as_given=True)
+    if "misclassification" in f:
+        rows = f.value("misclassification")
+        Fields(rows, None, "noise spec misclassification", ScenarioError)
+        for true_type, raw_row in rows.items():
+            where = f"noise spec misclassification row {true_type!r}"
+            row = Fields(raw_row, None, where, ScenarioError)
+            for observed in raw_row:
+                row.number(observed)
+        spec["misclassification"] = rows
+    if "false_alarm_types" in f:
+        types = f.list("false_alarm_types")
+        spec["false_alarm_types"] = tuple(
+            f.check("false_alarm_types", t, "a string") for t in types
         )
-    if "model" not in raw:
-        raise ScenarioError(f"force node needs 'model' or 'type': {raw!r}")
+    return NoiseSpec(**spec)
+
+
+def _parse_node(raw: object, where: str) -> GroundTruthNode:
+    """A force node: a vehicle leaf with a ``type``, or a ``model`` over a
+    non-empty ``components`` list; ``where`` names it by position."""
+    if isinstance(raw, dict) and "type" in raw:
+        f = Fields(raw, ("type", "x", "y", "heading"), where, ScenarioError)
+        return GroundTruthNode(
+            vehicle_type=f.text("type"),
+            x=f.number("x"),
+            y=f.number("y"),
+            heading=f.number("heading") if f.given("heading") else None,
+        )
+    f = Fields(raw, ("model", "components"), where, ScenarioError)
+    model, components = f.text("model"), f.list("components")
+    if not components:
+        raise ScenarioError(f"{where}: components must not be empty")
     return GroundTruthNode(
-        model=raw["model"],
-        children=tuple(_parse_node(c) for c in raw.get("components", [])),
+        model=model,
+        children=tuple(
+            _parse_node(c, f"{where} component {i}") for i, c in enumerate(components)
+        ),
     )
 
 
@@ -150,6 +172,8 @@ def _validate_node(node: GroundTruthNode, lib: ModelLibrary) -> None:
         return
     if node.model not in lib.models:
         raise ScenarioError(f"unknown model {node.model!r} in ground truth")
+    for child in node.children:  # first, so every child's model is known
+        _validate_node(child, lib)
     model = lib.models[node.model]
     # First-fit slot assignment in listed child order, then a strict
     # (no-slack) check of every deployment constraint.
@@ -184,8 +208,6 @@ def _validate_node(node: GroundTruthNode, lib: ModelLibrary) -> None:
                     f"ground truth node {node.model!r}: pair distance {d:.1f} "
                     f"outside [{c.distance_min}, {c.distance_max}]"
                 )
-    for child in node.children:
-        _validate_node(child, lib)
 
 
 def _draw_from_row(rng: np.random.Generator, row: dict[str, float]) -> str:
@@ -368,9 +390,7 @@ def score(
     levels_out: dict[str, dict] = {}
     matched_hyp_to_unit: dict[str, str] = {}
     for level_label, entries in report.get("levels", {}).items():
-        asserting = [
-            e for e in entries if e["status"] in ("active", "confirmed")
-        ]
+        asserting = [e for e in entries if e["status"] == "active"]
         truth = list(truth_by_level.get(level_label, []))
         taken: set[str] = set()
         matched = 0

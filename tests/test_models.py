@@ -157,7 +157,7 @@ def test_malformed_json_is_format_error():
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(LibraryFormatError, match="unknown top-level"):
+    with pytest.raises(LibraryFormatError, match=r"library: unknown keys \['modles'\]"):
         load_library(json.dumps({"types": [], "modles": []}))
     with pytest.raises(LibraryFormatError, match="unknown keys"):
         load_library(

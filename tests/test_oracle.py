@@ -1,9 +1,9 @@
-"""Oracle self-tests plus the fixture-recording discipline: computed
-values are frozen on first run (as hex floats) and must reproduce bit
-for bit afterwards.  No hand-typed probabilities appear as expected
-values."""
+"""Oracle self-tests plus the fixture discipline: computed values are
+stored as hex floats and must reproduce bit for bit.  No hand-typed
+probabilities appear as expected values."""
 
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,20 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def freeze(name: str, records):
-    """Record-if-missing, then assert bit-stable reproduction."""
-    FIXTURES.mkdir(exist_ok=True)
+    """Assert bit-stable reproduction of ``tests/fixtures/<name>.json``,
+    which must exist."""
     path = FIXTURES / f"{name}.json"
-    if not path.exists():
-        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
-    stored = json.loads(path.read_text())
-    assert records == stored, f"fixture drift in {name}"
+    assert path.exists(), f"missing fixture {path}"
+    assert records == json.loads(path.read_text()), f"fixture drift in {name}"
+
+
+def packaged(suite: str, records: list[dict]):
+    """Assert each record equals the record of the same network in the
+    packaged fixture of ``suite`` (what ``echelon oracle`` checks)."""
+    path = resources.files("echelon.data") / "oracle" / f"{suite}.json"
+    stored = {r["network"]: r for r in json.loads(path.read_text())["records"]}
+    for record in records:
+        assert record == stored.get(record["network"]), f"fixture drift in {suite}"
 
 
 class TestExactConditional:
@@ -121,7 +128,7 @@ class TestNetworkValidation:
 class TestAccrualFormulaCheck:
     def test_single_component_fixture(self):
         reports = [check_accrual_formula(random_accrual_network(s)) for s in range(6)]
-        freeze("accrual_deviations", [r.to_record() for r in reports])
+        packaged("accrual", [r.to_record() for r in reports])
 
     def test_uninformative_evidence_collapses_to_priors(self):
         net = OracleNetwork(
@@ -213,7 +220,7 @@ class TestSkipIdentity:
     def test_report_deviation_negligible(self):
         reports = [skip_identity_report(random_skip_network(s)) for s in range(25)]
         assert all(r.deviation <= 1e-12 for r in reports)
-        freeze("skip_identity", [r.to_record() for r in reports])
+        packaged("skip", [r.to_record() for r in reports])
 
 
 class TestApproxK:
@@ -229,7 +236,7 @@ class TestApproxK:
             for seed in (1, 3, 5)
         ]
         assert all(r.annotations["shared_evidence_vars"] for r in reports)
-        freeze("approx_k_shared", [r.to_record() for r in reports])
+        packaged("approx-k", [r.to_record() for r in reports])
 
     def test_single_component_degenerate(self):
         net = OracleNetwork(

@@ -113,6 +113,12 @@ class TestValidateCommand:
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    def test_non_utf8_library_is_domain_error(self, tmp_path, capsys):
+        p = tmp_path / "lib.json"
+        p.write_bytes(b"\xff\xfe{}")
+        assert main(["validate", str(p)]) == 1
+        assert "invalid library" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -294,7 +300,7 @@ class TestInferCommand:
         "detections, message",
         [
             (5, "detections must be a list"),
-            ([5], "detection 5 is not an object"),
+            ([5], "detection entry 0 must be a JSON object, got 5"),
             (
                 [{"id": "d0", "type": ["T-72-tank"], "x": 0.0, "y": 0.0, "lambda": 2.0}],
                 "detection 'd0': type must be a string, got ['T-72-tank']",
@@ -351,7 +357,7 @@ class TestInferCommand:
         "terrain, message",
         [
             ({"x": 0}, "terrain must be a list"),
-            ([None], "terrain entry None is not an object"),
+            ([None], "terrain entry 0 must be a JSON object, got None"),
             ([{"x": 0.0, "y": None, "lambda": 2.0}], "terrain entry 't0': y must be"),
         ],
     )
@@ -498,15 +504,15 @@ class TestRunConfigValidation:
             ({"tau": math.inf}, "tau must be a finite number"),
             ({"tau": "0.1"}, "tau must be a finite number"),
             ({"tau": True}, "tau must be a finite number"),
-            ({"matcher": 5}, "matcher config must be an object"),
+            ({"matcher": 5}, "matcher config must be a JSON object, got 5"),
             ({"matcher": {"gather_radius": math.nan}}, "gather_radius must be a finite"),
             ({"matcher": {"min_fit": None}}, "min_fit must be a finite number"),
             ({"matcher": {"max_cluster": 2.5}}, "max_cluster must be an integer"),
             ({"matcher": {"max_missing": -1}}, "max_missing/max_cluster out of range"),
             ({"matcher": {"radius": 1}}, "unknown keys"),
-            ({"library": ...}, "missing keys ['library']"),
-            ({"scenario": 3}, "scenario must be a path string"),
-            ({"out": []}, "out must be a path string"),
+            ({"library": ...}, "run config: missing key 'library'"),
+            ({"scenario": 3}, "run config: scenario must be a string, got 3"),
+            ({"out": []}, "run config: out must be a string, got []"),
             ({"max_exact": 1.5}, "max_exact must be an integer"),
             ({"max_exact": -1}, "max_exact must be >= 0"),
             ({"seed": "7"}, "seed must be an integer"),
@@ -914,6 +920,172 @@ class TestSimulateCommand:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda d: d.update(ground_truth=[]),
+                "ground truth must be a JSON object, got []",
+                id="ground-truth-list",
+            ),
+            pytest.param(
+                lambda d: d["ground_truth"].update(area="big"),
+                "ground truth area must be a JSON object, got 'big'",
+                id="area-string",
+            ),
+            pytest.param(
+                lambda d: d["ground_truth"].update(area=[1]),
+                "ground truth area must be a JSON object, got [1]",
+                id="area-list",
+            ),
+            pytest.param(
+                lambda d: d["ground_truth"].update(area={"width_m": "6 km"}),
+                "ground truth area: width_m must be a finite number, got '6 km'",
+                id="area-width-string",
+            ),
+            pytest.param(
+                lambda d: d["ground_truth"].update(forcez=[]),
+                "ground truth: unknown keys ['forcez']",
+                id="ground-truth-unknown-key",
+            ),
+            pytest.param(
+                lambda d: d["ground_truth"].update(id=5),
+                "ground truth: id must be a string, got 5",
+                id="id-number",
+            ),
+            pytest.param(
+                lambda d: first_tank(d["ground_truth"], x=math.nan),
+                "force 0 component 0 component 0: x must be a finite number, got nan",
+                id="vehicle-x-nan",
+            ),
+            pytest.param(
+                lambda d: first_tank(d["ground_truth"], x=None),
+                "force 0 component 0 component 0: x must be a finite number, got None",
+                id="vehicle-x-null",
+            ),
+            pytest.param(
+                lambda d: first_tank(d["ground_truth"], heading="east"),
+                "force 0 component 0 component 0: heading must be a finite number",
+                id="vehicle-heading-string",
+            ),
+            pytest.param(
+                lambda d: first_tank(d["ground_truth"], colour="green"),
+                "force 0 component 0 component 0: unknown keys ['colour']",
+                id="vehicle-unknown-key",
+            ),
+            pytest.param(
+                lambda d: first_company(d["ground_truth"], components=[]),
+                "force 0 component 0: components must not be empty",
+                id="components-empty",
+            ),
+            pytest.param(
+                lambda d: first_company(d["ground_truth"], model=None),
+                "force 0 component 0: model must be a string, got None",
+                id="model-null",
+            ),
+            # a child's model is checked before its parent's slots look it up
+            pytest.param(
+                lambda d: first_company(d["ground_truth"], model="x"),
+                "unknown model 'x' in ground truth",
+                id="child-model-unknown",
+            ),
+            pytest.param(
+                lambda d: d.update(noise=[]),
+                "noise spec must be a JSON object, got []",
+                id="noise-list",
+            ),
+            pytest.param(
+                lambda d: d["noise"].update(seed=1.5),
+                "noise spec: seed must be an integer, got 1.5",
+                id="seed-float",
+            ),
+            pytest.param(
+                lambda d: d["noise"].update(seed=-1),
+                "noise spec: seed must be >= 0, got -1",
+                id="seed-negative",
+            ),
+            pytest.param(
+                lambda d: d["noise"].update(p_detect="x"),
+                "noise spec: p_detect must be a finite number, got 'x'",
+                id="p-detect-string",
+            ),
+            # an integer beyond the float range is not a finite number
+            pytest.param(
+                lambda d: d["noise"].update(false_alarm_density=10**400),
+                "noise spec: false_alarm_density must be a finite number",
+                id="density-huge-integer",
+            ),
+            pytest.param(
+                lambda d: d["noise"].update(misclassification="x"),
+                "noise spec misclassification must be a JSON object, got 'x'",
+                id="misclassification-string",
+            ),
+            pytest.param(
+                lambda d: d["noise"].update(
+                    misclassification={"T-72-tank": {"T-72-tank": True}}
+                ),
+                "noise spec misclassification row 'T-72-tank': T-72-tank must be a "
+                "finite number, got True",
+                id="misclassification-entry-bool",
+            ),
+            pytest.param(
+                lambda d: d["noise"].update(false_alarm_types=["BMP", 1]),
+                "noise spec: false_alarm_types must be a string, got 1",
+                id="false-alarm-type-number",
+            ),
+            # simulate reports a malformed library as validate does
+            pytest.param(
+                lambda d: d["library"].update(doctrine=[]),
+                "doctrine must be a JSON object, got []",
+                id="library-doctrine-list",
+            ),
+        ],
+    )
+    def test_malformed_input_names_entry_and_key(self, tmp_path, capsys, edit, message):
+        paths = write_battalion_inputs(tmp_path)
+        docs = {
+            key: json.loads(paths[key].read_text())
+            for key in ("ground_truth", "noise", "library")
+        }
+        edit(docs)
+        for key, doc in docs.items():
+            paths[key].write_text(json.dumps(doc))
+        rc = main(
+            [
+                "simulate",
+                str(paths["ground_truth"]),
+                str(paths["noise"]),
+                "--library",
+                str(paths["library"]),
+                "--out",
+                str(paths["scenario"]),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1 and message in err, err
+        assert not paths["scenario"].exists()
+
+    def test_null_heading_is_no_heading(self, tmp_path):
+        paths = write_battalion_inputs(tmp_path)
+        gt = first_tank(json.loads(paths["ground_truth"].read_text()), heading=None)
+        paths["ground_truth"].write_text(json.dumps(gt))
+        assert simulate_and_infer(paths) == 0
+        scenario = json.loads(paths["scenario"].read_text())
+        assert scenario["ground_truth"]["vehicles"][0]["heading"] is None
+        assert scenario["detections"][0]["heading"] is None
+
+
+def first_company(gt: dict, **fields) -> dict:
+    """Set ``fields`` on the first component of ``gt``'s first force."""
+    gt["forces"][0]["components"][0].update(fields)
+    return gt
+
+
+def first_tank(gt: dict, **fields) -> dict:
+    """Set ``fields`` on the first vehicle of ``gt``'s first company."""
+    gt["forces"][0]["components"][0]["components"][0].update(fields)
+    return gt
 
 
 class TestOracleCommand:
