@@ -10,7 +10,7 @@ priors, times a formation-fit ratio.  The rule is a ratio product:
 computed exactly as written, never normalized: raw > 1 on legal inputs
 is reported via ``out_of_range`` because it signals that the
 independence assumptions behind the rule are violated by the data.
-Every factor is recorded in a trace so any reported posterior can be
+Each result keeps the rule's inputs, so any reported posterior can be
 recomputed from the report alone.
 
 Restricted evaluation (``posterior_given_subset``) recomputes any
@@ -91,30 +91,29 @@ class AccrualInputs:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    symbol: str
-    value: float
-    component: int | None = None
-    kind: str = "input"  # input | factor | result
-
-
-@dataclass(frozen=True)
 class AccrualResult:
-    """Unclamped rule value, clamped posterior, and the full trace.
+    """The unclamped rule value and what produced it.
 
-    The product of the ``factor`` trace entries reproduces ``raw``.
-    ``direct`` marks level-skipping odds accrual, where the trace holds
-    likelihood ratios instead of rule factors.
+    ``inputs`` is the validated ``AccrualInputs`` on the rule path, or
+    the closure's (item id, likelihood ratio) pairs on the direct,
+    level-skipping path, where ``raw`` is the odds-product posterior.
+    Either recomputes ``raw`` exactly, so the report needs nothing else.
     """
 
     raw: float
-    posterior: float
-    out_of_range: bool
-    trace: tuple[TraceEntry, ...]
-    direct: bool = False
+    inputs: AccrualInputs | tuple[tuple[str, float], ...]
 
-    def factors(self) -> list[float]:
-        return [e.value for e in self.trace if e.kind == "factor"]
+    @property
+    def posterior(self) -> float:
+        return min(self.raw, 1.0)
+
+    @property
+    def out_of_range(self) -> bool:
+        return self.raw > 1.0
+
+    @property
+    def direct(self) -> bool:
+        return not isinstance(self.inputs, AccrualInputs)
 
 
 def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
@@ -124,28 +123,10 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
     so all-equal inputs cancel to exactly 1.0 in float arithmetic.
     """
     fit_ratio = inputs.fit_num / inputs.fit_den
-    trace: list[TraceEntry] = [
-        TraceEntry("P(f|H,C)", inputs.fit_num),
-        TraceEntry("P(f|e,t)", inputs.fit_den),
-        TraceEntry("P(H)", inputs.p_h),
-        TraceEntry("fit_ratio", fit_ratio, kind="factor"),
+    brackets = [
+        (cb.p_ce * cb.p_ct * inputs.p_h) / (cb.p_cet * (cb.p_c * cb.p_c))
+        for cb in inputs.per_component
     ]
-    brackets: list[float] = []
-    for i, cb in enumerate(inputs.per_component):
-        num = cb.p_ce * cb.p_ct * inputs.p_h
-        den = cb.p_cet * (cb.p_c * cb.p_c)
-        bracket = num / den
-        brackets.append(bracket)
-        trace.extend(
-            [
-                TraceEntry("P(C|e)", cb.p_ce, i),
-                TraceEntry("P(C|t)", cb.p_ct, i),
-                TraceEntry("P(C|e,t)", cb.p_cet, i),
-                TraceEntry("P(C)", cb.p_c, i),
-                TraceEntry("component_ratio", bracket, i, kind="factor"),
-            ]
-        )
-
     if len(brackets) > _LOG_SPACE_THRESHOLD:
         if fit_ratio == 0.0 or any(b == 0.0 for b in brackets):
             raw = 0.0
@@ -157,14 +138,7 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
         raw = fit_ratio
         for b in brackets:
             raw *= b
-
-    trace.append(TraceEntry("raw", raw, kind="result"))
-    return AccrualResult(
-        raw=raw,
-        posterior=min(raw, 1.0),
-        out_of_range=raw > 1.0,
-        trace=tuple(trace),
-    )
+    return AccrualResult(raw=raw, inputs=inputs)
 
 
 def _combined_et(p_ce: float, p_ct: float, p_c: float) -> float:
@@ -194,17 +168,13 @@ def _direct_result(
     g: HypothesisGraph, hid: str, keep: EvidenceSet | None
 ) -> AccrualResult:
     h = g.get(hid)
-    ids = [i for i in g.evidence_closure(hid) if keep is None or i in keep]
-    post = posterior_from_evidence(h.prior, [g.item(i) for i in ids])
-    trace = [TraceEntry("prior", h.prior)]
-    trace.extend(
-        TraceEntry(f"lambda[{i}]", g.item(i).likelihood_ratio, kind="odds_factor")
-        for i in ids
+    ratios = tuple(
+        (i, g.item(i).likelihood_ratio)
+        for i in g.evidence_closure(hid)
+        if keep is None or i in keep
     )
-    trace.append(TraceEntry("posterior", post, kind="result"))
-    return AccrualResult(
-        raw=post, posterior=post, out_of_range=False, trace=tuple(trace), direct=True
-    )
+    post = posterior_from_evidence(h.prior, [lr for _, lr in ratios])
+    return AccrualResult(raw=post, inputs=ratios)
 
 
 def _evaluate(

@@ -64,7 +64,7 @@ class Hypothesis:
     posterior: float = 0.5
     heading: float | None = None
     status: Status = Status.ACTIVE
-    # Filled by propagate_level: full factor trace behind `posterior`.
+    # Filled by propagate_level: the accrual behind `posterior`.
     accrual: "AccrualResult | None" = None
 
     def is_leaf(self) -> bool:

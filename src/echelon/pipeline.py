@@ -4,8 +4,8 @@ Leaf hypotheses are instantiated from detections, then each level is
 processed bottom-up: match models over the children, accrue posteriors,
 detect conflicts, and either skip them (marking members and estimating
 the induced parent error at the next level) or resolve them exactly.
-The report carries every hypothesis with its full accrual trace, so any
-posterior can be recomputed from the report alone.  Output is
+The report carries every hypothesis with the inputs of its accrual, so
+any posterior can be recomputed from the report alone.  Output is
 deterministic given the config and seed.
 """
 
@@ -254,18 +254,21 @@ def run(cfg: RunConfig) -> dict:
 _REASON_VALUES = tuple(sorted(r.value for r in rs) for rs in REASON_SETS)
 
 
-def _trace_records(h: Hypothesis) -> list[dict] | None:
-    if h.accrual is None:
+def _accrual_record(h: Hypothesis) -> dict | None:
+    """What recomputes ``raw``: the rule's inputs, with P(H) the record's
+    ``prior``, or the direct path's likelihood ratios by item id."""
+    a = h.accrual
+    if a is None:
         return None
-    return [
-        {
-            "symbol": e.symbol,
-            "value": e.value,
-            "component": e.component,
-            "kind": e.kind,
-        }
-        for e in h.accrual.trace
-    ]
+    if a.direct:
+        return {"raw": a.raw, "ratios": dict(a.inputs)}
+    return {
+        "raw": a.raw,
+        "fit": [a.inputs.fit_num, a.inputs.fit_den],
+        "components": [
+            [cb.p_ce, cb.p_ct, cb.p_cet, cb.p_c] for cb in a.inputs.per_component
+        ],
+    }
 
 
 def _build_report(
@@ -295,8 +298,7 @@ def _build_report(
                     "out_of_range": out_of_range,
                     "components": list(h.components),
                     "own_evidence": list(h.own_evidence),
-                    "direct_accrual": bool(h.accrual and h.accrual.direct),
-                    "accrual_trace": _trace_records(h),
+                    "accrual": _accrual_record(h),
                 }
             )
         # Ranked by posterior; out-of-range entries listed but demoted.

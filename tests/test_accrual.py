@@ -118,7 +118,7 @@ class TestAccrueParent:
             assert raw_with(p_cet=min(p_cet * eps, 1.0)) <= base
             assert raw_with(p_c=min(p_c * eps, 1.0)) <= base
 
-    def test_trace_multiplies_back_to_raw(self):
+    def test_inputs_multiply_back_to_raw(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
             comps = tuple(
@@ -133,21 +133,27 @@ class TestAccrueParent:
                     p_h=float(rng.uniform(0.1, 0.9)),
                 )
             )
-            product = 1.0
-            for f in res.factors():
-                product *= f
-            assert product == pytest.approx(res.raw, rel=1e-12)
+            assert res.raw == linear_raw(res.inputs)
+            assert res.posterior == min(res.raw, 1.0)
+            assert res.out_of_range == (res.raw > 1.0)
+            assert not res.direct
 
     def test_log_space_path_matches_linear(self):
         comps = tuple(cb(0.6, 0.55, 0.62, 0.5) for _ in range(35))
         res = accrue_parent(
             AccrualInputs(fit_num=0.8, fit_den=0.6, per_component=comps, p_h=0.4)
         )
-        linear = 0.8 / 0.6
-        for f in res.factors()[1:]:
-            linear *= f
-        assert res.raw == pytest.approx(linear, rel=1e-12)
+        assert res.raw == pytest.approx(linear_raw(res.inputs), rel=1e-12)
         assert res.posterior == min(res.raw, 1.0)
+
+
+def linear_raw(inputs):
+    """The rule written out: fit ratio times each component's bracket,
+    in the engine's operation order."""
+    raw = inputs.fit_num / inputs.fit_den
+    for c in inputs.per_component:
+        raw *= (c.p_ce * c.p_ct * inputs.p_h) / (c.p_cet * (c.p_c * c.p_c))
+    return raw
 
 
 def build_two_leaf_parent(g, lam0=4.0, lam1=6.0, terrain=None):
@@ -313,20 +319,17 @@ class TestPropagateLevel:
         assert g.get("a0").accrual.raw == pytest.approx(
             oracle_report.approx, rel=1e-10
         )
-        by_symbol = {}
-        for entry in g.get("a0").accrual.trace:
-            if entry.component is not None:
-                by_symbol.setdefault(entry.symbol, []).append(entry.value)
+        per_component = g.get("a0").accrual.inputs.per_component
         for i, c in enumerate(comps):
             e_c = [f"e{i + 1}_1"]
             t_c = [f"t{i + 1}"]
-            assert by_symbol["P(C|e)"][i] == pytest.approx(
+            assert per_component[i].p_ce == pytest.approx(
                 net.exact_conditional({c: 1}, {v: 1 for v in e_c}), rel=1e-12
             )
-            assert by_symbol["P(C|t)"][i] == pytest.approx(
+            assert per_component[i].p_ct == pytest.approx(
                 net.exact_conditional({c: 1}, {v: 1 for v in t_c}), rel=1e-12
             )
-            assert by_symbol["P(C|e,t)"][i] == pytest.approx(
+            assert per_component[i].p_cet == pytest.approx(
                 net.exact_conditional({c: 1}, {v: 1 for v in e_c + t_c}), rel=1e-12
             )
 
@@ -337,6 +340,7 @@ class TestPropagateLevel:
         propagate_level(g, Level.ARRAY)
         h = g.get("a0")
         assert h.accrual.direct
+        assert h.accrual.inputs == (("e0", 4.0), ("e1", 6.0), ("fit0", 3.0))
         assert h.posterior == direct_posterior(g, "a0")
         expected = posterior_from_evidence(0.3, [4.0, 6.0, 3.0])
         assert h.posterior == pytest.approx(expected, rel=1e-12)

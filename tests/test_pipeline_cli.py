@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -5,10 +6,10 @@ import math
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from echelon.cli import main
+from echelon.evidence import posterior_from_evidence
 from echelon.pipeline import RunConfig, run
 from echelon.scenario import dumps
 
@@ -564,7 +565,7 @@ class TestSkipFlow:
         assert conf["skip_error_estimates"]["a0"] > 0.0
         company = report["levels"]["array"][0]
         assert company["id"] == "a0"
-        assert company["direct_accrual"]
+        assert set(company["accrual"]) == {"raw", "ratios"}
         # a0 accrues directly, so its posterior is the direct posterior
         # that the skip-error bound scales
         assert conf["skip_error_estimates"]["a0"] == (
@@ -582,7 +583,7 @@ class TestSkipFlow:
         beliefs = {tuple(cs["members"]): cs["belief"] for cs in conf["consistent_sets"]}
         assert math.fsum(beliefs.values()) == pytest.approx(1.0, abs=1e-12)
         company = report["levels"]["array"][0]
-        assert not company["direct_accrual"]
+        assert set(company["accrual"]) == {"raw", "fit", "components"}
 
 
 class TestCompanyLevelConflict:
@@ -768,8 +769,9 @@ class TestConflictReportBytes:
     # with per_member_conditioning derived from the report (the field
     # the report once wrote), so every value of the conflicts section
     # (reasons, orderings, measures, consistent_sets) is pinned by it;
-    # recorded once orientation conflicts became local
-    REPORT_SHA256 = "d878fd74242f5e71e205e64e280ff2a138bddc8ac5bc9371cc754133ffe3fecd"
+    # recorded once orientation conflicts became local, and again when
+    # each record's accrual trace became its ``accrual`` inputs
+    REPORT_SHA256 = "b37983ac7d5b85e6ba56bd598655fe60c06a98c35eefe7a1d2009dbb779eea93"
 
     def test_noisy_grid_report_is_byte_identical(self, tmp_path):
         report = noisy_grid_report(tmp_path)
@@ -832,34 +834,64 @@ class TestNoCyclicGarbage:
         assert self.garbage_of(cfg) == []
 
 
-class TestReportAudit:
-    def test_posteriors_recomputable_from_traces(self, tmp_path):
-        paths = write_battalion_inputs(tmp_path)
-        assert simulate_and_infer(paths) == 0
-        report = json.loads(paths["report"].read_text())
-        entries = [
-            e
-            for level in report["levels"].values()
-            for e in level
-            if e["accrual_trace"] is not None
-        ]
-        rng = np.random.default_rng(1)
-        picks = rng.choice(len(entries), size=min(3, len(entries)), replace=False)
-        for i in picks:
-            e = entries[int(i)]
-            trace = e["accrual_trace"]
-            if e["direct_accrual"]:
-                odds = e["prior"] / (1.0 - e["prior"])
-                for t in trace:
-                    if t["kind"] == "odds_factor":
-                        odds *= t["value"]
-                assert e["posterior"] == pytest.approx(odds / (1 + odds), rel=1e-12)
+def rule_raw(prior, accrual):
+    """``raw`` of the parent rule from a report record, in the engine's
+    operation order, with P(H) the record's prior."""
+    fit_num, fit_den = accrual["fit"]
+    assert len(accrual["components"]) <= 30  # below the log-space path
+    raw = fit_num / fit_den
+    for p_ce, p_ct, p_cet, p_c in accrual["components"]:
+        raw *= (p_ce * p_ct * prior) / (p_cet * (p_c * p_c))
+    return raw
+
+
+def audit(report):
+    """Recompute every record's ``raw``, posterior and ``out_of_range``
+    exactly from its ``prior`` and ``accrual``; counts of the records
+    audited by path and of those out of range."""
+    resolved = {
+        m for c in report["conflicts"] if c["decision"] == "resolve" for m in c["members"]
+    }
+    counts = {"leaf": 0, "rule": 0, "direct": 0, "out_of_range": 0}
+    for level in report["levels"].values():
+        for e in level:
+            a = e["accrual"]
+            if a is None:
+                assert not e["out_of_range"]
+                counts["leaf"] += 1
+                continue
+            if "ratios" in a:
+                assert set(a) == {"raw", "ratios"}
+                raw = posterior_from_evidence(e["prior"], list(a["ratios"].values()))
+                counts["direct"] += 1
             else:
-                raw = 1.0
-                for t in trace:
-                    if t["kind"] == "factor":
-                        raw *= t["value"]
-                assert min(raw, 1.0) == pytest.approx(e["posterior"], rel=1e-12)
+                assert set(a) == {"raw", "fit", "components"}
+                raw = rule_raw(e["prior"], a)
+                counts["rule"] += 1
+            assert a["raw"] == raw, e["id"]
+            assert e["out_of_range"] == (raw > 1.0)
+            counts["out_of_range"] += e["out_of_range"]
+            if e["id"] not in resolved:
+                assert e["posterior"] == min(raw, 1.0), e["id"]
+    return counts
+
+
+class TestReportAudit:
+    def test_demo_report_recomputable_from_accrual(self):
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        counts = audit(json.loads((demo / "report.json").read_text()))
+        assert counts["rule"] > 0 and counts["out_of_range"] > 0
+
+    def test_noisy_report_recomputable_from_accrual(self, tmp_path):
+        # tau 1 skips some vehicle groups and resolves others, so the
+        # scene has direct-path, rule-path and out-of-range records
+        cfg, _ = noisy_grid_config(tmp_path)
+        report = run(dataclasses.replace(cfg, tau=1.0))
+        decisions = {c["decision"] for c in report["conflicts"]}
+        assert decisions == {"skip", "resolve"}
+        counts = audit(report)
+        assert counts["direct"] > 0 and counts["rule"] > 0
+        assert counts["out_of_range"] > 0
 
 
 class TestSimulateCommand:
