@@ -62,7 +62,8 @@ class DegeneratePriorWarning(UserWarning):
 
 
 class ClusterCapWarning(UserWarning):
-    """A gather cluster exceeded the enumeration cap and was truncated."""
+    """No longer raised: the matcher's clusters are not capped.  Kept so
+    that code which filters or counts it still imports."""
 
 
 class DegenerateThresholdWarning(UserWarning):

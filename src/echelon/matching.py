@@ -1,7 +1,8 @@
 """Bottom-up model instantiation.
 
-Child hypotheses are gathered into radius clusters; inside each cluster
-every slot assignment satisfying type subsumption and count bounds is
+Child hypotheses are gathered, per model, into single-linkage clusters
+at the model's pool radius (``_pool_radius``); inside each cluster every
+slot assignment satisfying type subsumption and count bounds is
 enumerated exactly and scored on deployment geometry.  Assignments grow
 one child at a time, and with a positive fit threshold a partial
 assignment is dropped as soon as one of its pairs has satisfaction 0
@@ -17,11 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
-from echelon.exceptions import ClusterCapWarning
 from echelon.geometry import (
     centroid,
     distance,
@@ -59,7 +58,6 @@ class MatchConfig:
     gather_radius: float = 1500.0
     min_fit: float = 0.1
     max_missing: int = 0
-    max_cluster: int = 12
     rho: float = 0.5
     slack: float = 0.25
     lambda_max: float = 9.0
@@ -69,8 +67,8 @@ class MatchConfig:
             raise ValueError("gather_radius must be positive")
         if not (0.0 <= self.min_fit <= 1.0):
             raise ValueError("min_fit outside [0,1]")
-        if self.max_missing < 0 or self.max_cluster < 1:
-            raise ValueError("max_missing/max_cluster out of range")
+        if self.max_missing < 0:
+            raise ValueError("max_missing must be >= 0")
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho outside (0,1]")
         if self.slack < 0.0:
@@ -247,18 +245,34 @@ def _clusters(
     return sorted((sorted(members) for members in groups.values()), key=lambda m: m[0])
 
 
-def _cap_cluster(g: HypothesisGraph, cluster: list[str], cap: int) -> list[str]:
-    if len(cluster) <= cap:
-        return cluster
-    warnings.warn(
-        f"cluster of {len(cluster)} children exceeds max_cluster={cap}; "
-        "keeping the members nearest the cluster centroid",
-        ClusterCapWarning,
-        stacklevel=3,
+def _pool_radius(model: ForceModel, cfg: MatchConfig) -> float:
+    """The radius at which ``model``'s children are clustered.
+
+    A model is fully constrained when a constraint links every pair of
+    slots that can hold a child, and every slot that can hold two with
+    itself.  With ``min_fit > 0`` every pair of such a model's candidate
+    then has nonzero satisfaction, so lies within the model's extent, the
+    largest ``d_max + slack * (d_max - d_min)``: clusters at that radius,
+    padded by a few ulps against rounding, lose no candidate.  Every
+    other model, and an extent of 0, takes ``gather_radius``.
+    """
+    if cfg.min_fit <= 0.0:
+        return cfg.gather_radius
+    linked = {frozenset((c.slot_a, c.slot_b)) for c in model.constraints}
+    holding = [i for i, slot in enumerate(model.slots) if slot.count_max >= 1]
+    for a, b in itertools.combinations_with_replacement(holding, 2):
+        if (a != b or model.slots[a].count_max >= 2) and frozenset((a, b)) not in linked:
+            return cfg.gather_radius
+    extent = max(
+        (
+            c.distance_max + cfg.slack * (c.distance_max - c.distance_min)
+            for c in model.constraints
+        ),
+        default=0.0,
     )
-    center = centroid([g.get(i).location for i in cluster])
-    ranked = sorted(cluster, key=lambda i: (distance(g.get(i).location, center), i))
-    return sorted(ranked[:cap])
+    if extent == 0.0:
+        return cfg.gather_radius
+    return min(cfg.gather_radius, extent + 4.0 * math.ulp(extent))
 
 
 def _enumerate_assignments(
@@ -361,10 +375,9 @@ def match_level(
         return []
 
     candidates: list[MatchCandidate] = []
-    for cluster in _clusters(g, child_ids, cfg.gather_radius):
-        cluster = _cap_cluster(g, cluster, cfg.max_cluster)
-        for model in models:
-            sat = _PairTable(g, model, cfg.slack)
+    for model in models:
+        sat = _PairTable(g, model, cfg.slack)
+        for cluster in _clusters(g, child_ids, _pool_radius(model, cfg)):
             for assignment, missing in _enumerate_assignments(
                 g, lib, model, cluster, cfg, sat
             ):

@@ -508,9 +508,9 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
 
 
 def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypatch):
-    # gather_radius 1200 joins a battalion's three companies into one
-    # cluster of nine tanks; subsets mixing companies hold a pair ~1000 m
-    # apart, far outside the company interval, and are never scored.
+    # the company model is fully constrained, so its tanks are pooled at
+    # its extent, 250 + 0.25 * 200 = 300 m: each company's three tanks
+    # form one cluster, and no cluster holds tanks of two companies.
     # Every fit score, from match_level or fit_score, goes through _score.
     counts = {"scores": 0}
     clusters = []  # [children, pair evaluations] per cluster
@@ -523,17 +523,17 @@ def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypa
         clusters[-1][1] += 1
         return original_pair(*args)
 
-    def recorded_cluster(g, cluster, cap):
-        kept = original_cap(g, cluster, cap)
-        clusters.append([len(kept), 0])
-        return kept
+    def recorded_clusters(g, ids, radius):
+        for cluster in original_clusters(g, ids, radius):
+            clusters.append([len(cluster), 0])
+            yield cluster
 
-    original_score, original_pair, original_cap = (
-        matching._score, matching._pair_satisfaction, matching._cap_cluster
+    original_score, original_pair, original_clusters = (
+        matching._score, matching._pair_satisfaction, matching._clusters
     )
     monkeypatch.setattr(matching, "_score", counted_score)
     monkeypatch.setattr(matching, "_pair_satisfaction", counted_pair)
-    monkeypatch.setattr(matching, "_cap_cluster", recorded_cluster)
+    monkeypatch.setattr(matching, "_clusters", recorded_clusters)
 
     per_level = {}
 
@@ -556,7 +556,7 @@ def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypa
         assert len(report["levels"]["battalion"]) == battalions
         candidates, _, _, array_clusters = per_level[Level.ARRAY]
         assert candidates == 3 * battalions
-        assert [n for n, _ in array_clusters] == [9] * battalions
+        assert [n for n, _ in array_clusters] == [3] * (3 * battalions)
         for candidates, scores, constraints, level_clusters in per_level.values():
             assert scores <= candidates
             for n, pair_evaluations in level_clusters:

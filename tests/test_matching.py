@@ -7,13 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from echelon.exceptions import ClusterCapWarning
 from echelon.hypotheses import HypothesisGraph
 from echelon.matching import (
     MATCHABLE,
     MatchCandidate,
     MatchConfig,
-    _cap_cluster,
     _clusters,
     _enumerate_assignments,
     _PairTable,
@@ -178,17 +176,6 @@ class TestMatchLevel:
         want = brute_force_candidates(g, tank_lib, Level.ARRAY, cfg)
         assert got == want
         assert len(got) == 2
-
-    def test_cluster_cap_warns(self, tank_lib, empty_graph):
-        g = empty_graph
-        for i in range(7):
-            add_leaf(
-                g, f"v{i}", lam=6.0, force_type="T-72-tank",
-                location=(1000.0 + 30.0 * i, 1000.0),
-            )
-        cfg = MatchConfig(gather_radius=2000, min_fit=0.9, max_cluster=6)
-        with pytest.warns(ClusterCapWarning):
-            match_level(g, tank_lib, Level.ARRAY, cfg)
 
     def test_output_sorted_by_fit(self, tank_lib, empty_graph):
         g = empty_graph
@@ -360,10 +347,11 @@ def reference_assignments(g, lib, model, pool, max_missing):
 
 
 def reference_match_level(g, lib, level, cfg):
+    """Every model over every cluster at ``gather_radius``, uncapped, with
+    the unpruned enumeration: the matcher's pools must lose nothing."""
     child_ids = sorted(g.at_level(Level(level - 1), statuses=MATCHABLE))
     out = []
     for cluster in _clusters(g, child_ids, cfg.gather_radius):
-        cluster = _cap_cluster(g, cluster, cfg.max_cluster)
         for model in lib.models_at(level):
             for assignment, missing in reference_assignments(
                 g, lib, model, cluster, cfg.max_missing
@@ -440,8 +428,9 @@ def property_libraries(draw):
 def property_scenes(draw, slack):
     """Up to seven vehicles: free points, non-finite points, and points
     moved from an earlier one along an axis by an interval end, by the
-    end of the slack margin d_max + slack*(d_max - d_min), or by either
-    nudged 1e-9."""
+    end of the slack margin d_max + slack*(d_max - d_min) (a fully
+    constrained model's extent), by either nudged 1e-9, and then
+    possibly one ulp further along the axis."""
     g = HypothesisGraph()
     points = []
     for i in range(draw(st.integers(0, 7))):
@@ -452,10 +441,11 @@ def property_scenes(draw, slack):
             margin = slack * (d_max - d_min)
             step = draw(st.sampled_from([d_min, d_max, d_max + margin, d_min - margin]))
             step += draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9]))
+            ulp = draw(st.booleans())
             if draw(st.booleans()):
-                point = (x + step, y)
+                point = (math.nextafter(x + step, math.inf) if ulp else x + step, y)
             else:
-                point = (x, y - step)
+                point = (x, math.nextafter(y - step, -math.inf) if ulp else y - step)
         elif kind == "non-finite":
             point = draw(
                 st.sampled_from([(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
@@ -516,3 +506,44 @@ def test_pruned_enumeration_equals_unpruned_reference(data):
                 (list(a.items()), m) for a, m in kept
             ]
             assert scored(model, got) == scored(model, ref)
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "d_min, d_max, slack",
+    [(50.0, 250.0, 0.25), (0.0, 100.0, 0.1), (12.7, 333.3, 1 / 3), (0.3, 0.7, 0.7)],
+)
+def test_pool_keeps_pairs_at_the_extent(d_min, d_max, slack, ulps):
+    # a pair of a fully constrained model exactly at its extent
+    # d_max + slack*(d_max - d_min), one ulp inside or one ulp past it;
+    # the pool at the extent finds what an unbounded cluster finds
+    lib = load_library(
+        json.dumps(
+            {
+                "types": [
+                    {"name": "tank", "level": "vehicle"},
+                    {"name": "pair", "level": "array"},
+                ],
+                "models": [
+                    {
+                        "name": "p", "type": "pair",
+                        "slots": [{"type": "tank", "min": 2, "max": 2}],
+                        "constraints": [{"slots": [0, 0], "d_min": d_min, "d_max": d_max}],
+                    }
+                ],
+            }
+        )
+    )
+    d = d_max + slack * (d_max - d_min)
+    for _ in range(abs(ulps)):
+        d = math.nextafter(d, math.copysign(math.inf, ulps))
+    g = HypothesisGraph()
+    add_leaf(g, "v0", force_type="tank", location=(0.0, 0.0))
+    add_leaf(g, "v1", force_type="tank", location=(d, 0.0))
+    cfg = MatchConfig(gather_radius=1e4, min_fit=5e-324, slack=slack)
+    got = as_listed(match_level(g, lib, Level.ARRAY, cfg))
+    assert got == as_listed(reference_match_level(g, lib, Level.ARRAY, cfg))
+    if ulps < 0:
+        assert len(got) == 1
+    if ulps > 0:
+        assert got == []

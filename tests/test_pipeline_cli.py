@@ -508,8 +508,9 @@ class TestRunConfigValidation:
             ({"matcher": 5}, "matcher config must be a JSON object, got 5"),
             ({"matcher": {"gather_radius": math.nan}}, "gather_radius must be a finite"),
             ({"matcher": {"min_fit": None}}, "min_fit must be a finite number"),
-            ({"matcher": {"max_cluster": 2.5}}, "max_cluster must be an integer"),
-            ({"matcher": {"max_missing": -1}}, "max_missing/max_cluster out of range"),
+            ({"matcher": {"max_missing": 2.5}}, "max_missing must be an integer"),
+            ({"matcher": {"max_cluster": 12}}, "unknown keys ['max_cluster']"),
+            ({"matcher": {"max_missing": -1}}, "max_missing must be >= 0"),
             ({"matcher": {"radius": 1}}, "unknown keys"),
             ({"library": ...}, "run config: missing key 'library'"),
             ({"scenario": 3}, "run config: scenario must be a string, got 3"),
@@ -546,7 +547,7 @@ class TestRunConfigValidation:
     def test_valid_bounds_accepted(self, tmp_path):
         path = write_empty_run(
             tmp_path, max_exact=0, exclusion_floor=1, leaf_prior=0, seed=-3,
-            out=None, matcher={"gather_radius": 900, "max_cluster": 4},
+            out=None, matcher={"gather_radius": 900, "max_missing": 0},
         )
         assert main(["infer", "--config", str(path), "--tau", "1e-300"]) == 0
 
@@ -731,9 +732,7 @@ def noisy_grid_config(tmp_path, battalions=4, seed=0):
 def noisy_grid_report(tmp_path):
     """The report of four noisy battalions (noise seed 0)."""
     cfg, _ = noisy_grid_config(tmp_path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # capped clusters
-        return run(cfg)
+    return run(cfg)
 
 
 def with_per_member_conditioning(report):
@@ -769,9 +768,10 @@ class TestConflictReportBytes:
     # with per_member_conditioning derived from the report (the field
     # the report once wrote), so every value of the conflicts section
     # (reasons, orderings, measures, consistent_sets) is pinned by it;
-    # recorded once orientation conflicts became local, and again when
-    # each record's accrual trace became its ``accrual`` inputs
-    REPORT_SHA256 = "b37983ac7d5b85e6ba56bd598655fe60c06a98c35eefe7a1d2009dbb779eea93"
+    # recorded once orientation conflicts became local, again when each
+    # record's accrual trace became its ``accrual`` inputs, and again
+    # when the matcher's clusters lost their cap
+    REPORT_SHA256 = "8b70d00bbb0d866b64c761617cea56f185e55c1356207f02ab3aad1b13507aaf"
 
     def test_noisy_grid_report_is_byte_identical(self, tmp_path):
         report = noisy_grid_report(tmp_path)
@@ -806,23 +806,21 @@ class TestNoCyclicGarbage:
 
     @staticmethod
     def garbage_of(cfg):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # capped clusters
-            run(cfg)  # the first run fills import-time and module caches
+        run(cfg)  # the first run fills import-time and module caches
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.garbage.clear()
+            run(cfg)
             gc.collect()
-            enabled = gc.isenabled()
-            gc.disable()
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            try:
-                gc.garbage.clear()
-                run(cfg)
-                gc.collect()
-                return list(gc.garbage)
-            finally:
-                gc.set_debug(0)
-                gc.garbage.clear()
-                if enabled:
-                    gc.enable()
+            return list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
 
     def test_demo_run_leaves_no_cycles(self):
         demo = Path(__file__).resolve().parents[1] / "demo"
