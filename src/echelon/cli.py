@@ -16,8 +16,8 @@ from pathlib import Path
 
 from echelon import oracle
 from echelon.conflict import Heuristic
-from echelon.exceptions import EchelonError
-from echelon.models import load_library
+from echelon.exceptions import EchelonError, ScenarioError
+from echelon.models import load_library, parse_json
 from echelon.pipeline import RunConfig, run, write_report
 from echelon.scenario import dumps, generate, load_ground_truth, load_noise_spec
 
@@ -92,19 +92,19 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        gt_doc = json.loads(_read_text(args.ground_truth))
-        noise_doc = json.loads(_read_text(args.noise))
+        gt_text = _read_text(args.ground_truth)
+        noise_text = _read_text(args.noise)
         library_text = _read_text(args.library) if args.library else None
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # also an integer too long to read
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
+    except ValueError as exc:  # not UTF-8 text
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         lib = None if library_text is None else load_library(library_text)
-        gt = load_ground_truth(gt_doc, lib)
-        noise = load_noise_spec(noise_doc)
+        gt = load_ground_truth(parse_json(gt_text, "ground truth", ScenarioError), lib)
+        noise = load_noise_spec(parse_json(noise_text, "noise spec", ScenarioError))
         if args.seed is not None:
             noise = dataclasses.replace(noise, seed=args.seed)
         scenario = generate(gt, noise, lib)

@@ -244,10 +244,7 @@ def subsumes(general: str, specific: str, lib: ModelLibrary) -> bool:
 def load_library(text: str) -> ModelLibrary:
     """Parse and validate a serialized library, strictly (``Fields``), so
     a typo fails loudly instead of silently dropping a constraint."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer too long to convert
-        raise LibraryFormatError(f"library is not valid JSON: {exc}") from exc
+    doc = parse_json(text, "library", LibraryFormatError)
     doc = Fields(doc, ("types", "models", "doctrine"), "library", LibraryFormatError)
     types = _parse_types(doc.list("types", []))
     models = _parse_models(doc.list("models", []))
@@ -283,6 +280,16 @@ _KINDS: dict[str, Callable[[object], object]] = {
 }
 _NUMERIC = {"int": "an integer", "float": "a finite number"}
 _REQUIRED = object()
+
+
+def parse_json(text: str, what: str, error: type[Exception]) -> object:
+    """The JSON document ``text``, one of the input documents ``Fields``
+    reads; ``error`` naming ``what`` when it is not JSON, holds an integer
+    too long to convert, or nests too deep for the parser's recursion."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
 def checked(value: object, kind: str, key: str, where: str, error: type[Exception]):

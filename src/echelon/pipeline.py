@@ -12,7 +12,6 @@ deterministic given the config and seed.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from echelon.models import (
     checked,
     field_names,
     load_library,
+    parse_json,
 )
 from echelon.scenario import SCHEMA_VERSION, dumps
 
@@ -76,7 +76,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        doc = json.loads(path.read_text())
+        doc = parse_json(path.read_text(), "run config", ScenarioError)
         return cls.from_dict(doc, base_dir=path.parent)
 
     @classmethod
@@ -203,7 +203,7 @@ def build_graph(
 def run(cfg: RunConfig) -> dict:
     """Execute the full pipeline and return the report document."""
     lib = load_library(Path(cfg.library).read_text())
-    scenario = json.loads(Path(cfg.scenario).read_text())
+    scenario = parse_json(Path(cfg.scenario).read_text(), "scenario", ScenarioError)
     g = build_graph(scenario, lib, cfg.leaf_prior)
 
     terrain = [g.evidence[i] for i in sorted(g.evidence) if g.evidence[i].kind is EvidenceKind.TERRAIN]

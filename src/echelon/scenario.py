@@ -29,6 +29,11 @@ from echelon.models import Fields, Level, ModelLibrary, field_names, subsumes
 
 SCHEMA_VERSION = 1
 
+# Most false alarms a scene may expect (false_alarm_density times the
+# area in km^2): ``generate`` refuses a noise spec above it rather than
+# draw a detection list that exhausts time or memory.
+MAX_FALSE_ALARMS = 100_000
+
 
 @dataclass(frozen=True)
 class GroundTruthNode:
@@ -223,7 +228,16 @@ def _draw_from_row(rng: np.random.Generator, row: dict[str, float]) -> str:
 
 def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None) -> dict:
     """Run the noise channel over the ground truth; returns the scenario
-    document with its ground-truth sidecar for scoring."""
+    document with its ground-truth sidecar for scoring.  ScenarioError
+    when the expected false-alarm count exceeds ``MAX_FALSE_ALARMS``."""
+    area_km2 = gt.area[0] * gt.area[1] / 1e6
+    expected = noise.false_alarm_density * area_km2
+    if expected > MAX_FALSE_ALARMS:
+        raise ScenarioError(
+            f"noise spec: false_alarm_density {noise.false_alarm_density!r} over "
+            f"{area_km2!r} km^2 expects {expected!r} false alarms, more than "
+            f"{MAX_FALSE_ALARMS}"
+        )
     rng = np.random.default_rng(noise.seed)
 
     vehicles: list[GroundTruthNode] = []
@@ -308,8 +322,7 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
     fa_types = noise.false_alarm_types or tuple(
         sorted({v.vehicle_type for v in vehicles if v.vehicle_type})
     )
-    area_km2 = gt.area[0] * gt.area[1] / 1e6
-    n_fa = int(rng.poisson(noise.false_alarm_density * area_km2)) if fa_types else 0
+    n_fa = int(rng.poisson(expected)) if fa_types else 0
     for _ in range(n_fa):
         detections.append(
             {

@@ -552,6 +552,52 @@ class TestRunConfigValidation:
         assert main(["infer", "--config", str(path), "--tau", "1e-300"]) == 0
 
 
+class TestDeeplyNestedInputs:
+    """JSON nested deeper than the parser's recursion limit is malformed
+    JSON: exit 1 naming the document, never a RecursionError traceback."""
+
+    DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+    @pytest.mark.parametrize(
+        "document, command",
+        [
+            ("library", "validate"),
+            ("library", "infer"),
+            ("run config", "infer"),
+            ("scenario", "infer"),
+            ("library", "simulate"),
+            ("ground truth", "simulate"),
+            ("noise spec", "simulate"),
+        ],
+    )
+    def test_deep_document_is_domain_error(self, tmp_path, capsys, document, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        demo = {
+            name: str(self.DEMO / f"{name}.json")
+            for name in ("library", "scenario", "ground_truth", "noise_clean")
+        }
+        if document == "library":
+            demo["library"] = str(deep)
+        if document == "scenario":
+            demo["scenario"] = str(deep)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"library": demo["library"], "scenario": demo["scenario"]}))
+        argv = {
+            "validate": ["validate", demo["library"]],
+            "infer": ["infer", "--config", str(deep if document == "run config" else config)],
+            "simulate": [
+                "simulate",
+                str(deep) if document == "ground truth" else demo["ground_truth"],
+                str(deep) if document == "noise spec" else demo["noise_clean"],
+                "--library", demo["library"],
+                "--out", str(tmp_path / "scenario.json"),
+            ],
+        }[command]
+        assert main(argv) == 1
+        assert f"{document} is not valid JSON: maximum recursion depth" in capsys.readouterr().err
+
+
 class TestSkipFlow:
     def test_skip_estimates_and_direct_accrual(self, tmp_path):
         cfg_path = write_skip_scenario(tmp_path)
@@ -893,6 +939,21 @@ class TestReportAudit:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("density", [1e10, 1e300])
+    def test_oversized_false_alarm_count_is_domain_error(self, tmp_path, capsys, density):
+        # the demo's 6 km x 6 km area would expect 3.6e11 false alarms at
+        # 1e10 per km^2, and numpy cannot draw a Poisson count at 1e300
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"false_alarm_density": density}))
+        out = tmp_path / "scenario.json"
+        argv = ["simulate", str(demo / "ground_truth.json"), str(noise), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "noise spec: false_alarm_density" in err
+        assert "more than 100000" in err
+        assert not out.exists()
+
     def test_missing_input_exit_two(self, tmp_path):
         assert (
             main(
