@@ -62,8 +62,7 @@ class DegeneratePriorWarning(UserWarning):
 
 
 class ClusterCapWarning(UserWarning):
-    """No longer raised: the matcher's clusters are not capped.  Kept so
-    that code which filters or counts it still imports."""
+    """No longer raised (clusters are not capped); kept for its importers."""
 
 
 class DegenerateThresholdWarning(UserWarning):

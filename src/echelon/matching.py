@@ -256,21 +256,19 @@ def _pool_radius(model: ForceModel, cfg: MatchConfig) -> float:
     padded by a few ulps against rounding, lose no candidate.  Every
     other model, and an extent of 0, takes ``gather_radius``.
     """
-    if cfg.min_fit <= 0.0:
-        return cfg.gather_radius
     linked = {frozenset((c.slot_a, c.slot_b)) for c in model.constraints}
     holding = [i for i, slot in enumerate(model.slots) if slot.count_max >= 1]
-    for a, b in itertools.combinations_with_replacement(holding, 2):
-        if (a != b or model.slots[a].count_max >= 2) and frozenset((a, b)) not in linked:
-            return cfg.gather_radius
+    constrained = all(
+        frozenset((a, b)) in linked
+        for a, b in itertools.combinations_with_replacement(holding, 2)
+        if a != b or model.slots[a].count_max >= 2
+    )
     extent = max(
-        (
-            c.distance_max + cfg.slack * (c.distance_max - c.distance_min)
-            for c in model.constraints
-        ),
+        (c.distance_max + cfg.slack * (c.distance_max - c.distance_min)
+         for c in model.constraints),
         default=0.0,
     )
-    if extent == 0.0:
+    if cfg.min_fit <= 0.0 or not constrained or extent == 0.0:
         return cfg.gather_radius
     return min(cfg.gather_radius, extent + 4.0 * math.ulp(extent))
 

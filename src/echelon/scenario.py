@@ -234,9 +234,8 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
     expected = noise.false_alarm_density * area_km2
     if expected > MAX_FALSE_ALARMS:
         raise ScenarioError(
-            f"noise spec: false_alarm_density {noise.false_alarm_density!r} over "
-            f"{area_km2!r} km^2 expects {expected!r} false alarms, more than "
-            f"{MAX_FALSE_ALARMS}"
+            f"noise spec: false_alarm_density {noise.false_alarm_density!r} expects "
+            f"{expected!r} false alarms over the area, more than {MAX_FALSE_ALARMS}"
         )
     rng = np.random.default_rng(noise.seed)
 
