@@ -816,7 +816,7 @@ class TestConflictReportBytes:
     # (reasons, orderings, measures, consistent_sets) is pinned by it;
     # recorded once orientation conflicts became local, again when each
     # record's accrual trace became its ``accrual`` inputs, and again
-    # when the matcher's clusters lost their cap
+    # when the config echo lost ``max_cluster``
     REPORT_SHA256 = "8b70d00bbb0d866b64c761617cea56f185e55c1356207f02ab3aad1b13507aaf"
 
     def test_noisy_grid_report_is_byte_identical(self, tmp_path):
