@@ -573,26 +573,20 @@ class TestDeeplyNestedInputs:
     def test_deep_document_is_domain_error(self, tmp_path, capsys, document, command):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000)
-        demo = {
-            name: str(self.DEMO / f"{name}.json")
-            for name in ("library", "scenario", "ground_truth", "noise_clean")
+        files = {"library": "library.json", "scenario": "scenario.json",
+                 "ground truth": "ground_truth.json", "noise spec": "noise_clean.json"}
+        path = {
+            name: str(deep if name == document else self.DEMO / file)
+            for name, file in files.items()
         }
-        if document == "library":
-            demo["library"] = str(deep)
-        if document == "scenario":
-            demo["scenario"] = str(deep)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"library": demo["library"], "scenario": demo["scenario"]}))
+        config.write_text(json.dumps({"library": path["library"], "scenario": path["scenario"]}))
+        path["run config"] = str(deep if document == "run config" else config)
         argv = {
-            "validate": ["validate", demo["library"]],
-            "infer": ["infer", "--config", str(deep if document == "run config" else config)],
-            "simulate": [
-                "simulate",
-                str(deep) if document == "ground truth" else demo["ground_truth"],
-                str(deep) if document == "noise spec" else demo["noise_clean"],
-                "--library", demo["library"],
-                "--out", str(tmp_path / "scenario.json"),
-            ],
+            "validate": ["validate", path["library"]],
+            "infer": ["infer", "--config", path["run config"]],
+            "simulate": ["simulate", path["ground truth"], path["noise spec"],
+                         "--library", path["library"], "--out", str(tmp_path / "out.json")],
         }[command]
         assert main(argv) == 1
         assert f"{document} is not valid JSON: maximum recursion depth" in capsys.readouterr().err
