@@ -66,20 +66,28 @@ class AccrualInputs:
     p_h: float
 
     def __post_init__(self) -> None:
-        for name in ("fit_num", "fit_den", "p_h"):
-            val = getattr(self, name)
+        for name, val in (
+            ("fit_num", self.fit_num),
+            ("fit_den", self.fit_den),
+            ("p_h", self.p_h),
+        ):
             if not (0.0 <= val <= 1.0):
                 raise ValueError(f"{name} outside [0,1]: {val!r}")
         if self.fit_den == 0.0:
             raise AccrualDomainError("fit_den is zero")
         for i, cb in enumerate(self.per_component):
-            for name in ("p_ce", "p_ct", "p_cet", "p_c"):
-                val = getattr(cb, name)
+            for name, val in (
+                ("p_ce", cb.p_ce),
+                ("p_ct", cb.p_ct),
+                ("p_cet", cb.p_cet),
+                ("p_c", cb.p_c),
+            ):
                 if not (0.0 <= val <= 1.0):
                     raise ValueError(f"component {i}: {name} outside [0,1]: {val!r}")
-            for name in ("p_cet", "p_c"):
-                if getattr(cb, name) == 0.0:
-                    raise AccrualDomainError(f"component {i}: {name} is zero")
+            if cb.p_cet == 0.0:
+                raise AccrualDomainError(f"component {i}: p_cet is zero")
+            if cb.p_c == 0.0:
+                raise AccrualDomainError(f"component {i}: p_c is zero")
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,9 @@ def _combined_et(p_ce: float, p_ct: float, p_c: float) -> float:
     (zero numerator), so 1.0 is returned purely to keep the inputs
     valid.
     """
-    if p_ce in (0.0, 1.0) or p_ct in (0.0, 1.0):
+    if p_ce == 0.0 or p_ct == 0.0:
+        return 1.0
+    if p_ce == 1.0 or p_ct == 1.0:
         return 1.0
     return from_odds(odds(p_ce) * odds(p_ct) / odds(p_c))
 
