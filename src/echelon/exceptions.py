@@ -45,6 +45,10 @@ class ResolutionTooLargeError(EchelonError):
     """Exact conflict resolution refused: member count over the cap."""
 
 
+class MatchTooLargeError(EchelonError):
+    """Slot enumeration refused: over ``matching.MAX_ASSIGNMENTS``."""
+
+
 class ZeroProbabilityEvent(EchelonError):
     """Conditioning event has probability zero under the network."""
 

@@ -8,7 +8,8 @@ one child at a time, and with a positive fit threshold a partial
 assignment is dropped as soon as one of its pairs has satisfaction 0
 under a constraint (outside its interval by the slack margin or more),
 since every completion would score 0: the work follows the assignments
-that can fit, not every subset of the cluster.
+that can fit, not every subset of the cluster.  Unprunable enumeration
+is refused past ``MAX_ASSIGNMENTS`` assignments.
 Candidates at or above the fit threshold become parent hypotheses
 carrying a fit evidence item whose likelihood ratio rises with
 geometric fit.
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.exceptions import MatchTooLargeError
 from echelon.geometry import (
     centroid,
     distance,
@@ -40,6 +42,10 @@ from echelon.models import (
 )
 
 MATCHABLE = {Status.ACTIVE, Status.SKIPPED}
+
+# Most slot assignments of one model over one cluster (benchmark scenes
+# stay under 30); past it ``match_level`` raises MatchTooLargeError.
+MAX_ASSIGNMENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -246,16 +252,10 @@ def _clusters(
 
 
 def _pool_radius(model: ForceModel, cfg: MatchConfig) -> float:
-    """The radius at which ``model``'s children are clustered.
-
-    A model is fully constrained when a constraint links every pair of
-    slots that can hold a child, and every slot that can hold two with
-    itself.  With ``min_fit > 0`` every pair of such a model's candidate
-    then has nonzero satisfaction, so lies within the model's extent, the
-    largest ``d_max + slack * (d_max - d_min)``: clusters at that radius,
-    padded by a few ulps against rounding, lose no candidate.  Every
-    other model, and an extent of 0, takes ``gather_radius``.
-    """
+    """``gather_radius``, or, when ``min_fit > 0`` and a constraint links
+    every pair of slots a candidate can fill, the smaller of it and the
+    model's extent: the largest ``d_max + slack * (d_max - d_min)``,
+    padded by a few ulps so that rounding loses no candidate."""
     linked = {frozenset((c.slot_a, c.slot_b)) for c in model.constraints}
     holding = [i for i, slot in enumerate(model.slots) if slot.count_max >= 1]
     constrained = all(
@@ -376,9 +376,14 @@ def match_level(
     for model in models:
         sat = _PairTable(g, model, cfg.slack)
         for cluster in _clusters(g, child_ids, _pool_radius(model, cfg)):
-            for assignment, missing in _enumerate_assignments(
-                g, lib, model, cluster, cfg, sat
+            for n, (assignment, missing) in enumerate(
+                _enumerate_assignments(g, lib, model, cluster, cfg, sat), 1
             ):
+                if n > MAX_ASSIGNMENTS:
+                    raise MatchTooLargeError(
+                        f"model {model.name!r}: a cluster of {len(cluster)} children "
+                        f"has over {MAX_ASSIGNMENTS} slot assignments"
+                    )
                 score = _score(model, assignment, cfg.rho, sat)
                 if score >= cfg.min_fit:
                     candidates.append(

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from echelon.exceptions import MatchTooLargeError
 from echelon.hypotheses import HypothesisGraph
 from echelon.matching import (
     MATCHABLE,
+    MAX_ASSIGNMENTS,
     MatchCandidate,
     MatchConfig,
     _clusters,
@@ -21,7 +23,7 @@ from echelon.matching import (
 )
 from echelon.models import Level, load_library, subsumes
 
-from conftest import add_leaf
+from conftest import TANK_LIBRARY, add_leaf
 
 
 def brute_force_candidates(g, lib, level, cfg):
@@ -547,3 +549,25 @@ def test_pool_keeps_pairs_at_the_extent(d_min, d_max, slack, ulps):
         assert len(got) == 1
     if ulps > 0:
         assert got == []
+
+
+@pytest.mark.parametrize("constraints, min_fit", [([], 0.2), (None, 0.0)])
+def test_unprunable_enumeration_is_refused(constraints, min_fit):
+    # 40 tanks chained 100 m apart form one cluster; with no constraint,
+    # or at min_fit 0, nothing prunes the tank-company-line model's
+    # C(40,3) + C(40,4) = 101,270 assignments
+    assert math.comb(40, 3) + math.comb(40, 4) > MAX_ASSIGNMENTS
+    doc = json.loads(json.dumps(TANK_LIBRARY))
+    if constraints is not None:
+        doc["models"][0]["constraints"] = constraints
+    lib = load_library(json.dumps(doc))
+    g = HypothesisGraph()
+    for i in range(40):
+        add_leaf(g, f"v{i:02d}", force_type="T-72-tank", location=(100.0 * i, 0.0))
+    cfg = MatchConfig(gather_radius=1200.0, min_fit=min_fit)
+    with pytest.raises(
+        MatchTooLargeError,
+        match=f"model 'tank-company-line': a cluster of 40 children has over "
+        f"{MAX_ASSIGNMENTS} slot assignments",
+    ):
+        match_level(g, lib, Level.ARRAY, cfg)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from echelon import matching
 from echelon.cli import main
 from echelon.evidence import posterior_from_evidence
 from echelon.pipeline import RunConfig, run
@@ -476,6 +477,30 @@ class TestInferCommand:
         assert simulate_and_infer(paths, ("--out", str(out2), "--tau", "0.5")) == 0
         report = json.loads(out2.read_text())
         assert report["config"]["tau"] == 0.5
+
+    def test_unprunable_enumeration_is_domain_error(self, tmp_path, capsys, monkeypatch):
+        # min_fit 0 prunes nothing: 8 tanks chained 100 m apart are one
+        # cluster with C(8,3) + C(8,4) = 126 tank-company-line assignments.
+        # The bound is lowered, and the battalion model left out, so that
+        # a run past the bound stays small.
+        monkeypatch.setattr(matching, "MAX_ASSIGNMENTS", 100)
+        config = write_empty_run(tmp_path, matcher={"gather_radius": 1200, "min_fit": 0})
+        library = dict(TANK_LIBRARY, models=TANK_LIBRARY["models"][:1])
+        (tmp_path / "library.json").write_text(json.dumps(library))
+        detections = [
+            {"id": f"d{i}", "type": "T-72-tank", "x": 100.0 * i, "y": 0.0,
+             "heading": 90.0, "lambda": 4.0, "time": 0.0}
+            for i in range(8)
+        ]
+        (tmp_path / "scenario.json").write_text(
+            dumps({"schema_version": 1, "scenario_id": "chain",
+                   "detections": detections, "terrain": []})
+        )
+        assert main(["infer", "--config", str(config)]) == 1
+        assert (
+            "inference failed: model 'tank-company-line': a cluster of 8 children "
+            "has over 100 slot assignments"
+        ) in capsys.readouterr().err
 
 
 def write_empty_run(tmp_path, **config):
