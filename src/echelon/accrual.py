@@ -18,6 +18,14 @@ hypothesis bottom-up using only a subset of its evidence closure; the
 conflict analysis relies on it.  Restriction removes information, so an
 absent fit item neutralizes the fit ratio rather than disconfirming.
 
+Each hypothesis is accrued once: ``propagate_level`` stores its belief
+given its whole closure in ``HypothesisGraph.closure_beliefs``.  A
+parent takes each component's P(C|e) from there, and restricted
+evaluation takes any hypothesis or component whose whole closure is
+kept.  Only a strict subset of a closure, or a hypothesis its graph
+holds no belief for (one never propagated, as in hand-built graphs), is
+derived from its evidence by the recursion.
+
 A fit item with geometric score s contributes fit_num factor
 0.5 + 0.5*s and fit_den factor 0.5.
 """
@@ -177,6 +185,17 @@ def _direct_result(
     return AccrualResult(raw=post, inputs=ratios)
 
 
+def _belief(g: HypothesisGraph, hid: str, keep: EvidenceSet | None) -> float:
+    """P(hid | the kept part of its closure): the stored belief when the
+    whole closure is kept and one is stored, else the recursion.  ``keep``
+    is None or a subset of the closure, so equal size means all of it."""
+    if keep is None or len(keep) == len(g.evidence_closure(hid)):
+        stored = g.closure_beliefs.get(hid)
+        if stored is not None:
+            return stored
+    return _evaluate(g, hid, keep)[0]
+
+
 def _evaluate(
     g: HypothesisGraph,
     hid: str,
@@ -200,7 +219,7 @@ def _evaluate(
     for cid in h.components:
         c = g.get(cid)
         c_keep = keep if keep is None else keep & g.evidence_closure(cid)
-        p_ce, _ = _evaluate(g, cid, c_keep)
+        p_ce = _belief(g, cid, c_keep)
         terrain = [
             g.item(i)
             for i in c.own_evidence
@@ -254,8 +273,7 @@ def posterior_given_subset(g: HypothesisGraph, hid: str, keep: EvidenceSet) -> f
     if not keep.issubset(closure):
         extra = sorted(set(keep.items) - set(closure.items))
         raise SubsetError(f"{hid}: items {extra} are outside the evidence closure")
-    post, _ = _evaluate(g, hid, keep)
-    return post
+    return _belief(g, hid, keep)
 
 
 def propagate_level(g: HypothesisGraph, level: Level) -> None:
@@ -263,9 +281,21 @@ def propagate_level(g: HypothesisGraph, level: Level) -> None:
 
     Levels must be propagated bottom-up; hypotheses whose components
     were skipped by conflict handling accrue via the direct path.
+
+    Each posterior is also stored in ``g.closure_beliefs``, which
+    parents and restricted evaluation read in place of the recursion.
+    This function is its only writer, and re-propagating a level
+    overwrites that level's entries.  A stored belief stays exact while
+    nothing it depends on changes: the hypothesis's evidence and prior
+    and the statuses of its components and their descendants.  Conflict
+    handling changes only the statuses and posteriors of the level it
+    decides, after that level is propagated and before the next one is.
+    A caller that changes any of these below a propagated level must
+    re-propagate every level from the change up.
     """
     for hid in g.at_level(level):
         h = g.get(hid)
         post, result = _evaluate(g, hid, None)
+        g.closure_beliefs[hid] = post
         h.posterior = post
         h.accrual = result

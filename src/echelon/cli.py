@@ -16,8 +16,8 @@ from pathlib import Path
 
 from echelon import oracle
 from echelon.conflict import Heuristic
-from echelon.exceptions import EchelonError, ScenarioError
-from echelon.models import load_library, parse_json
+from echelon.exceptions import EchelonError, LibraryFormatError, ScenarioError
+from echelon.models import load_library, parse_json, read_document
 from echelon.pipeline import RunConfig, run, write_report
 from echelon.scenario import dumps, generate, load_ground_truth, load_noise_spec
 
@@ -26,17 +26,13 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        lib = load_library(_read_text(args.library))
+        lib = load_library(read_document(args.library, "library", LibraryFormatError))
     except OSError as exc:
         print(f"error: cannot read {args.library}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EchelonError, ValueError) as exc:  # ValueError: not UTF-8 text
+    except EchelonError as exc:
         print(f"invalid library: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     print(
@@ -92,14 +88,18 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        gt_text = _read_text(args.ground_truth)
-        noise_text = _read_text(args.noise)
-        library_text = _read_text(args.library) if args.library else None
+        gt_text = read_document(args.ground_truth, "ground truth", ScenarioError)
+        noise_text = read_document(args.noise, "noise spec", ScenarioError)
+        library_text = (
+            read_document(args.library, "library", LibraryFormatError)
+            if args.library
+            else None
+        )
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # not UTF-8 text
-        print(f"error: {exc}", file=sys.stderr)
+    except EchelonError as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         lib = None if library_text is None else load_library(library_text)

@@ -80,6 +80,9 @@ class HypothesisGraph:
     evidence: dict[str, EvidenceItem] = field(default_factory=dict)
     _by_level: dict[Level, list[str]] = field(default_factory=dict)
     _closures: dict[str, EvidenceSet] = field(default_factory=dict)
+    # id -> belief given the whole evidence closure, as accrual computed
+    # it; written only by accrual.propagate_level (see its contract)
+    closure_beliefs: dict[str, float] = field(default_factory=dict)
     _counters: dict[Level, int] = field(default_factory=dict)
     # child id -> ids of the hypotheses listing it as a component
     _parents: dict[str, set[str]] = field(default_factory=dict)

@@ -292,10 +292,18 @@ def _enumerate_assignments(
     slot has satisfaction (``sat``) exactly 0.0 under some constraint:
     every completion would score exactly 0, below ``min_fit``.
     """
-    eligible = [
-        [c for c in pool if subsumes(s.required_type, g.get(c).force_type, lib)]
-        for s in model.slots
-    ]
+    fits: dict[tuple[str, str], bool] = {}  # (slot type, child type) -> subsumes
+    eligible: list[list[str]] = []
+    for s in model.slots:
+        row = []
+        for c in pool:
+            key = (s.required_type, g.get(c).force_type)
+            fit = fits.get(key)
+            if fit is None:
+                fit = fits[key] = subsumes(*key, lib)
+            if fit:
+                row.append(c)
+        eligible.append(row)
     # (constraint index, other slot) checked when a child joins a slot:
     # each constraint once, at the later of its two slots
     checks: list[list[tuple[int, int]]] = [[] for _ in model.slots]

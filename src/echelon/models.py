@@ -14,7 +14,9 @@ import dataclasses
 import enum
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Collection, Mapping
 
 from echelon.exceptions import (
@@ -282,6 +284,15 @@ _NUMERIC = {"int": "an integer", "float": "a finite number"}
 _REQUIRED = object()
 
 
+def read_document(path: str | Path, what: str, error: type[Exception]) -> str:
+    """The text of the input document ``what`` at ``path``; ``error``
+    naming ``what`` when it is not UTF-8.  ``OSError`` passes through."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc}") from exc
+
+
 def parse_json(text: str, what: str, error: type[Exception]) -> object:
     """The JSON document ``text``, one of the input documents ``Fields``
     reads; ``error`` naming ``what`` when it is not JSON, holds an integer
@@ -292,12 +303,20 @@ def parse_json(text: str, what: str, error: type[Exception]) -> object:
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 
+def shown(value: object, limit: int = 80) -> str:
+    """A repr of an input value for an error message: ``reprlib`` elides
+    deep nesting and long containers and strings, and the result is cut
+    to ``limit`` characters, so a huge value gives a short message."""
+    text = reprlib.repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def checked(value: object, kind: str, key: str, where: str, error: type[Exception]):
     """``value``, field ``key`` of the object ``where``, read as ``kind``
     (one of ``_KINDS``); ``error`` naming both when it is not one."""
     read = _KINDS[kind](value)
     if read is None:
-        raise error(f"{where}: {key} must be {kind}, got {value!r}")
+        raise error(f"{where}: {key} must be {kind}, got {shown(value)}")
     return read
 
 
@@ -330,7 +349,7 @@ class Fields:
         error: type[Exception],
     ) -> None:
         if not isinstance(raw, dict):
-            raise error(f"{where} must be a JSON object, got {raw!r}")
+            raise error(f"{where} must be a JSON object, got {shown(raw)}")
         unknown = () if allowed is None else raw.keys() - allowed
         if unknown:
             raise error(f"{where}: unknown keys {sorted(unknown)}")

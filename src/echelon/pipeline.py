@@ -26,7 +26,7 @@ from echelon.conflict import (
     skip_error_estimate,
 )
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
-from echelon.exceptions import ScenarioError
+from echelon.exceptions import LibraryFormatError, ScenarioError
 from echelon.geometry import distance
 from echelon.hypotheses import Hypothesis, HypothesisGraph
 from echelon.matching import MatchConfig, candidate_to_hypothesis, match_level
@@ -39,6 +39,8 @@ from echelon.models import (
     field_names,
     load_library,
     parse_json,
+    read_document,
+    shown,
 )
 from echelon.scenario import SCHEMA_VERSION, dumps
 
@@ -76,7 +78,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        doc = parse_json(path.read_text(), "run config", ScenarioError)
+        text = read_document(path, "run config", ScenarioError)
+        doc = parse_json(text, "run config", ScenarioError)
         return cls.from_dict(doc, base_dir=path.parent)
 
     @classmethod
@@ -103,7 +106,7 @@ class RunConfig:
             heuristic, names = f.value("heuristic"), [h.value for h in Heuristic]
             if heuristic not in names:
                 raise ScenarioError(
-                    f"run config: heuristic must be one of {names}, got {heuristic!r}"
+                    f"run config: heuristic must be one of {names}, got {shown(heuristic)}"
                 )
             kw["heuristic"] = Heuristic(heuristic)
         return cls(**kw)
@@ -161,7 +164,7 @@ def build_graph(
     version = doc.value("schema_version", SCHEMA_VERSION)
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ScenarioError(
-            f"scenario: schema_version must be {SCHEMA_VERSION}, got {version!r}"
+            f"scenario: schema_version must be {SCHEMA_VERSION}, got {shown(version)}"
         )
     g = HypothesisGraph()
     terrain = _terrain_items(doc.list("terrain", []))
@@ -202,8 +205,9 @@ def build_graph(
 
 def run(cfg: RunConfig) -> dict:
     """Execute the full pipeline and return the report document."""
-    lib = load_library(Path(cfg.library).read_text())
-    scenario = parse_json(Path(cfg.scenario).read_text(), "scenario", ScenarioError)
+    lib = load_library(read_document(cfg.library, "library", LibraryFormatError))
+    text = read_document(cfg.scenario, "scenario", ScenarioError)
+    scenario = parse_json(text, "scenario", ScenarioError)
     g = build_graph(scenario, lib, cfg.leaf_prior)
 
     terrain = [g.evidence[i] for i in sorted(g.evidence) if g.evidence[i].kind is EvidenceKind.TERRAIN]

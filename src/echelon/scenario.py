@@ -357,7 +357,11 @@ def dumps(doc: dict) -> str:
     ``NaN``/``Infinity``/``-Infinity``.  json coerces ``int``, ``float``,
     ``bool`` and ``None`` keys to strings; any value json cannot write
     raises ``TypeError``.  ``python -m json.tool --indent 2 --sort-keys``
-    gives the indented view of the same document.
+    gives the indented view of the same document.  A string holding a
+    high surrogate directly followed by a low one is written as two
+    escapes that ``json.loads`` reads back as one astral character, so
+    such a string does not round-trip; a lone surrogate does.  No
+    document read from JSON holds such a pair.
     """
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

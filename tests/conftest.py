@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +198,21 @@ def write_battalion_inputs(tmp_path, seed=7, tau=0.1):
         "scenario": tmp_path / "scenario.json",
         "report": tmp_path / "report.json",
     }
+
+
+def perfbench_scene(tmp_path, workload, seed, scene):
+    """The run config of scene ``scene`` of benchmark ``workload`` at
+    ``seed``, its files written under ``tmp_path`` by
+    ``perfbench/workloads.py``, imported by path as the benchmark runs it."""
+    root = Path(__file__).resolve().parents[1]
+    name = "tests_perfbench_workloads"
+    workloads = sys.modules.get(name)
+    if workloads is None:
+        spec = importlib.util.spec_from_file_location(
+            name, root / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[name] = workloads  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+    runner = workloads.SceneRunner(workloads.WORKLOADS[workload], seed, root, tmp_path)
+    return runner.configs[scene]

@@ -1,22 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from echelon import accrual, pipeline
 from echelon.accrual import (
     AccrualInputs,
     ComponentBelief,
+    _combined_et,
+    _direct_result,
     accrue_parent,
     direct_posterior,
     posterior_from_evidence,
     posterior_given_subset,
     propagate_level,
 )
+from echelon.conflict import Decision
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.exceptions import AccrualDomainError, SubsetError
 from echelon.hypotheses import Status
 from echelon.models import Level
 from echelon.oracle import OracleNetwork, check_accrual_formula
 
-from conftest import add_leaf, add_parent
+from conftest import add_leaf, add_parent, perfbench_scene
 
 
 def cb(p_ce, p_ct, p_cet, p_c):
@@ -344,3 +350,149 @@ class TestPropagateLevel:
         assert h.posterior == direct_posterior(g, "a0")
         expected = posterior_from_evidence(0.3, [4.0, 6.0, 3.0])
         assert h.posterior == pytest.approx(expected, rel=1e-12)
+
+
+def reference_evaluate(g, hid, keep=None):
+    """(posterior, accrual) of ``hid`` on the kept items by the full
+    recursion, each component re-derived from its evidence down to the
+    leaves: the evaluation that stored beliefs must reproduce exactly."""
+    h = g.get(hid)
+    if h.is_leaf():
+        items = [
+            g.item(i)
+            for i in h.own_evidence
+            if (keep is None or i in keep) and g.item(i).kind is not EvidenceKind.TERRAIN
+        ]
+        return posterior_from_evidence(h.prior, items), None
+    if any(g.get(cid).status is Status.SKIPPED for cid in h.components):
+        result = _direct_result(g, hid, keep)
+        return result.posterior, result
+    per_component = []
+    for cid in h.components:
+        c = g.get(cid)
+        c_keep = None if keep is None else keep & g.evidence_closure(cid)
+        p_ce, _ = reference_evaluate(g, cid, c_keep)
+        terrain = [
+            g.item(i)
+            for i in c.own_evidence
+            if (keep is None or i in keep) and g.item(i).kind is EvidenceKind.TERRAIN
+        ]
+        p_ct = posterior_from_evidence(c.prior, terrain)
+        per_component.append(cb(p_ce, p_ct, _combined_et(p_ce, p_ct, c.prior), c.prior))
+    fit_num = fit_den = 1.0
+    for item_id in h.own_evidence:
+        item = g.item(item_id)
+        if item.kind is EvidenceKind.FIT and (keep is None or item_id in keep):
+            fit_num *= 0.5 + 0.5 * float(item.sensor_context["fit_score"])
+            fit_den *= 0.5
+    result = accrue_parent(
+        AccrualInputs(
+            fit_num=fit_num, fit_den=fit_den, per_component=tuple(per_component), p_h=h.prior
+        )
+    )
+    return result.posterior, result
+
+
+def run_graph(cfg, monkeypatch):
+    """The hypothesis graph and conflict log of ``pipeline.run(cfg)``, as
+    they stand when the report is built."""
+    seen = []
+    build = pipeline._build_report
+
+    def capture(cfg, scenario, g, conflict_log):
+        seen.append((g, conflict_log))
+        return build(cfg, scenario, g, conflict_log)
+
+    monkeypatch.setattr(pipeline, "_build_report", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # refusals are warned; not the subject here
+        pipeline.run(cfg)
+    return seen[0]
+
+
+# grid-noisy seed 2's scene 15 refuses, skips and resolves groups, and
+# the parents of its skipped arrays take the direct path
+BENCHMARK_SCENES = [("grid-noisy", 2, 15), ("grid-clean", 0, 0)]
+
+
+class TestStoredBeliefs:
+    @pytest.mark.parametrize("workload, seed, scene", BENCHMARK_SCENES)
+    def test_pipeline_matches_full_recursion_bit_for_bit(
+        self, tmp_path, monkeypatch, workload, seed, scene
+    ):
+        g, conflict_log = run_graph(perfbench_scene(tmp_path, workload, seed, scene), monkeypatch)
+        resolved = {
+            m
+            for r in conflict_log
+            if r.decision is Decision.RESOLVE
+            for m in r.conflict_set.members
+        }
+        for hid, h in g.hypotheses.items():
+            post, result = reference_evaluate(g, hid)
+            assert g.closure_beliefs[hid] == post, hid
+            assert h.accrual == result, hid  # raw and every input
+            if hid not in resolved:
+                assert h.posterior == post, hid
+        # restricted evaluation: each conflict's k, factor by factor as
+        # approx_joint forms it, from the reference
+        for r in conflict_log:
+            factors, later = {}, set()
+            for m in reversed(r.ordering):
+                closure = g.evidence_closure(m).items
+                keep = EvidenceSet(closure - later)
+                factors[m] = reference_evaluate(g, m, keep)[0] if keep else g.get(m).prior
+                if keep:
+                    assert posterior_given_subset(g, m, keep) == factors[m], m
+                later |= closure
+            k = 1.0
+            for m in sorted(factors):
+                k *= factors[m]
+            assert r.k == k
+
+    def test_accrue_parent_runs_once_per_rule_path_hypothesis(self, tmp_path, monkeypatch):
+        cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
+        calls = []
+        monkeypatch.setattr(
+            accrual,
+            "accrue_parent",
+            lambda inputs, rule=accrual.accrue_parent: calls.append(1) or rule(inputs),
+        )
+        per_level = {}
+        propagate = pipeline.propagate_level
+
+        def counted(g, level):
+            before = len(calls)
+            propagate(g, level)
+            ids = g.at_level(level)
+            rule = sum(1 for i in ids if g.get(i).accrual and not g.get(i).accrual.direct)
+            direct = sum(1 for i in ids if g.get(i).accrual and g.get(i).accrual.direct)
+            per_level[level] = (len(calls) - before, rule, direct, len(ids))
+
+        monkeypatch.setattr(pipeline, "propagate_level", counted)
+        with pytest.warns(UserWarning, match="resolution too large"):
+            pipeline.run(cfg)
+        assert per_level[Level.VEHICLE] == (0, 0, 0, 327)
+        for level in (Level.ARRAY, Level.BATTALION):
+            n_calls, rule, direct, n = per_level[level]
+            assert n_calls == rule and rule + direct == n > 0
+        assert per_level[Level.BATTALION][2] > 0  # the direct path is exercised
+
+    def test_repropagating_after_a_status_change_below_refreshes(self, empty_graph):
+        g = build_two_leaf_parent(empty_graph)
+        add_parent(
+            g, "b0", ["a0"], level=Level.BATTALION, force_type="tank-battalion",
+            model="tank-battalion-std", prior=0.25,
+        )
+        for level in (Level.VEHICLE, Level.ARRAY, Level.BATTALION):
+            propagate_level(g, level)
+        rule_path = g.closure_beliefs["a0"]
+        g.get("v0").status = Status.SKIPPED
+        propagate_level(g, Level.ARRAY)
+        propagate_level(g, Level.BATTALION)
+        a0 = g.get("a0")
+        assert a0.accrual.direct
+        assert g.closure_beliefs["a0"] == a0.posterior == direct_posterior(g, "a0")
+        assert a0.posterior != rule_path
+        assert posterior_given_subset(g, "a0", g.evidence_closure("a0")) == a0.posterior
+        assert g.get("b0").accrual.inputs.per_component[0].p_ce == a0.posterior
+        assert g.closure_beliefs["b0"] == reference_evaluate(g, "b0")[0]

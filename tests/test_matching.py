@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from echelon import matching
 from echelon.exceptions import MatchTooLargeError
 from echelon.hypotheses import HypothesisGraph
 from echelon.matching import (
@@ -126,6 +127,21 @@ class TestMatchLevel:
         add_leaf(g, "v2", lam=6.0, force_type="BMP", location=(1100, 1000))
         cfg = MatchConfig(gather_radius=500, min_fit=0.2)
         assert match_level(g, tank_lib, Level.ARRAY, cfg) == []
+
+    def test_subsumes_once_per_type_pair(self, tank_lib, empty_graph, monkeypatch):
+        # one cluster of three tanks and two BMPs: the slot type meets
+        # each of the two child types once, not each of the five children
+        g = empty_graph
+        place_company(g, "t", 1000, 1000)
+        add_leaf(g, "b0", lam=6.0, force_type="BMP", location=(1000, 1100))
+        add_leaf(g, "b1", lam=6.0, force_type="BMP", location=(1100, 1100))
+        seen = []
+        monkeypatch.setattr(
+            matching, "subsumes", lambda *args: seen.append(args[:2]) or subsumes(*args)
+        )
+        cfg = MatchConfig(gather_radius=500, min_fit=0.2)
+        assert match_level(g, tank_lib, Level.ARRAY, cfg)
+        assert sorted(seen) == [("tank", "BMP"), ("tank", "T-72-tank")]
 
     def test_insertion_order_invariance(self, tank_lib):
         rng = random.Random(7)

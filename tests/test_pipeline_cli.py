@@ -14,7 +14,7 @@ from echelon.evidence import posterior_from_evidence
 from echelon.pipeline import RunConfig, run
 from echelon.scenario import dumps
 
-from conftest import TANK_LIBRARY, write_battalion_inputs
+from conftest import TANK_LIBRARY, perfbench_scene, write_battalion_inputs
 
 # library variant for the doctrine-conflict flow: a four-tank company
 # model plus a tight vehicle separation rule
@@ -120,6 +120,14 @@ class TestValidateCommand:
         p.write_bytes(b"\xff\xfe{}")
         assert main(["validate", str(p)]) == 1
         assert "invalid library" in capsys.readouterr().err
+
+    def test_huge_value_gives_a_short_message(self, tmp_path, capsys):
+        p = tmp_path / "lib.json"
+        p.write_text('{"types": [' + "[" * 900 + "]" * 900 + "]}")
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "type entry 0 must be a JSON object, got [[[[" in err
+        assert len(err) < 200
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -577,44 +585,61 @@ class TestRunConfigValidation:
         assert main(["infer", "--config", str(path), "--tau", "1e-300"]) == 0
 
 
+DEMO = Path(__file__).resolve().parents[1] / "demo"
+
+# each input document and the commands that read it
+DOCUMENT_COMMANDS = [
+    ("library", "validate"),
+    ("library", "infer"),
+    ("run config", "infer"),
+    ("scenario", "infer"),
+    ("library", "simulate"),
+    ("ground truth", "simulate"),
+    ("noise spec", "simulate"),
+]
+
+
+def document_argv(tmp_path, document, command, bad):
+    """Arguments of ``command`` on the demo documents, with the file
+    ``bad`` in place of ``document``."""
+    files = {"library": "library.json", "scenario": "scenario.json",
+             "ground truth": "ground_truth.json", "noise spec": "noise_clean.json"}
+    path = {
+        name: str(bad if name == document else DEMO / file)
+        for name, file in files.items()
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"library": path["library"], "scenario": path["scenario"]}))
+    path["run config"] = str(bad if document == "run config" else config)
+    return {
+        "validate": ["validate", path["library"]],
+        "infer": ["infer", "--config", path["run config"]],
+        "simulate": ["simulate", path["ground truth"], path["noise spec"],
+                     "--library", path["library"], "--out", str(tmp_path / "out.json")],
+    }[command]
+
+
 class TestDeeplyNestedInputs:
     """JSON nested deeper than the parser's recursion limit is malformed
     JSON: exit 1 naming the document, never a RecursionError traceback."""
 
-    DEMO = Path(__file__).resolve().parents[1] / "demo"
-
-    @pytest.mark.parametrize(
-        "document, command",
-        [
-            ("library", "validate"),
-            ("library", "infer"),
-            ("run config", "infer"),
-            ("scenario", "infer"),
-            ("library", "simulate"),
-            ("ground truth", "simulate"),
-            ("noise spec", "simulate"),
-        ],
-    )
+    @pytest.mark.parametrize("document, command", DOCUMENT_COMMANDS)
     def test_deep_document_is_domain_error(self, tmp_path, capsys, document, command):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000)
-        files = {"library": "library.json", "scenario": "scenario.json",
-                 "ground truth": "ground_truth.json", "noise spec": "noise_clean.json"}
-        path = {
-            name: str(deep if name == document else self.DEMO / file)
-            for name, file in files.items()
-        }
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"library": path["library"], "scenario": path["scenario"]}))
-        path["run config"] = str(deep if document == "run config" else config)
-        argv = {
-            "validate": ["validate", path["library"]],
-            "infer": ["infer", "--config", path["run config"]],
-            "simulate": ["simulate", path["ground truth"], path["noise spec"],
-                         "--library", path["library"], "--out", str(tmp_path / "out.json")],
-        }[command]
-        assert main(argv) == 1
+        assert main(document_argv(tmp_path, document, command, deep)) == 1
         assert f"{document} is not valid JSON: maximum recursion depth" in capsys.readouterr().err
+
+
+class TestUndecodableInputs:
+    """A document that is not UTF-8 is exit 1 naming the document."""
+
+    @pytest.mark.parametrize("document, command", DOCUMENT_COMMANDS)
+    def test_non_utf8_document_is_domain_error(self, tmp_path, capsys, document, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(document_argv(tmp_path, document, command, bad)) == 1
+        assert f"{document} is not UTF-8 text: 'utf-8' codec" in capsys.readouterr().err
 
 
 class TestSkipFlow:
@@ -862,6 +887,35 @@ class TestConflictReportBytes:
         derived = with_per_member_conditioning(json.loads(dumps(report)))
         text = json.dumps(derived, sort_keys=True, indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == self.REPORT_SHA256
+
+
+class TestBenchmarkReportBytes:
+    """sha256 of ``dumps(run(cfg))`` on two benchmark scenes, recorded
+    before each hypothesis's full-closure belief was stored for reuse:
+    storing it must not move a byte."""
+
+    def test_grid_clean_seed_0(self, tmp_path):
+        cfg = perfbench_scene(tmp_path, "grid-clean", 0, 0)
+        text = dumps(run(cfg))
+        digest = "6cb1125f376aa9d0089641a0b70b4e9f3c376aaff8a0f845535089568059e631"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_grid_noisy_scene_seed_51(self, tmp_path):
+        # grid-noisy seed 2, scene 15: two 25-member groups (arrays and
+        # battalions) are refused exact resolution and skipped, others
+        # skip under tau or resolve, and parents of skipped arrays take
+        # the direct path
+        cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
+        assert cfg.seed == 51
+        report, refused = run_counting_refusals(cfg)
+        assert refused == 2
+        decisions = {(c["level"], c["decision"]) for c in report["conflicts"]}
+        assert {("vehicle", "resolve"), ("array", "skip"), ("battalion", "skip")} <= decisions
+        big = [(c["level"], len(c["members"])) for c in report["conflicts"]]
+        assert ("array", 25) in big and ("battalion", 25) in big
+        assert any("ratios" in (e["accrual"] or {}) for e in report["levels"]["battalion"])
+        digest = "3c4fc9dc6e9e96459d68c210e4803c3b2dbd331ff8ed2889dc54e39f770d132b"
+        assert hashlib.sha256(dumps(report).encode()).hexdigest() == digest
 
 
 class TestNoCyclicGarbage:

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from echelon.exceptions import ScenarioError
@@ -288,10 +288,24 @@ SPECIAL_FLOATS = [
     -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
 ]
 
-strings = st.lists(
-    st.one_of(st.characters(exclude_categories=()), st.sampled_from(SPECIAL_CHARS)),
-    max_size=6,
-).map("".join)
+
+def no_surrogate_pair(s: str) -> bool:
+    """False when a high surrogate directly precedes a low one, which
+    ``json.loads`` reads back as one astral character (see ``dumps``);
+    lone surrogates, which ``json.loads`` can return, are kept."""
+    return not any(
+        "\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff" for a, b in zip(s, s[1:])
+    )
+
+
+strings = (
+    st.lists(
+        st.one_of(st.characters(exclude_categories=()), st.sampled_from(SPECIAL_CHARS)),
+        max_size=6,
+    )
+    .map("".join)
+    .filter(no_surrogate_pair)
+)
 scalars = st.one_of(
     strings,
     st.floats(),
@@ -338,6 +352,7 @@ def same_key_dicts(values):
 class TestDumps:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(documents(5))
+    @example([{"\udfff": "", "\ud800": None, "\udfff\ud800": 1}])  # lone surrogates
     def test_matches_json_dumps(self, doc):
         # same document as json's indented writer, in one ASCII line
         text = dumps(doc)
