@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from echelon.accrual import direct_posterior, posterior_given_subset
-from echelon.evidence import EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceSet
 from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
@@ -218,11 +218,6 @@ def detect_conflicts(
     edges become one (E, 3) array, bucketed by group, and each group's
     ``reasons`` is its slice.
     """
-    # Terrain is context, not an associable measurement: two forces over
-    # the same ground are not in conflict for that reason alone.
-    terrain = frozenset(
-        i for i, item in g.evidence.items() if item.kind is EvidenceKind.TERRAIN
-    )
     out: list[ConflictSet] = []
     for lvl in LEVELS if level is None else (level,):
         ids = sorted(g.at_level(lvl, statuses={Status.ACTIVE}))
@@ -230,7 +225,9 @@ def detect_conflicts(
         if n < 2:
             continue
         hyps = [g.get(i) for i in ids]
-        sharable = [g.evidence_closure(i).items - terrain for i in ids]
+        # Terrain is context, not an associable measurement: two forces
+        # over the same ground are not in conflict for that reason alone.
+        sharable = [g.evidence_closure(i).items - g.terrain for i in ids]
         types = sorted({h.force_type for h in hyps})
         type_index = {t: k for k, t in enumerate(types)}
         # doctrine of each type-index pair, looked up once per unordered

@@ -121,11 +121,11 @@ def heading_difference(a: float, b: float) -> float:
 
 def mean_heading(headings: Iterable[float]) -> float | None:
     """Circular mean in [0, 360); None for an empty input."""
-    hs = [math.radians(h) for h in headings]
+    hs = list(map(math.radians, headings))
     if not hs:
         return None
-    x = sum(math.cos(h) for h in hs) / len(hs)
-    y = sum(math.sin(h) for h in hs) / len(hs)
+    x = sum(map(math.cos, hs)) / len(hs)
+    y = sum(map(math.sin, hs)) / len(hs)
     deg = math.degrees(math.atan2(y, x)) % 360.0
     # float mod can round a tiny negative angle up to exactly 360.0
     return 0.0 if deg == 360.0 else deg

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from echelon.evidence import EMPTY_SET, EvidenceItem, EvidenceSet
+from echelon.evidence import EMPTY_SET, EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.exceptions import (
     DanglingComponentError,
     EvidenceResolutionError,
@@ -74,10 +74,13 @@ class Hypothesis:
 @dataclass
 class HypothesisGraph:
     """Id-addressed store of hypotheses plus the evidence table backing
-    every referenced item id."""
+    every referenced item id.  Evidence must enter through
+    ``add_evidence`` only, which also keeps ``terrain``, the ids of the
+    terrain items."""
 
     hypotheses: dict[str, Hypothesis] = field(default_factory=dict)
     evidence: dict[str, EvidenceItem] = field(default_factory=dict)
+    terrain: set[str] = field(default_factory=set, init=False)
     _by_level: dict[Level, list[str]] = field(default_factory=dict)
     _closures: dict[str, EvidenceSet] = field(default_factory=dict)
     # id -> belief given the whole evidence closure, as accrual computed
@@ -91,6 +94,8 @@ class HypothesisGraph:
         if item.id in self.evidence:
             raise ValueError(f"duplicate evidence id {item.id!r}")
         self.evidence[item.id] = item
+        if item.kind is EvidenceKind.TERRAIN:
+            self.terrain.add(item.id)
 
     def item(self, item_id: str) -> EvidenceItem:
         try:
@@ -130,8 +135,9 @@ class HypothesisGraph:
                     f"{h.id}: level violation: component {cid} is "
                     f"{child.level.label}, expected {Level(h.level - 1).label}"
                 )
-        for item_id in h.own_evidence:
-            self.item(item_id)
+        unresolved = [i for i in h.own_evidence.items if i not in self.evidence]
+        if unresolved:
+            self.item(min(unresolved))  # the first in id order raises
         if not (0.0 <= h.prior <= 1.0 and 0.0 <= h.posterior <= 1.0):
             raise ValueError(f"{h.id}: prior/posterior outside [0,1]")
         self.hypotheses[h.id] = h

@@ -3,23 +3,29 @@
 Child hypotheses are gathered, per model, into single-linkage clusters
 at the model's pool radius (``_pool_radius``); inside each cluster every
 slot assignment satisfying type subsumption and count bounds is
-enumerated exactly and scored on deployment geometry.  Assignments grow
+enumerated exactly and scored on deployment geometry.  What does not
+depend on the cluster is set up once per model and level
+(``_Enumeration``): each slot's accepted children, from one
+subsumption test per slot type and child type present at the level,
+and the constraint checks.  Assignments grow
 one child at a time, and with a positive fit threshold a partial
 assignment is dropped as soon as one of its pairs has satisfaction 0
 under a constraint (outside its interval by the slack margin or more),
 since every completion would score 0: the work follows the assignments
-that can fit, not every subset of the cluster.  Unprunable enumeration
-is refused past ``MAX_ASSIGNMENTS`` assignments.
+that can fit, not every subset of the cluster.  Each pair's satisfaction
+is evaluated once per constraint (``_PairTable``), and scoring reads
+it back.  Unprunable enumeration is refused past ``MAX_ASSIGNMENTS``
+assignments.
 Candidates at or above the fit threshold become parent hypotheses
 carrying a fit evidence item whose likelihood ratio rises with
-geometric fit.
+geometric fit; a parent is built from one read of each child.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
 from echelon.exceptions import MatchTooLargeError
@@ -38,6 +44,7 @@ from echelon.models import (
     Level,
     ModelLibrary,
     field_names,
+    shown_name,
     subsumes,
 )
 
@@ -93,15 +100,23 @@ class MatchConfig:
 
 @dataclass
 class MatchCandidate:
-    """One enumerated model instantiation over child hypotheses."""
+    """One enumerated model instantiation over child hypotheses.  The
+    assignment is fixed at creation, which sorts its children once."""
 
     model: ForceModel
     assignment: dict[int, tuple[str, ...]]
     fit_score: float
     missing_slots: int
+    _children: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._children = tuple(
+            sorted(itertools.chain.from_iterable(self.assignment.values()))
+        )
 
     def children(self) -> tuple[str, ...]:
-        return tuple(sorted(itertools.chain.from_iterable(self.assignment.values())))
+        """Every slot's children, id-sorted."""
+        return self._children
 
 
 def _interval_satisfaction(d: float, lo: float, hi: float, slack: float) -> float:
@@ -117,11 +132,11 @@ def _interval_satisfaction(d: float, lo: float, hi: float, slack: float) -> floa
 def _geometric_mean(values: list[float]) -> float:
     if not values:
         return 1.0
-    if any(v == 0.0 for v in values):
+    if 0.0 in values:
         return 0.0
-    if all(v == 1.0 for v in values):
+    if values.count(1.0) == len(values):
         return 1.0
-    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
+    return math.exp(math.fsum(map(math.log, values)) / len(values))
 
 
 def _pair_satisfaction(
@@ -177,6 +192,18 @@ class _PairTable:
             )
         return s
 
+    def values(
+        self, ci: int, ids_a: tuple[str, ...], ids_b: tuple[str, ...] | None
+    ) -> list[float]:
+        """Satisfaction of every pair constraint ``ci`` applies to: the
+        distinct pairs of ``ids_a`` when ``ids_b`` is None, else every
+        pair across the two, in ``itertools`` order."""
+        return [
+            self(ci, u, v)
+            for k, u in enumerate(ids_a)
+            for v in (ids_a[k + 1 :] if ids_b is None else ids_b)
+        ]
+
 
 def _score(
     model: ForceModel,
@@ -184,22 +211,18 @@ def _score(
     rho: float,
     sat: _PairTable,
 ) -> float:
+    get = assignment.get
     per_constraint: list[float] = []
     for ci, c in enumerate(model.constraints):
-        ids_a = assignment.get(c.slot_a, ())
-        ids_b = assignment.get(c.slot_b, ())
-        if c.slot_a == c.slot_b:
-            pairs = list(itertools.combinations(ids_a, 2))
-        else:
-            pairs = [(u, v) for u in ids_a for v in ids_b]
-        if not pairs:
-            continue
-        per_constraint.append(_geometric_mean([sat(ci, u, v) for u, v in pairs]))
-
-    missing = sum(
-        max(0, slot.count_min - len(assignment.get(i, ())))
-        for i, slot in enumerate(model.slots)
-    )
+        ids_b = None if c.slot_a == c.slot_b else get(c.slot_b, ())
+        values = sat.values(ci, get(c.slot_a, ()), ids_b)
+        if values:
+            per_constraint.append(_geometric_mean(values))
+    missing = 0
+    for i, slot in enumerate(model.slots):
+        short = slot.count_min - len(get(i, ()))
+        if short > 0:
+            missing += short
     return _geometric_mean(per_constraint) * rho**missing
 
 
@@ -273,92 +296,110 @@ def _pool_radius(model: ForceModel, cfg: MatchConfig) -> float:
     return min(cfg.gather_radius, extent + 4.0 * math.ulp(extent))
 
 
-def _enumerate_assignments(
-    g: HypothesisGraph,
-    lib: ModelLibrary,
-    model: ForceModel,
-    pool: list[str],
-    cfg: MatchConfig,
-    sat: _PairTable,
-):
-    """Slot assignments over ``pool`` short of at most ``cfg.max_missing``
-    required components, as (assignment, missing) pairs.
-
-    Slots are filled in order; each slot takes sizes ascending and, per
-    size, combinations in lexicographic pool order (the order of
-    ``itertools.combinations``), grown one child at a time.  When
-    ``cfg.min_fit > 0``, a partial assignment is dropped as soon as a
-    new child's pair with a child already in its slot or in an earlier
-    slot has satisfaction (``sat``) exactly 0.0 under some constraint:
-    every completion would score exactly 0, below ``min_fit``.
-    """
-    fits: dict[tuple[str, str], bool] = {}  # (slot type, child type) -> subsumes
-    eligible: list[list[str]] = []
-    for s in model.slots:
-        row = []
-        for c in pool:
-            key = (s.required_type, g.get(c).force_type)
-            fit = fits.get(key)
-            if fit is None:
-                fit = fits[key] = subsumes(*key, lib)
-            if fit:
-                row.append(c)
-        eligible.append(row)
-    # (constraint index, other slot) checked when a child joins a slot:
-    # each constraint once, at the later of its two slots
-    checks: list[list[tuple[int, int]]] = [[] for _ in model.slots]
-    if cfg.min_fit > 0:
-        for ci, c in enumerate(model.constraints):
-            later, earlier = max(c.slot_a, c.slot_b), min(c.slot_a, c.slot_b)
-            checks[later].append((ci, earlier))
-
-    yield from _Enumeration(model, eligible, checks, sat, cfg.max_missing).rec(
-        0, frozenset(), 0, {}
-    )
-
-
 class _Enumeration:
-    """The recursion of ``_enumerate_assignments``.  Its generators are
-    methods, not nested functions: a nested function that calls itself is
-    a reference cycle, and one holding ``sat`` would keep the whole
-    hypothesis graph alive until the cyclic garbage collector runs."""
+    """Slot assignments of one model over the clusters of one level.
 
-    def __init__(self, model, eligible, checks, sat, max_missing) -> None:
+    Set up once per model and level: the children each slot accepts,
+    from ``fits``, a memo of ``subsumes`` per (slot type, child type)
+    that the level's models share, and the constraint checks of the
+    pruning.  ``by_type`` holds the level's child ids by force type.
+    Its generators are methods, not nested functions: a nested function
+    that calls itself is a reference cycle, and one holding ``sat`` would
+    keep the whole hypothesis graph alive until the cyclic garbage
+    collector runs.
+    """
+
+    def __init__(
+        self,
+        lib: ModelLibrary,
+        model: ForceModel,
+        by_type: dict[str, list[str]],
+        cfg: MatchConfig,
+        sat: _PairTable,
+        fits: dict[tuple[str, str], bool],
+    ) -> None:
         self.slots = model.slots
-        self.eligible = eligible
-        self.checks = checks
         self.sat = sat
-        self.max_missing = max_missing
+        self.max_missing = cfg.max_missing
+        # per slot, the ids it accepts
+        self.accepts: list[frozenset[str]] = []
+        for s in model.slots:
+            accepted = []
+            for child_type, ids in by_type.items():
+                key = (s.required_type, child_type)
+                fit = fits.get(key)
+                if fit is None:
+                    fit = fits[key] = subsumes(*key, lib)
+                if fit:
+                    accepted.append(ids)
+            self.accepts.append(frozenset(itertools.chain.from_iterable(accepted)))
+        # the constraints checked when a child joins a slot, each at the
+        # later of its two slots: within the slot (same) or against the
+        # children of an earlier slot (cross, with that slot's index)
+        self.same: list[list[int]] = [[] for _ in model.slots]
+        self.cross: list[list[tuple[int, int]]] = [[] for _ in model.slots]
+        if cfg.min_fit > 0:
+            for ci, c in enumerate(model.constraints):
+                later, earlier = max(c.slot_a, c.slot_b), min(c.slot_a, c.slot_b)
+                if later == earlier:
+                    self.same[later].append(ci)
+                else:
+                    self.cross[later].append((ci, earlier))
 
-    def combos(
-        self, slot_idx: int, avail: list[str], size: int, acc: dict, chosen=(), start=0
-    ):
+    def assignments(self, pool: list[str]):
+        """Slot assignments over ``pool`` (id-sorted) short of at most
+        ``cfg.max_missing`` required components, as (assignment, missing)
+        pairs.
+
+        Slots are filled in order; each slot takes sizes ascending and,
+        per size, combinations in lexicographic pool order (the order of
+        ``itertools.combinations``), grown one child at a time.  When
+        ``cfg.min_fit > 0``, a partial assignment is dropped as soon as a
+        new child's pair with a child already in its slot or in an earlier
+        slot has satisfaction (``sat``) exactly 0.0 under some constraint:
+        every completion would score exactly 0, below ``min_fit``.  A
+        child with such a pair in an earlier slot is left out of the
+        slot's candidates at once.
+        """
+        eligible = [[c for c in pool if c in ok] for ok in self.accepts]
+        return self.rec(eligible, 0, frozenset(), 0, {})
+
+    def combos(self, avail: list[str], size: int, same: list[int], chosen=(), start=0):
         if len(chosen) == size:
             yield chosen
             return
+        sat = self.sat
         for i in range(start, len(avail) - size + len(chosen) + 1):
             x = avail[i]
-            if all(
-                self.sat(ci, x, y) != 0.0
-                for ci, other in self.checks[slot_idx]
-                for y in (chosen if other == slot_idx else acc[other])
-            ):
-                yield from self.combos(slot_idx, avail, size, acc, chosen + (x,), i + 1)
+            if all(sat(ci, x, y) != 0.0 for ci in same for y in chosen):
+                yield from self.combos(avail, size, same, chosen + (x,), i + 1)
 
-    def rec(self, slot_idx: int, used: frozenset[str], missing: int, acc: dict):
-        if slot_idx == len(self.slots):
-            if any(acc.values()):
-                yield dict(acc), missing
-            return
+    def rec(
+        self, eligible: list[list[str]], slot_idx: int, used: frozenset[str],
+        missing: int, acc: dict,
+    ):
+        sat, cross = self.sat, self.cross[slot_idx]
+        avail = eligible[slot_idx]
+        if used or cross:
+            avail = [
+                x for x in avail
+                if x not in used
+                and all(sat(ci, x, y) != 0.0 for ci, other in cross for y in acc[other])
+            ]
         slot = self.slots[slot_idx]
-        avail = [c for c in self.eligible[slot_idx] if c not in used]
-        for size in range(0, min(slot.count_max, len(avail)) + 1):
+        last = slot_idx + 1 == len(self.slots)
+        # sizes that leave at most max_missing required components out
+        lowest = max(0, slot.count_min - (self.max_missing - missing))
+        for size in range(lowest, min(slot.count_max, len(avail)) + 1):
             short = max(0, slot.count_min - size)
-            if missing + short > self.max_missing:
-                continue
-            for combo in self.combos(slot_idx, avail, size, acc):
+            for combo in self.combos(avail, size, self.same[slot_idx]):
                 acc[slot_idx] = combo
-                yield from self.rec(slot_idx + 1, used | set(combo), missing + short, acc)
+                if not last:
+                    yield from self.rec(
+                        eligible, slot_idx + 1, used | set(combo), missing + short, acc
+                    )
+                elif any(acc.values()):
+                    yield dict(acc), missing + short
         acc.pop(slot_idx, None)
 
 
@@ -380,17 +421,23 @@ def match_level(
     if not child_ids or not models:
         return []
 
+    by_type: dict[str, list[str]] = {}
+    for i in child_ids:
+        by_type.setdefault(g.get(i).force_type, []).append(i)
+    fits: dict[tuple[str, str], bool] = {}
     candidates: list[MatchCandidate] = []
     for model in models:
         sat = _PairTable(g, model, cfg.slack)
+        enumeration = _Enumeration(lib, model, by_type, cfg, sat, fits)
         for cluster in _clusters(g, child_ids, _pool_radius(model, cfg)):
             for n, (assignment, missing) in enumerate(
-                _enumerate_assignments(g, lib, model, cluster, cfg, sat), 1
+                enumeration.assignments(cluster), 1
             ):
                 if n > MAX_ASSIGNMENTS:
                     raise MatchTooLargeError(
-                        f"model {model.name!r}: a cluster of {len(cluster)} children "
-                        f"has over {MAX_ASSIGNMENTS} slot assignments"
+                        f"model {shown_name(model.name)}: a cluster of "
+                        f"{len(cluster)} children has over {MAX_ASSIGNMENTS} "
+                        "slot assignments"
                     )
                 score = _score(model, assignment, cfg.rho, sat)
                 if score >= cfg.min_fit:
@@ -423,9 +470,8 @@ def candidate_to_hypothesis(
             f"candidate below fit threshold: {c.fit_score} < {cfg.min_fit}"
         )
     children = c.children()
-    locations = [g.get(i).location for i in children]
-    headings = [g.get(i).heading for i in children]
-    center = centroid(locations)
+    kids = [g.get(i) for i in children]
+    center = centroid([k.location for k in kids])
     lam = cfg.lambda_max ** (2.0 * c.fit_score - 1.0)
     item = EvidenceItem(
         id="f:" + c.model.name + ":" + "+".join(children),
@@ -439,12 +485,12 @@ def candidate_to_hypothesis(
         force_type=c.model.models_type,
         level=lib.type_of(c.model.models_type).level,
         location=center,
-        time=max((g.get(i).time for i in children), default=0.0),
+        time=max([k.time for k in kids], default=0.0),
         model=c.model.name,
         components=children,
         own_evidence=EvidenceSet.of(item.id),
         prior=c.model.prior,
         posterior=c.model.prior,
-        heading=mean_heading([h for h in headings if h is not None]),
+        heading=mean_heading([k.heading for k in kids if k.heading is not None]),
     )
     return h, item

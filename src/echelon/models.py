@@ -173,7 +173,7 @@ class ModelLibrary:
         try:
             return self.types[name]
         except KeyError:
-            raise UnknownTypeError(f"unknown force type {name!r}") from None
+            raise UnknownTypeError(f"unknown force type {shown_name(name)}") from None
 
     def models_at(self, level: Level) -> list[ForceModel]:
         """Models whose modeled type sits at ``level``, name-sorted."""
@@ -311,6 +311,15 @@ def shown(value: object, limit: int = 80) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+def shown_name(name: object) -> str:
+    """An entry's name (an id, a type or a model name) for an error
+    message: the ``repr`` of a string of at most 30 characters, else
+    ``shown``, so a huge name gives a short message."""
+    if type(name) is str and len(name) <= 30:
+        return repr(name)
+    return shown(name)
+
+
 def checked(value: object, kind: str, key: str, where: str, error: type[Exception]):
     """``value``, field ``key`` of the object ``where``, read as ``kind``
     (one of ``_KINDS``); ``error`` naming both when it is not one."""
@@ -382,12 +391,18 @@ class Fields:
         return checked(self.raw[key], kind, key, self.where, self.error)
 
     def text(self, key: str, default: object = _REQUIRED) -> str:
+        value = self.raw.get(key)
+        if type(value) is str:  # the common case, first
+            return value
         return self._read(key, "a string", default)
 
     def integer(self, key: str, default: object = _REQUIRED) -> int:
         return self._read(key, "an integer", default)
 
     def number(self, key: str, default: object = _REQUIRED) -> float:
+        value = self.raw.get(key)
+        if type(value) is float and math.isfinite(value):  # the common case, first
+            return value
         return self._read(key, "a finite number", default)
 
     def list(self, key: str, default: object = _REQUIRED) -> list:
@@ -412,14 +427,14 @@ def _parse_types(raw: list) -> dict[str, ForceType]:
     for k, entry in enumerate(raw):
         f = Fields(entry, ("name", "level", "isa"), f"type entry {k}", LibraryFormatError)
         name = f.text("name")
-        f.where = f"type {name!r}"
+        f.where = f"type {shown_name(name)}"
         t = ForceType(
             name=name,
             level=Level.from_label(f.text("level")),
             isa_parent=f.text("isa") if f.given("isa") else None,
         )
         if t.name in types:
-            raise LibraryValidationError(f"duplicate type {t.name!r}")
+            raise LibraryValidationError(f"duplicate type {shown_name(t.name)}")
         types[t.name] = t
     return types
 
@@ -434,7 +449,7 @@ def _parse_models(raw: list) -> dict[str, ForceModel]:
             LibraryFormatError,
         )
         name = f.text("name")
-        f.where = what = f"model {name!r}"
+        f.where = what = f"model {shown_name(name)}"
         slots = []
         for i, raw_slot in enumerate(f.list("slots", [])):
             s = Fields(
@@ -471,7 +486,7 @@ def _parse_models(raw: list) -> dict[str, ForceModel]:
             **f.numbers(ForceModel),
         )
         if m.name in models:
-            raise LibraryValidationError(f"duplicate model {m.name!r}")
+            raise LibraryValidationError(f"duplicate model {shown_name(m.name)}")
         models[m.name] = m
     return models
 

@@ -12,8 +12,11 @@ deterministic given the config and seed.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from echelon.accrual import propagate_level
 from echelon.conflict import (
@@ -41,6 +44,7 @@ from echelon.models import (
     parse_json,
     read_document,
     shown,
+    shown_name,
 )
 from echelon.scenario import SCHEMA_VERSION, dumps
 
@@ -115,8 +119,8 @@ class RunConfig:
 _SCENARIO_KEYS = (
     "schema_version", "scenario_id", "detections", "terrain", "ground_truth"
 )
-_DETECTION_KEYS = ("id", "type", "x", "y", "heading", "lambda", "time")
-_TERRAIN_KEYS = ("id", "x", "y", "radius_m", "lambda")
+_DETECTION_KEYS = frozenset(("id", "type", "x", "y", "heading", "lambda", "time"))
+_TERRAIN_KEYS = frozenset(("id", "x", "y", "radius_m", "lambda"))
 
 
 def _terrain_items(terrain: list) -> list[EvidenceItem]:
@@ -125,7 +129,7 @@ def _terrain_items(terrain: list) -> list[EvidenceItem]:
     for i, raw in enumerate(terrain):
         t = Fields(raw, _TERRAIN_KEYS, f"terrain entry {i}", ScenarioError)
         tid = str(t.value("id", f"t{i}"))
-        t.where = f"terrain entry {tid!r}"
+        t.where = f"terrain entry {shown_name(tid)}"
         items.append(
             EvidenceItem(
                 id=tid,
@@ -138,15 +142,30 @@ def _terrain_items(terrain: list) -> list[EvidenceItem]:
     return items
 
 
-def _attached_terrain(
-    terrain: list[EvidenceItem], location: tuple[float, float]
-) -> list[str]:
-    out = []
+def _attach_terrain(terrain: list[EvidenceItem], hyps: list[Hypothesis]) -> None:
+    """Add to each hypothesis's own evidence every terrain item within
+    its ``radius_m`` of it, before the hypotheses are inserted.
+
+    Each item picks its candidates with one numpy box test over all the
+    hypotheses: neither coordinate difference exceeds the distance, so
+    the box keeps every hypothesis that the scalar ``distance`` test,
+    which decides, passes.
+    """
+    if not terrain or not hyps:
+        return
+    xy = np.fromiter(
+        itertools.chain.from_iterable(h.location for h in hyps), float, 2 * len(hyps)
+    ).reshape(-1, 2)
+    xs, ys = xy[:, 0], xy[:, 1]
+    attached: dict[int, list[str]] = {}
     for t in terrain:
-        assert t.location is not None
-        if distance(t.location, location) <= float(t.sensor_context["radius_m"]):
-            out.append(t.id)
-    return out
+        (x, y), radius = t.location, float(t.sensor_context["radius_m"])
+        near = (np.abs(xs - x) <= radius) & (np.abs(ys - y) <= radius)
+        for k in np.flatnonzero(near).tolist():
+            if distance(t.location, hyps[k].location) <= radius:
+                attached.setdefault(k, []).append(t.id)
+    for k, ids in attached.items():
+        hyps[k].own_evidence = hyps[k].own_evidence | EvidenceSet.from_iterable(ids)
 
 
 def build_graph(
@@ -170,10 +189,11 @@ def build_graph(
     terrain = _terrain_items(doc.list("terrain", []))
     for t in terrain:
         g.add_evidence(t)
+    leaves = []
     for k, raw in enumerate(doc.list("detections", [])):
         d = Fields(raw, _DETECTION_KEYS, f"detection entry {k}", ScenarioError)
         did = str(d.value("id"))
-        d.where = f"detection {raw['id']!r}"
+        d.where = f"detection {shown_name(raw['id'])}"
         force_type = d.text("type")
         lib.type_of(force_type)  # unknown detection types are a domain error
         location = (d.number("x"), d.number("y"))
@@ -186,20 +206,22 @@ def build_graph(
             heading=heading,
         )
         g.add_evidence(item)
-        own = [item.id] + _attached_terrain(terrain, location)
-        g.insert(
+        leaves.append(
             Hypothesis(
                 id=f"v.{did}",
                 force_type=force_type,
                 level=Level.VEHICLE,
                 location=location,
                 time=d.number("time", 0.0),
-                own_evidence=EvidenceSet.from_iterable(own),
+                own_evidence=EvidenceSet.of(item.id),
                 prior=leaf_prior,
                 posterior=leaf_prior,
                 heading=heading,
             )
         )
+    _attach_terrain(terrain, leaves)
+    for h in leaves:
+        g.insert(h)
     return g
 
 
@@ -210,22 +232,25 @@ def run(cfg: RunConfig) -> dict:
     scenario = parse_json(text, "scenario", ScenarioError)
     g = build_graph(scenario, lib, cfg.leaf_prior)
 
-    terrain = [g.evidence[i] for i in sorted(g.evidence) if g.evidence[i].kind is EvidenceKind.TERRAIN]
+    terrain = [g.evidence[i] for i in sorted(g.terrain)]
     conflict_log: list[ConflictReport] = []
 
     for level in LEVELS:
         if level > Level.VEHICLE:
             candidates = match_level(g, lib, level, cfg.matcher)
             seen: set[tuple[str, tuple[str, ...]]] = set()
+            parents, fit_items = [], []
             for cand in candidates:
                 key = (cand.model.name, cand.children())
                 if key in seen:  # keep the best-fit assignment per component set
                     continue
                 seen.add(key)
                 h, fit_item = candidate_to_hypothesis(g, lib, cand, cfg.matcher)
+                parents.append(h)
+                fit_items.append(fit_item)
+            _attach_terrain(terrain, parents)
+            for h, fit_item in zip(parents, fit_items):
                 g.add_evidence(fit_item)
-                own = [fit_item.id] + _attached_terrain(terrain, h.location)
-                h.own_evidence = EvidenceSet.from_iterable(own)
                 g.insert(h)
 
         propagate_level(g, level)

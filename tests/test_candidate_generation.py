@@ -371,6 +371,99 @@ def _heading_scene(placed):
     return g
 
 
+def reference_attached_terrain(terrain, location):
+    """Every terrain item within its ``radius_m`` of ``location``, one
+    test per item."""
+    return [
+        t.id
+        for t in terrain
+        if distance(t.location, location) <= float(t.sensor_context["radius_m"])
+    ]
+
+
+TERRAIN_RADII = [-50.0, -0.0, 0.0, 1e-9, 30.0, 400.0, 1000.0, 2500.0]
+
+
+@settings(**EXAMPLES)
+@given(st.data())
+def test_terrain_attachment_equals_all_pairs(data):
+    # items of negative, zero and positive radius; locations exactly at an
+    # item's radius, one ulp past it, on the item, anywhere, or non-finite
+    terrain, anchors = [], []
+    for t in range(data.draw(st.integers(0, 6))):
+        anchors.append(data.draw(places(anchors)))
+        terrain.append(
+            EvidenceItem(
+                f"t{t}", EvidenceKind.TERRAIN, 2.0, location=anchors[-1],
+                sensor_context={"radius_m": data.draw(st.sampled_from(TERRAIN_RADII))},
+            )
+        )
+    locations = []
+    for _ in range(data.draw(st.integers(0, 20))):
+        kind = data.draw(st.sampled_from(["place", "radius", "radius", "special"]))
+        if kind == "radius" and terrain:
+            t = data.draw(st.sampled_from(terrain))
+            (x, y), r = t.location, abs(t.sensor_context["radius_m"])
+            location = data.draw(
+                st.sampled_from(
+                    [(x + r, y), (x, y - r), (x, y), (math.nextafter(x + r, math.inf), y)]
+                )
+            )
+        elif kind == "special":
+            location = data.draw(
+                st.sampled_from([(math.inf, 0.0), (math.nan, 0.0), (0.0, -math.inf)])
+            )
+        else:
+            location = data.draw(places(anchors))
+        locations.append(location)
+    hyps = [
+        Hypothesis(
+            id=f"v{k}", force_type="tank", level=Level.VEHICLE, location=location,
+            own_evidence=EvidenceSet.of(f"d{k}"),
+        )
+        for k, location in enumerate(locations)
+    ]
+    pipeline._attach_terrain(terrain, hyps)
+    for k, (h, location) in enumerate(zip(hyps, locations)):
+        expected = [f"d{k}", *reference_attached_terrain(terrain, location)]
+        assert h.own_evidence == EvidenceSet.from_iterable(expected)
+
+
+def test_terrain_at_its_radius_zero_and_negative_radius_through_a_run(tmp_path):
+    # leaves and arrays: a hill reaching a tank exactly at its radius,
+    # a zero-radius marker on one tank and on the company's centroid, and
+    # a negative-radius item on the centroid, which attaches to nothing
+    terrain = [
+        {"id": "hill", "x": 1100.0, "y": 1110.0, "radius_m": 50.0, "lambda": 2.0},
+        {"id": "marker", "x": 900.0, "y": 1000.0, "radius_m": 0.0, "lambda": 2.0},
+        {"id": "centre", "x": 1000.0, "y": 1020.0, "radius_m": 0.0, "lambda": 2.0},
+        {"id": "void", "x": 1000.0, "y": 1020.0, "radius_m": -1.0, "lambda": 2.0},
+    ]
+    detections = [
+        {"id": f"d{i}", "type": "T-72-tank", "x": x, "y": y, "lambda": 6.0}
+        for i, (x, y) in enumerate([(900.0, 1000.0), (1000.0, 1000.0), (1100.0, 1060.0)])
+    ]
+    scenario = {"scenario_id": "terrain", "detections": detections, "terrain": terrain}
+    (tmp_path / "library.json").write_text(json.dumps(TANK_LIBRARY))
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    config = {
+        "library": "library.json",
+        "scenario": "scenario.json",
+        "matcher": {"gather_radius": 1200, "min_fit": 0.2},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    report = pipeline.run(pipeline.RunConfig.from_file(tmp_path / "config.json"))
+    own = {
+        e["id"]: e["own_evidence"]
+        for level in report["levels"].values()
+        for e in level
+    }
+    assert own["v.d0"] == ["d0", "marker"]
+    assert own["v.d1"] == ["d1"]
+    assert own["v.d2"] == ["d2", "hill"]
+    assert own["a0"] == ["centre", "f:tank-company-line:v.d0+v.d1+v.d2"]
+
+
 def test_non_finite_headings_and_wide_limits_match_all_pairs():
     # NaN and infinite headings never conflict; limits of 180 and more
     # flag nothing, a negative limit flags every headed pair within reach

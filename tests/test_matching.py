@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from echelon import matching
 from echelon.exceptions import MatchTooLargeError
+from echelon.geometry import distance, heading_difference
 from echelon.hypotheses import HypothesisGraph
 from echelon.matching import (
     MATCHABLE,
@@ -16,7 +17,7 @@ from echelon.matching import (
     MatchCandidate,
     MatchConfig,
     _clusters,
-    _enumerate_assignments,
+    _Enumeration,
     _PairTable,
     candidate_to_hypothesis,
     fit_score,
@@ -327,9 +328,107 @@ def test_match_config_from_dict_strict():
         MatchConfig(lambda_max=0.5)
 
 
+# -- reference scorer and instantiation ------------------------------------
+#
+# The fit score as first written, one pair list per constraint from
+# itertools and one satisfaction per pair, and a parent's location,
+# heading and time: the matcher's own code is held to these copies.
+
+
+def reference_interval_satisfaction(d, lo, hi, slack):
+    if lo <= d <= hi:
+        return 1.0
+    margin = slack * (hi - lo)
+    if margin <= 0.0:
+        return 0.0
+    delta = (lo - d) if d < lo else (d - hi)
+    return max(0.0, 1.0 - delta / margin)
+
+
+def reference_geometric_mean(values):
+    if not values:
+        return 1.0
+    if any(v == 0.0 for v in values):
+        return 0.0
+    if all(v == 1.0 for v in values):
+        return 1.0
+    return math.exp(math.fsum(math.log(v) for v in values) / len(values))
+
+
+def reference_pair_satisfaction(hu, hv, c, slack):
+    s = reference_interval_satisfaction(
+        distance(hu.location, hv.location), c.distance_min, c.distance_max, slack
+    )
+    if (
+        c.bearing_tolerance is not None
+        and hu.heading is not None
+        and hv.heading is not None
+    ):
+        diff = heading_difference(hu.heading, hv.heading)
+        if diff > c.bearing_tolerance:
+            margin = slack * c.bearing_tolerance
+            if margin <= 0.0:
+                s = 0.0
+            else:
+                s *= max(0.0, 1.0 - (diff - c.bearing_tolerance) / margin)
+    return s
+
+
+def reference_fit_score(g, model, assignment, cfg):
+    per_constraint = []
+    for c in model.constraints:
+        ids_a = assignment.get(c.slot_a, ())
+        ids_b = assignment.get(c.slot_b, ())
+        if c.slot_a == c.slot_b:
+            pairs = list(itertools.combinations(ids_a, 2))
+        else:
+            pairs = [(u, v) for u in ids_a for v in ids_b]
+        if not pairs:
+            continue
+        per_constraint.append(
+            reference_geometric_mean(
+                [
+                    reference_pair_satisfaction(g.get(u), g.get(v), c, cfg.slack)
+                    for u, v in pairs
+                ]
+            )
+        )
+    missing = sum(
+        max(0, slot.count_min - len(assignment.get(i, ())))
+        for i, slot in enumerate(model.slots)
+    )
+    return reference_geometric_mean(per_constraint) * cfg.rho**missing
+
+
+def reference_instantiation(g, children):
+    """Location, heading and time of a parent over ``children`` as first
+    written: centroid, circular mean of the known headings, latest time."""
+    locations = [g.get(i).location for i in children]
+    n = len(locations)
+    location = (sum(p[0] for p in locations) / n, sum(p[1] for p in locations) / n)
+    hs = [math.radians(g.get(i).heading) for i in children if g.get(i).heading is not None]
+    heading = None
+    if hs:
+        x = sum(math.cos(h) for h in hs) / len(hs)
+        y = sum(math.sin(h) for h in hs) / len(hs)
+        heading = math.degrees(math.atan2(y, x)) % 360.0
+        heading = 0.0 if heading == 360.0 else heading
+    time = max((g.get(i).time for i in children), default=0.0)
+    return location, heading, time
+
+
+def bits(value):
+    """A float, a tuple of floats or None, compared bit for bit."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(v.hex() for v in value)
+    return value.hex()
+
+
 # -- pruned enumeration against the unpruned one ----------------------------
 #
-# ``_enumerate_assignments`` drops a partial assignment once one of its
+# ``_Enumeration`` drops a partial assignment once one of its
 # pairs has satisfaction 0.0 (when min_fit > 0).  The reference below is
 # the enumeration without pruning: every slot's combinations from
 # itertools.combinations, sizes ascending.
@@ -374,7 +473,7 @@ def reference_match_level(g, lib, level, cfg):
             for assignment, missing in reference_assignments(
                 g, lib, model, cluster, cfg.max_missing
             ):
-                score = fit_score(g, model, assignment, cfg)
+                score = reference_fit_score(g, model, assignment, cfg)
                 if score >= cfg.min_fit:
                     out.append(MatchCandidate(model, assignment, score, missing))
     out.sort(key=lambda c: (-c.fit_score, c.model.name, c.children()))
@@ -472,10 +571,11 @@ def property_scenes(draw, slack):
             point = (float(draw(st.integers(0, 700))), float(draw(st.integers(0, 700))))
         points.append(point)
         heading = draw(st.sampled_from([None, None, 0.0, 15.0, 30.0, 110.0, 200.0]))
-        add_leaf(
+        h = add_leaf(
             g, f"v{i}", force_type=draw(st.sampled_from(PROPERTY_TYPES)),
             location=point, heading=heading,
         )
+        h.time = draw(st.sampled_from([0.0, 0.0, -3.0, 12.5, 1e9]))
     return g
 
 
@@ -493,9 +593,17 @@ def test_pruned_enumeration_equals_unpruned_reference(data):
         slack=slack,
     )
 
-    assert as_listed(match_level(g, lib, Level.ARRAY, cfg)) == as_listed(
+    candidates = match_level(g, lib, Level.ARRAY, cfg)
+    assert as_listed(candidates) == as_listed(
         reference_match_level(g, lib, Level.ARRAY, cfg)
     )
+    for c in candidates:
+        h, item = candidate_to_hypothesis(g, lib, c, cfg)
+        location, heading, time = reference_instantiation(g, c.children())
+        assert (bits(h.location), bits(h.heading), bits(h.time)) == (
+            bits(location), bits(heading), bits(time)
+        )
+        assert item.location == h.location and item.id in h.own_evidence
 
     def scored(model, assignments):
         out = []
@@ -506,13 +614,15 @@ def test_pruned_enumeration_equals_unpruned_reference(data):
         return out
 
     ids = sorted(g.at_level(Level.VEHICLE))
-    for cluster in _clusters(g, ids, cfg.gather_radius):
-        for model in lib.models_at(Level.ARRAY):
-            got = list(
-                _enumerate_assignments(
-                    g, lib, model, cluster, cfg, _PairTable(g, model, cfg.slack)
-                )
-            )
+    by_type = {}
+    for i in ids:
+        by_type.setdefault(g.get(i).force_type, []).append(i)
+    for model in lib.models_at(Level.ARRAY):
+        enumeration = _Enumeration(
+            lib, model, by_type, cfg, _PairTable(g, model, cfg.slack), {}
+        )
+        for cluster in _clusters(g, ids, cfg.gather_radius):
+            got = list(enumeration.assignments(cluster))
             ref = list(reference_assignments(g, lib, model, cluster, cfg.max_missing))
             # min_fit 0 keeps zero-fit assignments; above it, exactly those
             # holding a zero pair are gone and the rest keep their order
@@ -524,6 +634,10 @@ def test_pruned_enumeration_equals_unpruned_reference(data):
                 (list(a.items()), m) for a, m in kept
             ]
             assert scored(model, got) == scored(model, ref)
+            for assignment, _ in ref:
+                assert bits(fit_score(g, model, assignment, cfg)) == bits(
+                    reference_fit_score(g, model, assignment, cfg)
+                )
 
 
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
@@ -565,6 +679,51 @@ def test_pool_keeps_pairs_at_the_extent(d_min, d_max, slack, ulps):
         assert len(got) == 1
     if ulps > 0:
         assert got == []
+
+
+def test_fit_score_of_many_partial_pairs_equals_reference():
+    # eight children mostly in the slack margins of two constraints, so a
+    # score averages the logs of dozens of partial satisfactions
+    lib = load_library(
+        json.dumps(
+            {
+                "types": [
+                    {"name": "tank", "level": "vehicle"},
+                    {"name": "group", "level": "array"},
+                ],
+                "models": [
+                    {
+                        "name": "g", "type": "group",
+                        "slots": [
+                            {"type": "tank", "min": 2, "max": 5},
+                            {"type": "tank", "min": 1, "max": 4},
+                        ],
+                        "constraints": [
+                            {"slots": [0, 0], "d_min": 100, "d_max": 120},
+                            {"slots": [1, 0], "d_min": 80, "d_max": 90,
+                             "bearing_tol": 20},
+                        ],
+                    }
+                ],
+            }
+        )
+    )
+    model = lib.models_at(Level.ARRAY)[0]
+    rng = random.Random(11)
+    for _ in range(50):
+        g = HypothesisGraph()
+        for i in range(8):
+            add_leaf(
+                g, f"v{i}", location=(rng.uniform(0, 150), rng.uniform(0, 150)),
+                heading=rng.choice([None, rng.uniform(0, 360)]),
+            )
+        ids = [f"v{i}" for i in rng.sample(range(8), 8)]
+        k = rng.randint(0, 5)
+        assignment = {0: tuple(ids[:k]), 1: tuple(ids[k : k + rng.randint(0, 3)])}
+        cfg = MatchConfig(slack=rng.choice([0.5, 2.0, 10.0]), rho=0.5)
+        assert bits(fit_score(g, model, assignment, cfg)) == bits(
+            reference_fit_score(g, model, assignment, cfg)
+        )
 
 
 @pytest.mark.parametrize("constraints, min_fit", [([], 0.2), (None, 0.0)])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from echelon import matching
+from echelon import matching, pipeline
 from echelon.cli import main
 from echelon.evidence import posterior_from_evidence
 from echelon.pipeline import RunConfig, run
@@ -642,6 +642,68 @@ class TestUndecodableInputs:
         assert f"{document} is not UTF-8 text: 'utf-8' codec" in capsys.readouterr().err
 
 
+class TestLongNamesInMessages:
+    """An error naming an entry by a huge input value stays short; names
+    of up to 30 characters are shown whole, as ``repr`` writes them."""
+
+    LONG = "n" * 200_000
+
+    def infer_error(self, tmp_path, capsys, detections, terrain=()):
+        paths = write_battalion_inputs(tmp_path)
+        doc = {"schema_version": 1, "scenario_id": "long",
+               "detections": detections, "terrain": list(terrain)}
+        paths["scenario"].write_text(dumps(doc))
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        return capsys.readouterr().err
+
+    def validate_error(self, tmp_path, capsys, library):
+        path = tmp_path / "library.json"
+        path.write_text(json.dumps(library))
+        assert main(["validate", str(path)]) == 1
+        return capsys.readouterr().err
+
+    def test_detection_id(self, tmp_path, capsys):
+        detection = {"id": self.LONG, "type": "tank", "x": "bad", "y": 0.0, "lambda": 3.0}
+        err = self.infer_error(tmp_path, capsys, [detection])
+        assert len(err) < 300
+        assert "x must be a finite number, got 'bad'" in err
+
+    def test_detection_id_of_30_characters_is_shown_whole(self, tmp_path, capsys):
+        name = "d" * 29 + "'"
+        detection = {"id": name, "type": "tank", "x": "bad", "y": 0.0, "lambda": 3.0}
+        err = self.infer_error(tmp_path, capsys, [detection])
+        assert f"detection {name!r}: x must be a finite number, got 'bad'" in err
+
+    def test_detection_type(self, tmp_path, capsys):
+        detection = {"id": "d0", "type": self.LONG, "x": 0.0, "y": 0.0, "lambda": 3.0}
+        err = self.infer_error(tmp_path, capsys, [detection])
+        assert len(err) < 300 and "unknown force type 'nnn" in err
+
+    def test_terrain_id(self, tmp_path, capsys):
+        terrain = {"id": self.LONG, "x": "bad", "y": 0.0, "lambda": 2.0}
+        err = self.infer_error(tmp_path, capsys, [], [terrain])
+        assert len(err) < 300 and "terrain entry 'nnn" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, where",
+        [("types", "isa", 5, "type 'nnn"), ("models", "prior", "bad", "model 'nnn")],
+    )
+    def test_library_names(self, tmp_path, capsys, section, key, value, where):
+        library = json.loads(json.dumps(TANK_LIBRARY))
+        library[section][-1].update({"name": self.LONG, key: value})
+        err = self.validate_error(tmp_path, capsys, library)
+        assert len(err) < 300 and where in err
+
+    @pytest.mark.parametrize("section", ["types", "models"])
+    def test_duplicate_library_names(self, tmp_path, capsys, section):
+        library = json.loads(json.dumps(TANK_LIBRARY))
+        library[section] = library[section] + [dict(library[section][-1])]
+        for entry in library[section][-2:]:
+            entry["name"] = self.LONG
+        err = self.validate_error(tmp_path, capsys, library)
+        assert len(err) < 300 and "duplicate" in err
+
+
 class TestSkipFlow:
     def test_skip_estimates_and_direct_accrual(self, tmp_path):
         cfg_path = write_skip_scenario(tmp_path)
@@ -675,6 +737,42 @@ class TestSkipFlow:
         assert math.fsum(beliefs.values()) == pytest.approx(1.0, abs=1e-12)
         company = report["levels"]["array"][0]
         assert set(company["accrual"]) == {"raw", "fit", "components"}
+
+
+# The names perfbench/tracer.py wraps on echelon.pipeline: a stage that
+# stops looking its name up there at call time reads 0 when traced.
+TRACED_NAMES = (
+    "load_library",
+    "build_graph",
+    "match_level",
+    "candidate_to_hypothesis",
+    "propagate_level",
+    "detect_conflicts",
+    "decide",
+    "skip_error_estimate",
+)
+
+
+def test_run_calls_every_traced_name_through_the_pipeline_module(tmp_path, monkeypatch):
+    calls = dict.fromkeys(TRACED_NAMES, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    demo = Path(__file__).resolve().parents[1] / "demo"
+    run(RunConfig.from_file(demo / "run_config.json"))
+    # the demo has no conflict, so nothing to decide or skip
+    assert {name for name, n in calls.items() if n == 0} == {
+        "decide", "skip_error_estimate"
+    }
+    run(RunConfig.from_file(write_skip_scenario(tmp_path)))
+    assert all(calls.values()), calls
 
 
 class TestCompanyLevelConflict:
