@@ -6,20 +6,15 @@ together (too close, or incompatible headings while near each other):
 a conflict is local.  Detection never tests every pair: an evidence
 index finds the shared items, and one uniform grid proposes every pair
 near enough for a doctrine test (a conservative filter), which the
-exact tests decide.  A level's edges are one sorted numpy array of pair
-codes, and they stay arrays from there to the report: a group's
-``reasons`` is one int array of rows ``(first position, second
-position, flags)``, and ``flags`` indexes eight reason frozensets built
-once at import, so an edge costs no Python object of its own however
-many a scene has.  Each connected
-group is analyzed in polynomial time: members are ordered
-heuristically, each is scored on its own closure minus the closures of
-the members after it, and the product k estimates how likely all
-members are to be true despite the conflict.  (1-k)/k is the conflict
-measure: when it is under threshold the group is skipped (accrual
-jumps over the level) with a per-parent error estimate; otherwise the
-group is resolved exactly over maximal consistent sets, which is
-worst-case exponential.
+exact tests decide.  A group's ``reasons`` holds one plain row per
+conflicting pair.  Each connected group is analyzed in polynomial
+time: members are ordered heuristically, each is scored on its own
+closure minus the closures of the members after it, and the product k
+estimates how likely all members are to be true despite the conflict.
+(1-k)/k is the conflict measure: when it is under threshold the group
+is skipped (accrual jumps over the level) with a per-parent error
+estimate; otherwise the group is resolved exactly over maximal
+consistent sets, which is worst-case exponential.
 """
 
 from __future__ import annotations
@@ -29,6 +24,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +34,7 @@ from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
 )
-from echelon.geometry import distance, near_pairs
+from echelon.geometry import distance, linked_groups, near_pairs
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import HEADING_REACH_M, LEVELS, Level, ModelLibrary
 
@@ -60,20 +56,18 @@ class Decision(enum.Enum):
     RESOLVE = "resolve"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConflictSet:
     """A connected group of mutually incompatible hypotheses.
 
     ``members`` are sorted by id.  ``reasons`` holds one row per
-    conflicting pair, ``(first, second, flags)``: the pair's positions in
-    ``members`` (``first < second``) and the index into ``REASON_SETS``
-    of why it conflicts.  It is a read-only int array of shape (E, 3)
-    with rows in ascending pair order, which the report keeps.  An array
-    field has no truth value, so sets compare by identity.
+    conflicting pair, ``(first, second, reasons)``: the pair's positions
+    in ``members`` (``first < second``) and why it conflicts.  Rows are
+    in ascending pair order, which the report keeps.
     """
 
     members: tuple[str, ...]
-    reasons: np.ndarray
+    reasons: tuple[tuple[int, int, frozenset[ConflictReason]], ...]
     level: Level
 
     def __post_init__(self) -> None:
@@ -110,40 +104,31 @@ class ConsistentSet:
     normalized_belief: float
 
 
-# Every subset of the three reasons, built once and indexed by flag bits
-# in definition order: 1 shared evidence, 2 too close, 4 orientation.  A
-# scene's thousands of edges share these eight sets.
-REASON_SETS = tuple(
-    frozenset(r for bit, r in enumerate(ConflictReason) if flags >> bit & 1)
-    for flags in range(8)
-)
+Pair = tuple[int, int]
 
 
-_NO_CODES = np.empty(0, dtype=np.int64)
-
-
-def _shared_codes(sharable: list[frozenset[str]], n: int) -> np.ndarray:
-    """Sorted codes i·n+j (i < j) of the pairs whose closures share an
-    item, from an inverted index of item id to its holders: exact."""
+def _shared_pairs(sharable: list[frozenset[str]]) -> set[Pair]:
+    """The pairs (i, j), i < j, whose closures share an item, from an
+    inverted index of item id to its holders: exact."""
     holders: dict[str, list[int]] = {}
     for i, items in enumerate(sharable):
         for item_id in items:
             holders.setdefault(item_id, []).append(i)
-    codes = [
-        i * n + j
+    return {
+        pair
         for group in holders.values()
         if len(group) > 1
-        for i, j in itertools.combinations(group, 2)
-    ]
-    return np.unique(np.array(codes, dtype=np.int64))
+        for pair in itertools.combinations(group, 2)
+    }
 
 
-def _doctrine_codes(
-    hyps: list[Hypothesis], kinds: np.ndarray, doctrine: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the pairs too close, and of those facing apart within
-    ``HEADING_REACH_M``; ``doctrine`` holds the separation and heading
-    limit of each type-index pair, NaN where doctrine has no row.
+def _doctrine_pairs(
+    hyps: list[Hypothesis], kinds: np.ndarray, doctrine: np.ndarray
+) -> Iterator[tuple[Pair, ConflictReason]]:
+    """The pairs (i, j), i < j, too close or facing apart within
+    ``HEADING_REACH_M``, each with its reason; ``doctrine`` holds the
+    separation and heading limit of each type-index pair, NaN where
+    doctrine has no row.
 
     One grid (``near_pairs``) at the level's largest positive separation,
     or at the heading reach if that is larger and the level has a heading
@@ -162,7 +147,7 @@ def _doctrine_codes(
     if not np.isnan(delta).all():
         reach = max(reach, HEADING_REACH_M)
     if reach == 0.0:
-        return _NO_CODES, _NO_CODES
+        return
     locations = [h.location for h in hyps]
     xy = np.array(locations, dtype=float).reshape(-1, 2)
     headings = np.array([math.nan if h.heading is None else h.heading for h in hyps])
@@ -175,27 +160,13 @@ def _doctrine_codes(
         turned = (d > delta[types]) & (span <= HEADING_REACH_M)
     close_below = sep[types]
     ask = turned | (span < close_below)
-    close: list[int] = []
-    facing: list[int] = []
     columns = (first, second, close_below, turned)
     for i, j, s, t in zip(*(column[ask].tolist() for column in columns)):
         apart = distance(locations[i], locations[j])
         if apart < s:
-            close.append(i * n + j)
+            yield (i, j), ConflictReason.TOO_CLOSE
         if t and apart <= HEADING_REACH_M:
-            facing.append(i * n + j)
-    return np.array(close, dtype=np.int64), np.array(facing, dtype=np.int64)
-
-
-def _pair_flags(
-    codes: np.ndarray, shared: np.ndarray, close: np.ndarray, facing: np.ndarray
-) -> np.ndarray:
-    """Flag bits of every conflicting pair at once: 1 shared evidence,
-    2 too close, 4 orientation, each pair's index into ``REASON_SETS``."""
-    flags = np.isin(codes, shared).astype(np.uint8)
-    flags |= np.isin(codes, close).astype(np.uint8) << 1
-    flags |= np.isin(codes, facing).astype(np.uint8) << 2
-    return flags
+            yield (i, j), ConflictReason.ORIENTATION
 
 
 def detect_conflicts(
@@ -209,14 +180,11 @@ def detect_conflicts(
     share a non-terrain item, or doctrine flags them (closer than the
     type pair's minimum separation, or heading difference over the type
     pair's maximum while at most ``HEADING_REACH_M`` apart).  Doctrine is
-    resolved once per type pair present.  A level's edges are one sorted
-    array of codes i·n+j (i < j over the id-sorted hypotheses): the pairs an
-    evidence index finds and those the doctrine tests flag among a
-    grid's candidates, whose reasons ``_pair_flags`` sets all at once.
-    Union-find then takes the edges in id order, as a test of every pair
-    would, so it yields the same groups in the same order.  The level's
-    edges become one (E, 3) array, bucketed by group, and each group's
-    ``reasons`` is its slice.
+    resolved once per type pair present.  A level's edges are the pairs
+    (i, j), i < j over the id-sorted hypotheses, that an evidence index
+    finds or the doctrine tests flag among a grid's candidates.
+    ``linked_groups`` takes them in ascending order, as a test of every
+    pair would, so it yields the same groups in the same order.
     """
     out: list[ConflictSet] = []
     for lvl in LEVELS if level is None else (level,):
@@ -241,57 +209,26 @@ def detect_conflicts(
                     table[ta, tb] = table[tb, ta] = value
         kinds = np.array([type_index[h.force_type] for h in hyps], dtype=np.intp)
 
-        shared = _shared_codes(sharable, n)
-        close, facing = _doctrine_codes(hyps, kinds, doctrine, n)
-        codes = np.unique(np.concatenate([shared, close, facing]))
-        flags = _pair_flags(codes, shared, close, facing)
-        first, second = np.divmod(codes, n)
-
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in zip(first.tolist(), second.tolist()):
-            # find(a) and find(b), inlined: this loop runs once per edge
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            parent[a] = b
-
-        roots = [find(i) for i in range(n)]
-        groups: dict[int, list[int]] = {}
-        for i, root in enumerate(roots):
-            groups.setdefault(root, []).append(i)
-        # each hypothesis's position among its group's members, and the
-        # edges bucketed by group root, each bucket in ascending pair order
-        position = [0] * n
-        for indices in groups.values():
+        shared = _shared_pairs(sharable)
+        reasons = {pair: {ConflictReason.SHARED_EVIDENCE} for pair in shared}
+        for pair, reason in _doctrine_pairs(hyps, kinds, doctrine):
+            reasons.setdefault(pair, set()).add(reason)
+        edges = sorted(reasons)
+        groups = linked_groups(n, edges)
+        # each hypothesis's group and position among the group's members;
+        # rows keep ascending pair order, since positions follow indices
+        group_of, position = [0] * n, [0] * n
+        for k, indices in enumerate(groups):
             for p, i in enumerate(indices):
-                position[i] = p
-        position = np.array(position, dtype=np.intp)
-        edge_roots = np.array(roots, dtype=np.intp)[first]
-        order = np.argsort(edge_roots, kind="stable")
-        table = np.column_stack((position[first], position[second], flags))[order]
-        table.flags.writeable = False
-        counts = np.bincount(edge_roots, minlength=n)
-        starts = (np.cumsum(counts) - counts).tolist()
-        counts = counts.tolist()
-        for root in sorted(groups):
-            indices = groups[root]
-            if len(indices) < 2:
-                continue
-            out.append(
-                ConflictSet(
-                    members=tuple(ids[i] for i in indices),
-                    reasons=table[starts[root] : starts[root] + counts[root]],
-                    level=lvl,
-                )
-            )
+                group_of[i], position[i] = k, p
+        rows: list[list] = [[] for _ in groups]
+        for a, b in edges:
+            row = (position[a], position[b], frozenset(reasons[a, b]))
+            rows[group_of[a]].append(row)
+        for indices, group_rows in zip(groups, rows):
+            if len(indices) > 1:
+                members = tuple(ids[i] for i in indices)
+                out.append(ConflictSet(members, tuple(group_rows), lvl))
     return out
 
 
@@ -397,7 +334,7 @@ def resolve_exact(
             f"resolution too large: {n} members exceeds cap {max_exact}"
         )
     adj = [0] * n
-    for a, b, _ in s.reasons.tolist():
+    for a, b, _ in s.reasons:
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     full = (1 << n) - 1

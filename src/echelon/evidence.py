@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from echelon.exceptions import DegeneratePriorWarning
+from echelon.models import shown_name
 
 # Beyond this many ratios the odds product moves to log space to dodge
 # overflow/underflow; results are surfaced in linear space either way.
@@ -44,7 +45,7 @@ class EvidenceItem:
         lr = self.likelihood_ratio
         if not (lr > 0.0 and math.isfinite(lr)):
             raise ValueError(
-                f"evidence {self.id!r}: likelihood_ratio must be positive "
+                f"evidence {shown_name(self.id)}: likelihood_ratio must be positive "
                 f"and finite, got {lr!r}"
             )
 

@@ -4,7 +4,8 @@
 clustering and conflict detection, on one numpy grid over all points at
 once.  It is a conservative filter: it may return pairs that fail the
 test, never miss one that passes, whatever the rounding; the caller's
-exact test (``distance``) decides.
+exact test (``distance``) decides.  ``linked_groups`` joins the pairs
+that pass into connected groups, for both.
 """
 
 from __future__ import annotations
@@ -106,6 +107,30 @@ def near_pairs(
     b = np.concatenate([j, np.maximum(li, lj)])
     codes = np.unique((a * n + b)[a < b])
     return codes // n, codes % n
+
+
+def linked_groups(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 with edges ``pairs``,
+    each ascending, ordered by root index.
+
+    Union-find with path halving; each pair, in the given order, links
+    the root of its first index under the root of its second, so the
+    roots, and with them the order of the groups, depend only on the
+    pairs and their order.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[root] for root in sorted(groups)]
 
 
 def centroid(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

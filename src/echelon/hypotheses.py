@@ -20,7 +20,7 @@ from echelon.exceptions import (
     LevelViolationError,
     UnknownHypothesisError,
 )
-from echelon.models import Level
+from echelon.models import Level, shown_name
 
 if TYPE_CHECKING:
     from echelon.accrual import AccrualResult
@@ -92,7 +92,7 @@ class HypothesisGraph:
 
     def add_evidence(self, item: EvidenceItem) -> None:
         if item.id in self.evidence:
-            raise ValueError(f"duplicate evidence id {item.id!r}")
+            raise ValueError(f"duplicate evidence id {shown_name(item.id)}")
         self.evidence[item.id] = item
         if item.kind is EvidenceKind.TERRAIN:
             self.terrain.add(item.id)

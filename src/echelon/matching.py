@@ -33,6 +33,7 @@ from echelon.geometry import (
     centroid,
     distance,
     heading_difference,
+    linked_groups,
     mean_heading,
     near_pairs,
 )
@@ -256,22 +257,14 @@ def _clusters(
     (``near_pairs``), a conservative filter; the distance test decides.
     """
     locations = [g.get(i).location for i in ids]
-    parent = list(range(len(ids)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     first, second = near_pairs(locations, radius)
-    for a, b in zip(first.tolist(), second.tolist()):
-        if distance(locations[a], locations[b]) <= radius:
-            parent[find(a)] = find(b)
-    groups: dict[int, list[str]] = {}
-    for n, i in enumerate(ids):
-        groups.setdefault(find(n), []).append(i)
-    return sorted((sorted(members) for members in groups.values()), key=lambda m: m[0])
+    pairs = [
+        (a, b)
+        for a, b in zip(first.tolist(), second.tolist())
+        if distance(locations[a], locations[b]) <= radius
+    ]
+    groups = (sorted(ids[i] for i in group) for group in linked_groups(len(ids), pairs))
+    return sorted(groups, key=lambda m: m[0])
 
 
 def _pool_radius(model: ForceModel, cfg: MatchConfig) -> float:

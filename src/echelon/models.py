@@ -48,7 +48,7 @@ class Level(enum.IntEnum):
         try:
             return cls[label.upper()]
         except KeyError:
-            raise LibraryFormatError(f"unknown level {label!r}") from None
+            raise LibraryFormatError(f"unknown level {shown_name(label)}") from None
 
 
 LEVELS = tuple(Level)
@@ -72,12 +72,11 @@ class ComponentSlot:
     count_max: int
 
     def __post_init__(self) -> None:
+        what = f"slot {shown_name(self.required_type)}"
         if self.count_min < 0:
-            raise LibraryValidationError(f"slot {self.required_type}: count_min < 0")
+            raise LibraryValidationError(f"{what}: count_min < 0")
         if self.count_max < self.count_min:
-            raise LibraryValidationError(
-                f"slot {self.required_type}: count_max < count_min"
-            )
+            raise LibraryValidationError(f"{what}: count_max < count_min")
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,16 @@ class ForceModel:
     prior: float = 0.5
 
     def __post_init__(self) -> None:
+        what = f"model {shown_name(self.name)}"
         if not self.slots:
-            raise LibraryValidationError(f"model {self.name}: needs at least one slot")
+            raise LibraryValidationError(f"{what}: needs at least one slot")
         if not (0.0 <= self.prior <= 1.0):
-            raise LibraryValidationError(f"model {self.name}: prior outside [0,1]")
+            raise LibraryValidationError(f"{what}: prior outside [0,1]")
         for c in self.constraints:
             for idx in (c.slot_a, c.slot_b):
                 if not (0 <= idx < len(self.slots)):
                     raise LibraryValidationError(
-                        f"model {self.name}: constraint references slot {idx} "
+                        f"{what}: constraint references slot {idx} "
                         f"but model has {len(self.slots)} slots"
                     )
 
@@ -506,30 +506,31 @@ def _validate(lib: ModelLibrary) -> None:
     for t in lib.types.values():
         _validate_isa_chain(t, lib)
     for m in lib.models.values():
-        model_level = _resolved_level(m.models_type, lib, f"model {m.name}")
+        what = f"model {shown_name(m.name)}"
+        model_level = _resolved_level(m.models_type, lib, what)
         for slot in m.slots:
-            slot_level = _resolved_level(
-                slot.required_type, lib, f"model {m.name} slot"
-            )
+            slot_level = _resolved_level(slot.required_type, lib, f"{what} slot")
             if model_level == Level.VEHICLE:
                 raise LibraryValidationError(
-                    f"model {m.name}: vehicle-level types have no components"
+                    f"{what}: vehicle-level types have no components"
                 )
             if slot_level != model_level - 1:
                 raise LibraryValidationError(
-                    f"model {m.name}: level skip: slot type "
-                    f"{slot.required_type!r} is {slot_level.label}, "
+                    f"{what}: level skip: slot type "
+                    f"{shown_name(slot.required_type)} is {slot_level.label}, "
                     f"expected {Level(model_level - 1).label}"
                 )
     for pair in list(lib.doctrine.min_separation) + list(lib.doctrine.max_heading_delta):
         for name in pair:
             if name not in lib.types:
-                raise LibraryValidationError(f"doctrine: dangling type {name!r}")
+                raise LibraryValidationError(
+                    f"doctrine: dangling type {shown_name(name)}"
+                )
 
 
 def _resolved_level(name: str, lib: ModelLibrary, what: str) -> Level:
     if name not in lib.types:
-        raise LibraryValidationError(f"{what}: dangling type {name!r}")
+        raise LibraryValidationError(f"{what}: dangling type {shown_name(name)}")
     return lib.types[name].level
 
 
@@ -539,16 +540,20 @@ def _validate_isa_chain(t: ForceType, lib: ModelLibrary) -> None:
     while cur.isa_parent is not None:
         if cur.isa_parent not in lib.types:
             raise LibraryValidationError(
-                f"type {cur.name!r}: dangling type {cur.isa_parent!r}"
+                f"type {shown_name(cur.name)}: "
+                f"dangling type {shown_name(cur.isa_parent)}"
             )
         parent = lib.types[cur.isa_parent]
         if parent.level != t.level:
             raise LibraryValidationError(
-                f"type {cur.name!r}: is-a parent {parent.name!r} is at "
+                f"type {shown_name(cur.name)}: "
+                f"is-a parent {shown_name(parent.name)} is at "
                 f"{parent.level.label}, not {t.level.label} (is-a refines "
                 "within a level)"
             )
         if parent.name in seen:
-            raise LibraryValidationError(f"cyclic isa chain through {parent.name!r}")
+            raise LibraryValidationError(
+                f"cyclic isa chain through {shown_name(parent.name)}"
+            )
         seen.add(parent.name)
         cur = parent

@@ -5,8 +5,9 @@ processed bottom-up: match models over the children, accrue posteriors,
 detect conflicts, and either skip them (marking members and estimating
 the induced parent error at the next level) or resolve them exactly.
 The report carries every hypothesis with the inputs of its accrual, so
-any posterior can be recomputed from the report alone.  Output is
-deterministic given the config and seed.
+any posterior can be recomputed from the report alone.  Inference draws
+nothing at random: the report is fixed by the config and its inputs, and
+the config's ``seed`` is only echoed into it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from echelon.accrual import propagate_level
 from echelon.conflict import (
-    REASON_SETS,
     ConflictReport,
     Decision,
     Heuristic,
@@ -278,11 +278,6 @@ def run(cfg: RunConfig) -> dict:
     return _build_report(cfg, scenario, g, conflict_log)
 
 
-# The report's sorted reason values of every reason set, by flag bits: a
-# scene has thousands of conflicting pairs but these few sets.
-_REASON_VALUES = tuple(sorted(r.value for r in rs) for rs in REASON_SETS)
-
-
 def _accrual_record(h: Hypothesis) -> dict | None:
     """What recomputes ``raw``: the rule's inputs, with P(H) the record's
     ``prior``, or the direct path's likelihood ratios by item id."""
@@ -343,8 +338,11 @@ def _build_report(
                 "members": list(members),
                 # in ascending pair order, as the conflict set holds them
                 "reasons": [
-                    {"pair": [members[a], members[b]], "reasons": [*_REASON_VALUES[f]]}
-                    for a, b, f in rep.conflict_set.reasons.tolist()
+                    {
+                        "pair": [members[a], members[b]],
+                        "reasons": sorted(r.value for r in rs),
+                    }
+                    for a, b, rs in rep.conflict_set.reasons
                 ],
                 "ordering": list(rep.ordering),
                 "k": rep.k,

@@ -8,10 +8,10 @@ and tests have: limits and reaches hit exactly or missed by 1e-9,
 headings across 0/360, negative, large and non-finite headings, negative
 coordinates, points on grid-cell edges, far-apart pairs sharing evidence
 or facing apart, and zero-metre separation rows.  The last tests
-count doctrine lookups and the candidate pairs given to the exact test
-(``conflict._pair_flags``), and the matcher's fit scores and pair
-evaluations, on generated clean scenes, so a return to all-pairs work or
-to scoring every slot assignment fails without timing.
+count doctrine lookups, the exact distance tests and the edges given to
+``linked_groups``, and the matcher's fit scores and pair evaluations,
+on generated clean scenes, so a return to all-pairs work or to scoring
+every slot assignment fails without timing.
 """
 
 import itertools
@@ -168,10 +168,7 @@ def as_compared(sets):
         (
             s.level,
             s.members,
-            [
-                ((s.members[a], s.members[b]), conflict.REASON_SETS[f])
-                for a, b, f in s.reasons.tolist()
-            ],
+            [((s.members[a], s.members[b]), rs) for a, b, rs in s.reasons],
         )
         for s in sets
     ]
@@ -542,7 +539,7 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
         "min_separation": 0,
         "max_heading_delta": 0,
         "distance_tests": 0,
-        "pair_tests": 0,
+        "edges": 0,
         "levels": 0,
     }
 
@@ -560,15 +557,15 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
     monkeypatch.setattr(
         conflict, "distance", counted("distance_tests", conflict.distance)
     )
-    original_flags = conflict._pair_flags
+    original_groups = conflict.linked_groups
 
-    def counted_flags(codes, *args):
-        # one call per level tests every candidate pair of that level
-        counts["pair_tests"] += len(codes)
+    def counted_groups(n, edges):
+        # one call per level takes every edge of that level
+        counts["edges"] += len(edges)
         counts["levels"] += 1
-        return original_flags(codes, *args)
+        return original_groups(n, edges)
 
-    monkeypatch.setattr(conflict, "_pair_flags", counted_flags)
+    monkeypatch.setattr(conflict, "linked_groups", counted_groups)
 
     per_level = []
 
@@ -596,7 +593,7 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
             assert c["min_separation"] <= types**2
             assert c["max_heading_delta"] <= types**2
             assert c["distance_tests"] <= n
-            assert c["pair_tests"] <= n
+            assert c["edges"] <= n
             assert c["levels"] == (n >= 2)  # the count above is live
 
 

@@ -1,14 +1,12 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from echelon.accrual import posterior_given_subset, propagate_level
 from echelon.conflict import (
-    REASON_SETS,
     ConflictReason,
     ConflictSet,
     Decision,
@@ -33,7 +31,7 @@ from conftest import add_leaf, add_parent
 def edges(s):
     """A conflict set's rows as ``((a, b), reasons)`` pairs, in row order."""
     m = s.members
-    return [((m[a], m[b]), REASON_SETS[f]) for a, b, f in s.reasons.tolist()]
+    return [((m[a], m[b]), reasons) for a, b, reasons in s.reasons]
 
 
 class TestDetectConflicts:
@@ -90,7 +88,9 @@ class TestDetectConflicts:
             [(("v0", "v1"), frozenset({ConflictReason.ORIENTATION}))]
         ]
 
-    def test_reason_sets_are_shared_and_pairs_ascending(self, empty_graph, tank_lib):
+    def test_rows_are_positions_and_reasons_in_ascending_pair_order(
+        self, empty_graph, tank_lib
+    ):
         g = empty_graph
         # v0-v1 too close and facing apart, v1-v2 facing apart, v2-v3 too close
         for i, (x, heading) in enumerate([(0, 0.0), (10, 175.0), (500, 0.0), (510, 0.0)]):
@@ -103,10 +103,9 @@ class TestDetectConflicts:
             (("v1", "v3"), frozenset({orientation})),
             (("v2", "v3"), frozenset({too_close})),
         ]
-        assert s.reasons.tolist() == [[0, 1, 6], [1, 2, 4], [1, 3, 4], [2, 3, 2]]
-        assert len(set(REASON_SETS)) == 8 and REASON_SETS[0] == frozenset()
+        assert [(a, b) for a, b, _ in s.reasons] == [(0, 1), (1, 2), (1, 3), (2, 3)]
 
-    def test_reasons_are_slices_of_one_read_only_level_array(
+    def test_each_group_holds_its_own_rows_and_compares_by_value(
         self, empty_graph, tank_lib
     ):
         g = empty_graph
@@ -116,12 +115,10 @@ class TestDetectConflicts:
         first, second = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
         assert (first.members, second.members) == (("v0", "v1"), ("v2", "v3"))
         for s in (first, second):
-            assert s.reasons.shape == (1, 3) and s.reasons.tolist() == [[0, 1, 2]]
-            assert not s.reasons.flags.writeable
-            with pytest.raises(ValueError):
-                s.reasons[0, 2] = 0
-        assert first.reasons.base is second.reasons.base
-        assert first != ConflictSet(first.members, first.reasons, first.level)
+            assert s.reasons == ((0, 1, frozenset({ConflictReason.TOO_CLOSE})),)
+        assert first == ConflictSet(first.members, first.reasons, first.level)
+        assert first != second
+        assert detect_conflicts(g, tank_lib, level=Level.VEHICLE) == [first, second]
 
     def test_shared_terrain_is_not_conflict(self, empty_graph, tank_lib):
         g = empty_graph
@@ -147,12 +144,9 @@ def make_conflict_set(g, members, reason=ConflictReason.TOO_CLOSE, edges=None):
     members = tuple(sorted(members))
     if edges is None:
         edges = list(itertools.combinations(members, 2))
-    flags = REASON_SETS.index(frozenset({reason}))
-    rows = sorted((*sorted(map(members.index, e)), flags) for e in edges)
+    rows = sorted((*sorted(map(members.index, e)), frozenset({reason})) for e in edges)
     return ConflictSet(
-        members=members,
-        reasons=np.array(rows, dtype=np.intp).reshape(-1, 3),
-        level=g.get(members[0]).level,
+        members=members, reasons=tuple(rows), level=g.get(members[0]).level
     )
 
 
@@ -422,12 +416,11 @@ class TestResolveExact:
         (detected,) = detect_conflicts(g, tank_lib, level=Level.VEHICLE)
         plain = dict(edges(detected))
         position = {m: i for i, m in enumerate(detected.members)}
-        rows = [
-            [position[a], position[b], REASON_SETS.index(rs)]
-            for (a, b), rs in reversed(plain.items())
-        ]
-        rebuilt = ConflictSet(detected.members, np.array(rows), detected.level)
-        assert sorted(rebuilt.reasons.tolist()) == detected.reasons.tolist()
+        rows = tuple(
+            (position[a], position[b], rs) for (a, b), rs in reversed(plain.items())
+        )
+        rebuilt = ConflictSet(detected.members, rows, detected.level)
+        assert sorted(rebuilt.reasons) == list(detected.reasons)
         assert resolve_exact(rebuilt, g) == resolve_exact(detected, g)
         assert len(resolve_exact(detected, g)) > 1
 

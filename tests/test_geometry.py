@@ -10,6 +10,7 @@ from echelon.geometry import (
     centroid,
     distance,
     heading_difference,
+    linked_groups,
     mean_heading,
     near_pairs,
 )
@@ -76,6 +77,64 @@ def test_near_pairs_equal_the_grid_rule_and_cover_every_near_pair(data):
         (xi, yi), (xj, yj) = points[i], points[j]
         if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
             assert (i, j) in found
+
+
+def reference_linked_groups(n, pairs):
+    """Conflict detection's union-find as it was written inline: each
+    pair's roots found by path halving, the first root linked under the
+    second, and the groups listed by root index."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+
+    roots = [find(i) for i in range(n)]
+    groups = {}
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
+    return [groups[root] for root in sorted(groups)]
+
+
+@st.composite
+def pair_lists(draw):
+    """A node count and pairs over it, in any order, ascending or not,
+    repeated or self-linked."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    if draw(st.booleans()):
+        pairs = sorted((min(p), max(p)) for p in pairs)
+    return n, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists())
+def test_linked_groups_equal_the_inline_union_find(case):
+    n, pairs = case
+    groups = linked_groups(n, pairs)
+    assert groups == reference_linked_groups(n, pairs)
+    assert sorted(i for group in groups for i in group) == list(range(n))
+    assert all(group == sorted(group) for group in groups)
+
+
+def test_linked_groups_list_a_group_at_its_root_not_its_largest_index():
+    # 0 goes under 1, 1's root under 9, 9's root under 3: the group's root
+    # is 3, so it comes after {2} and before {4}
+    groups = linked_groups(10, [(0, 1), (0, 9), (1, 3)])
+    assert groups == [[2], [0, 1, 3, 9], [4], [5], [6], [7], [8]]
+    assert groups == reference_linked_groups(10, [(0, 1), (0, 9), (1, 3)])
 
 
 def test_distance_and_centroid():

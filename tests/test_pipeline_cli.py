@@ -686,13 +686,50 @@ class TestLongNamesInMessages:
 
     @pytest.mark.parametrize(
         "section, key, value, where",
-        [("types", "isa", 5, "type 'nnn"), ("models", "prior", "bad", "model 'nnn")],
+        [
+            ("types", "isa", 5, "type 'nnn"),
+            pytest.param("types", "level", LONG, "unknown level 'nnn", id="level"),
+            ("models", "prior", "bad", "model 'nnn"),
+            ("models", "prior", 5, "model 'nnn"),
+        ],
     )
     def test_library_names(self, tmp_path, capsys, section, key, value, where):
         library = json.loads(json.dumps(TANK_LIBRARY))
         library[section][-1].update({"name": self.LONG, key: value})
         err = self.validate_error(tmp_path, capsys, library)
         assert len(err) < 300 and where in err
+
+    @pytest.mark.parametrize(
+        "slot, where",
+        [
+            pytest.param({"type": LONG}, "slot: dangling type 'nnn", id="dangling"),
+            pytest.param({"type": LONG, "min": -1}, "slot 'nnn", id="count_min"),
+        ],
+    )
+    def test_slot_types(self, tmp_path, capsys, slot, where):
+        library = json.loads(json.dumps(TANK_LIBRARY))
+        library["models"][-1]["slots"][0].update(slot)
+        err = self.validate_error(tmp_path, capsys, library)
+        assert len(err) < 300 and where in err
+
+    @pytest.mark.parametrize(
+        "detections, message",
+        [
+            pytest.param(
+                [{"id": LONG, "type": "tank", "x": 0.0, "y": 0.0, "lambda": -1.0}],
+                "evidence 'nnn",
+                id="lambda",
+            ),
+            pytest.param(
+                [{"id": LONG, "type": "tank", "x": 0.0, "y": 0.0, "lambda": 3.0}] * 2,
+                "duplicate evidence id 'nnn",
+                id="duplicate",
+            ),
+        ],
+    )
+    def test_evidence_ids(self, tmp_path, capsys, detections, message):
+        err = self.infer_error(tmp_path, capsys, detections)
+        assert len(err) < 300 and message in err
 
     @pytest.mark.parametrize("section", ["types", "models"])
     def test_duplicate_library_names(self, tmp_path, capsys, section):
