@@ -33,7 +33,6 @@ from echelon.conflict import (
 from echelon.evidence import (
     EvidenceItem,
     EvidenceKind,
-    EvidenceSet,
     posterior_from_evidence,
 )
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
@@ -75,7 +74,6 @@ __all__ = [
     "DoctrineConfig",
     "EvidenceItem",
     "EvidenceKind",
-    "EvidenceSet",
     "ForceModel",
     "ForceType",
     "GroundTruth",

@@ -28,6 +28,12 @@ derived from its evidence by the recursion.
 
 A fit item with geometric score s contributes fit_num factor
 0.5 + 0.5*s and fit_den factor 0.5.
+
+Evidence sets are unordered, and floating-point products are not
+associative, so the order of arithmetic is this module's decision:
+every product over evidence (a leaf's detections, a component's
+terrain, a parent's fit items, the direct path's closure) takes its
+items in id order.  The report's direct-path ratios keep that order.
 """
 
 from __future__ import annotations
@@ -35,13 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from echelon.evidence import (
-    EvidenceKind,
-    EvidenceSet,
-    from_odds,
-    odds,
-    posterior_from_evidence,
-)
+from echelon.evidence import EvidenceKind, from_odds, odds, posterior_from_evidence
 from echelon.exceptions import (
     AccrualDomainError,
     EvidenceResolutionError,
@@ -173,19 +173,19 @@ def direct_posterior(g: HypothesisGraph, hid: str) -> float:
 
 
 def _direct_result(
-    g: HypothesisGraph, hid: str, keep: EvidenceSet | None
+    g: HypothesisGraph, hid: str, keep: frozenset[str] | None
 ) -> AccrualResult:
     h = g.get(hid)
     ratios = tuple(
         (i, g.item(i).likelihood_ratio)
-        for i in g.evidence_closure(hid)
+        for i in sorted(g.evidence_closure(hid))
         if keep is None or i in keep
     )
     post = posterior_from_evidence(h.prior, [lr for _, lr in ratios])
     return AccrualResult(raw=post, inputs=ratios)
 
 
-def _belief(g: HypothesisGraph, hid: str, keep: EvidenceSet | None) -> float:
+def _belief(g: HypothesisGraph, hid: str, keep: frozenset[str] | None) -> float:
     """P(hid | the kept part of its closure): the stored belief when the
     whole closure is kept and one is stored, else the recursion.  ``keep``
     is None or a subset of the closure, so equal size means all of it."""
@@ -199,17 +199,17 @@ def _belief(g: HypothesisGraph, hid: str, keep: EvidenceSet | None) -> float:
 def _evaluate(
     g: HypothesisGraph,
     hid: str,
-    keep: EvidenceSet | None,
+    keep: frozenset[str] | None,
 ) -> tuple[float, AccrualResult | None]:
     h = g.get(hid)
     if h.is_leaf():
-        items = [
-            g.item(i)
-            for i in h.own_evidence
+        ratios = [
+            g.item(i).likelihood_ratio
+            for i in sorted(h.own_evidence)
             if (keep is None or i in keep)
             and g.item(i).kind is not EvidenceKind.TERRAIN
         ]
-        return posterior_from_evidence(h.prior, items), None
+        return posterior_from_evidence(h.prior, ratios), None
 
     if any(g.get(cid).status is Status.SKIPPED for cid in h.components):
         result = _direct_result(g, hid, keep)
@@ -221,8 +221,8 @@ def _evaluate(
         c_keep = keep if keep is None else keep & g.evidence_closure(cid)
         p_ce = _belief(g, cid, c_keep)
         terrain = [
-            g.item(i)
-            for i in c.own_evidence
+            g.item(i).likelihood_ratio
+            for i in sorted(c.own_evidence)
             if (keep is None or i in keep)
             and g.item(i).kind is EvidenceKind.TERRAIN
         ]
@@ -237,7 +237,7 @@ def _evaluate(
         )
 
     fit_num = fit_den = 1.0
-    for item_id in h.own_evidence:
+    for item_id in sorted(h.own_evidence):
         item = g.item(item_id)
         if item.kind is not EvidenceKind.FIT:
             continue
@@ -262,7 +262,9 @@ def _evaluate(
     return result.posterior, result
 
 
-def posterior_given_subset(g: HypothesisGraph, hid: str, keep: EvidenceSet) -> float:
+def posterior_given_subset(
+    g: HypothesisGraph, hid: str, keep: frozenset[str]
+) -> float:
     """Recompute a posterior bottom-up using only the items in ``keep``.
 
     ``keep`` must be a subset of the hypothesis's evidence closure.
@@ -270,8 +272,8 @@ def posterior_given_subset(g: HypothesisGraph, hid: str, keep: EvidenceSet) -> f
     exactly (identical arithmetic path).
     """
     closure = g.evidence_closure(hid)
-    if not keep.issubset(closure):
-        extra = sorted(set(keep.items) - set(closure.items))
+    if not keep <= closure:
+        extra = sorted(keep - closure)
         raise SubsetError(f"{hid}: items {extra} are outside the evidence closure")
     return _belief(g, hid, keep)
 

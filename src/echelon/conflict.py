@@ -29,7 +29,6 @@ from typing import Iterator
 import numpy as np
 
 from echelon.accrual import direct_posterior, posterior_given_subset
-from echelon.evidence import EvidenceSet
 from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
@@ -195,7 +194,7 @@ def detect_conflicts(
         hyps = [g.get(i) for i in ids]
         # Terrain is context, not an associable measurement: two forces
         # over the same ground are not in conflict for that reason alone.
-        sharable = [g.evidence_closure(i).items - g.terrain for i in ids]
+        sharable = [g.evidence_closure(i) - g.terrain for i in ids]
         types = sorted({h.force_type for h in hyps})
         type_index = {t: k for k, t in enumerate(types)}
         # doctrine of each type-index pair, looked up once per unordered
@@ -265,12 +264,12 @@ def approx_joint(
     factors: list[float] = []
     later: set[str] = set()
     for m in reversed(ordering):
-        closure = g.evidence_closure(m).items
+        closure = g.evidence_closure(m)
         keep = closure - later
         if not keep:
             factors.append(g.get(m).prior)
         else:
-            factors.append(posterior_given_subset(g, m, EvidenceSet(keep)))
+            factors.append(posterior_given_subset(g, m, keep))
         later |= closure
     factors.reverse()
 

@@ -4,7 +4,9 @@ Every atom carries a likelihood ratio lambda = P(item | supported
 hypothesis) / P(item | its negation).  Subsets of atoms combine into a
 posterior by the odds product, which is the unique combiner consistent
 with treating atoms as conditionally independent given the hypothesis
-and supports evaluation on any evidence subset.
+and supports evaluation on any evidence subset.  The combiner takes
+the ratios alone, in the order its caller chose; sets of atoms are
+plain ``frozenset``s of item ids, held by the hypothesis graph.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from echelon.exceptions import DegeneratePriorWarning
 from echelon.models import shown_name
@@ -50,61 +52,12 @@ class EvidenceItem:
             )
 
 
-@dataclass(frozen=True)
-class EvidenceSet:
-    """An immutable set of evidence item ids with plain set algebra."""
+def posterior_from_evidence(prior: float, ratios: Sequence[float]) -> float:
+    """Combine a prior with likelihood ratios in odds form, multiplying
+    them in the order given.
 
-    items: frozenset[str] = frozenset()
-
-    @classmethod
-    def of(cls, *ids: str) -> "EvidenceSet":
-        return cls(frozenset(ids))
-
-    @classmethod
-    def from_iterable(cls, ids: Iterable[str]) -> "EvidenceSet":
-        return cls(frozenset(ids))
-
-    def union(self, other: "EvidenceSet") -> "EvidenceSet":
-        return EvidenceSet(self.items | other.items)
-
-    def difference(self, other: "EvidenceSet") -> "EvidenceSet":
-        return EvidenceSet(self.items - other.items)
-
-    def shared(self, other: "EvidenceSet") -> "EvidenceSet":
-        """Intersection: the evidence associated to both sides."""
-        return EvidenceSet(self.items & other.items)
-
-    __or__ = union
-    __sub__ = difference
-    __and__ = shared
-
-    def issubset(self, other: "EvidenceSet") -> bool:
-        return self.items <= other.items
-
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self.items
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self.items))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-
-EMPTY_SET = EvidenceSet()
-
-
-def posterior_from_evidence(
-    prior: float, items: Sequence[EvidenceItem] | Sequence[float]
-) -> float:
-    """Combine a prior with likelihood ratios in odds form.
-
-    Accepts items or bare ratios.  A prior of exactly 0 or 1 is
-    returned unchanged with a diagnostic: evidence cannot move
-    certainty.  An empty item list returns the prior.
+    A prior of exactly 0 or 1 is returned unchanged with a diagnostic:
+    evidence cannot move certainty.  No ratios return the prior.
     """
     if not (0.0 <= prior <= 1.0):
         raise ValueError(f"prior must be in [0,1], got {prior!r}")
@@ -115,10 +68,6 @@ def posterior_from_evidence(
             stacklevel=2,
         )
         return prior
-    ratios = [
-        it.likelihood_ratio if isinstance(it, EvidenceItem) else float(it)
-        for it in items
-    ]
     if not ratios:
         return prior
 

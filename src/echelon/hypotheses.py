@@ -5,6 +5,11 @@ location; component links tie each one to the hypotheses exactly one
 level below it, forming a level-descending DAG.  One child may support
 several parents; that overlap is precisely what conflict detection
 feeds on.  Mutation is single-writer; reads may run concurrently.
+
+Evidence is referenced by item id: a hypothesis's own evidence and its
+closure are plain ``frozenset``s, unordered.  A consumer whose result
+depends on order, such as a floating-point product or the report,
+sorts the ids itself.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from echelon.evidence import EMPTY_SET, EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import (
     DanglingComponentError,
     EvidenceResolutionError,
@@ -24,15 +29,6 @@ from echelon.models import Level, shown_name
 
 if TYPE_CHECKING:
     from echelon.accrual import AccrualResult
-
-_ID_PREFIX = {
-    Level.VEHICLE: "v",
-    Level.ARRAY: "a",
-    Level.BATTALION: "b",
-    Level.REGIMENT: "r",
-    Level.DIVISION: "d",
-}
-
 
 class Status(enum.Enum):
     """SKIPPED and EXCLUDED are set by conflict handling."""
@@ -59,7 +55,7 @@ class Hypothesis:
     time: float = 0.0
     model: str | None = None
     components: tuple[str, ...] = ()
-    own_evidence: EvidenceSet = EMPTY_SET
+    own_evidence: frozenset[str] = frozenset()
     prior: float = 0.5
     posterior: float = 0.5
     heading: float | None = None
@@ -82,7 +78,7 @@ class HypothesisGraph:
     evidence: dict[str, EvidenceItem] = field(default_factory=dict)
     terrain: set[str] = field(default_factory=set, init=False)
     _by_level: dict[Level, list[str]] = field(default_factory=dict)
-    _closures: dict[str, EvidenceSet] = field(default_factory=dict)
+    _closures: dict[str, frozenset[str]] = field(default_factory=dict)
     # id -> belief given the whole evidence closure, as accrual computed
     # it; written only by accrual.propagate_level (see its contract)
     closure_beliefs: dict[str, float] = field(default_factory=dict)
@@ -114,7 +110,7 @@ class HypothesisGraph:
         if not h.id:
             n = self._counters.get(h.level, 0)
             self._counters[h.level] = n + 1
-            h.id = f"{_ID_PREFIX[h.level]}{n}"
+            h.id = f"{h.level.label[0]}{n}"
         if h.id in self.hypotheses:
             raise ValueError(f"duplicate hypothesis id {h.id!r}")
         if h.is_leaf():
@@ -135,7 +131,7 @@ class HypothesisGraph:
                     f"{h.id}: level violation: component {cid} is "
                     f"{child.level.label}, expected {Level(h.level - 1).label}"
                 )
-        unresolved = [i for i in h.own_evidence.items if i not in self.evidence]
+        unresolved = [i for i in h.own_evidence if i not in self.evidence]
         if unresolved:
             self.item(min(unresolved))  # the first in id order raises
         if not (0.0 <= h.prior <= 1.0 and 0.0 <= h.posterior <= 1.0):
@@ -158,7 +154,7 @@ class HypothesisGraph:
             return list(ids)
         return [i for i in ids if self.hypotheses[i].status in statuses]
 
-    def evidence_closure(self, hid: str) -> EvidenceSet:
+    def evidence_closure(self, hid: str) -> frozenset[str]:
         """Own evidence unioned with all component closures, recursively.
 
         Component links are fixed at insert, so closures are memoized.
@@ -167,14 +163,9 @@ class HypothesisGraph:
         if cached is not None:
             return cached
         h = self.get(hid)
-        closure = h.own_evidence
-        for cid in h.components:
-            closure = closure | self.evidence_closure(cid)
+        closure = h.own_evidence.union(*map(self.evidence_closure, h.components))
         self._closures[hid] = closure
         return closure
-
-    def shared_evidence(self, a: str, b: str) -> EvidenceSet:
-        return self.evidence_closure(a) & self.evidence_closure(b)
 
     def parents_of(self, hid: str) -> list[str]:
         """Ids of hypotheses having ``hid`` as a component, id-sorted."""

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import MatchTooLargeError
 from echelon.geometry import (
     centroid,
@@ -159,12 +159,7 @@ def _pair_satisfaction(
         and hv.heading is not None
     ):
         diff = heading_difference(hu.heading, hv.heading)
-        if diff > c.bearing_tolerance:
-            margin = slack * c.bearing_tolerance
-            if margin <= 0.0:
-                s = 0.0
-            else:
-                s *= max(0.0, 1.0 - (diff - c.bearing_tolerance) / margin)
+        s *= _interval_satisfaction(diff, 0.0, c.bearing_tolerance, slack)
     return s
 
 
@@ -481,7 +476,7 @@ def candidate_to_hypothesis(
         time=max([k.time for k in kids], default=0.0),
         model=c.model.name,
         components=children,
-        own_evidence=EvidenceSet.of(item.id),
+        own_evidence=frozenset((item.id,)),
         prior=c.model.prior,
         posterior=c.model.prior,
         heading=mean_heading([k.heading for k in kids if k.heading is not None]),

@@ -162,12 +162,6 @@ class ModelLibrary:
     types: Mapping[str, ForceType]
     models: Mapping[str, ForceModel]
     doctrine: DoctrineConfig = field(default_factory=DoctrineConfig)
-    # Resolved doctrine per (table, unordered type pair).  The library is
-    # immutable, so entries never go stale; a racing duplicate insert
-    # stores the same value.
-    _resolved: dict[tuple[str, str, str], float | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def type_of(self, name: str) -> ForceType:
         try:
@@ -186,19 +180,10 @@ class ModelLibrary:
         return out
 
     def min_separation(self, a: str, b: str) -> float | None:
-        return self._doctrine_lookup("min_separation", a, b)
+        return _resolve_doctrine(self, self.doctrine.min_separation, max, a, b)
 
     def max_heading_delta(self, a: str, b: str) -> float | None:
-        return self._doctrine_lookup("max_heading_delta", a, b)
-
-    def _doctrine_lookup(self, table: str, a: str, b: str) -> float | None:
-        key = (table, *DoctrineConfig.key(a, b))
-        if key not in self._resolved:
-            strictest = max if table == "min_separation" else min
-            self._resolved[key] = _resolve_doctrine(
-                self, getattr(self.doctrine, table), strictest, a, b
-            )
-        return self._resolved[key]
+        return _resolve_doctrine(self, self.doctrine.max_heading_delta, min, a, b)
 
 
 def _resolve_doctrine(

@@ -28,7 +28,7 @@ from echelon.conflict import (
     detect_conflicts,
     skip_error_estimate,
 )
-from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import LibraryFormatError, ScenarioError
 from echelon.geometry import distance
 from echelon.hypotheses import Hypothesis, HypothesisGraph
@@ -165,7 +165,7 @@ def _attach_terrain(terrain: list[EvidenceItem], hyps: list[Hypothesis]) -> None
             if distance(t.location, hyps[k].location) <= radius:
                 attached.setdefault(k, []).append(t.id)
     for k, ids in attached.items():
-        hyps[k].own_evidence = hyps[k].own_evidence | EvidenceSet.from_iterable(ids)
+        hyps[k].own_evidence = hyps[k].own_evidence.union(ids)
 
 
 def build_graph(
@@ -213,7 +213,7 @@ def build_graph(
                 level=Level.VEHICLE,
                 location=location,
                 time=d.number("time", 0.0),
-                own_evidence=EvidenceSet.of(item.id),
+                own_evidence=frozenset((item.id,)),
                 prior=leaf_prior,
                 posterior=leaf_prior,
                 heading=heading,
@@ -321,7 +321,7 @@ def _build_report(
                     "status": h.status.value,
                     "out_of_range": out_of_range,
                     "components": list(h.components),
-                    "own_evidence": list(h.own_evidence),
+                    "own_evidence": sorted(h.own_evidence),
                     "accrual": _accrual_record(h),
                 }
             )

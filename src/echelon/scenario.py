@@ -247,19 +247,13 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
             vehicles.append(node)
             return
         loc = node_location(node)
-        level = (
-            lib.type_of(lib.models[node.model].models_type).level.label
-            if lib is not None and node.model in lib.models
-            else None
-        )
+        model = lib.models.get(node.model) if lib is not None else None
         units.append(
             {
                 "id": f"g{len(units)}",
                 "model": node.model,
-                "type": (
-                    lib.models[node.model].models_type if lib is not None else None
-                ),
-                "level": level,
+                "type": model.models_type if model else None,
+                "level": lib.type_of(model.models_type).level.label if model else None,
                 "x": loc[0],
                 "y": loc[1],
             }

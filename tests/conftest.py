@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.hypotheses import Hypothesis, HypothesisGraph
 from echelon.models import Level, load_library
 
@@ -86,7 +86,7 @@ def add_leaf(
         force_type=force_type,
         level=Level.VEHICLE,
         location=location,
-        own_evidence=EvidenceSet.from_iterable(own),
+        own_evidence=frozenset(own),
         prior=prior,
         posterior=prior,
         heading=heading,
@@ -118,7 +118,7 @@ def add_parent(
         location=location,
         model=model,
         components=tuple(components),
-        own_evidence=EvidenceSet.from_iterable(own),
+        own_evidence=frozenset(own),
         prior=prior,
         posterior=prior,
     )

@@ -66,18 +66,13 @@ def test_criterion_2_two_hypothesis_factorizations():
     s = make_conflict_set(g, ["C1", "C2"], reason=ConflictReason.SHARED_EVIDENCE)
 
     from echelon.accrual import posterior_given_subset
-    from echelon.evidence import EvidenceSet
 
     res = approx_joint(s, ("C1", "C2"), g)
-    assert res.factors[0] == posterior_given_subset(g, "C1", EvidenceSet.of("e1"))
-    assert res.factors[1] == posterior_given_subset(
-        g, "C2", EvidenceSet.of("e2", "e12")
-    )
+    assert res.factors[0] == posterior_given_subset(g, "C1", frozenset({"e1"}))
+    assert res.factors[1] == posterior_given_subset(g, "C2", frozenset({"e2", "e12"}))
     swapped = approx_joint(s, ("C2", "C1"), g)
-    assert swapped.factors[0] == posterior_given_subset(g, "C2", EvidenceSet.of("e2"))
-    assert swapped.factors[1] == posterior_given_subset(
-        g, "C1", EvidenceSet.of("e1", "e12")
-    )
+    assert swapped.factors[0] == posterior_given_subset(g, "C2", frozenset({"e2"}))
+    assert swapped.factors[1] == posterior_given_subset(g, "C1", frozenset({"e1", "e12"}))
 
     # disjoint closures: every ordering yields the identical k
     g2 = HypothesisGraph()

@@ -16,7 +16,7 @@ from echelon.accrual import (
     propagate_level,
 )
 from echelon.conflict import Decision
-from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import AccrualDomainError, SubsetError
 from echelon.hypotheses import Status
 from echelon.models import Level
@@ -174,7 +174,7 @@ def build_two_leaf_parent(g, lam0=4.0, lam1=6.0, terrain=None):
                     )
                 )
             h = g.get(hid)
-            h.own_evidence = h.own_evidence | EvidenceSet.of(tid)
+            h.own_evidence = h.own_evidence | {tid}
     fit = EvidenceItem(
         id="fit0",
         kind=EvidenceKind.FIT,
@@ -197,12 +197,12 @@ class TestRestrictedEvaluation:
     def test_empty_keep_on_leaf_returns_prior(self, empty_graph):
         g = empty_graph
         add_leaf(g, "v0", items=[("e0", 4.0)], prior=0.41)
-        assert posterior_given_subset(g, "v0", EvidenceSet()) == 0.41
+        assert posterior_given_subset(g, "v0", frozenset()) == 0.41
 
     def test_dropping_one_detection_matches_oracle(self, empty_graph):
         g = empty_graph
         add_leaf(g, "v0", items=[("e0", 3.0), ("e1", 7.0)], prior=0.35)
-        restricted = posterior_given_subset(g, "v0", EvidenceSet.of("e0"))
+        restricted = posterior_given_subset(g, "v0", frozenset({"e0"}))
         net = OracleNetwork(
             variables=("C1", "e1", "e2"),
             parents={"C1": (), "e1": ("C1",), "e2": ("C1",)},
@@ -221,13 +221,13 @@ class TestRestrictedEvaluation:
         add_leaf(g, "v0", items=[("e0", 3.0)])
         add_leaf(g, "v1", items=[("e1", 3.0)])
         with pytest.raises(SubsetError):
-            posterior_given_subset(g, "v0", EvidenceSet.of("e1"))
+            posterior_given_subset(g, "v0", frozenset({"e1"}))
 
     def test_missing_fit_neutralizes_ratio(self, empty_graph):
         g = build_two_leaf_parent(empty_graph)
         propagate_level(g, Level.VEHICLE)
         propagate_level(g, Level.ARRAY)
-        keep = g.evidence_closure("a0") - EvidenceSet.of("fit0")
+        keep = g.evidence_closure("a0") - {"fit0"}
         restricted = posterior_given_subset(g, "a0", keep)
         # neutral fit and neutral terrain: each bracket is p_h/p_c
         expected = (0.3 / 0.5) * (0.3 / 0.5)
@@ -315,7 +315,7 @@ class TestPropagateLevel:
                 )
             )
             h = g.get(hid)
-            h.own_evidence = h.own_evidence | EvidenceSet.of(f"t{i}")
+            h.own_evidence = h.own_evidence | {f"t{i}"}
             leaf_ids.append(hid)
         add_parent(g, "a0", leaf_ids, prior=0.45)
         propagate_level(g, Level.VEHICLE)
@@ -358,12 +358,12 @@ def reference_evaluate(g, hid, keep=None):
     leaves: the evaluation that stored beliefs must reproduce exactly."""
     h = g.get(hid)
     if h.is_leaf():
-        items = [
-            g.item(i)
-            for i in h.own_evidence
+        ratios = [
+            g.item(i).likelihood_ratio
+            for i in sorted(h.own_evidence)
             if (keep is None or i in keep) and g.item(i).kind is not EvidenceKind.TERRAIN
         ]
-        return posterior_from_evidence(h.prior, items), None
+        return posterior_from_evidence(h.prior, ratios), None
     if any(g.get(cid).status is Status.SKIPPED for cid in h.components):
         result = _direct_result(g, hid, keep)
         return result.posterior, result
@@ -373,14 +373,14 @@ def reference_evaluate(g, hid, keep=None):
         c_keep = None if keep is None else keep & g.evidence_closure(cid)
         p_ce, _ = reference_evaluate(g, cid, c_keep)
         terrain = [
-            g.item(i)
-            for i in c.own_evidence
+            g.item(i).likelihood_ratio
+            for i in sorted(c.own_evidence)
             if (keep is None or i in keep) and g.item(i).kind is EvidenceKind.TERRAIN
         ]
         p_ct = posterior_from_evidence(c.prior, terrain)
         per_component.append(cb(p_ce, p_ct, _combined_et(p_ce, p_ct, c.prior), c.prior))
     fit_num = fit_den = 1.0
-    for item_id in h.own_evidence:
+    for item_id in sorted(h.own_evidence):
         item = g.item(item_id)
         if item.kind is EvidenceKind.FIT and (keep is None or item_id in keep):
             fit_num *= 0.5 + 0.5 * float(item.sensor_context["fit_score"])
@@ -438,8 +438,8 @@ class TestStoredBeliefs:
         for r in conflict_log:
             factors, later = {}, set()
             for m in reversed(r.ordering):
-                closure = g.evidence_closure(m).items
-                keep = EvidenceSet(closure - later)
+                closure = g.evidence_closure(m)
+                keep = closure - later
                 factors[m] = reference_evaluate(g, m, keep)[0] if keep else g.get(m).prior
                 if keep:
                     assert posterior_given_subset(g, m, keep) == factors[m], m

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from echelon import conflict, matching, pipeline
 from echelon.conflict import ConflictReason, detect_conflicts
-from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.geometry import distance, heading_difference
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.matching import _clusters
@@ -86,7 +86,7 @@ def reference_detect_conflicts(g, lib, level=None):
         if len(ids) < 2:
             continue
         sharable = {
-            i: EvidenceSet.from_iterable(
+            i: frozenset(
                 e
                 for e in g.evidence_closure(i)
                 if g.item(e).kind is not EvidenceKind.TERRAIN
@@ -250,7 +250,7 @@ def scenes(draw):
                 force_type=draw(st.sampled_from(VEHICLE_TYPES)),
                 level=Level.VEHICLE,
                 location=(x, y),
-                own_evidence=EvidenceSet.from_iterable([f"d{v}", *own]),
+                own_evidence=frozenset([f"d{v}", *own]),
                 heading=heading,
                 status=draw(st.sampled_from([Status.ACTIVE] * 4 + [Status.EXCLUDED])),
             )
@@ -416,14 +416,14 @@ def test_terrain_attachment_equals_all_pairs(data):
     hyps = [
         Hypothesis(
             id=f"v{k}", force_type="tank", level=Level.VEHICLE, location=location,
-            own_evidence=EvidenceSet.of(f"d{k}"),
+            own_evidence=frozenset({f"d{k}"}),
         )
         for k, location in enumerate(locations)
     ]
     pipeline._attach_terrain(terrain, hyps)
     for k, (h, location) in enumerate(zip(hyps, locations)):
         expected = [f"d{k}", *reference_attached_terrain(terrain, location)]
-        assert h.own_evidence == EvidenceSet.from_iterable(expected)
+        assert h.own_evidence == frozenset(expected)
 
 
 def test_terrain_at_its_radius_zero_and_negative_radius_through_a_run(tmp_path):

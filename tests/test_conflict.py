@@ -19,7 +19,7 @@ from echelon.conflict import (
     resolve_exact,
     skip_error_estimate,
 )
-from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import DegenerateThresholdWarning, ResolutionTooLargeError
 from echelon.hypotheses import HypothesisGraph, Status
 from echelon.models import HEADING_REACH_M, Level
@@ -129,7 +129,7 @@ class TestDetectConflicts:
         add_leaf(g, "v1", lam=3.0, location=(500, 0))
         for hid in ("v0", "v1"):
             h = g.get(hid)
-            h.own_evidence = h.own_evidence | EvidenceSet.of("t0")
+            h.own_evidence = h.own_evidence | {"t0"}
         assert detect_conflicts(g, tank_lib, level=Level.VEHICLE) == []
 
     def test_excluded_members_ignored(self, empty_graph, tank_lib):
@@ -258,14 +258,10 @@ def pooled_reference(s, ordering, g):
     ``(pooled - later) & closure_i``, with ``pooled`` the union of every
     member's closure and ``later`` that of the members after i."""
     closures = [g.evidence_closure(m) for m in ordering]
-    pooled = EvidenceSet()
-    for c in closures:
-        pooled = pooled | c
+    pooled = frozenset().union(*closures)
     factors = []
     for i, m in enumerate(ordering):
-        later = EvidenceSet()
-        for c in closures[i + 1 :]:
-            later = later | c
+        later = frozenset().union(*closures[i + 1 :])
         keep = (pooled - later) & closures[i]
         factors.append(posterior_given_subset(g, m, keep) if keep else g.get(m).prior)
     k = 1.0

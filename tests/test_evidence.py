@@ -2,52 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from echelon.evidence import (
-    EvidenceItem,
-    EvidenceKind,
-    EvidenceSet,
-    posterior_from_evidence,
-)
+from echelon.evidence import EvidenceItem, EvidenceKind, posterior_from_evidence
 from echelon.exceptions import DegeneratePriorWarning
 from echelon.oracle import make_two_evidence_network
-
-ids = st.sets(st.integers(0, 30).map(str), max_size=12)
-
-
-def eset(*items):
-    return EvidenceSet.of(*[str(i) for i in items])
-
-
-class TestSetAlgebra:
-    def test_union(self):
-        assert eset(1, 2).union(eset(2, 3)) == eset(1, 2, 3)
-        assert eset(1, 2) | EvidenceSet() == eset(1, 2)
-        assert EvidenceSet() | EvidenceSet() == EvidenceSet()
-
-    def test_difference(self):
-        assert eset(1, 2, 3) - eset(2) == eset(1, 3)
-        assert eset(1, 2) - eset(1, 2) == EvidenceSet()
-        assert eset(1, 2) - EvidenceSet() == eset(1, 2)
-
-    def test_shared(self):
-        assert eset(1, 2).shared(eset(2, 3)) == eset(2)
-        assert eset(1) & eset(2) == EvidenceSet()
-        assert eset(1, 2) & eset(1, 2) == eset(1, 2)
-
-    @given(ids, ids)
-    def test_partition_identity(self, a_ids, b_ids):
-        a = EvidenceSet.from_iterable(a_ids)
-        b = EvidenceSet.from_iterable(b_ids)
-        assert ((a - b) | (a & b)) | (b - a) == a | b
-
-    def test_iteration_sorted_and_len(self):
-        s = eset(3, 1, 2)
-        assert list(s) == ["1", "2", "3"]
-        assert len(s) == 3 and "2" in s and bool(s)
-
 
 class TestEvidenceItem:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
@@ -121,9 +79,18 @@ class TestPosteriorFromEvidence:
         )
         assert single == pytest.approx(staged, rel=1e-12)
 
-    def test_accepts_items_and_floats(self):
-        item = EvidenceItem(id="a", kind=EvidenceKind.DETECTION, likelihood_ratio=3.0)
-        assert posterior_from_evidence(0.5, [item]) == 0.75
+    def test_ratios_multiply_in_the_order_given(self):
+        # float products are not associative: the two orders of these
+        # ratios differ in the last bit, and each result is its own loop's
+        ratios = [0.5126, 1.013, 0.41, 0.4784]
+        results = []
+        for order in (ratios, ratios[::-1]):
+            odds = 0.5 / (1.0 - 0.5)
+            for lr in order:
+                odds *= lr
+            results.append(posterior_from_evidence(0.5, order))
+            assert results[-1] == odds / (1.0 + odds)
+        assert results[0] != results[1]
 
     def test_extreme_ratios_stay_in_unit_interval(self):
         assert posterior_from_evidence(0.5, [1e308, 1e308]) == 1.0

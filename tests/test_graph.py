@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from echelon.evidence import EvidenceItem, EvidenceKind, EvidenceSet
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import (
     DanglingComponentError,
     EvidenceResolutionError,
@@ -24,6 +24,21 @@ def test_insert_leaf_assigns_id_and_indexes(empty_graph):
     assert g.insert(
         Hypothesis(id="", force_type="tank", level=Level.VEHICLE, location=(1, 1))
     ) == "v1"
+
+
+def test_assigned_ids_take_the_level_initial(empty_graph):
+    g = empty_graph
+    below = g.insert(Hypothesis(id="", force_type="tank", level=Level.VEHICLE, location=(0, 0)))
+    assigned = [below]
+    for level in (Level.ARRAY, Level.BATTALION, Level.REGIMENT, Level.DIVISION):
+        below = g.insert(
+            Hypothesis(
+                id="", force_type="unit", level=level, location=(0, 0),
+                model="m", components=(below,),
+            )
+        )
+        assigned.append(below)
+    assert assigned == ["v0", "a0", "b0", "r0", "d0"]
 
 
 def test_dangling_component_rejected(empty_graph):
@@ -99,7 +114,7 @@ def test_own_evidence_must_resolve(empty_graph):
                 force_type="tank",
                 level=Level.VEHICLE,
                 location=(0, 0),
-                own_evidence=EvidenceSet.of("nowhere"),
+                own_evidence=frozenset({"nowhere"}),
             )
         )
 
@@ -115,7 +130,7 @@ class TestClosure:
     def test_leaf_base_case(self, empty_graph):
         g = empty_graph
         add_leaf(g, "v0", items=[("1", 2.0), ("2", 3.0)])
-        assert g.evidence_closure("v0") == EvidenceSet.of("1", "2")
+        assert g.evidence_closure("v0") == {"1", "2"}
 
     def test_parent_union(self, empty_graph):
         g = empty_graph
@@ -124,7 +139,7 @@ class TestClosure:
         fit = EvidenceItem(id="9", kind=EvidenceKind.FIT, likelihood_ratio=1.5,
                            sensor_context={"fit_score": 0.6})
         add_parent(g, "a0", ["v0", "v1"], items=[fit])
-        assert g.evidence_closure("a0") == EvidenceSet.of("1", "2", "9")
+        assert g.evidence_closure("a0") == {"1", "2", "9"}
 
     def test_diamond_shared_leaf(self, empty_graph):
         g = empty_graph
@@ -135,14 +150,15 @@ class TestClosure:
         add_parent(g, "a1", ["v1", "v2"])
         assert "2" in g.evidence_closure("a0")
         assert "2" in g.evidence_closure("a1")
-        assert g.shared_evidence("a0", "a1") == EvidenceSet.of("2")
+        assert g.evidence_closure("a0") & g.evidence_closure("a1") == {"2"}
 
-    def test_shared_evidence_trivial_cases(self, empty_graph):
+    def test_closure_is_a_memoized_frozenset(self, empty_graph):
         g = empty_graph
         add_leaf(g, "v0", items=[("1", 2.0)])
-        add_leaf(g, "v1", items=[("2", 2.0)])
-        assert g.shared_evidence("v0", "v1") == EvidenceSet()
-        assert g.shared_evidence("v0", "v0") == g.evidence_closure("v0")
+        add_parent(g, "a0", ["v0"])
+        closure = g.evidence_closure("a0")
+        assert type(closure) is frozenset and closure == {"1"}
+        assert g.evidence_closure("a0") is closure
 
     def test_closure_monotone_over_links(self, empty_graph):
         g = empty_graph

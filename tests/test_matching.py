@@ -23,7 +23,7 @@ from echelon.matching import (
     fit_score,
     match_level,
 )
-from echelon.models import Level, load_library, subsumes
+from echelon.models import DeploymentConstraint, Level, load_library, subsumes
 
 from conftest import TANK_LIBRARY, add_leaf
 
@@ -372,6 +372,22 @@ def reference_pair_satisfaction(hu, hv, c, slack):
             else:
                 s *= max(0.0, 1.0 - (diff - c.bearing_tolerance) / margin)
     return s
+
+
+def test_pair_satisfaction_matches_reference_for_every_tolerance(empty_graph):
+    # tolerances below, at and just above zero, where the decay margin
+    # vanishes, and ordinary ones; headings inside, at and past each
+    g = empty_graph
+    headings = (0.0, 1e-9, 5.0, 29.0, 30.0, 37.5, 45.0, 179.0)
+    for i, heading in enumerate(headings):
+        add_leaf(g, f"v{i}", lam=2.0, location=(120.0 * i, 0.0), heading=heading)
+    for tol in (-10.0, -0.0, 0.0, 1e-9, 5.0, 30.0, 180.0):
+        c = DeploymentConstraint(0, 0, 50.0, 250.0, bearing_tolerance=tol)
+        for slack in (0.0, 0.25, 1.0):
+            for u, v in itertools.permutations(range(len(headings)), 2):
+                hu, hv = g.get(f"v{u}"), g.get(f"v{v}")
+                got = matching._pair_satisfaction(hu, hv, c, slack)
+                assert got == reference_pair_satisfaction(hu, hv, c, slack), (tol, slack, u, v)
 
 
 def reference_fit_score(g, model, assignment, cfg):

@@ -3,11 +3,15 @@ import gc
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import echelon
 from echelon import matching, pipeline
 from echelon.cli import main
 from echelon.evidence import posterior_from_evidence
@@ -1051,6 +1055,72 @@ class TestBenchmarkReportBytes:
         assert any("ratios" in (e["accrual"] or {}) for e in report["levels"]["battalion"])
         digest = "3c4fc9dc6e9e96459d68c210e4803c3b2dbd331ff8ed2889dc54e39f770d132b"
         assert hashlib.sha256(dumps(report).encode()).hexdigest() == digest
+
+
+def weak_ratio_scene(tmp_path):
+    """The run config of grid-noisy seed 2's scene 15, whose skipped
+    arrays send their parents down the direct path, with weak, unequal
+    detection ratios and three terrain patches over every hypothesis.
+    With the benchmark's ratios the direct-path posteriors sit near
+    0.9995 and the last bit of the odds product, the one a different
+    multiplication order moves, is lost."""
+    cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
+    scenario = json.loads(Path(cfg.scenario).read_text())
+    detections = scenario["detections"]
+    for k, d in enumerate(detections):
+        d["lambda"] = 0.41 + 0.0171 * (k % 9)
+    cx = sum(d["x"] for d in detections) / len(detections)
+    cy = sum(d["y"] for d in detections) / len(detections)
+    scenario["terrain"] = [
+        {"id": f"patch-{k}", "x": cx, "y": cy, "radius_m": 1e6, "lambda": lam}
+        for k, lam in enumerate((1.07, 0.93, 1.013))
+    ]
+    (tmp_path / "weak.json").write_text(json.dumps(scenario))
+    config = tmp_path / "weak-config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "library": cfg.library,
+                "scenario": "weak.json",
+                "matcher": dataclasses.asdict(cfg.matcher),
+                "tau": cfg.tau,
+            }
+        )
+    )
+    return config
+
+
+class TestEvidenceOrder:
+    """Evidence ids are unordered sets; each product over evidence and
+    the report take them in id order, so a report does not depend on
+    ``PYTHONHASHSEED``, which orders every set of strings."""
+
+    def test_report_lists_evidence_in_id_order(self, tmp_path):
+        report, _ = run_counting_refusals(RunConfig.from_file(weak_ratio_scene(tmp_path)))
+        entries = [e for level in report["levels"].values() for e in level]
+        assert all(e["own_evidence"] == sorted(e["own_evidence"]) for e in entries)
+        assert any(len(e["own_evidence"]) > 1 for e in entries)
+        direct = [e["accrual"]["ratios"] for e in entries if "ratios" in (e["accrual"] or {})]
+        assert direct and all(list(r) == sorted(r) for r in direct)
+
+    def test_report_bytes_equal_under_four_hash_seeds(self, tmp_path):
+        config = weak_ratio_scene(tmp_path)
+        src = str(Path(echelon.__file__).resolve().parents[1])
+        outputs = []
+        for seed in range(4):
+            out = tmp_path / f"report-{seed}.json"
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": str(seed),
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            subprocess.run(
+                [sys.executable, "-m", "echelon.cli", "infer",
+                 "--config", str(config), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[1:] == outputs[:1] * 3
 
 
 class TestNoCyclicGarbage:

@@ -105,6 +105,16 @@ class TestGenerate:
         levels = [u["level"] for u in scen["ground_truth"]["units"]]
         assert levels.count("battalion") == 1 and levels.count("array") == 3
 
+    def test_unit_of_a_model_missing_from_the_library_has_no_type_or_level(self, lib):
+        doc = battalion_doc()
+        doc["forces"][0]["model"] = "no-such-model"
+        gt = load_ground_truth(doc)  # unvalidated: no library to check against
+        scen = generate(gt, load_noise_spec({"seed": 1}), lib)
+        unit = scen["ground_truth"]["units"][0]
+        assert unit["model"] == "no-such-model"
+        assert unit["type"] is None and unit["level"] is None
+        assert [u["level"] for u in scen["ground_truth"]["units"][1:]] == ["array"] * 3
+
     def test_p_detect_zero_only_false_alarms(self, lib):
         gt = load_ground_truth(battalion_doc(), lib)
         noise = load_noise_spec(
