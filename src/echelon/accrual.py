@@ -74,28 +74,22 @@ class AccrualInputs:
     p_h: float
 
     def __post_init__(self) -> None:
-        for name, val in (
-            ("fit_num", self.fit_num),
-            ("fit_den", self.fit_den),
-            ("p_h", self.p_h),
-        ):
+        for name in ("fit_num", "fit_den", "p_h"):
+            val = getattr(self, name)
             if not (0.0 <= val <= 1.0):
                 raise ValueError(f"{name} outside [0,1]: {val!r}")
         if self.fit_den == 0.0:
             raise AccrualDomainError("fit_den is zero")
         for i, cb in enumerate(self.per_component):
-            for name, val in (
-                ("p_ce", cb.p_ce),
-                ("p_ct", cb.p_ct),
-                ("p_cet", cb.p_cet),
-                ("p_c", cb.p_c),
-            ):
+            for name in ("p_ce", "p_ct", "p_cet", "p_c"):
+                val = getattr(cb, name)
                 if not (0.0 <= val <= 1.0):
                     raise ValueError(f"component {i}: {name} outside [0,1]: {val!r}")
-            if cb.p_cet == 0.0:
-                raise AccrualDomainError(f"component {i}: p_cet is zero")
-            if cb.p_c == 0.0:
-                raise AccrualDomainError(f"component {i}: p_c is zero")
+            if cb.p_cet * (cb.p_c * cb.p_c) == 0.0:  # a zero factor, or underflow
+                raise AccrualDomainError(
+                    f"component {i}: p_cet * p_c**2 is zero "
+                    f"(p_cet {cb.p_cet!r}, p_c {cb.p_c!r})"
+                )
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,8 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
     """Run the ratio-product rule exactly as written.
 
     Per-component factors group as (p_ce*p_ct*p_h) / (p_cet*(p_c*p_c)),
-    so all-equal inputs cancel to exactly 1.0 in float arithmetic.
+    so all-equal inputs cancel to exactly 1.0 in float arithmetic.  A
+    value past the float range raises ``AccrualDomainError``.
     """
     fit_ratio = inputs.fit_num / inputs.fit_den
     brackets = [
@@ -139,13 +134,20 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
         if fit_ratio == 0.0 or any(b == 0.0 for b in brackets):
             raw = 0.0
         else:
-            raw = math.exp(
-                math.log(fit_ratio) + math.fsum(math.log(b) for b in brackets)
-            )
+            log_raw = math.log(fit_ratio) + math.fsum(math.log(b) for b in brackets)
+            try:
+                raw = math.exp(log_raw)
+            except OverflowError:
+                raw = math.inf
     else:
         raw = fit_ratio
         for b in brackets:
             raw *= b
+    if not math.isfinite(raw):
+        raise AccrualDomainError(
+            f"accrual overflows the float range: fit ratio {fit_ratio!r} "
+            f"times {len(brackets)} component factors gives {raw!r}"
+        )
     return AccrualResult(raw=raw, inputs=inputs)
 
 

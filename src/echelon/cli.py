@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from importlib import resources
 from pathlib import Path
 
 from echelon import oracle
 from echelon.conflict import Heuristic
-from echelon.exceptions import EchelonError, LibraryFormatError, ScenarioError
-from echelon.models import load_library, parse_json, read_document
+from echelon.exceptions import EchelonError, FixtureError, LibraryFormatError, ScenarioError
+from echelon.models import Fields, load_library, parse_json, read_document
 from echelon.pipeline import RunConfig, run, write_report
 from echelon.scenario import dumps, generate, load_ground_truth, load_noise_spec
 
@@ -151,6 +150,22 @@ def _fixture_path(fixtures_dir: str | None, suite: str) -> Path:
     return Path(str(resources.files("echelon.data") / "oracle" / f"{suite}.json"))
 
 
+# the keys of ``oracle.DeviationReport.to_record``
+RECORD_KEYS = ("network", "approx", "exact", "deviation", "annotations")
+
+
+def _read_fixture(path: Path) -> list[dict]:
+    """The records of the fixture at ``path``: an object whose ``records``
+    is a list of objects, each with a string ``network``.  A malformed
+    fixture raises ``FixtureError`` naming it; ``OSError`` passes through."""
+    what = f"fixture {path}"
+    raw = parse_json(read_document(path, what, FixtureError), what, FixtureError)
+    records = Fields(raw, ("suite", "records"), what, FixtureError).list("records")
+    for k, record in enumerate(records):
+        Fields(record, RECORD_KEYS, f"{what}: record {k}", FixtureError).text("network")
+    return records
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     if any(s not in SUITES for s in suites):
@@ -169,8 +184,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         records = [r.to_record() for r in reports]
         path = _fixture_path(args.fixtures, suite)
         if args.record:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(dumps({"suite": suite, "records": records}))
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(dumps({"suite": suite, "records": records}))
+            except OSError as exc:
+                print(f"error: cannot write fixture: {exc}", file=sys.stderr)
+                return EXIT_USAGE
             print(f"[{suite}] recorded {len(records)} networks -> {path}")
             continue
         if not path.exists():
@@ -178,7 +197,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             failed = True
             continue
-        stored = json.loads(path.read_text())["records"]
+        try:
+            stored = _read_fixture(path)
+        except OSError as exc:
+            print(f"error: cannot read fixture: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except FixtureError as exc:
+            print(f"[{suite}] {exc}", file=sys.stderr)
+            failed = True
+            continue
         drift = _diff_records(stored, records)
         if drift:
             for line in drift:

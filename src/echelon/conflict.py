@@ -5,8 +5,10 @@ Same-level hypotheses conflict when their evidence closures overlap
 together (too close, or incompatible headings while near each other):
 a conflict is local.  Detection never tests every pair: an evidence
 index finds the shared items, and one uniform grid proposes every pair
-near enough for a doctrine test (a conservative filter), which the
-exact tests decide.  A group's ``reasons`` holds one plain row per
+near enough for a doctrine test (a conservative filter).  The doctrine
+tests run on those candidates one pair at a time, with the same
+``heading_difference`` and ``distance`` as matching, the exact
+``distance`` deciding.  A group's ``reasons`` holds one plain row per
 conflicting pair.  Each connected group is analyzed in polynomial
 time: members are ordered heuristically, each is scored on its own
 closure minus the closures of the members after it, and the product k
@@ -26,14 +28,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from echelon.accrual import direct_posterior, posterior_given_subset
 from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
 )
-from echelon.geometry import distance, linked_groups, near_pairs
+from echelon.geometry import distance, heading_difference, linked_groups, near_pairs
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import HEADING_REACH_M, LEVELS, Level, ModelLibrary
 
@@ -104,6 +104,8 @@ class ConsistentSet:
 
 
 Pair = tuple[int, int]
+# a type pair's separation and heading limits, None where doctrine has no row
+Limits = tuple[float | None, float | None]
 
 
 def _shared_pairs(sharable: list[frozenset[str]]) -> set[Pair]:
@@ -122,50 +124,42 @@ def _shared_pairs(sharable: list[frozenset[str]]) -> set[Pair]:
 
 
 def _doctrine_pairs(
-    hyps: list[Hypothesis], kinds: np.ndarray, doctrine: np.ndarray
+    hyps: list[Hypothesis], limits: dict[tuple[str, str], Limits]
 ) -> Iterator[tuple[Pair, ConflictReason]]:
     """The pairs (i, j), i < j, too close or facing apart within
-    ``HEADING_REACH_M``, each with its reason; ``doctrine`` holds the
-    separation and heading limit of each type-index pair, NaN where
-    doctrine has no row.
+    ``HEADING_REACH_M``, each with its reason, in ascending order;
+    ``limits`` holds the separation and heading limit of each type pair.
 
     One grid (``near_pairs``) at the level's largest positive separation,
     or at the heading reach if that is larger and the level has a heading
-    row, proposes every pair either test can flag.  The heading test runs
-    on all of them at once, with ``heading_difference``'s float64
-    arithmetic, which numpy performs identically; a missing heading or
-    row is NaN, so it never flags.  ``distance`` never falls below the
-    magnitude of either coordinate difference, so a pair whose larger
-    difference already reaches its separation, or exceeds the heading
-    reach, cannot pass that test and is dropped.  The scalar ``distance``
-    (``math.hypot``) decides the rest: ``np.hypot`` need not round the
-    same way, and the separation threshold is strict.
+    row, proposes every pair either test can flag.  ``distance`` never
+    falls below the magnitude of either coordinate difference, so a pair
+    whose larger difference already reaches its separation, or exceeds
+    the heading reach, cannot pass that test and is dropped before the
+    heading test and ``distance``, which decides.
     """
-    sep, delta = doctrine
-    reach = float(sep[sep > 0].max(initial=0.0))
-    if not np.isnan(delta).all():
+    reach = max((s for s, _ in limits.values() if s is not None and s > 0), default=0.0)
+    if any(delta is not None for _, delta in limits.values()):
         reach = max(reach, HEADING_REACH_M)
     if reach == 0.0:
         return
     locations = [h.location for h in hyps]
-    xy = np.array(locations, dtype=float).reshape(-1, 2)
-    headings = np.array([math.nan if h.heading is None else h.heading for h in hyps])
-    first, second = near_pairs(xy, reach)
-    types = kinds[first], kinds[second]
-    with np.errstate(invalid="ignore"):  # inf - inf and inf % 360 give NaN
-        span = np.abs(xy[first] - xy[second]).max(axis=1)
-        d = np.abs(headings[first] - headings[second]) % 360.0
-        d = np.where(d > 180.0, 360.0 - d, d)
-        turned = (d > delta[types]) & (span <= HEADING_REACH_M)
-    close_below = sep[types]
-    ask = turned | (span < close_below)
-    columns = (first, second, close_below, turned)
-    for i, j, s, t in zip(*(column[ask].tolist() for column in columns)):
-        apart = distance(locations[i], locations[j])
-        if apart < s:
-            yield (i, j), ConflictReason.TOO_CLOSE
-        if t and apart <= HEADING_REACH_M:
-            yield (i, j), ConflictReason.ORIENTATION
+    for i, j in near_pairs(locations, reach):
+        a, b = locations[i], locations[j]
+        span = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+        sep, delta = limits[hyps[i].force_type, hyps[j].force_type]
+        close = sep is not None and span < sep
+        hi, hj = hyps[i].heading, hyps[j].heading
+        turned = (
+            delta is not None and span <= HEADING_REACH_M and None not in (hi, hj)
+            and heading_difference(hi, hj) > delta
+        )
+        if close or turned:
+            apart = distance(a, b)
+            if close and apart < sep:
+                yield (i, j), ConflictReason.TOO_CLOSE
+            if turned and apart <= HEADING_REACH_M:
+                yield (i, j), ConflictReason.ORIENTATION
 
 
 def detect_conflicts(
@@ -195,22 +189,16 @@ def detect_conflicts(
         # Terrain is context, not an associable measurement: two forces
         # over the same ground are not in conflict for that reason alone.
         sharable = [g.evidence_closure(i) - g.terrain for i in ids]
+        # doctrine of each type pair, looked up once per unordered pair
+        limits: dict[tuple[str, str], Limits] = {}
         types = sorted({h.force_type for h in hyps})
-        type_index = {t: k for k, t in enumerate(types)}
-        # doctrine of each type-index pair, looked up once per unordered
-        # type pair; NaN where doctrine has no row
-        doctrine = np.full((2, len(types), len(types)), np.nan)
-        lookups = (lib.min_separation, lib.max_heading_delta)
-        for ta, tb in itertools.combinations_with_replacement(range(len(types)), 2):
-            for table, lookup in zip(doctrine, lookups):
-                value = lookup(types[ta], types[tb])
-                if value is not None:
-                    table[ta, tb] = table[tb, ta] = value
-        kinds = np.array([type_index[h.force_type] for h in hyps], dtype=np.intp)
+        for ta, tb in itertools.combinations_with_replacement(types, 2):
+            rule = lib.min_separation(ta, tb), lib.max_heading_delta(ta, tb)
+            limits[ta, tb] = limits[tb, ta] = rule
 
         shared = _shared_pairs(sharable)
         reasons = {pair: {ConflictReason.SHARED_EVIDENCE} for pair in shared}
-        for pair, reason in _doctrine_pairs(hyps, kinds, doctrine):
+        for pair, reason in _doctrine_pairs(hyps, limits):
             reasons.setdefault(pair, set()).add(reason)
         edges = sorted(reasons)
         groups = linked_groups(n, edges)

@@ -34,7 +34,7 @@ class EvidenceResolutionError(EchelonError):
 
 
 class AccrualDomainError(EchelonError):
-    """A zero denominator in the accrual inputs; names the component."""
+    """A zero denominator, naming the component, or an overflowing value."""
 
 
 class SubsetError(EchelonError):
@@ -59,6 +59,10 @@ class OracleStructureError(EchelonError):
 
 class ScenarioError(EchelonError):
     """Scenario content is invalid or does not match the report."""
+
+
+class FixtureError(EchelonError):
+    """An oracle fixture file is not the documented format."""
 
 
 class DegeneratePriorWarning(UserWarning):

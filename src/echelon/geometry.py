@@ -2,10 +2,11 @@
 
 ``near_pairs`` generates the candidate pairs for the distance tests of
 clustering and conflict detection, on one numpy grid over all points at
-once.  It is a conservative filter: it may return pairs that fail the
-test, never miss one that passes, whatever the rounding; the caller's
-exact test (``distance``) decides.  ``linked_groups`` joins the pairs
-that pass into connected groups, for both.
+once, and returns them as plain (i, j) index pairs.  It is a
+conservative filter: it may return pairs that fail the test, never miss
+one that passes, whatever the rounding; the caller's exact test
+(``distance``) decides.  ``linked_groups`` joins the pairs that pass
+into connected groups, for both.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def near_pairs(
     points: Sequence[tuple[float, float]], reach: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the points (x, y) that may lie within
+) -> list[tuple[int, int]]:
+    """The index pairs (i, j) of the points (x, y) that may lie within
     ``reach`` (> 0) of each other: i < j, each pair once, in ascending
-    (i, j) order.
+    order.
 
     Every pair whose rounded coordinate differences are both at most
     ``reach`` in magnitude is returned; since ``distance`` is faithfully
@@ -106,7 +107,7 @@ def near_pairs(
     a = np.concatenate([i, np.minimum(li, lj)])
     b = np.concatenate([j, np.maximum(li, lj)])
     codes = np.unique((a * n + b)[a < b])
-    return codes // n, codes % n
+    return list(zip((codes // n).tolist(), (codes % n).tolist()))
 
 
 def linked_groups(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:

@@ -252,10 +252,9 @@ def _clusters(
     (``near_pairs``), a conservative filter; the distance test decides.
     """
     locations = [g.get(i).location for i in ids]
-    first, second = near_pairs(locations, radius)
     pairs = [
         (a, b)
-        for a, b in zip(first.tolist(), second.tolist())
+        for a, b in near_pairs(locations, radius)
         if distance(locations[a], locations[b]) <= radius
     ]
     groups = (sorted(ids[i] for i in group) for group in linked_groups(len(ids), pairs))

@@ -16,7 +16,6 @@ bit-stable across runs and platforms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
@@ -26,7 +25,6 @@ import numpy as np
 from echelon import kernels
 from echelon.accrual import AccrualInputs, ComponentBelief, accrue_parent
 from echelon.exceptions import OracleStructureError, ZeroProbabilityEvent
-from echelon.scenario import dumps
 
 MAX_VARIABLES = 20
 IDENTITY_TOL = 1e-12
@@ -145,26 +143,6 @@ class OracleNetwork:
             for v in self.role_vars(prefix)
             if self.parents[v] == (component,)
         ]
-
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "variables": list(self.variables),
-            "parents": {v: list(self.parents[v]) for v in self.variables},
-            "tables": {v: [float(x) for x in self.tables[v]] for v in self.variables},
-        }
-        return dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str, name: str = "network") -> "OracleNetwork":
-        doc = json.loads(text)
-        return cls(
-            variables=tuple(doc["variables"]),
-            parents={v: tuple(ps) for v, ps in doc["parents"].items()},
-            tables={v: np.array(t, dtype=np.float64) for v, t in doc["tables"].items()},
-            name=name,
-        )
 
 
 def _all_true(vars_: Iterable[str]) -> dict[str, int]:

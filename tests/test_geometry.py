@@ -68,8 +68,7 @@ def test_near_pairs_equal_the_grid_rule_and_cover_every_near_pair(data):
     if points and math.isfinite(reach):
         x, y = points[0]
         points += [(x + reach, y), (x, y - reach), (x - reach, y + reach)]
-    first, second = near_pairs(points, reach)
-    found = list(zip(first.tolist(), second.tolist()))
+    found = near_pairs(points, reach)
     assert found == sorted(set(found))  # ascending, each pair once
     assert all(i < j for i, j in found)
     assert found == reference_near_pairs(points, reach)

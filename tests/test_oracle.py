@@ -119,11 +119,6 @@ class TestNetworkValidation:
                 variables=("A",), parents={"A": ("Z",)}, tables={"A": np.array([0.5, 0.5])}
             )
 
-    def test_json_round_trip(self):
-        net = random_accrual_network(4)
-        clone = OracleNetwork.from_json(net.to_json(), name=net.name)
-        assert np.array_equal(net.joint(), clone.joint())
-
 
 class TestAccrualFormulaCheck:
     def test_single_component_fixture(self):

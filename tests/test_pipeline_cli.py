@@ -531,6 +531,79 @@ def write_empty_run(tmp_path, **config):
     return path
 
 
+def write_line_run(tmp_path, slots: int, leaf_prior: float):
+    """A run of ``slots`` tanks 10 m apart under a one-model library
+    whose array model takes them all, with no doctrine; returns the
+    config's path."""
+    library = {
+        "types": [{"name": "tank", "level": "vehicle"},
+                  {"name": "array", "level": "array"}],
+        "models": [{"name": "line", "type": "array",
+                    "slots": [{"type": "tank", "min": slots, "max": slots}],
+                    "constraints": [], "prior": 0.5}],
+        "doctrine": {"min_separation": [], "max_heading_delta": []},
+    }
+    (tmp_path / "library.json").write_text(json.dumps(library))
+    detections = [
+        {"id": f"d{i:02d}", "type": "tank", "x": 10.0 * i, "y": 0.0,
+         "heading": 90.0, "lambda": 4.0, "time": 0.0}
+        for i in range(slots)
+    ]
+    (tmp_path / "scenario.json").write_text(
+        dumps({"schema_version": 1, "scenario_id": "line",
+               "detections": detections, "terrain": []})
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "library": "library.json", "scenario": "scenario.json",
+        "leaf_prior": leaf_prior,
+        "matcher": {"gather_radius": 1200, "min_fit": 0, "max_missing": 0},
+    }))
+    return path
+
+
+class TestAccrualLimits:
+    """Extreme priors end in exit 1 and a message, never in a traceback
+    or a report holding a non-finite number."""
+
+    def expect_failure(self, config, capsys, message):
+        assert main(["infer", "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("inference failed: ") and message in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_underflowing_denominator(self, tmp_path, capsys):
+        # P(C) = 1e-160 squares to zero
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        doc = json.loads((demo / "run_config.json").read_text())
+        doc.update(library=str(demo / "library.json"),
+                   scenario=str(demo / "scenario.json"), leaf_prior=1e-160)
+        del doc["out"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        self.expect_failure(config, capsys, "component 0: p_cet * p_c**2 is zero (p_cet ")
+
+    def test_overflow_in_log_space(self, tmp_path, capsys):
+        # 32 components, over the log-space threshold: exp overflows
+        config = write_line_run(tmp_path, slots=32, leaf_prior=1e-10)
+        self.expect_failure(
+            config, capsys,
+            "accrual overflows the float range: fit ratio 2.0 times 32 "
+            "component factors gives inf",
+        )
+
+    def test_overflow_in_the_linear_product(self, tmp_path, capsys):
+        # 30 components, the linear product: the value was written as
+        # Infinity
+        config = write_line_run(tmp_path, slots=30, leaf_prior=1e-20)
+        self.expect_failure(
+            config, capsys,
+            "accrual overflows the float range: fit ratio 2.0 times 30 "
+            "component factors gives inf",
+        )
+
+
 class TestRunConfigValidation:
     @pytest.mark.parametrize(
         "config, message",
@@ -1474,6 +1547,43 @@ class TestOracleCommand:
 
     def test_missing_fixture_fails(self, tmp_path):
         assert main(["oracle", "skip", "--fixtures", str(tmp_path / "empty")]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json", "skip.json is not valid JSON"),
+            ('{"records": 5}', "skip.json: records must be a list, got 5"),
+            ('{"records": [5]}', "skip.json: record 0 must be a JSON object"),
+            ('{"records": [{"network": 5}]}',
+             "skip.json: record 0: network must be a string, got 5"),
+            ('{"records": [{"network": "skip-0", "colour": 1}]}',
+             "skip.json: record 0: unknown keys ['colour']"),
+            ('{"records": [], "version": 2}', "skip.json: unknown keys ['version']"),
+            (b"\xff", "skip.json is not UTF-8 text"),
+        ],
+    )
+    def test_malformed_fixture_is_domain_error(self, tmp_path, capsys, text, message):
+        fixture = tmp_path / "skip.json"
+        if isinstance(text, bytes):
+            fixture.write_bytes(text)
+        else:
+            fixture.write_text(text)
+        assert main(["oracle", "skip", "--fixtures", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"[skip] fixture {fixture}" in err and message in err
+        assert "Traceback" not in err
+
+    def test_unreadable_fixture_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "skip.json").mkdir()
+        assert main(["oracle", "skip", "--fixtures", str(tmp_path)]) == 2
+        assert "error: cannot read fixture: " in capsys.readouterr().err
+
+    def test_unwritable_fixture_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["oracle", "skip", "--record", "--fixtures", str(blocker / "sub")])
+        assert rc == 2
+        assert "error: cannot write fixture: " in capsys.readouterr().err
 
     def test_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as exc:
