@@ -125,22 +125,25 @@ SUITES = ("skip", "accrual", "approx-k")
 
 
 def _suite_reports(suite: str) -> list[oracle.DeviationReport]:
+    # each network is built inside the check that reads it, so its joint
+    # table is freed before the next one is filled
     if suite == "skip":
         return [
             oracle.skip_identity_report(oracle.random_skip_network(seed))
             for seed in range(100)
         ]
     if suite == "accrual":
-        nets = [oracle.make_chain_network()] + [
-            oracle.random_accrual_network(seed) for seed in range(12)
-        ]
-        return [oracle.check_accrual_formula(n) for n in nets]
-    if suite == "approx-k":
-        nets = [
-            oracle.random_conflict_network(seed, shared=bool(seed % 2))
+        return [oracle.check_accrual_formula(oracle.make_chain_network())] + [
+            oracle.check_accrual_formula(oracle.random_accrual_network(seed))
             for seed in range(12)
         ]
-        return [oracle.check_approx_k(n) for n in nets]
+    if suite == "approx-k":
+        return [
+            oracle.check_approx_k(
+                oracle.random_conflict_network(seed, shared=bool(seed % 2))
+            )
+            for seed in range(12)
+        ]
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -156,13 +159,19 @@ RECORD_KEYS = ("network", "approx", "exact", "deviation", "annotations")
 
 def _read_fixture(path: Path) -> list[dict]:
     """The records of the fixture at ``path``: an object whose ``records``
-    is a list of objects, each with a string ``network``.  A malformed
-    fixture raises ``FixtureError`` naming it; ``OSError`` passes through."""
+    is a list of objects, each with a string ``network`` that no other
+    record names.  A malformed fixture raises ``FixtureError`` naming it;
+    ``OSError`` passes through."""
     what = f"fixture {path}"
     raw = parse_json(read_document(path, what, FixtureError), what, FixtureError)
     records = Fields(raw, ("suite", "records"), what, FixtureError).list("records")
+    seen: set[str] = set()
     for k, record in enumerate(records):
-        Fields(record, RECORD_KEYS, f"{what}: record {k}", FixtureError).text("network")
+        where = f"{what}: record {k}"
+        name = Fields(record, RECORD_KEYS, where, FixtureError).text("network")
+        if name in seen:
+            raise FixtureError(f"{where}: duplicate network {name!r}")
+        seen.add(name)
     return records
 
 
@@ -233,8 +242,9 @@ def _diff_records(stored: list[dict], fresh: list[dict]) -> list[str]:
                     )
             if by_name[name].get("annotations") != rec.get("annotations"):
                 out.append(f"{name}.annotations differ")
+    fresh_names = {r["network"] for r in fresh}
     for rec in stored:
-        if rec["network"] not in {r["network"] for r in fresh}:
+        if rec["network"] not in fresh_names:
             out.append(f"{rec['network']}: extra in fixture")
     return out
 

@@ -9,9 +9,16 @@ variable, "C*" are components, "e*" detection evidence, "t*" terrain
 evidence, and "f" formation fit.  Part-of links are deterministic:
 P(C=1 | H=1) = 1 in every table row where H is true.
 
-Enumeration sums use math.fsum (exactly rounded), and the joint table
-is filled with a fixed multiplication order, so recorded values are
-bit-stable across runs and platforms.
+The joint table is filled with a fixed multiplication order (see
+``kernels``), once per network.  State s sets variable i in bit i, so
+the joint reshaped to ``(2,) * n`` holds variable i on axis n - 1 - i,
+and an event's states form the sub-cube that fixes the assigned axes.
+``event_prob`` sums that view with math.fsum, which rounds the exact
+sum of its inputs once: the result depends only on the multiset of
+state probabilities, not on their order, so recorded values are
+bit-stable across runs and platforms.  Each network keeps the sum of
+every assignment it has been asked for, and a suite builds each network
+inside the check that reads it, so one joint table is alive at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +51,9 @@ class OracleNetwork:
     tables: dict[str, np.ndarray]
     name: str = "network"
     _joint: np.ndarray | None = field(default=None, repr=False)
-    _states: np.ndarray | None = field(default=None, repr=False)
+    _sums: dict[frozenset[tuple[str, int]], float] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         n = len(self.variables)
@@ -67,40 +76,50 @@ class OracleNetwork:
                 raise OracleStructureError(
                     f"{v}: table needs {1 << len(ps)} rows, got {table.shape}"
                 )
-            if np.any(table < 0.0) or np.any(table > 1.0):
-                raise OracleStructureError(f"{v}: table entries outside [0,1]")
+            # a NaN fails both comparisons
+            if not (0.0 <= table.min() and table.max() <= 1.0):
+                raise OracleStructureError(f"{v}: table entries must lie in [0,1]")
             self.tables[v] = table
         self._index = index
 
     # -- enumeration ---------------------------------------------------
 
     def joint(self) -> np.ndarray:
-        """Probability of every one of the 2**n states (cached)."""
+        """Probability of every one of the 2**n states (cached: the
+        tables must not change once the joint has been read)."""
         if self._joint is None:
-            n = len(self.variables)
             self._joint = kernels.fill_joint(
-                n,
+                len(self.variables),
                 [[self._index[p] for p in self.parents[v]] for v in self.variables],
                 [self.tables[v] for v in self.variables],
             )
-            self._states = np.arange(1 << n, dtype=np.int64)
         return self._joint
 
-    def _mask(self, assignment: Mapping[str, int]) -> np.ndarray:
-        self.joint()
-        assert self._states is not None
-        mask = np.ones(self._states.shape, dtype=bool)
+    def event_prob(self, assignment: Mapping[str, int]) -> float:
+        """P(assignment) by exactly-rounded summation over states.
+
+        Sums are cached per network, keyed by the set of (variable,
+        value) pairs, under the same assumption as the joint: the
+        tables do not change after the first read.
+        """
+        items = []
         for var, val in assignment.items():
             if var not in self._index:
                 raise OracleStructureError(f"unknown variable {var!r}")
             if val not in (0, 1):
                 raise OracleStructureError(f"{var}: binary value expected, got {val!r}")
-            mask &= ((self._states >> self._index[var]) & 1) == val
-        return mask
-
-    def event_prob(self, assignment: Mapping[str, int]) -> float:
-        """P(assignment) by exactly-rounded summation over states."""
-        return math.fsum(self.joint()[self._mask(assignment)].tolist())
+            # numpy reads a bool inside an index tuple as a mask
+            items.append((var, int(val)))
+        key = frozenset(items)
+        total = self._sums.get(key)
+        if total is None:
+            n = len(self.variables)
+            where: list[int | slice] = [slice(None)] * n
+            for var, val in items:
+                where[n - 1 - self._index[var]] = val
+            view = self.joint().reshape((2,) * n)[tuple(where)]
+            total = self._sums[key] = math.fsum(view.ravel().tolist())
+        return total
 
     def exact_conditional(
         self, query: Mapping[str, int], given: Mapping[str, int]

@@ -3,6 +3,7 @@ stored as hex floats and must reproduce bit for bit.  No hand-typed
 probabilities appear as expected values."""
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -118,6 +119,68 @@ class TestNetworkValidation:
             OracleNetwork(
                 variables=("A",), parents={"A": ("Z",)}, tables={"A": np.array([0.5, 0.5])}
             )
+
+    def test_table_range(self):
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(OracleStructureError, match=r"must lie in \[0,1\]"):
+                OracleNetwork(variables=("A",), parents={"A": ()}, tables={"A": [bad]})
+
+
+def mask_event_prob(net: OracleNetwork, assignment) -> float:
+    """Reference P(assignment): fsum over the states a boolean mask
+    selects, variable i read from bit i of the state index."""
+    states = np.arange(1 << len(net.variables), dtype=np.int64)
+    mask = np.ones(states.shape, dtype=bool)
+    for var, val in assignment.items():
+        mask &= ((states >> net.variables.index(var)) & 1) == val
+    return math.fsum(net.joint()[mask].tolist())
+
+
+def assignments(net: OracleNetwork, seed: int) -> list[dict[str, int]]:
+    """``{}``, a full assignment and seeded partial ones."""
+    rng = np.random.default_rng(seed)
+    names = list(net.variables)
+    out = [{}, {v: int(rng.integers(2)) for v in names}]
+    for _ in range(6):
+        k = int(rng.integers(1, len(names) + 1))
+        chosen = rng.choice(len(names), k, replace=False)
+        out.append({names[i]: int(rng.integers(2)) for i in chosen})
+    return out
+
+
+SUM_NETWORKS = (
+    [random_skip_network(s) for s in range(20)]
+    + [random_accrual_network(s) for s in range(12)]
+    + [random_conflict_network(s, shared=bool(s % 2)) for s in range(12)]
+)
+
+
+class TestEventProb:
+    @pytest.mark.parametrize("net", SUM_NETWORKS, ids=lambda n: n.name)
+    def test_matches_mask_sum_bit_for_bit(self, net):
+        cases = assignments(net, sum(map(ord, net.name)))
+        want = [mask_event_prob(net, a).hex() for a in cases]
+        for _ in range(2):  # the second pass reads the cache
+            assert [net.event_prob(a).hex() for a in cases] == want
+        # the same assignment in another key order shares the cached sum
+        assert [net.event_prob(dict(reversed(a.items()))).hex() for a in cases] == want
+
+    @pytest.mark.parametrize("order", [(True, 1, 1.0), (1, 1.0, True), (1.0, True, 1)])
+    def test_bool_and_float_values_are_binary(self, order):
+        # P(C1) = 0.6 in the chain; a bool read as a numpy mask gave 1.0
+        net = make_chain_network()
+        want = mask_event_prob(net, {"C1": 1})
+        assert [net.event_prob({"C1": v}) for v in order] == [want] * 3
+        assert net.event_prob({"C1": False}) == mask_event_prob(net, {"C1": 0})
+
+    def test_bad_assignments_raise_every_time(self):
+        net = make_chain_network()
+        for _ in range(2):
+            with pytest.raises(OracleStructureError, match="unknown variable 'Z'"):
+                net.event_prob({"Z": 1})
+            with pytest.raises(OracleStructureError, match="binary value expected"):
+                net.event_prob({"C1": 2})
+        assert net.event_prob({"C1": 1}) == mask_event_prob(net, {"C1": 1})
 
 
 class TestAccrualFormulaCheck:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import echelon
-from echelon import matching, pipeline
+from echelon import cli, kernels, matching, oracle, pipeline
 from echelon.cli import main
 from echelon.evidence import posterior_from_evidence
 from echelon.pipeline import RunConfig, run
@@ -889,6 +889,32 @@ def test_run_calls_every_traced_name_through_the_pipeline_module(tmp_path, monke
     assert all(calls.values()), calls
 
 
+def test_oracle_calls_every_traced_name_through_its_owner(monkeypatch):
+    # perfbench/tracer.py wraps these three names; a suite that stops
+    # looking one up at call time reads 0 when traced
+    owners = {
+        "fill_joint": kernels,
+        "event_prob": oracle.OracleNetwork,
+        "_suite_reports": cli,
+    }
+    calls = dict.fromkeys(owners, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    assert main(["oracle", "all"]) == 0
+    # one joint per network: 100 skip, 13 accrual and 12 approx-k
+    assert calls["fill_joint"] == 125
+    assert calls["_suite_reports"] == 3
+    assert calls["event_prob"] > 0
+
+
 class TestCompanyLevelConflict:
     def test_overlapping_companies_resolved(self, tmp_path):
         # five tanks in a line admit three overlapping three-tank
@@ -1545,6 +1571,17 @@ class TestOracleCommand:
         assert main(["oracle", "accrual", "--fixtures", str(fixtures)]) == 1
         assert "drift" in capsys.readouterr().err
 
+    def test_duplicate_network_fails(self, tmp_path, capsys):
+        # a wrong first copy of a network must not hide behind the right one
+        fixtures = tmp_path / "fx"
+        assert main(["oracle", "accrual", "--fixtures", str(fixtures), "--record"]) == 0
+        path = fixtures / "accrual.json"
+        doc = json.loads(path.read_text())
+        doc["records"].insert(0, {**doc["records"][0], "approx": (0.5).hex()})
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "accrual", "--fixtures", str(fixtures)]) == 1
+        assert "record 1: duplicate network 'chain'" in capsys.readouterr().err
+
     def test_missing_fixture_fails(self, tmp_path):
         assert main(["oracle", "skip", "--fixtures", str(tmp_path / "empty")]) == 1
 
@@ -1560,6 +1597,8 @@ class TestOracleCommand:
              "skip.json: record 0: unknown keys ['colour']"),
             ('{"records": [], "version": 2}', "skip.json: unknown keys ['version']"),
             (b"\xff", "skip.json is not UTF-8 text"),
+            ('{"records": [{"network": "skip-0"}, {"network": "skip-0"}]}',
+             "skip.json: record 1: duplicate network 'skip-0'"),
         ],
     )
     def test_malformed_fixture_is_domain_error(self, tmp_path, capsys, text, message):
