@@ -50,9 +50,6 @@ from echelon.exceptions import (
 from echelon.hypotheses import HypothesisGraph, Status
 from echelon.models import Level
 
-# Products over more components than this run in log space.
-_LOG_SPACE_THRESHOLD = 30
-
 
 @dataclass(frozen=True)
 class ComponentBelief:
@@ -126,27 +123,13 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
     value past the float range raises ``AccrualDomainError``.
     """
     fit_ratio = inputs.fit_num / inputs.fit_den
-    brackets = [
-        (cb.p_ce * cb.p_ct * inputs.p_h) / (cb.p_cet * (cb.p_c * cb.p_c))
-        for cb in inputs.per_component
-    ]
-    if len(brackets) > _LOG_SPACE_THRESHOLD:
-        if fit_ratio == 0.0 or any(b == 0.0 for b in brackets):
-            raw = 0.0
-        else:
-            log_raw = math.log(fit_ratio) + math.fsum(math.log(b) for b in brackets)
-            try:
-                raw = math.exp(log_raw)
-            except OverflowError:
-                raw = math.inf
-    else:
-        raw = fit_ratio
-        for b in brackets:
-            raw *= b
+    raw = fit_ratio
+    for cb in inputs.per_component:
+        raw *= (cb.p_ce * cb.p_ct * inputs.p_h) / (cb.p_cet * (cb.p_c * cb.p_c))
     if not math.isfinite(raw):
         raise AccrualDomainError(
             f"accrual overflows the float range: fit ratio {fit_ratio!r} "
-            f"times {len(brackets)} component factors gives {raw!r}"
+            f"times {len(inputs.per_component)} component factors gives {raw!r}"
         )
     return AccrualResult(raw=raw, inputs=inputs)
 

@@ -177,11 +177,6 @@ def _read_fixture(path: Path) -> list[dict]:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
-    if any(s not in SUITES for s in suites):
-        print(f"unknown suite {args.suite!r}; choices: {SUITES + ('all',)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-
     failed = False
     for suite in suites:
         reports = _suite_reports(suite)

@@ -132,11 +132,8 @@ def _doctrine_pairs(
 
     One grid (``near_pairs``) at the level's largest positive separation,
     or at the heading reach if that is larger and the level has a heading
-    row, proposes every pair either test can flag.  ``distance`` never
-    falls below the magnitude of either coordinate difference, so a pair
-    whose larger difference already reaches its separation, or exceeds
-    the heading reach, cannot pass that test and is dropped before the
-    heading test and ``distance``, which decides.
+    row, proposes every pair either test can flag; ``distance`` between
+    the two locations then decides both tests.
     """
     reach = max((s for s, _ in limits.values() if s is not None and s > 0), default=0.0)
     if any(delta is not None for _, delta in limits.values()):
@@ -145,21 +142,16 @@ def _doctrine_pairs(
         return
     locations = [h.location for h in hyps]
     for i, j in near_pairs(locations, reach):
-        a, b = locations[i], locations[j]
-        span = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+        apart = distance(locations[i], locations[j])
         sep, delta = limits[hyps[i].force_type, hyps[j].force_type]
-        close = sep is not None and span < sep
+        if sep is not None and apart < sep:
+            yield (i, j), ConflictReason.TOO_CLOSE
         hi, hj = hyps[i].heading, hyps[j].heading
-        turned = (
-            delta is not None and span <= HEADING_REACH_M and None not in (hi, hj)
+        if (
+            delta is not None and apart <= HEADING_REACH_M and None not in (hi, hj)
             and heading_difference(hi, hj) > delta
-        )
-        if close or turned:
-            apart = distance(a, b)
-            if close and apart < sep:
-                yield (i, j), ConflictReason.TOO_CLOSE
-            if turned and apart <= HEADING_REACH_M:
-                yield (i, j), ConflictReason.ORIENTATION
+        ):
+            yield (i, j), ConflictReason.ORIENTATION
 
 
 def detect_conflicts(

@@ -20,10 +20,6 @@ from typing import Any, Mapping, Sequence
 from echelon.exceptions import DegeneratePriorWarning
 from echelon.models import shown_name
 
-# Beyond this many ratios the odds product moves to log space to dodge
-# overflow/underflow; results are surfaced in linear space either way.
-_LOG_SPACE_THRESHOLD = 30
-
 
 class EvidenceKind(enum.Enum):
     DETECTION = "detection"
@@ -40,7 +36,6 @@ class EvidenceItem:
     kind: EvidenceKind
     likelihood_ratio: float
     location: tuple[float, float] | None = None
-    heading: float | None = None
     sensor_context: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -57,7 +52,9 @@ def posterior_from_evidence(prior: float, ratios: Sequence[float]) -> float:
     them in the order given.
 
     A prior of exactly 0 or 1 is returned unchanged with a diagnostic:
-    evidence cannot move certainty.  No ratios return the prior.
+    evidence cannot move certainty.  No ratios return the prior.  Odds
+    that overflow give exactly 1.0, and odds that underflow to zero
+    give 0.0.
     """
     if not (0.0 <= prior <= 1.0):
         raise ValueError(f"prior must be in [0,1], got {prior!r}")
@@ -70,21 +67,10 @@ def posterior_from_evidence(prior: float, ratios: Sequence[float]) -> float:
         return prior
     if not ratios:
         return prior
-
-    if len(ratios) <= _LOG_SPACE_THRESHOLD:
-        odds = prior / (1.0 - prior)
-        for lr in ratios:
-            odds *= lr
-        if math.isinf(odds):
-            return 1.0
-        return odds / (1.0 + odds)
-
-    log_odds = math.log(prior) - math.log1p(-prior)
-    log_odds += sum(math.log(lr) for lr in ratios)
-    if log_odds >= 0:
-        return 1.0 / (1.0 + math.exp(-log_odds))
-    expo = math.exp(log_odds)
-    return expo / (1.0 + expo)
+    o = prior / (1.0 - prior)
+    for lr in ratios:
+        o *= lr
+    return from_odds(o)
 
 
 def odds(p: float) -> float:

@@ -465,7 +465,7 @@ def candidate_to_hypothesis(
         kind=EvidenceKind.FIT,
         likelihood_ratio=lam,
         location=center,
-        sensor_context={"fit_score": c.fit_score, "model": c.model.name},
+        sensor_context={"fit_score": c.fit_score},
     )
     h = Hypothesis(
         id="",

@@ -37,9 +37,10 @@ MAX_VARIABLES = 20
 IDENTITY_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class OracleNetwork:
-    """An explicit joint distribution over binary variables.
+    """An explicit joint distribution over binary variables; networks
+    compare by identity.
 
     ``tables[v]`` stores P(v=1 | parent row) indexed by the packed
     parent state: parent j of v (in ``parents[v]`` order) contributes

@@ -203,7 +203,6 @@ def build_graph(
             kind=EvidenceKind.DETECTION,
             likelihood_ratio=d.number("lambda"),
             location=location,
-            heading=heading,
         )
         g.add_evidence(item)
         leaves.append(

@@ -553,7 +553,8 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
     for name in ("min_separation", "max_heading_delta"):
         original = getattr(ModelLibrary, name)
         monkeypatch.setattr(ModelLibrary, name, counted(name, original))
-    # the exact doctrine tests of the grid's candidates, one distance each
+    # the exact doctrine tests: one distance per candidate of the grid,
+    # which proposes a bounded number per hypothesis (about two here)
     monkeypatch.setattr(
         conflict, "distance", counted("distance_tests", conflict.distance)
     )
@@ -592,7 +593,7 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
         for n, types, c in per_level:
             assert c["min_separation"] <= types**2
             assert c["max_heading_delta"] <= types**2
-            assert c["distance_tests"] <= n
+            assert c["distance_tests"] <= 3 * n
             assert c["edges"] <= n
             assert c["levels"] == (n >= 2)  # the count above is live
 

@@ -71,13 +71,13 @@ class TestPosteriorFromEvidence:
             )
             assert staged == pytest.approx(single, rel=1e-12)
 
-    def test_log_space_crossover_consistent(self):
-        ratios = [1.3] * 40  # above the log-space threshold
-        single = posterior_from_evidence(0.3, ratios)
-        staged = posterior_from_evidence(
-            posterior_from_evidence(0.3, ratios[:20]), ratios[20:]
-        )
-        assert single == pytest.approx(staged, rel=1e-12)
+    def test_many_ratios_follow_the_odds_loop(self):
+        # a long product is the odds loop written out, bit for bit
+        ratios = [1.3] * 40
+        odds = 0.3 / (1.0 - 0.3)
+        for lr in ratios:
+            odds *= lr
+        assert posterior_from_evidence(0.3, ratios) == odds / (1.0 + odds)
 
     def test_ratios_multiply_in_the_order_given(self):
         # float products are not associative: the two orders of these

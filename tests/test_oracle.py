@@ -125,6 +125,12 @@ class TestNetworkValidation:
             with pytest.raises(OracleStructureError, match=r"must lie in \[0,1\]"):
                 OracleNetwork(variables=("A",), parents={"A": ()}, tables={"A": [bad]})
 
+    def test_networks_compare_by_identity(self):
+        # equality never compares the numpy tables, which would raise
+        net = make_chain_network()
+        assert net == net
+        assert net != make_chain_network()
+
 
 def mask_event_prob(net: OracleNetwork, assignment) -> float:
     """Reference P(assignment): fsum over the states a boolean mask

@@ -584,8 +584,8 @@ class TestAccrualLimits:
         config.write_text(json.dumps(doc))
         self.expect_failure(config, capsys, "component 0: p_cet * p_c**2 is zero (p_cet ")
 
-    def test_overflow_in_log_space(self, tmp_path, capsys):
-        # 32 components, over the log-space threshold: exp overflows
+    def test_overflow_in_a_long_product(self, tmp_path, capsys):
+        # 32 components: the running product overflows
         config = write_line_run(tmp_path, slots=32, leaf_prior=1e-10)
         self.expect_failure(
             config, capsys,
@@ -1259,7 +1259,6 @@ def rule_raw(prior, accrual):
     """``raw`` of the parent rule from a report record, in the engine's
     operation order, with P(H) the record's prior."""
     fit_num, fit_den = accrual["fit"]
-    assert len(accrual["components"]) <= 30  # below the log-space path
     raw = fit_num / fit_den
     for p_ce, p_ct, p_cet, p_c in accrual["components"]:
         raw *= (p_ce * p_ct * prior) / (p_cet * (p_c * p_c))
@@ -1313,6 +1312,13 @@ class TestReportAudit:
         counts = audit(report)
         assert counts["direct"] > 0 and counts["rule"] > 0
         assert counts["out_of_range"] > 0
+
+    def test_long_rule_product_recomputable_from_accrual(self, tmp_path):
+        # 32 components: the array's raw is the written rule, bit for bit
+        report = run(RunConfig.from_file(write_line_run(tmp_path, 32, 0.3)))
+        (array,) = report["levels"]["array"]
+        assert len(array["accrual"]["components"]) == 32
+        assert audit(report) == {"leaf": 32, "rule": 1, "direct": 0, "out_of_range": 1}
 
 
 class TestSimulateCommand:
