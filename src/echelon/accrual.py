@@ -18,13 +18,12 @@ hypothesis bottom-up using only a subset of its evidence closure; the
 conflict analysis relies on it.  Restriction removes information, so an
 absent fit item neutralizes the fit ratio rather than disconfirming.
 
-Each hypothesis is accrued once: ``propagate_level`` stores its belief
-given its whole closure in ``HypothesisGraph.closure_beliefs``.  A
-parent takes each component's P(C|e) from there, and restricted
-evaluation takes any hypothesis or component whose whole closure is
-kept.  Only a strict subset of a closure, or a hypothesis its graph
-holds no belief for (one never propagated, as in hand-built graphs), is
-derived from its evidence by the recursion.
+Each hypothesis is accrued once, into ``Hypothesis.accrual``.  A parent
+takes a non-leaf component's P(C|e), the belief before conflict
+resolution, from that record, and so does restricted evaluation when a
+whole closure is kept.  A leaf, a strict subset of a closure, or a
+hypothesis never propagated (as in hand-built graphs) is derived from
+its evidence by the recursion.
 
 A fit item with geometric score s contributes fit_num factor
 0.5 + 0.5*s and fit_den factor 0.5.
@@ -171,13 +170,12 @@ def _direct_result(
 
 
 def _belief(g: HypothesisGraph, hid: str, keep: frozenset[str] | None) -> float:
-    """P(hid | the kept part of its closure): the stored belief when the
-    whole closure is kept and one is stored, else the recursion.  ``keep``
+    """P(hid | the kept part of its closure): its accrual record's when
+    the whole closure is kept and it has one, else the recursion.  ``keep``
     is None or a subset of the closure, so equal size means all of it."""
-    if keep is None or len(keep) == len(g.evidence_closure(hid)):
-        stored = g.closure_beliefs.get(hid)
-        if stored is not None:
-            return stored
+    accrued = g.get(hid).accrual
+    if accrued and (keep is None or len(keep) == len(g.evidence_closure(hid))):
+        return accrued.posterior
     return _evaluate(g, hid, keep)[0]
 
 
@@ -253,8 +251,8 @@ def posterior_given_subset(
     """Recompute a posterior bottom-up using only the items in ``keep``.
 
     ``keep`` must be a subset of the hypothesis's evidence closure.
-    Restricting to the full closure reproduces the stored posterior
-    exactly (identical arithmetic path).
+    Restricting to the full closure gives accrual's belief, from before
+    conflict resolution (identical arithmetic path).
     """
     closure = g.evidence_closure(hid)
     if not keep <= closure:
@@ -269,20 +267,16 @@ def propagate_level(g: HypothesisGraph, level: Level) -> None:
     Levels must be propagated bottom-up; hypotheses whose components
     were skipped by conflict handling accrue via the direct path.
 
-    Each posterior is also stored in ``g.closure_beliefs``, which
-    parents and restricted evaluation read in place of the recursion.
-    This function is its only writer, and re-propagating a level
-    overwrites that level's entries.  A stored belief stays exact while
-    nothing it depends on changes: the hypothesis's evidence and prior
-    and the statuses of its components and their descendants.  Conflict
-    handling changes only the statuses and posteriors of the level it
-    decides, after that level is propagated and before the next one is.
-    A caller that changes any of these below a propagated level must
-    re-propagate every level from the change up.
+    Each non-leaf's ``accrual`` record, which parents and restricted
+    evaluation read in place of the recursion, is written here only,
+    and re-propagating a level overwrites it.  A record stays exact
+    while nothing it depends on changes: the hypothesis's evidence and
+    prior and the statuses of its components and their descendants.
+    Conflict handling changes only the statuses and posteriors of the
+    level it decides, after that level is propagated and before the next
+    one is.  A caller that changes any of these below a propagated level
+    must re-propagate every level from the change up.
     """
     for hid in g.at_level(level):
         h = g.get(hid)
-        post, result = _evaluate(g, hid, None)
-        g.closure_beliefs[hid] = post
-        h.posterior = post
-        h.accrual = result
+        h.posterior, h.accrual = _evaluate(g, hid, None)

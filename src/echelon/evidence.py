@@ -30,7 +30,8 @@ class EvidenceKind(enum.Enum):
 @dataclass(frozen=True)
 class EvidenceItem:
     """One atomic support unit: a detection, a formation-fit score, or
-    a terrain statement, reduced to a likelihood ratio."""
+    a terrain statement, reduced to a likelihood ratio.  Only terrain
+    items carry a ``location``; a hypothesis carries its own."""
 
     id: str
     kind: EvidenceKind

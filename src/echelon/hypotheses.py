@@ -44,8 +44,9 @@ class Hypothesis:
 
     Leaves (vehicle level) have no components and no model; every other
     hypothesis was instantiated from a model over one-level-lower
-    components.  ``posterior`` and ``status`` are bookkeeping updated by
-    the accrual and conflict stages; everything else is fixed at insert.
+    components.  ``posterior``, ``status`` and ``accrual`` are bookkeeping
+    updated by the accrual and conflict stages; everything else is fixed
+    at insert.  Parents read ``accrual``, which resolution leaves as is.
     """
 
     id: str
@@ -79,9 +80,6 @@ class HypothesisGraph:
     terrain: set[str] = field(default_factory=set, init=False)
     _by_level: dict[Level, list[str]] = field(default_factory=dict)
     _closures: dict[str, frozenset[str]] = field(default_factory=dict)
-    # id -> belief given the whole evidence closure, as accrual computed
-    # it; written only by accrual.propagate_level (see its contract)
-    closure_beliefs: dict[str, float] = field(default_factory=dict)
     _counters: dict[Level, int] = field(default_factory=dict)
     # child id -> ids of the hypotheses listing it as a component
     _parents: dict[str, set[str]] = field(default_factory=dict)

@@ -464,7 +464,6 @@ def candidate_to_hypothesis(
         id="f:" + c.model.name + ":" + "+".join(children),
         kind=EvidenceKind.FIT,
         likelihood_ratio=lam,
-        location=center,
         sensor_context={"fit_score": c.fit_score},
     )
     h = Hypothesis(

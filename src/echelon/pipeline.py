@@ -202,7 +202,6 @@ def build_graph(
             id=did,
             kind=EvidenceKind.DETECTION,
             likelihood_ratio=d.number("lambda"),
-            location=location,
         )
         g.add_evidence(item)
         leaves.append(

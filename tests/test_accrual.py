@@ -356,7 +356,8 @@ class TestPropagateLevel:
 def reference_evaluate(g, hid, keep=None):
     """(posterior, accrual) of ``hid`` on the kept items by the full
     recursion, each component re-derived from its evidence down to the
-    leaves: the evaluation that stored beliefs must reproduce exactly."""
+    leaves: the evaluation that each accrual record, and each belief a
+    parent reads, must reproduce exactly."""
     h = g.get(hid)
     if h.is_leaf():
         ratios = [
@@ -430,8 +431,9 @@ class TestStoredBeliefs:
         }
         for hid, h in g.hypotheses.items():
             post, result = reference_evaluate(g, hid)
-            assert g.closure_beliefs[hid] == post, hid
             assert h.accrual == result, hid  # raw and every input
+            # the belief a parent reads: the record's, or a leaf's product
+            assert posterior_given_subset(g, hid, g.evidence_closure(hid)) == post, hid
             if hid not in resolved:
                 assert h.posterior == post, hid
         # restricted evaluation: each conflict's k, factor by factor as
@@ -486,14 +488,14 @@ class TestStoredBeliefs:
         )
         for level in (Level.VEHICLE, Level.ARRAY, Level.BATTALION):
             propagate_level(g, level)
-        rule_path = g.closure_beliefs["a0"]
+        rule_path = g.get("a0").accrual.posterior
         g.get("v0").status = Status.SKIPPED
         propagate_level(g, Level.ARRAY)
         propagate_level(g, Level.BATTALION)
         a0 = g.get("a0")
         assert a0.accrual.direct
-        assert g.closure_beliefs["a0"] == a0.posterior == direct_posterior(g, "a0")
+        assert a0.accrual.posterior == a0.posterior == direct_posterior(g, "a0")
         assert a0.posterior != rule_path
         assert posterior_given_subset(g, "a0", g.evidence_closure("a0")) == a0.posterior
         assert g.get("b0").accrual.inputs.per_component[0].p_ce == a0.posterior
-        assert g.closure_beliefs["b0"] == reference_evaluate(g, "b0")[0]
+        assert g.get("b0").accrual.posterior == reference_evaluate(g, "b0")[0]

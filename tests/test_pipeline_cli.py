@@ -1129,8 +1129,9 @@ class TestConflictReportBytes:
 
 class TestBenchmarkReportBytes:
     """sha256 of ``dumps(run(cfg))`` on two benchmark scenes, recorded
-    before each hypothesis's full-closure belief was stored for reuse:
-    storing it must not move a byte."""
+    while every parent still re-derived each child's belief from its
+    evidence: reading a child's accrual record instead must not move a
+    byte."""
 
     def test_grid_clean_seed_0(self, tmp_path):
         cfg = perfbench_scene(tmp_path, "grid-clean", 0, 0)
@@ -1267,12 +1268,16 @@ def rule_raw(prior, accrual):
 
 def audit(report):
     """Recompute every record's ``raw``, posterior and ``out_of_range``
-    exactly from its ``prior`` and ``accrual``; counts of the records
-    audited by path and of those out of range."""
+    exactly from its ``prior`` and ``accrual``, and check each rule-path
+    component row against the component's own record; counts of the
+    records audited by path, of those out of range, of the component
+    rows read and of those whose P(C|e) is not the component's
+    ``posterior``."""
     resolved = {
         m for c in report["conflicts"] if c["decision"] == "resolve" for m in c["members"]
     }
-    counts = {"leaf": 0, "rule": 0, "direct": 0, "out_of_range": 0}
+    records = {e["id"]: e for level in report["levels"].values() for e in level}
+    counts = {"leaf": 0, "rule": 0, "direct": 0, "out_of_range": 0, "links": 0, "moved": 0}
     for level in report["levels"].values():
         for e in level:
             a = e["accrual"]
@@ -1288,6 +1293,8 @@ def audit(report):
                 assert set(a) == {"raw", "fit", "components"}
                 raw = rule_raw(e["prior"], a)
                 counts["rule"] += 1
+                for cid, row in zip(e["components"], a["components"], strict=True):
+                    audit_component_link(row, records[cid], cid in resolved, counts)
             assert a["raw"] == raw, e["id"]
             assert e["out_of_range"] == (raw > 1.0)
             counts["out_of_range"] += e["out_of_range"]
@@ -1296,11 +1303,29 @@ def audit(report):
     return counts
 
 
+def audit_component_link(row, child, resolved, counts):
+    """A parent's row for ``child`` holds its prior as P(C) and, as
+    P(C|e), its belief before conflict resolution: ``min(raw, 1)`` of
+    its accrual, or for a vehicle its posterior unless resolution moved
+    it.  Only resolution may make P(C|e) differ from ``posterior``."""
+    p_ce, _, _, p_c = row
+    assert p_c == child["prior"], child["id"]
+    if child["accrual"] is not None:
+        assert p_ce == min(child["accrual"]["raw"], 1.0), child["id"]
+    elif not resolved:
+        assert p_ce == child["posterior"], child["id"]
+    counts["links"] += 1
+    if p_ce != child["posterior"]:
+        assert resolved, child["id"]
+        counts["moved"] += 1
+
+
 class TestReportAudit:
     def test_demo_report_recomputable_from_accrual(self):
         demo = Path(__file__).resolve().parents[1] / "demo"
         counts = audit(json.loads((demo / "report.json").read_text()))
         assert counts["rule"] > 0 and counts["out_of_range"] > 0
+        assert counts["links"] > 0 and counts["moved"] == 0  # nothing resolved
 
     def test_noisy_report_recomputable_from_accrual(self, tmp_path):
         # tau 1 skips some vehicle groups and resolves others, so the
@@ -1312,13 +1337,27 @@ class TestReportAudit:
         counts = audit(report)
         assert counts["direct"] > 0 and counts["rule"] > 0
         assert counts["out_of_range"] > 0
+        assert 0 < counts["moved"] < counts["links"]  # resolved children are read
+
+    def test_terrain_report_recomputable_from_accrual(self, tmp_path):
+        # terrain on every hypothesis, skipped and resolved groups, and
+        # parents of skipped arrays on the direct path
+        report, _ = run_counting_refusals(RunConfig.from_file(weak_ratio_scene(tmp_path)))
+        counts = audit(report)
+        assert counts["direct"] > 0 and counts["rule"] > 0
+        assert 0 < counts["moved"] < counts["links"]
+        arrays = [e["accrual"] for e in report["levels"]["array"]]
+        rows = [row for a in arrays if a and "components" in a for row in a["components"]]
+        assert any(p_ct != p_c for _, p_ct, _, p_c in rows)  # terrain reaches the rows
 
     def test_long_rule_product_recomputable_from_accrual(self, tmp_path):
         # 32 components: the array's raw is the written rule, bit for bit
         report = run(RunConfig.from_file(write_line_run(tmp_path, 32, 0.3)))
         (array,) = report["levels"]["array"]
         assert len(array["accrual"]["components"]) == 32
-        assert audit(report) == {"leaf": 32, "rule": 1, "direct": 0, "out_of_range": 1}
+        assert audit(report) == {
+            "leaf": 32, "rule": 1, "direct": 0, "out_of_range": 1, "links": 32, "moved": 0
+        }
 
 
 class TestSimulateCommand:
