@@ -44,7 +44,8 @@ class OracleNetwork:
 
     ``tables[v]`` stores P(v=1 | parent row) indexed by the packed
     parent state: parent j of v (in ``parents[v]`` order) contributes
-    bit j of the row index.
+    bit j of the row index.  Every parent comes before its child in
+    ``variables``.
     """
 
     variables: tuple[str, ...]
@@ -67,11 +68,16 @@ class OracleNetwork:
         index = {v: i for i, v in enumerate(self.variables)}
         if len(index) != n:
             raise OracleStructureError("duplicate variable names")
-        for v in self.variables:
+        for i, v in enumerate(self.variables):
             ps = self.parents.setdefault(v, ())
             for p in ps:
                 if p not in index:
                     raise OracleStructureError(f"{v}: unknown parent {p!r}")
+                # parents first: no self-parent and no cycle
+                if index[p] >= i:
+                    raise OracleStructureError(f"{v}: parent {p!r} must come before it")
+            if v not in self.tables:
+                raise OracleStructureError(f"{v}: no table")
             table = np.asarray(self.tables[v], dtype=np.float64)
             if table.shape != (1 << len(ps),):
                 raise OracleStructureError(
@@ -154,14 +160,6 @@ class OracleNetwork:
             v
             for v in self.role_vars(prefix)
             if component in self.parents[v]
-        ]
-
-    def own_evidence_of(self, component: str, prefix: str = "e") -> list[str]:
-        """Evidence variables whose only parent is ``component``."""
-        return [
-            v
-            for v in self.role_vars(prefix)
-            if self.parents[v] == (component,)
         ]
 
 
@@ -348,7 +346,7 @@ def check_approx_k(
         for cj in comps:
             if ci == cj:
                 continue
-            own_j = net.own_evidence_of(cj, "e")
+            own_j = [v for v in net.role_vars("e") if net.parents[v] == (cj,)]
             if not own_j:
                 continue
             marginal = net.event_prob({ci: 1}) / net.event_prob({})
@@ -371,20 +369,60 @@ def check_approx_k(
 
 # -- network builders ----------------------------------------------------
 
+# (variable, parents, table), one per variable in variable order
+Row = tuple[str, tuple[str, ...], Any]
+
+
+def _network(rows: Sequence[Row], name: str) -> OracleNetwork:
+    return OracleNetwork(
+        variables=tuple(v for v, _, _ in rows),
+        parents={v: ps for v, ps, _ in rows},
+        tables={v: table for v, _, table in rows},
+        name=name,
+    )
+
+
+def _evidence_table(rng: np.random.Generator) -> list[float]:
+    """Rows parent=0, parent=1: an item more likely when its parent holds."""
+    return [rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)]
+
+
+def _force_rows(
+    rng: np.random.Generator,
+    e_counts: Iterable[int],
+    with_t: Sequence[bool],
+    with_f: bool,
+) -> list[Row]:
+    """H, components C1..Cm under deterministic part-of links, each
+    component's evidence e{i}_j and terrain t{i}, then the fit f.
+
+    ``e_counts`` is read just before each component's evidence rows,
+    so a generator may draw the counts from ``rng`` as it goes.
+    """
+    comps = [f"C{i + 1}" for i in range(len(with_t))]
+    rows: list[Row] = [("H", (), [rng.uniform(0.15, 0.85)])]
+    rows += [(c, ("H",), [rng.uniform(0.05, 0.6), 1.0]) for c in comps]
+    for i, (c, count, t) in enumerate(zip(comps, e_counts, with_t), 1):
+        rows += [(f"e{i}_{j + 1}", (c,), _evidence_table(rng)) for j in range(count)]
+        if t:
+            rows.append((f"t{i}", (c,), _evidence_table(rng)))
+    if with_f:
+        f_table = rng.uniform(0.05, 0.95, size=1 << (1 + len(comps)))
+        rows.append(("f", ("H", *comps), f_table))
+    return rows
+
 
 def make_chain_network() -> OracleNetwork:
     """Three-node chain: force -> component -> detection."""
-    return OracleNetwork(
-        variables=("H", "C1", "e1"),
-        parents={"H": (), "C1": ("H",), "e1": ("C1",)},
-        tables={
-            "H": np.array([0.5]),
+    return _network(
+        [
+            ("H", (), [0.5]),
             # rows: H=0, H=1 (deterministic part-of link)
-            "C1": np.array([0.2, 1.0]),
+            ("C1", ("H",), [0.2, 1.0]),
             # rows: C1=0, C1=1
-            "e1": np.array([0.1, 0.9]),
-        },
-        name="chain",
+            ("e1", ("C1",), [0.1, 0.9]),
+        ],
+        "chain",
     )
 
 
@@ -396,15 +434,9 @@ def make_two_evidence_network(
     Each (p1, p0) pair sets P(e=1|C=1) and P(e=1|C=0), i.e. a
     likelihood ratio of p1/p0, for cross-checking the odds combiner.
     """
-    variables = ["C1"] + [f"e{i + 1}" for i in range(len(lr_pairs))]
-    parents: dict[str, tuple[str, ...]] = {"C1": ()}
-    tables: dict[str, np.ndarray] = {"C1": np.array([prior])}
-    for i, (p1, p0) in enumerate(lr_pairs):
-        parents[f"e{i + 1}"] = ("C1",)
-        tables[f"e{i + 1}"] = np.array([p0, p1])
-    return OracleNetwork(
-        variables=tuple(variables), parents=parents, tables=tables, name="two-evidence"
-    )
+    rows: list[Row] = [("C1", (), [prior])]
+    rows += [(f"e{i + 1}", ("C1",), [p0, p1]) for i, (p1, p0) in enumerate(lr_pairs)]
+    return _network(rows, "two-evidence")
 
 
 def random_skip_network(seed: int, max_vars: int = 12) -> OracleNetwork:
@@ -423,79 +455,15 @@ def random_skip_network(seed: int, max_vars: int = 12) -> OracleNetwork:
         with_f = False
     while total(with_t, with_f) > max_vars and any(with_t):
         with_t[with_t.index(True)] = False
-
-    variables = ["H"]
-    parents: dict[str, tuple[str, ...]] = {"H": ()}
-    tables: dict[str, np.ndarray] = {"H": np.array([rng.uniform(0.15, 0.85)])}
-    comps = []
-    for i in range(m):
-        c = f"C{i + 1}"
-        comps.append(c)
-        variables.append(c)
-        parents[c] = ("H",)
-        tables[c] = np.array([rng.uniform(0.05, 0.6), 1.0])
-    for i, c in enumerate(comps):
-        for j in range(e_counts[i]):
-            e = f"e{i + 1}_{j + 1}"
-            variables.append(e)
-            parents[e] = (c,)
-            tables[e] = np.array(
-                [rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)]
-            )
-        if with_t[i]:
-            t = f"t{i + 1}"
-            variables.append(t)
-            parents[t] = (c,)
-            tables[t] = np.array(
-                [rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)]
-            )
-    if with_f:
-        variables.append("f")
-        parents["f"] = tuple(["H"] + comps)
-        tables["f"] = rng.uniform(0.05, 0.95, size=1 << (1 + m))
-    return OracleNetwork(
-        variables=tuple(variables),
-        parents=parents,
-        tables=tables,
-        name=f"skip-{seed}",
-    )
+    return _network(_force_rows(rng, e_counts, with_t, with_f), f"skip-{seed}")
 
 
 def random_accrual_network(seed: int) -> OracleNetwork:
     """Seeded network with the full H/C/e/t/f role structure."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 4))
-    variables = ["H"]
-    parents: dict[str, tuple[str, ...]] = {"H": ()}
-    tables: dict[str, np.ndarray] = {"H": np.array([rng.uniform(0.15, 0.85)])}
-    comps = []
-    for i in range(m):
-        c = f"C{i + 1}"
-        comps.append(c)
-        variables.append(c)
-        parents[c] = ("H",)
-        tables[c] = np.array([rng.uniform(0.05, 0.6), 1.0])
-    for i, c in enumerate(comps):
-        for j in range(int(rng.integers(1, 3))):
-            e = f"e{i + 1}_{j + 1}"
-            variables.append(e)
-            parents[e] = (c,)
-            tables[e] = np.array(
-                [rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)]
-            )
-        t = f"t{i + 1}"
-        variables.append(t)
-        parents[t] = (c,)
-        tables[t] = np.array([rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)])
-    variables.append("f")
-    parents["f"] = tuple(["H"] + comps)
-    tables["f"] = rng.uniform(0.05, 0.95, size=1 << (1 + m))
-    return OracleNetwork(
-        variables=tuple(variables),
-        parents=parents,
-        tables=tables,
-        name=f"accrual-{seed}",
-    )
+    e_counts = (int(rng.integers(1, 3)) for _ in range(m))
+    return _network(_force_rows(rng, e_counts, [True] * m, True), f"accrual-{seed}")
 
 
 def random_conflict_network(seed: int, shared: bool) -> OracleNetwork:
@@ -506,41 +474,14 @@ def random_conflict_network(seed: int, shared: bool) -> OracleNetwork:
     two component parents, modelling an ambiguously associated item.
     """
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 4))
-    variables = []
-    parents: dict[str, tuple[str, ...]] = {}
-    tables: dict[str, np.ndarray] = {}
-    comps = []
-    for i in range(m):
-        c = f"C{i + 1}"
-        comps.append(c)
-        variables.append(c)
-        parents[c] = ()
-        tables[c] = np.array([rng.uniform(0.2, 0.8)])
-    for i, c in enumerate(comps):
-        for j in range(int(rng.integers(1, 3))):
-            e = f"e{i + 1}_{j + 1}"
-            variables.append(e)
-            parents[e] = (c,)
-            tables[e] = np.array(
-                [rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)]
-            )
+    comps = [f"C{i + 1}" for i in range(int(rng.integers(2, 4)))]
+    rows: list[Row] = [(c, (), [rng.uniform(0.2, 0.8)]) for c in comps]
+    for i, c in enumerate(comps, 1):
+        count = int(rng.integers(1, 3))
+        rows += [(f"e{i}_{j + 1}", (c,), _evidence_table(rng)) for j in range(count)]
     if shared:
-        a, b = comps[0], comps[1]
-        variables.append("e_shared")
-        parents["e_shared"] = (a, b)
-        # rows packed (a bit 0, b bit 1): 00, 10, 01, 11
-        tables["e_shared"] = np.array(
-            [
-                rng.uniform(0.02, 0.2),
-                rng.uniform(0.4, 0.7),
-                rng.uniform(0.4, 0.7),
-                rng.uniform(0.75, 0.98),
-            ]
-        )
-    return OracleNetwork(
-        variables=tuple(variables),
-        parents=parents,
-        tables=tables,
-        name=f"conflict-{seed}-{'shared' if shared else 'disjoint'}",
-    )
+        # rows packed (C1 bit 0, C2 bit 1): 00, 10, 01, 11
+        bounds = [(0.02, 0.2), (0.4, 0.7), (0.4, 0.7), (0.75, 0.98)]
+        rows.append(("e_shared", ("C1", "C2"), [rng.uniform(*b) for b in bounds]))
+    kind = "shared" if shared else "disjoint"
+    return _network(rows, f"conflict-{seed}-{kind}")

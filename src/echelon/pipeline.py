@@ -13,11 +13,8 @@ the config's ``seed`` is only echoed into it.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from echelon.accrual import propagate_level
 from echelon.conflict import (
@@ -144,28 +141,17 @@ def _terrain_items(terrain: list) -> list[EvidenceItem]:
 
 def _attach_terrain(terrain: list[EvidenceItem], hyps: list[Hypothesis]) -> None:
     """Add to each hypothesis's own evidence every terrain item within
-    its ``radius_m`` of it, before the hypotheses are inserted.
-
-    Each item picks its candidates with one numpy box test over all the
-    hypotheses: neither coordinate difference exceeds the distance, so
-    the box keeps every hypothesis that the scalar ``distance`` test,
-    which decides, passes.
-    """
-    if not terrain or not hyps:
+    its ``radius_m`` of it, before the hypotheses are inserted."""
+    if not terrain:
         return
-    xy = np.fromiter(
-        itertools.chain.from_iterable(h.location for h in hyps), float, 2 * len(hyps)
-    ).reshape(-1, 2)
-    xs, ys = xy[:, 0], xy[:, 1]
-    attached: dict[int, list[str]] = {}
-    for t in terrain:
-        (x, y), radius = t.location, float(t.sensor_context["radius_m"])
-        near = (np.abs(xs - x) <= radius) & (np.abs(ys - y) <= radius)
-        for k in np.flatnonzero(near).tolist():
-            if distance(t.location, hyps[k].location) <= radius:
-                attached.setdefault(k, []).append(t.id)
-    for k, ids in attached.items():
-        hyps[k].own_evidence = hyps[k].own_evidence.union(ids)
+    for h in hyps:
+        near = [
+            t.id
+            for t in terrain
+            if distance(t.location, h.location) <= float(t.sensor_context["radius_m"])
+        ]
+        if near:
+            h.own_evidence = h.own_evidence.union(near)
 
 
 def build_graph(

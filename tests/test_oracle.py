@@ -2,6 +2,7 @@
 stored as hex floats and must reproduce bit for bit.  No hand-typed
 probabilities appear as expected values."""
 
+import hashlib
 import json
 import math
 from importlib import resources
@@ -124,6 +125,25 @@ class TestNetworkValidation:
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(OracleStructureError, match=r"must lie in \[0,1\]"):
                 OracleNetwork(variables=("A",), parents={"A": ()}, tables={"A": [bad]})
+
+    def test_missing_table(self):
+        with pytest.raises(OracleStructureError, match="B: no table"):
+            OracleNetwork(
+                variables=("A", "B"), parents={"B": ("A",)}, tables={"A": [0.5]}
+            )
+
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            {"A": ("A",)},  # a self-parent: event_prob({}) would be 1.5
+            {"A": ("B",), "B": ("A",)},  # a cycle
+            {"A": ("B",)},  # acyclic, but the parent comes after its child
+        ],
+    )
+    def test_parents_come_before_their_children(self, parents):
+        tables = {v: [0.3, 0.8] if v in parents else [0.5] for v in ("A", "B")}
+        with pytest.raises(OracleStructureError, match="must come before"):
+            OracleNetwork(variables=("A", "B"), parents=parents, tables=tables)
 
     def test_networks_compare_by_identity(self):
         # equality never compares the numpy tables, which would raise
@@ -331,6 +351,67 @@ def test_generators_deterministic():
     b = random_accrual_network(9)
     assert a.variables == b.variables
     assert np.array_equal(a.joint(), b.joint())
+
+
+def network_digest(nets) -> str:
+    """sha256 of each network's name, variables, parents and table bytes."""
+    h = hashlib.sha256()
+    for net in nets:
+        h.update(repr((net.name, net.variables)).encode())
+        for v in net.variables:
+            h.update(repr((v, net.parents[v])).encode())
+            h.update(net.tables[v].tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        # the networks the packaged fixtures are computed from
+        (
+            lambda: [
+                *(random_skip_network(s) for s in range(100)),
+                make_chain_network(),
+                *(random_accrual_network(s) for s in range(12)),
+                *(random_conflict_network(s, shared=bool(s % 2)) for s in range(12)),
+            ],
+            "4577bca1aa42758b3ca48a3f71b5a7f12efcaaaa68eb257e7d9e4f823a0257e4",
+        ),
+        # inputs no fixture reaches
+        (
+            lambda: (random_skip_network(s, max_vars=6) for s in range(50)),
+            "abbc136dfa932fbd46e51f28dc6a049d3d7873f768f61636418748a7f4fc1c6c",
+        ),
+        (
+            lambda: (random_skip_network(s, max_vars=9) for s in range(50)),
+            "04ad6fb6cdf43dca24c8072d4d37c93c52280c36e69aff1f15e711034cf1fa8a",
+        ),
+        (
+            lambda: (random_accrual_network(s) for s in range(12, 50)),
+            "fa60daf3e9fd15ce7d4b17fedaeadf3e275f6a31d3cd0e6c4af00ca66027ad1c",
+        ),
+        (
+            lambda: (
+                random_conflict_network(s, shared=shared)
+                for s in range(50)
+                for shared in (False, True)
+            ),
+            "6779b7820ced9f707bd8a835108adc29d0f16a679ae019ccb217f4a39b723f0b",
+        ),
+        (
+            lambda: [
+                make_two_evidence_network(0.2, [(0.6, 0.3), (0.5, 0.1)]),
+                make_two_evidence_network(0.5, []),
+                make_two_evidence_network(0.7, [(0.9, 0.1), (0.4, 0.8), (0.25, 0.75)]),
+            ],
+            "7be8a535ae2022040c19fdf0f7e439fd29010369aac47fa5e2e7513be2eecc8f",
+        ),
+    ],
+    ids=["suites", "skip-6", "skip-9", "accrual", "conflict", "two-evidence"],
+)
+def test_builders_are_bit_stable(build, digest):
+    # variables, parents, table bytes and the seeded rng stream, pinned
+    assert network_digest(build()) == digest
 
 
 def test_skip_networks_fit_enumeration_budget():
