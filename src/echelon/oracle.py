@@ -45,7 +45,8 @@ class OracleNetwork:
     ``tables[v]`` stores P(v=1 | parent row) indexed by the packed
     parent state: parent j of v (in ``parents[v]`` order) contributes
     bit j of the row index.  Every parent comes before its child in
-    ``variables``.
+    ``variables``, and every key of ``parents`` and ``tables`` names a
+    variable.  The network keeps its own copies of both dicts.
     """
 
     variables: tuple[str, ...]
@@ -68,8 +69,15 @@ class OracleNetwork:
         index = {v: i for i, v in enumerate(self.variables)}
         if len(index) != n:
             raise OracleStructureError("duplicate variable names")
+        for kind, given in (("parents", self.parents), ("tables", self.tables)):
+            for key in given:
+                if key not in index:
+                    raise OracleStructureError(f"{kind}: unknown variable {key!r}")
+        # own dicts: the caller's are never written to
+        parents: dict[str, tuple[str, ...]] = {}
+        tables: dict[str, np.ndarray] = {}
         for i, v in enumerate(self.variables):
-            ps = self.parents.setdefault(v, ())
+            ps = parents[v] = tuple(self.parents.get(v, ()))
             for p in ps:
                 if p not in index:
                     raise OracleStructureError(f"{v}: unknown parent {p!r}")
@@ -83,10 +91,12 @@ class OracleNetwork:
                 raise OracleStructureError(
                     f"{v}: table needs {1 << len(ps)} rows, got {table.shape}"
                 )
-            # a NaN fails both comparisons
-            if not (0.0 <= table.min() and table.max() <= 1.0):
+            # a NaN fails both comparisons, wherever it sits
+            if not all(0.0 <= x <= 1.0 for x in table.tolist()):
                 raise OracleStructureError(f"{v}: table entries must lie in [0,1]")
-            self.tables[v] = table
+            tables[v] = table
+        self.parents = parents
+        self.tables = tables
         self._index = index
 
     # -- enumeration ---------------------------------------------------

@@ -125,6 +125,39 @@ class TestNetworkValidation:
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(OracleStructureError, match=r"must lie in \[0,1\]"):
                 OracleNetwork(variables=("A",), parents={"A": ()}, tables={"A": [bad]})
+        # a NaN first, in the middle and last of a 4-row table: min and
+        # max alone would pass one that is not first (min([0.5, nan]) is 0.5)
+        for at in (0, 2, 3):
+            table = [0.5, 0.25, 0.75, 0.5]
+            table[at] = math.nan
+            with pytest.raises(OracleStructureError, match=r"C: table entries must lie"):
+                OracleNetwork(
+                    variables=("A", "B", "C"),
+                    parents={"C": ("A", "B")},
+                    tables={"A": [0.5], "B": [0.5], "C": table},
+                )
+
+    @pytest.mark.parametrize(
+        "parents, tables, match",
+        [
+            ({"Q": ("nope",)}, {"A": [0.5]}, "parents: unknown variable 'Q'"),
+            ({}, {"A": [0.5], "Z": [2.0]}, "tables: unknown variable 'Z'"),
+            ({"Q": ("nope",)}, {"A": [0.5], "Z": [2.0]}, "unknown variable"),
+        ],
+    )
+    def test_keys_that_name_no_variable(self, parents, tables, match):
+        with pytest.raises(OracleStructureError, match=match):
+            OracleNetwork(variables=("A",), parents=parents, tables=tables)
+
+    def test_callers_dicts_are_left_unchanged(self):
+        parents = {"B": ["A"]}
+        tables = {"A": [0.5], "B": [0.25, 0.75]}
+        net = OracleNetwork(variables=("A", "B"), parents=parents, tables=tables)
+        assert parents == {"B": ["A"]}
+        assert tables == {"A": [0.5], "B": [0.25, 0.75]}
+        assert net.parents == {"A": (), "B": ("A",)}
+        assert net.parents is not parents and net.tables is not tables
+        assert all(isinstance(t, np.ndarray) for t in net.tables.values())
 
     def test_missing_table(self):
         with pytest.raises(OracleStructureError, match="B: no table"):
