@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from echelon import kernels
 from echelon.oracle import (
@@ -111,3 +113,62 @@ def test_parent_not_below_its_child_is_refused(bad):
 def test_single_variable_network():
     out = kernels.fill_joint(1, [()], [np.array([0.3])])
     assert out.tolist() == [0.7, 0.3]
+
+
+# -- the error-free split -------------------------------------------------
+
+SPECIAL = st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308])
+
+
+@st.composite
+def split_inputs(draw):
+    """Up to 4096 floats: random mantissas over a drawn exponent range
+    within 2**-1074..1 (the low end underflows to subnormals and zero),
+    some entries zeroed or replaced by special values, some negated."""
+    n = draw(st.integers(1, 4096))
+    lo = draw(st.integers(-1073, 0))
+    hi = draw(st.integers(lo, 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(lo, hi + 1, n))
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    for value in draw(st.lists(SPECIAL, max_size=4)):
+        x[rng.integers(n)] = value
+    if draw(st.booleans()):
+        x[rng.random(n) < 0.5] *= -1.0
+    return x, rng
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(split_inputs())
+def test_split_rows_sum_exactly_over_any_subset(case):
+    x, rng = case
+    rows = kernels.split_exact(x)
+    assert rows.shape[1:] == x.shape
+    # smallest row first, the columns rebuild x exactly
+    rebuilt = np.zeros_like(x)
+    for row in rows[::-1]:
+        rebuilt += row
+    assert np.array_equal(rebuilt, x)
+    for _ in range(4):
+        subset = rng.random(x.size) < rng.random()
+        want = math.fsum(x[subset].tolist())
+        sums = rows[:, subset].sum(axis=1)
+        assert math.fsum(sums.tolist()).hex() == want.hex()
+        for row, total in zip(rows[:, subset], sums.tolist()):
+            # exact in numpy's pairwise order and in reverse sequential order
+            assert total == math.fsum(row.tolist()) == sum(row[::-1].tolist())
+
+
+def test_split_of_zeros_has_no_rows():
+    assert kernels.split_exact(np.zeros(8)).shape == (0, 8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_split_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        kernels.split_exact(np.array([0.25, bad]))
+
+
+def test_suite_joints_split_into_two_or_three_rows():
+    rows = [kernels.split_exact(net.joint()).shape[0] for net in _suite_networks()]
+    assert sorted(set(rows)) == [2, 3] and rows.count(3) == 1

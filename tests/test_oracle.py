@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from echelon import kernels
 from echelon.exceptions import OracleStructureError, ZeroProbabilityEvent
 from echelon.oracle import (
     DeviationReport,
@@ -74,6 +75,22 @@ class TestExactConditional:
     def test_contradictory_query_is_zero(self):
         net = make_chain_network()
         assert net.exact_conditional({"H": 0}, {"H": 1}) == 0.0
+        assert net.exact_conditional({"H": False}, {"H": True}) == 0.0
+        # 1.0 and True are the value 1 on both sides: no contradiction
+        assert net.exact_conditional({"H": 1.0}, {"H": True}) == 1.0
+
+    @pytest.mark.parametrize("given", [{"C1": 1}, {"C1": 0}, {"H": 1}])
+    @pytest.mark.parametrize("bad", [2, 0.5])
+    def test_bad_query_value_raises_even_against_given(self, given, bad):
+        # a non-binary value raises even where it overlaps given
+        net = make_chain_network()
+        with pytest.raises(OracleStructureError, match="binary value expected"):
+            net.exact_conditional({"C1": bad}, given)
+
+    def test_unknown_query_variable_raises(self):
+        net = make_chain_network()
+        with pytest.raises(OracleStructureError, match="unknown variable 'Z'"):
+            net.exact_conditional({"Z": 1}, {"H": 1})
 
     def test_zero_probability_conditioning(self):
         net = OracleNetwork(
@@ -207,10 +224,39 @@ def assignments(net: OracleNetwork, seed: int) -> list[dict[str, int]]:
     return out
 
 
+def sixteen_variable_network() -> OracleNetwork:
+    """Seeded: up to three parents per variable, listed in random order."""
+    rng = np.random.default_rng(16)
+    names = [f"v{i}" for i in range(16)]
+    parents = {}
+    for i, v in enumerate(names):
+        k = int(rng.integers(0, min(i, 3) + 1))
+        parents[v] = tuple(names[int(u)] for u in rng.permutation(i)[:k])
+    tables = {v: rng.uniform(0.0, 1.0, size=1 << len(parents[v])) for v in names}
+    return OracleNetwork(tuple(names), parents, tables, name="sixteen")
+
+
+def subnormal_network() -> OracleNetwork:
+    """Two rare roots: the state with both at 1 has probability near
+    1e-320, a subnormal, so the joint spans the whole float range."""
+    return OracleNetwork(
+        variables=("A", "B", "C", "D"),
+        parents={"C": ("A", "B"), "D": ("C",)},
+        tables={
+            "A": [1e-160],
+            "B": [1e-160],
+            "C": [0.3, 0.6, 0.2, 0.9],
+            "D": [0.1, 0.7],
+        },
+        name="subnormal",
+    )
+
+
 SUM_NETWORKS = (
     [random_skip_network(s) for s in range(20)]
     + [random_accrual_network(s) for s in range(12)]
     + [random_conflict_network(s, shared=bool(s % 2)) for s in range(12)]
+    + [sixteen_variable_network(), subnormal_network()]
 )
 
 
@@ -223,6 +269,13 @@ class TestEventProb:
             assert [net.event_prob(a).hex() for a in cases] == want
         # the same assignment in another key order shares the cached sum
         assert [net.event_prob(dict(reversed(a.items()))).hex() for a in cases] == want
+
+    def test_deep_splits_are_exercised(self):
+        # every suite network splits into two or three rows; these need more
+        sixteen, subnormal = SUM_NETWORKS[-2:]
+        assert len(kernels.split_exact(sixteen.joint())) == 3
+        assert len(kernels.split_exact(subnormal.joint())) == 5
+        assert 0.0 < subnormal.event_prob({"A": 1, "B": 1}) < 2.2250738585072014e-308
 
     @pytest.mark.parametrize("order", [(True, 1, 1.0), (1, 1.0, True), (1.0, True, 1)])
     def test_bool_and_float_values_are_binary(self, order):
