@@ -50,9 +50,10 @@ class OracleNetwork:
 
     ``tables[v]`` stores P(v=1 | parent row) indexed by the packed
     parent state: parent j of v (in ``parents[v]`` order) contributes
-    bit j of the row index.  Every parent comes before its child in
-    ``variables``, and every key of ``parents`` and ``tables`` names a
-    variable.  The network keeps its own copies of both dicts.
+    bit j of the row index.  A variable's parents are a tuple or list
+    of distinct names, each before it in ``variables``, and every key
+    of ``parents`` and ``tables`` names a variable.  The network keeps
+    its own copies of both dicts.
     """
 
     variables: tuple[str, ...]
@@ -83,13 +84,23 @@ class OracleNetwork:
         parents: dict[str, tuple[str, ...]] = {}
         tables: dict[str, np.ndarray] = {}
         for i, v in enumerate(self.variables):
-            ps = parents[v] = tuple(self.parents.get(v, ()))
+            ps = self.parents.get(v, ())
+            # a string would read as one parent per character
+            if not isinstance(ps, (tuple, list)):
+                raise OracleStructureError(
+                    f"{v}: parents must be a tuple or list of names, "
+                    f"got {type(ps).__name__}"
+                )
+            ps = parents[v] = tuple(ps)
             for p in ps:
                 if p not in index:
                     raise OracleStructureError(f"{v}: unknown parent {p!r}")
                 # parents first: no self-parent and no cycle
                 if index[p] >= i:
                     raise OracleStructureError(f"{v}: parent {p!r} must come before it")
+            if len(ps) > 1 and len(set(ps)) < len(ps):
+                twice = next(p for p in ps if ps.count(p) > 1)
+                raise OracleStructureError(f"{v}: parent {twice!r} is listed twice")
             if v not in self.tables:
                 raise OracleStructureError(f"{v}: no table")
             table = np.asarray(self.tables[v], dtype=np.float64)
@@ -415,9 +426,26 @@ def _network(rows: Sequence[Row], name: str) -> OracleNetwork:
     )
 
 
-def _evidence_table(rng: np.random.Generator) -> list[float]:
-    """Rows parent=0, parent=1: an item more likely when its parent holds."""
-    return [rng.uniform(0.05, 0.45), rng.uniform(0.55, 0.95)]
+def _uniform(
+    rng: np.random.Generator, bounds: Sequence[tuple[float, float]]
+) -> list[float]:
+    """One draw from each [lo, hi) of ``bounds``, in order, from one
+    ``rng.random`` block: lo + (hi - lo) * u is the float
+    ``rng.uniform(lo, hi)`` makes of the same u, so the block gives what
+    one scalar call per bound in a row gives."""
+    draws = rng.random(len(bounds)).tolist()
+    return [lo + (hi - lo) * u for (lo, hi), u in zip(bounds, draws)]
+
+
+# an evidence table's rows parent=0, parent=1: an item more likely
+# when its parent holds
+EVIDENCE_BOUNDS = [(0.05, 0.45), (0.55, 0.95)]
+
+
+def _evidence_tables(rng: np.random.Generator, count: int) -> list[list[float]]:
+    """``count`` evidence tables from one block of draws."""
+    u = _uniform(rng, EVIDENCE_BOUNDS * count)
+    return [u[k : k + 2] for k in range(0, 2 * count, 2)]
 
 
 def _force_rows(
@@ -433,12 +461,16 @@ def _force_rows(
     so a generator may draw the counts from ``rng`` as it goes.
     """
     comps = [f"C{i + 1}" for i in range(len(with_t))]
-    rows: list[Row] = [("H", (), [rng.uniform(0.15, 0.85)])]
-    rows += [(c, ("H",), [rng.uniform(0.05, 0.6), 1.0]) for c in comps]
+    # one block: H, then each component's row H=0 (its row H=1 is 1)
+    h, *links = _uniform(rng, [(0.15, 0.85)] + [(0.05, 0.6)] * len(comps))
+    rows: list[Row] = [("H", (), [h])]
+    rows += [(c, ("H",), [x, 1.0]) for c, x in zip(comps, links)]
     for i, (c, count, t) in enumerate(zip(comps, e_counts, with_t), 1):
-        rows += [(f"e{i}_{j + 1}", (c,), _evidence_table(rng)) for j in range(count)]
+        # one block per component: its evidence tables, then its terrain's
+        tables = _evidence_tables(rng, count + t)
+        rows += [(f"e{i}_{j}", (c,), e) for j, e in enumerate(tables[:count], 1)]
         if t:
-            rows.append((f"t{i}", (c,), _evidence_table(rng)))
+            rows.append((f"t{i}", (c,), tables[count]))
     if with_f:
         f_table = rng.uniform(0.05, 0.95, size=1 << (1 + len(comps)))
         rows.append(("f", ("H", *comps), f_table))
@@ -484,9 +516,11 @@ def random_skip_network(seed: int, max_vars: int = 12) -> OracleNetwork:
     """
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 4))
-    e_counts = [int(rng.integers(1, 3)) for _ in range(m)]
-    with_t = [bool(rng.random() < 0.4) for _ in range(m)]
-    with_f = bool(rng.random() < 0.3)
+    e_counts = rng.integers(1, 3, size=m).tolist()
+    # one block: each component's terrain flag, then the fit's
+    u = rng.random(m + 1)
+    with_t = (u[:m] < 0.4).tolist()
+    with_f = bool(u[m] < 0.3)
 
     def total(tf: list[bool], f: bool) -> int:
         return 1 + m + sum(e_counts) + sum(tf) + (1 if f else 0)
@@ -515,13 +549,15 @@ def random_conflict_network(seed: int, shared: bool) -> OracleNetwork:
     """
     rng = np.random.default_rng(seed)
     comps = [f"C{i + 1}" for i in range(int(rng.integers(2, 4)))]
-    rows: list[Row] = [(c, (), [rng.uniform(0.2, 0.8)]) for c in comps]
+    priors = _uniform(rng, [(0.2, 0.8)] * len(comps))
+    rows: list[Row] = [(c, (), [prior]) for c, prior in zip(comps, priors)]
     for i, c in enumerate(comps, 1):
         count = int(rng.integers(1, 3))
-        rows += [(f"e{i}_{j + 1}", (c,), _evidence_table(rng)) for j in range(count)]
+        tables = _evidence_tables(rng, count)
+        rows += [(f"e{i}_{j}", (c,), e) for j, e in enumerate(tables, 1)]
     if shared:
         # rows packed (C1 bit 0, C2 bit 1): 00, 10, 01, 11
         bounds = [(0.02, 0.2), (0.4, 0.7), (0.4, 0.7), (0.75, 0.98)]
-        rows.append(("e_shared", ("C1", "C2"), [rng.uniform(*b) for b in bounds]))
+        rows.append(("e_shared", ("C1", "C2"), _uniform(rng, bounds)))
     kind = "shared" if shared else "disjoint"
     return _network(rows, f"conflict-{seed}-{kind}")

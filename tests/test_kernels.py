@@ -110,9 +110,71 @@ def test_parent_not_below_its_child_is_refused(bad):
         kernels.fill_joint(2, [(), (bad,)], tables)
 
 
+def test_duplicate_parent_is_refused():
+    # rows 1 and 2 of the table could never be read
+    tables = [np.array([0.5]), np.array([0.1, 0.2, 0.3, 0.9])]
+    with pytest.raises(ValueError, match="listed twice"):
+        kernels.fill_joint(2, [(), (0, 0)], tables)
+
+
 def test_single_variable_network():
     out = kernels.fill_joint(1, [()], [np.array([0.3])])
     assert out.tolist() == [0.7, 0.3]
+
+
+# -- the parent-row cache -------------------------------------------------
+
+
+@pytest.fixture
+def empty_row_cache(monkeypatch):
+    rows = {}
+    monkeypatch.setattr(kernels, "_ROWS", rows)
+    return rows
+
+
+def _uncached_joints(nets):
+    """Each network's joint bytes, filled with the row cache emptied
+    first."""
+    joints = []
+    for net in nets:
+        kernels._ROWS.clear()
+        joints.append(kernels.fill_joint(*_args(net)).tobytes())
+    return joints
+
+
+def test_cached_rows_fill_the_same_joints_in_any_order(empty_row_cache):
+    nets = list(_suite_networks())
+    want = _uncached_joints(nets)
+    empty_row_cache.clear()
+    assert [kernels.fill_joint(*_args(net)).tobytes() for net in nets] == want
+    backward = [kernels.fill_joint(*_args(net)).tobytes() for net in nets[::-1]]
+    assert backward[::-1] == want
+    # parents out of index order, read through a cache the suites filled
+    args = _args(_hand_built_network())
+    assert kernels.fill_joint(*args).tolist() == _scalar_fill(*args)
+
+
+def test_cached_rows_are_read_only(empty_row_cache):
+    kernels.fill_joint(*_args(random_accrual_network(0)))
+    assert empty_row_cache
+    for rows in empty_row_cache.values():
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 1
+
+
+def test_row_cache_stays_within_its_bound(empty_row_cache, monkeypatch):
+    monkeypatch.setattr(kernels, "ROW_CACHE_BYTES", 4096)
+    nets = list(_suite_networks())
+    want = _uncached_joints(nets)
+    empty_row_cache.clear()
+    for net, joint in zip(nets, want):
+        assert kernels.fill_joint(*_args(net)).tobytes() == joint, net.name
+        assert sum(r.nbytes for r in empty_row_cache.values()) <= 4096
+    # a 2**10-state index (8 KiB) is larger than the whole bound
+    empty_row_cache.clear()
+    tables = [np.array([0.5])] * 10 + [np.array([0.25, 0.75])]
+    kernels.fill_joint(11, [()] * 10 + [(9,)], tables)
+    assert not empty_row_cache
 
 
 # -- the error-free split -------------------------------------------------

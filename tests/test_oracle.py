@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echelon import kernels
 from echelon.exceptions import OracleStructureError, ZeroProbabilityEvent
 from echelon.oracle import (
     DeviationReport,
     OracleNetwork,
+    _uniform,
     check_accrual_formula,
     check_approx_k,
     check_skip_identity,
@@ -175,6 +178,25 @@ class TestNetworkValidation:
         assert net.parents == {"A": (), "B": ("A",)}
         assert net.parents is not parents and net.tables is not tables
         assert all(isinstance(t, np.ndarray) for t in net.tables.values())
+
+    def test_duplicate_parent(self):
+        # rows 1 and 2 of B's table could never be read
+        with pytest.raises(OracleStructureError, match="B: parent 'A' is listed twice"):
+            OracleNetwork(
+                variables=("A", "B"),
+                parents={"B": ("A", "A")},
+                tables={"A": [0.5], "B": [0.1, 0.2, 0.3, 0.9]},
+            )
+
+    @pytest.mark.parametrize("parents", ["AB", "A"])
+    def test_parents_must_be_a_tuple_or_list(self, parents):
+        # a string would read as one parent per character
+        with pytest.raises(OracleStructureError, match="C: parents must be a tuple or list"):
+            OracleNetwork(
+                variables=("A", "B", "C"),
+                parents={"C": parents},
+                tables={"A": [0.5], "B": [0.5], "C": [0.1, 0.2, 0.3, 0.9]},
+            )
 
     def test_missing_table(self):
         with pytest.raises(OracleStructureError, match="B: no table"):
@@ -503,3 +525,45 @@ def test_builders_are_bit_stable(build, digest):
 def test_skip_networks_fit_enumeration_budget():
     for seed in range(100):
         assert len(random_skip_network(seed).variables) <= 12
+
+
+# every (lo, hi) the seeded builders draw a table entry from
+BUILDER_BOUNDS = [
+    (0.15, 0.85),
+    (0.05, 0.6),
+    (0.05, 0.45),
+    (0.55, 0.95),
+    (0.2, 0.8),
+    (0.02, 0.2),
+    (0.4, 0.7),
+    (0.75, 0.98),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    bounds=st.lists(st.sampled_from(BUILDER_BOUNDS), min_size=1, max_size=50),
+)
+def test_block_draws_equal_scalar_uniform_draws(seed, bounds):
+    """The builders draw a block with one rng.random(k) and scale it:
+    the floats k scalar rng.uniform(lo, hi) calls return, bit for bit."""
+    scalar = np.random.default_rng(seed)
+    want = [scalar.uniform(lo, hi).hex() for lo, hi in bounds]
+    lo, hi = np.array(bounds).T
+    block = lo + (hi - lo) * np.random.default_rng(seed).random(len(bounds))
+    assert [x.hex() for x in block.tolist()] == want
+    drawn = _uniform(np.random.default_rng(seed), bounds)
+    assert [x.hex() for x in drawn] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), m=st.integers(1, 3))
+def test_block_count_draws_equal_scalar_count_draws(seed, m):
+    """random_skip_network draws its m evidence counts as one block:
+    the counts and the stream after them are those of m scalar calls."""
+    scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert block.integers(1, 3, size=m).tolist() == [
+        int(scalar.integers(1, 3)) for _ in range(m)
+    ]
+    assert block.random(4).tolist() == scalar.random(4).tolist()
