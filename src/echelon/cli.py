@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from echelon import oracle
 from echelon.conflict import Heuristic
 from echelon.exceptions import EchelonError, FixtureError, LibraryFormatError, ScenarioError
 from echelon.models import Fields, load_library, parse_json, read_document
-from echelon.pipeline import RunConfig, run, write_report
+from echelon.pipeline import RunConfig, run
 from echelon.scenario import dumps, generate, load_ground_truth, load_noise_spec
 
 EXIT_OK = 0
@@ -25,15 +27,35 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+class _Failure(Exception):
+    """A command's failure: ``main`` prints the message to standard error
+    and returns the exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _failing(io: str, domain: str | None = None) -> Iterator[None]:
+    """The one mapping from errors to exit codes: an ``OSError`` in the
+    block is exit 2 with ``"<io>: <error>"``, an ``EchelonError`` or a
+    ``ValueError`` (a document that is not JSON, a value numpy rejects)
+    exit 1 with ``"<domain>: <error>"``.  A block given no ``domain``
+    raises no domain error."""
     try:
-        lib = load_library(read_document(args.library, "library", LibraryFormatError))
+        yield
     except OSError as exc:
-        print(f"error: cannot read {args.library}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EchelonError as exc:
-        print(f"invalid library: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise _Failure(EXIT_USAGE, f"{io}: {exc}") from exc
+    except (EchelonError, ValueError) as exc:
+        if domain is None:
+            raise
+        raise _Failure(EXIT_DOMAIN, f"{domain}: {exc}") from exc
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    with _failing(f"error: cannot read {args.library}", "invalid library"):
+        lib = load_library(read_document(args.library, "library", LibraryFormatError))
     print(
         f"ok: {len(lib.types)} types, {len(lib.models)} models, "
         f"{len(lib.doctrine.min_separation)} separation rules"
@@ -42,51 +64,31 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    try:
+    with _failing("error: cannot read config", "invalid config"):
         cfg = RunConfig.from_file(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, EchelonError) as exc:  # ValueError: not JSON
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    overrides = {
-        "seed": args.seed,
-        "tau": args.tau,
-        "heuristic": None if args.heuristic is None else Heuristic(args.heuristic),
-        "out": args.out,
-    }
-    try:  # replace re-runs the config's range checks on the overrides
+        overrides = {
+            "tau": args.tau,
+            "heuristic": None if args.heuristic is None else Heuristic(args.heuristic),
+            "out": args.out,
+        }
+        # replace re-runs the config's range checks on the overrides
         cfg = dataclasses.replace(
             cfg, **{k: v for k, v in overrides.items() if v is not None}
         )
-    except EchelonError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
+    with _failing("error", "inference failed"):
         report = run(cfg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (EchelonError, ValueError) as exc:
-        # ValueError: a scenario that is not JSON, or an evidence value
-        # out of its range
-        print(f"inference failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
+    with _failing("error: cannot write report", "inference failed"):
         if cfg.out:
-            write_report(report, cfg.out)
+            Path(cfg.out).write_text(dumps(report))
             print(f"report written to {cfg.out}")
         else:
             sys.stdout.write(dumps(report))
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
+    with _failing("error", "simulation failed"):
+        # every document is read before any is parsed
         gt_text = read_document(args.ground_truth, "ground truth", ScenarioError)
         noise_text = read_document(args.noise, "noise spec", ScenarioError)
         library_text = (
@@ -94,27 +96,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             if args.library
             else None
         )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EchelonError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
         lib = None if library_text is None else load_library(library_text)
         gt = load_ground_truth(parse_json(gt_text, "ground truth", ScenarioError), lib)
         noise = load_noise_spec(parse_json(noise_text, "noise spec", ScenarioError))
         if args.seed is not None:
             noise = dataclasses.replace(noise, seed=args.seed)
         scenario = generate(gt, noise, lib)
-    except (EchelonError, ValueError) as exc:  # ValueError: from numpy's draws
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
+    with _failing("error: cannot write scenario", "simulation failed"):
         Path(args.out).write_text(dumps(scenario))
-    except OSError as exc:
-        print(f"error: cannot write scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"scenario written to {args.out}")
     return EXIT_OK
 
@@ -175,6 +164,19 @@ def _read_fixture(path: Path) -> list[dict]:
     return records
 
 
+def _fixture_faults(path: Path, records: list[dict]) -> list[str]:
+    """Why the fixture at ``path`` does not hold ``records``: no fixture,
+    a malformed one, or one line per drifted value; empty when it
+    matches.  ``OSError`` passes through."""
+    if not path.exists():
+        return [f"no fixture at {path}; run with --record"]
+    try:
+        stored = _read_fixture(path)
+    except FixtureError as exc:
+        return [str(exc)]
+    return [f"drift: {line}" for line in _diff_records(stored, records)]
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     failed = False
@@ -188,32 +190,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         records = [r.to_record() for r in reports]
         path = _fixture_path(args.fixtures, suite)
         if args.record:
-            try:
+            with _failing("error: cannot write fixture"):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(dumps({"suite": suite, "records": records}))
-            except OSError as exc:
-                print(f"error: cannot write fixture: {exc}", file=sys.stderr)
-                return EXIT_USAGE
             print(f"[{suite}] recorded {len(records)} networks -> {path}")
             continue
-        if not path.exists():
-            print(f"[{suite}] no fixture at {path}; run with --record",
-                  file=sys.stderr)
-            failed = True
-            continue
-        try:
-            stored = _read_fixture(path)
-        except OSError as exc:
-            print(f"error: cannot read fixture: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except FixtureError as exc:
-            print(f"[{suite}] {exc}", file=sys.stderr)
-            failed = True
-            continue
-        drift = _diff_records(stored, records)
-        if drift:
-            for line in drift:
-                print(f"[{suite}] drift: {line}", file=sys.stderr)
+        with _failing("error: cannot read fixture"):
+            faults = _fixture_faults(path, records)
+        for line in faults:
+            print(f"[{suite}] {line}", file=sys.stderr)
+        if faults:
             failed = True
         else:
             print(f"[{suite}] {len(records)} networks match the fixture")
@@ -257,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="run the inference pipeline")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument(
         "--heuristic", choices=[h.value for h in Heuristic]
@@ -283,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -53,16 +53,17 @@ class OracleNetwork:
     bit j of the row index.  A variable's parents are a tuple or list
     of distinct names, each before it in ``variables``, and every key
     of ``parents`` and ``tables`` names a variable.  The network keeps
-    its own copies of both dicts.
+    its own copies of both dicts and of every table, read-only, so the
+    rows and sums it caches stay true to its tables.
     """
 
     variables: tuple[str, ...]
     parents: dict[str, tuple[str, ...]]
     tables: dict[str, np.ndarray]
     name: str = "network"
-    _rows: np.ndarray | None = field(default=None, repr=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
     _sums: dict[frozenset[tuple[str, int]], float] = field(
-        default_factory=dict, repr=False
+        default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -108,10 +109,24 @@ class OracleNetwork:
                 raise OracleStructureError(
                     f"{v}: table needs {1 << len(ps)} rows, got {table.shape}"
                 )
-            # a NaN fails both comparisons, wherever it sits
-            if not all(0.0 <= x <= 1.0 for x in table.tolist()):
-                raise OracleStructureError(f"{v}: table entries must lie in [0,1]")
             tables[v] = table
+        # one read-only copy holds every table, so the caller's arrays are
+        # never read again and the rows and sums cached from it stay true;
+        # copying and checking all tables at once is cheaper than per table
+        flat = np.concatenate(list(tables.values()))
+        flat.setflags(write=False)
+        start = 0
+        for v, table in tables.items():
+            tables[v] = flat[start : start + table.size]
+            start += table.size
+
+        def in_range(t: np.ndarray) -> bool:
+            # a NaN fails both comparisons, wherever it sits
+            return all(0.0 <= x <= 1.0 for x in t.tolist())
+
+        if not in_range(flat):
+            bad = next(v for v, t in tables.items() if not in_range(t))
+            raise OracleStructureError(f"{bad}: table entries must lie in [0,1]")
         self.parents = parents
         self.tables = tables
         self._index = index
@@ -150,8 +165,8 @@ class OracleNetwork:
         row over its sub-cube, exactly, and ``math.fsum`` rounds the K
         sums once: the float ``math.fsum`` gives over the event's
         states.  Sums are cached per network, keyed by the set of
-        (variable, value) pairs.  Rows and sums assume the tables do
-        not change after the first call.
+        (variable, value) pairs; the tables they come from are the
+        network's read-only copies.
         """
         items = self._checked(assignment)
         key = frozenset(items)

@@ -43,7 +43,7 @@ from echelon.models import (
     shown,
     shown_name,
 )
-from echelon.scenario import SCHEMA_VERSION, dumps
+from echelon.scenario import SCHEMA_VERSION
 
 
 @dataclass
@@ -362,7 +362,3 @@ def _build_report(
         "levels": levels,
         "conflicts": conflicts,
     }
-
-
-def write_report(report: dict, out_path: str | Path) -> None:
-    Path(out_path).write_text(dumps(report))

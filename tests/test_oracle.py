@@ -179,6 +179,26 @@ class TestNetworkValidation:
         assert net.parents is not parents and net.tables is not tables
         assert all(isinstance(t, np.ndarray) for t in net.tables.values())
 
+    def test_callers_tables_are_copied(self):
+        # a change to the caller's array after the range check reaches
+        # neither the network's table nor its sums
+        t = np.array([0.5])
+        net = OracleNetwork(variables=("A",), parents={}, tables={"A": t})
+        t[0] = 2.0
+        assert net.tables["A"].tolist() == [0.5]
+        assert net.event_prob({"A": 1}) == 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            net.tables["A"][0] = 2.0
+
+    @pytest.mark.parametrize("cache", ["_rows", "_sums"])
+    def test_caches_are_not_constructor_arguments(self, cache):
+        value = {frozenset(): 2.0} if cache == "_sums" else np.ones((1, 2))
+        with pytest.raises(TypeError, match=cache):
+            OracleNetwork(variables=("A",), parents={}, tables={"A": [0.5]}, **{cache: value})
+        net = OracleNetwork(variables=("A",), parents={}, tables={"A": [0.5]})
+        assert net.event_prob({}) == 1.0
+        assert net.exact_conditional({"A": 1}, {}) == 0.5
+
     def test_duplicate_parent(self):
         # rows 1 and 2 of B's table could never be read
         with pytest.raises(OracleStructureError, match="B: parent 'A' is listed twice"):
