@@ -27,12 +27,6 @@ its evidence by the recursion.
 
 A fit item with geometric score s contributes fit_num factor
 0.5 + 0.5*s and fit_den factor 0.5.
-
-Evidence sets are unordered, and floating-point products are not
-associative, so the order of arithmetic is this module's decision:
-every product over evidence (a leaf's detections, a component's
-terrain, a parent's fit items, the direct path's closure) takes its
-items in id order.  The report's direct-path ratios keep that order.
 """
 
 from __future__ import annotations
@@ -40,7 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from echelon.evidence import EvidenceKind, from_odds, odds, posterior_from_evidence
+from echelon.evidence import (
+    EvidenceKind, from_odds, odds, posterior_from_evidence, product
+)
 from echelon.exceptions import (
     AccrualDomainError,
     EvidenceResolutionError,
@@ -122,9 +118,11 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
     value past the float range raises ``AccrualDomainError``.
     """
     fit_ratio = inputs.fit_num / inputs.fit_den
-    raw = fit_ratio
-    for cb in inputs.per_component:
-        raw *= (cb.p_ce * cb.p_ct * inputs.p_h) / (cb.p_cet * (cb.p_c * cb.p_c))
+    brackets = [
+        (c.p_ce * c.p_ct * inputs.p_h) / (c.p_cet * (c.p_c * c.p_c))
+        for c in inputs.per_component
+    ]
+    raw = product([fit_ratio, *brackets])
     if not math.isfinite(raw):
         raise AccrualDomainError(
             f"accrual overflows the float range: fit ratio {fit_ratio!r} "
@@ -188,7 +186,7 @@ def _evaluate(
     if h.is_leaf():
         ratios = [
             g.item(i).likelihood_ratio
-            for i in sorted(h.own_evidence)
+            for i in h.own_evidence
             if (keep is None or i in keep)
             and g.item(i).kind is not EvidenceKind.TERRAIN
         ]
@@ -205,7 +203,7 @@ def _evaluate(
         p_ce = _belief(g, cid, c_keep)
         terrain = [
             g.item(i).likelihood_ratio
-            for i in sorted(c.own_evidence)
+            for i in c.own_evidence
             if (keep is None or i in keep)
             and g.item(i).kind is EvidenceKind.TERRAIN
         ]
@@ -219,8 +217,8 @@ def _evaluate(
             )
         )
 
-    fit_num = fit_den = 1.0
-    for item_id in sorted(h.own_evidence):
+    scores = []
+    for item_id in h.own_evidence:
         item = g.item(item_id)
         if item.kind is not EvidenceKind.FIT:
             continue
@@ -231,13 +229,12 @@ def _evaluate(
             raise EvidenceResolutionError(
                 f"fit item {item_id!r} lacks a fit_score in sensor_context"
             )
-        fit_num *= 0.5 + 0.5 * float(score)
-        fit_den *= 0.5
+        scores.append(0.5 + 0.5 * float(score))
 
     result = accrue_parent(
         AccrualInputs(
-            fit_num=fit_num,
-            fit_den=fit_den,
+            fit_num=product(scores),
+            fit_den=0.5 ** len(scores),
             per_component=tuple(per_component),
             p_h=h.prior,
         )

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from echelon.accrual import direct_posterior, posterior_given_subset
+from echelon.evidence import product
 from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
@@ -235,9 +236,8 @@ def approx_joint(
     One reverse pass over the ordering keeps, for each member, the items
     of its closure that no member after it claims: linear in the total
     size of the closures.  A member that keeps nothing contributes its
-    prior.  The factor product runs in id-canonical member order, so
-    with pairwise-disjoint closures every ordering yields the identical
-    k, bit for bit.
+    prior.  k is the ``product`` of the factors, so with pairwise-disjoint
+    closures every ordering yields the identical k, bit for bit.
     """
     if sorted(ordering) != sorted(s.members):
         raise ValueError("ordering must be a permutation of the conflict members")
@@ -252,11 +252,7 @@ def approx_joint(
             factors.append(posterior_given_subset(g, m, keep))
         later |= closure
     factors.reverse()
-
-    k = 1.0
-    for _, f in sorted(zip(ordering, factors)):
-        k *= f
-    return ApproxJointResult(k=k, ordering=tuple(ordering), factors=tuple(factors))
+    return ApproxJointResult(product(factors), tuple(ordering), tuple(factors))
 
 
 def conflict_measure(k: float) -> float:
@@ -325,9 +321,7 @@ def resolve_exact(
     posteriors = [g.get(m).posterior for m in s.members]
     raw: list[tuple[tuple[str, ...], float]] = []
     for mask in cliques:
-        w = 1.0
-        for i in range(n):
-            w *= posteriors[i] if (mask >> i) & 1 else 1.0 - posteriors[i]
+        w = product(p if (mask >> i) & 1 else 1.0 - p for i, p in enumerate(posteriors))
         included = tuple(s.members[i] for i in range(n) if (mask >> i) & 1)
         raw.append((included, w))
 

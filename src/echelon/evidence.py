@@ -5,8 +5,13 @@ hypothesis) / P(item | its negation).  Subsets of atoms combine into a
 posterior by the odds product, which is the unique combiner consistent
 with treating atoms as conditionally independent given the hypothesis
 and supports evaluation on any evidence subset.  The combiner takes
-the ratios alone, in the order its caller chose; sets of atoms are
-plain ``frozenset``s of item ids, held by the hypothesis graph.
+the ratios alone; sets of atoms are plain ``frozenset``s of item ids,
+held by the hypothesis graph.
+
+Every product over a set of values goes through ``product``, which
+takes the factors in ascending value order: the result depends only on
+their multiset, never on their order or names.  A sum over such a set
+is ``math.fsum``, exactly rounded.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from echelon.exceptions import DegeneratePriorWarning
 from echelon.models import shown_name
@@ -48,9 +53,14 @@ class EvidenceItem:
             )
 
 
+def product(values: Iterable[float]) -> float:
+    """The product of ``values`` in ascending value order."""
+    return math.prod(sorted(values))
+
+
 def posterior_from_evidence(prior: float, ratios: Sequence[float]) -> float:
-    """Combine a prior with likelihood ratios in odds form, multiplying
-    them in the order given.
+    """Combine a prior with likelihood ratios in odds form: the prior
+    odds times the ``product`` of the ratios.
 
     A prior of exactly 0 or 1 is returned unchanged with a diagnostic:
     evidence cannot move certainty.  No ratios return the prior.  Odds
@@ -68,10 +78,7 @@ def posterior_from_evidence(prior: float, ratios: Sequence[float]) -> float:
         return prior
     if not ratios:
         return prior
-    o = prior / (1.0 - prior)
-    for lr in ratios:
-        o *= lr
-    return from_odds(o)
+    return from_odds(prior / (1.0 - prior) * product(ratios))
 
 
 def odds(p: float) -> float:

@@ -135,8 +135,13 @@ def linked_groups(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 
 def centroid(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    n = len(points)
-    return (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n)
+    """The mean point, summed by ``math.fsum``, or in ascending order where
+    fsum refuses (overflow, inf - inf): either way a function of the multiset."""
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    try:
+        return (math.fsum(xs) / len(xs), math.fsum(ys) / len(ys))
+    except (OverflowError, ValueError):
+        return (sum(sorted(xs)) / len(xs), sum(sorted(ys)) / len(ys))
 
 
 def heading_difference(a: float, b: float) -> float:
@@ -150,8 +155,8 @@ def mean_heading(headings: Iterable[float]) -> float | None:
     hs = list(map(math.radians, headings))
     if not hs:
         return None
-    x = sum(map(math.cos, hs)) / len(hs)
-    y = sum(map(math.sin, hs)) / len(hs)
+    x = math.fsum(map(math.cos, hs)) / len(hs)
+    y = math.fsum(map(math.sin, hs)) / len(hs)
     deg = math.degrees(math.atan2(y, x)) % 360.0
     # float mod can round a tiny negative angle up to exactly 360.0
     return 0.0 if deg == 360.0 else deg

@@ -7,9 +7,7 @@ several parents; that overlap is precisely what conflict detection
 feeds on.  Mutation is single-writer; reads may run concurrently.
 
 Evidence is referenced by item id: a hypothesis's own evidence and its
-closure are plain ``frozenset``s, unordered.  A consumer whose result
-depends on order, such as a floating-point product or the report,
-sorts the ids itself.
+closure are plain ``frozenset``s, unordered.
 """
 
 from __future__ import annotations

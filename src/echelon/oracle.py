@@ -37,6 +37,7 @@ import numpy as np
 
 from echelon import kernels
 from echelon.accrual import AccrualInputs, ComponentBelief, accrue_parent
+from echelon.evidence import product
 from echelon.exceptions import OracleStructureError, ZeroProbabilityEvent
 
 MAX_VARIABLES = 20
@@ -395,9 +396,7 @@ def check_approx_k(
         else:
             factors.append(net.event_prob({c: 1}) / net.event_prob({}))
 
-    k = 1.0
-    for f in factors:
-        k *= f
+    k = product(factors)
     exact = net.exact_conditional(_all_true(comps), _all_true(total))
 
     indep = True

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -216,3 +217,36 @@ def perfbench_scene(tmp_path, workload, seed, scene):
         spec.loader.exec_module(workloads)
     runner = workloads.SceneRunner(workloads.WORKLOADS[workload], seed, root, tmp_path)
     return runner.configs[scene]
+
+
+def weak_ratio_scene(tmp_path):
+    """The run config of grid-noisy seed 2's scene 15, whose skipped
+    arrays send their parents down the direct path, with weak, unequal
+    detection ratios and three terrain patches over every hypothesis.
+    With the benchmark's ratios the direct-path posteriors sit near
+    0.9995, where the last bit of an odds product is lost; with these
+    it shows."""
+    cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
+    scenario = json.loads(Path(cfg.scenario).read_text())
+    detections = scenario["detections"]
+    for k, d in enumerate(detections):
+        d["lambda"] = 0.41 + 0.0171 * (k % 9)
+    cx = sum(d["x"] for d in detections) / len(detections)
+    cy = sum(d["y"] for d in detections) / len(detections)
+    scenario["terrain"] = [
+        {"id": f"patch-{k}", "x": cx, "y": cy, "radius_m": 1e6, "lambda": lam}
+        for k, lam in enumerate((1.07, 0.93, 1.013))
+    ]
+    (tmp_path / "weak.json").write_text(json.dumps(scenario))
+    config = tmp_path / "weak-config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "library": cfg.library,
+                "scenario": "weak.json",
+                "matcher": dataclasses.asdict(cfg.matcher),
+                "tau": cfg.tau,
+            }
+        )
+    )
+    return config

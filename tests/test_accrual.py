@@ -155,11 +155,14 @@ class TestAccrueParent:
 
 
 def linear_raw(inputs):
-    """The rule written out: fit ratio times each component's bracket,
-    in the engine's operation order."""
-    raw = inputs.fit_num / inputs.fit_den
+    """The rule written out: the fit ratio and each component's bracket,
+    multiplied in ascending value order."""
+    factors = [inputs.fit_num / inputs.fit_den]
     for c in inputs.per_component:
-        raw *= (c.p_ce * c.p_ct * inputs.p_h) / (c.p_cet * (c.p_c * c.p_c))
+        factors.append((c.p_ce * c.p_ct * inputs.p_h) / (c.p_cet * (c.p_c * c.p_c)))
+    raw = 1.0
+    for f in sorted(factors):
+        raw *= f
     return raw
 
 
@@ -362,7 +365,7 @@ def reference_evaluate(g, hid, keep=None):
     if h.is_leaf():
         ratios = [
             g.item(i).likelihood_ratio
-            for i in sorted(h.own_evidence)
+            for i in h.own_evidence
             if (keep is None or i in keep) and g.item(i).kind is not EvidenceKind.TERRAIN
         ]
         return posterior_from_evidence(h.prior, ratios), None
@@ -376,17 +379,20 @@ def reference_evaluate(g, hid, keep=None):
         p_ce, _ = reference_evaluate(g, cid, c_keep)
         terrain = [
             g.item(i).likelihood_ratio
-            for i in sorted(c.own_evidence)
+            for i in c.own_evidence
             if (keep is None or i in keep) and g.item(i).kind is EvidenceKind.TERRAIN
         ]
         p_ct = posterior_from_evidence(c.prior, terrain)
         per_component.append(cb(p_ce, p_ct, _combined_et(p_ce, p_ct, c.prior), c.prior))
     fit_num = fit_den = 1.0
-    for item_id in sorted(h.own_evidence):
+    scores = []
+    for item_id in h.own_evidence:
         item = g.item(item_id)
         if item.kind is EvidenceKind.FIT and (keep is None or item_id in keep):
-            fit_num *= 0.5 + 0.5 * float(item.sensor_context["fit_score"])
+            scores.append(0.5 + 0.5 * float(item.sensor_context["fit_score"]))
             fit_den *= 0.5
+    for f in sorted(scores):  # ascending value order
+        fit_num *= f
     result = accrue_parent(
         AccrualInputs(
             fit_num=fit_num, fit_den=fit_den, per_component=tuple(per_component), p_h=h.prior
@@ -448,8 +454,8 @@ class TestStoredBeliefs:
                     assert posterior_given_subset(g, m, keep) == factors[m], m
                 later |= closure
             k = 1.0
-            for m in sorted(factors):
-                k *= factors[m]
+            for f in sorted(factors.values()):  # ascending value order
+                k *= f
             assert r.k == k
 
     def test_accrue_parent_runs_once_per_rule_path_hypothesis(self, tmp_path, monkeypatch):

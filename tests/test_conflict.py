@@ -165,6 +165,16 @@ class TestOrdering:
         s = make_conflict_set(g, ["A", "B"])
         assert order_hypotheses(s, g, Heuristic.MOST_MATCHES) == ("A", "B")
 
+    def test_tie_breaks_by_id_not_by_member_position(self, empty_graph):
+        # members listed against id order: a tie still goes by id
+        g = empty_graph
+        add_leaf(g, "A", lam=2.0, location=(0, 0))
+        add_leaf(g, "B", lam=2.0, location=(5, 0))
+        row = (0, 1, frozenset({ConflictReason.TOO_CLOSE}))
+        s = ConflictSet(("B", "A"), (row,), Level.VEHICLE)
+        for heuristic in Heuristic:
+            assert order_hypotheses(s, g, heuristic) == ("A", "B")
+
     def test_highest_prior_last(self, empty_graph):
         g = empty_graph
         add_leaf(g, "A", lam=2.0, prior=0.3, location=(0, 0))
@@ -265,7 +275,7 @@ def pooled_reference(s, ordering, g):
         keep = (pooled - later) & closures[i]
         factors.append(posterior_given_subset(g, m, keep) if keep else g.get(m).prior)
     k = 1.0
-    for _, f in sorted(zip(ordering, factors)):
+    for f in sorted(factors):  # ascending value order
         k *= f
     return tuple(factors), k
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -417,20 +418,29 @@ def reference_fit_score(g, model, assignment, cfg):
 
 
 def reference_instantiation(g, children):
-    """Location, heading and time of a parent over ``children`` as first
-    written: centroid, circular mean of the known headings, latest time."""
+    """Location, heading and time of a parent over ``children``, written
+    out: centroid, circular mean of the known headings, latest time, each
+    sum exact and rounded once."""
     locations = [g.get(i).location for i in children]
     n = len(locations)
-    location = (sum(p[0] for p in locations) / n, sum(p[1] for p in locations) / n)
+    location = tuple(exact_sum(p[axis] for p in locations) / n for axis in (0, 1))
     hs = [math.radians(g.get(i).heading) for i in children if g.get(i).heading is not None]
     heading = None
     if hs:
-        x = sum(math.cos(h) for h in hs) / len(hs)
-        y = sum(math.sin(h) for h in hs) / len(hs)
+        x = exact_sum(math.cos(h) for h in hs) / len(hs)
+        y = exact_sum(math.sin(h) for h in hs) / len(hs)
         heading = math.degrees(math.atan2(y, x)) % 360.0
         heading = 0.0 if heading == 360.0 else heading
     time = max((g.get(i).time for i in children), default=0.0)
     return location, heading, time
+
+
+def exact_sum(values):
+    """The sum rounded once; with a non-finite value, the plain sum."""
+    values = list(values)
+    if all(map(math.isfinite, values)):
+        return float(sum(map(Fraction, values)))
+    return sum(values)
 
 
 def bits(value):

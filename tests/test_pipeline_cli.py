@@ -18,7 +18,7 @@ from echelon.evidence import posterior_from_evidence
 from echelon.pipeline import RunConfig, run
 from echelon.scenario import dumps
 
-from conftest import TANK_LIBRARY, perfbench_scene, write_battalion_inputs
+from conftest import TANK_LIBRARY, perfbench_scene, weak_ratio_scene, write_battalion_inputs
 
 # library variant for the doctrine-conflict flow: a four-tank company
 # model plus a tight vehicle separation rule
@@ -1097,9 +1097,10 @@ class TestConflictReportBytes:
     # the report once wrote), so every value of the conflicts section
     # (reasons, orderings, measures, consistent_sets) is pinned by it;
     # recorded once orientation conflicts became local, again when each
-    # record's accrual trace became its ``accrual`` inputs, and again
-    # when the config echo lost ``max_cluster``
-    REPORT_SHA256 = "8b70d00bbb0d866b64c761617cea56f185e55c1356207f02ab3aad1b13507aaf"
+    # record's accrual trace became its ``accrual`` inputs, again when
+    # the config echo lost ``max_cluster``, and again when products took
+    # their factors in ascending value order
+    REPORT_SHA256 = "35cda9a7a38612a4917bed3ffed91797e0de578f5d25b4a86235d9c0d66ad8ad"
 
     def test_noisy_grid_report_is_byte_identical(self, tmp_path):
         report = noisy_grid_report(tmp_path)
@@ -1130,13 +1131,14 @@ class TestConflictReportBytes:
 class TestBenchmarkReportBytes:
     """sha256 of ``dumps(run(cfg))`` on two benchmark scenes, recorded
     while every parent still re-derived each child's belief from its
-    evidence: reading a child's accrual record instead must not move a
-    byte."""
+    evidence (reading a child's accrual record instead must not move a
+    byte), and again when products took their factors in ascending
+    value order."""
 
     def test_grid_clean_seed_0(self, tmp_path):
         cfg = perfbench_scene(tmp_path, "grid-clean", 0, 0)
         text = dumps(run(cfg))
-        digest = "6cb1125f376aa9d0089641a0b70b4e9f3c376aaff8a0f845535089568059e631"
+        digest = "816dc3a0df9184f8ec999920e3ba0f12b00270f6a2a8e56a1f6814dc000f2d03"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_grid_noisy_scene_seed_51(self, tmp_path):
@@ -1153,47 +1155,15 @@ class TestBenchmarkReportBytes:
         big = [(c["level"], len(c["members"])) for c in report["conflicts"]]
         assert ("array", 25) in big and ("battalion", 25) in big
         assert any("ratios" in (e["accrual"] or {}) for e in report["levels"]["battalion"])
-        digest = "3c4fc9dc6e9e96459d68c210e4803c3b2dbd331ff8ed2889dc54e39f770d132b"
+        digest = "4f0b54d5c8d62d6561d5d88c7e82cbedc4e6f23d057191e8ae316ca92b7c9393"
         assert hashlib.sha256(dumps(report).encode()).hexdigest() == digest
 
 
-def weak_ratio_scene(tmp_path):
-    """The run config of grid-noisy seed 2's scene 15, whose skipped
-    arrays send their parents down the direct path, with weak, unequal
-    detection ratios and three terrain patches over every hypothesis.
-    With the benchmark's ratios the direct-path posteriors sit near
-    0.9995 and the last bit of the odds product, the one a different
-    multiplication order moves, is lost."""
-    cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
-    scenario = json.loads(Path(cfg.scenario).read_text())
-    detections = scenario["detections"]
-    for k, d in enumerate(detections):
-        d["lambda"] = 0.41 + 0.0171 * (k % 9)
-    cx = sum(d["x"] for d in detections) / len(detections)
-    cy = sum(d["y"] for d in detections) / len(detections)
-    scenario["terrain"] = [
-        {"id": f"patch-{k}", "x": cx, "y": cy, "radius_m": 1e6, "lambda": lam}
-        for k, lam in enumerate((1.07, 0.93, 1.013))
-    ]
-    (tmp_path / "weak.json").write_text(json.dumps(scenario))
-    config = tmp_path / "weak-config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "library": cfg.library,
-                "scenario": "weak.json",
-                "matcher": dataclasses.asdict(cfg.matcher),
-                "tau": cfg.tau,
-            }
-        )
-    )
-    return config
-
-
 class TestEvidenceOrder:
-    """Evidence ids are unordered sets; each product over evidence and
-    the report take them in id order, so a report does not depend on
-    ``PYTHONHASHSEED``, which orders every set of strings."""
+    """Evidence ids are unordered sets, iterated in the order
+    ``PYTHONHASHSEED`` gives every set of strings.  A product takes its
+    factors in ascending value order and the report lists ids in id
+    order, so a report does not depend on the hash seed."""
 
     def test_report_lists_evidence_in_id_order(self, tmp_path):
         report, _ = run_counting_refusals(RunConfig.from_file(weak_ratio_scene(tmp_path)))
@@ -1257,12 +1227,17 @@ class TestNoCyclicGarbage:
 
 
 def rule_raw(prior, accrual):
-    """``raw`` of the parent rule from a report record, in the engine's
-    operation order, with P(H) the record's prior."""
+    """``raw`` of the parent rule from a report record, with P(H) the
+    record's prior: the fit ratio and the component brackets multiplied
+    in ascending value order."""
     fit_num, fit_den = accrual["fit"]
-    raw = fit_num / fit_den
-    for p_ce, p_ct, p_cet, p_c in accrual["components"]:
-        raw *= (p_ce * p_ct * prior) / (p_cet * (p_c * p_c))
+    factors = [fit_num / fit_den] + [
+        (p_ce * p_ct * prior) / (p_cet * (p_c * p_c))
+        for p_ce, p_ct, p_cet, p_c in accrual["components"]
+    ]
+    raw = 1.0
+    for f in sorted(factors):
+        raw *= f
     return raw
 
 
