@@ -12,7 +12,6 @@ from echelon.accrual import (
     AccrualResult,
     ComponentBelief,
     accrue_parent,
-    direct_posterior,
     posterior_given_subset,
     propagate_level,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "conflict_measure",
     "decide",
     "detect_conflicts",
-    "direct_posterior",
     "fit_score",
     "generate",
     "isa_ancestors",

@@ -145,18 +145,11 @@ def _combined_et(p_ce: float, p_ct: float, p_c: float) -> float:
     return from_odds(odds(p_ce) * odds(p_ct) / odds(p_c))
 
 
-def direct_posterior(g: HypothesisGraph, hid: str) -> float:
-    """Accrue every closure item straight onto the force prior.
-
-    This is the level-skipping path: component structure is ignored and
-    each item's likelihood ratio acts directly on the hypothesis.
-    """
-    return _direct_result(g, hid, None).posterior
-
-
 def _direct_result(
     g: HypothesisGraph, hid: str, keep: frozenset[str] | None
 ) -> AccrualResult:
+    """The level-skipping path: each kept closure item's likelihood ratio
+    acts straight on the force prior, component structure ignored."""
     h = g.get(hid)
     ratios = tuple(
         (i, g.item(i).likelihood_ratio)

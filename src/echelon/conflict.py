@@ -25,10 +25,10 @@ import enum
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from echelon.accrual import direct_posterior, posterior_given_subset
+from echelon.accrual import posterior_given_subset
 from echelon.evidence import product
 from echelon.exceptions import (
     DegenerateThresholdWarning,
@@ -84,14 +84,15 @@ class ApproxJointResult:
     factors: tuple[float, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConflictReport:
+    """A decided conflict: ``consistent_sets`` is None when skipped."""
+
     conflict_set: ConflictSet
     ordering: tuple[str, ...]
     k: float
     measure: float
     decision: Decision
-    skip_error_estimates: dict[str, float] = field(default_factory=dict)
     consistent_sets: list["ConsistentSet"] | None = None
 
 
@@ -264,14 +265,11 @@ def conflict_measure(k: float) -> float:
     return (1.0 - k) / k
 
 
-def skip_error_estimate(g: HypothesisGraph, parent_id: str, k: float) -> float:
+def skip_error_estimate(p_he: float, k: float) -> float:
     """Bound on the parent-posterior error from skipping the conflicted
-    level: P(H | evidence) * (1-k)/k, with P(H | evidence) taken from
-    the direct path (evidence flows straight to the parent)."""
-    if k == 0.0:
-        return math.inf
-    p_he = direct_posterior(g, parent_id)
-    return p_he * (1.0 - k) / k
+    level: P(H | evidence) * (1-k)/k, with P(H | evidence) the parent's
+    posterior on the direct path (evidence flows straight to the parent)."""
+    return math.inf if k == 0.0 else p_he * (1.0 - k) / k
 
 
 def _expand(comp: list[int], cliques: list[int], r: int, p: int, x: int) -> None:
@@ -353,11 +351,11 @@ def decide(
 ) -> ConflictReport:
     """Skip when the conflict measure is under tau, else resolve exactly.
 
-    Skipping marks members for level-jumping accrual; their parents do
-    not exist yet, so ``pipeline.run`` estimates the induced parent
-    errors once the next level is built.  Resolution redistributes
-    member posteriors over maximal consistent sets and excludes members
-    falling under the floor.
+    Skipping marks members for level-jumping accrual: their parents
+    accrue directly from the evidence, and the pipeline's report bounds
+    each parent's error.  Resolution redistributes member posteriors over
+    maximal consistent sets and excludes members falling under the
+    floor.  Either way the returned report is final.
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
@@ -380,25 +378,15 @@ def decide(
             stacklevel=2,
         )
         decision = Decision.SKIP
-    report = ConflictReport(
-        conflict_set=s,
-        ordering=ordering,
-        k=aj.k,
-        measure=measure,
-        decision=decision,
-    )
     if decision is Decision.SKIP:
         for m in s.members:
             g.get(m).status = Status.SKIPPED
-    else:
-        sets = resolve_exact(s, g, max_exact=max_exact)
-        report.consistent_sets = sets
-        for m in s.members:
-            belief = math.fsum(
-                cs.normalized_belief for cs in sets if m in cs.included
-            )
-            h = g.get(m)
-            h.posterior = belief
-            if belief < exclusion_floor:
-                h.status = Status.EXCLUDED
-    return report
+        return ConflictReport(s, ordering, aj.k, measure, decision)
+    sets = resolve_exact(s, g, max_exact=max_exact)
+    for m in s.members:
+        belief = math.fsum(cs.normalized_belief for cs in sets if m in cs.included)
+        h = g.get(m)
+        h.posterior = belief
+        if belief < exclusion_floor:
+            h.status = Status.EXCLUDED
+    return ConflictReport(s, ordering, aj.k, measure, decision, sets)

@@ -134,14 +134,21 @@ def linked_groups(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return [groups[root] for root in sorted(groups)]
 
 
+def _mean(values: list[float]) -> float:
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:  # summed scaled by 2**-e, 2**e >= n: a finite mean
+        e = (n - 1).bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -e) for v in values) / n, e)
+    except ValueError:  # inf - inf
+        return sum(sorted(values)) / n
+
+
 def centroid(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """The mean point, summed by ``math.fsum``, or in ascending order where
-    fsum refuses (overflow, inf - inf): either way a function of the multiset."""
-    xs, ys = [p[0] for p in points], [p[1] for p in points]
-    try:
-        return (math.fsum(xs) / len(xs), math.fsum(ys) / len(ys))
-    except (OverflowError, ValueError):
-        return (sum(sorted(xs)) / len(xs), sum(sorted(ys)) / len(ys))
+    fsum refuses inf - inf: either way a function of the multiset."""
+    return _mean([p[0] for p in points]), _mean([p[1] for p in points])
 
 
 def heading_difference(a: float, b: float) -> float:

@@ -314,18 +314,15 @@ def check_accrual_formula(net: OracleNetwork) -> DeviationReport:
     )
 
 
-def check_skip_identity(net: OracleNetwork) -> bool:
-    """Verify the level-skip error algebra as an exact identity.
+def skip_identity_report(net: OracleNetwork) -> DeviationReport:
+    """The level-skip error algebra as a measurement.  With evidence =
+    every e/t/f variable observed true and q = P(all C | evidence):
 
-    With evidence = every e/t/f variable observed true, and writing
-    q = P(all C | evidence):
+        |P(H | all C, evidence) - P(H | evidence)|     (exact side)
+            = P(H | evidence) * (1 - q) / q           (approx side)
 
-        |P(H | all C, evidence) - P(H | evidence)|
-            = P(H | evidence) * (1 - q) / q
-
-    holds whenever P(all C | H, evidence) = 1, which the deterministic
-    part-of rows guarantee.  Returns True when both sides agree within
-    1e-12.
+    whenever P(all C | H, evidence) = 1, which the deterministic part-of
+    rows guarantee: ``OracleStructureError`` if it is off by over 1e-12.
     """
     comps = net.components()
     if "H" not in net.variables or not comps:
@@ -337,19 +334,6 @@ def check_skip_identity(net: OracleNetwork) -> bool:
         raise OracleStructureError(
             f"{net.name}: P(all C | H, evidence) = {linked}, not 1"
         )
-    return skip_identity_report(net).deviation <= IDENTITY_TOL
-
-
-def skip_identity_report(net: OracleNetwork) -> DeviationReport:
-    """The skip identity as a measurement: exact side is the realized
-    |P(H|all C, evidence) - P(H|evidence)|, approx side the error
-    formula P(H|evidence)*(1-q)/q.  Deviation is ~0 whenever the
-    deterministic-link precondition holds."""
-    comps = net.components()
-    if "H" not in net.variables or not comps:
-        raise OracleStructureError(f"{net.name}: skip check needs H and C* roles")
-    ev = net.role_vars("e") + net.role_vars("t") + net.role_vars("f")
-    ev_true = _all_true(ev)
     p_h_ce = net.exact_conditional({"H": 1}, {**ev_true, **_all_true(comps)})
     p_h_e = net.exact_conditional({"H": 1}, ev_true)
     q = net.exact_conditional(_all_true(comps), ev_true)

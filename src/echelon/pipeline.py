@@ -2,12 +2,12 @@
 
 Leaf hypotheses are instantiated from detections, then each level is
 processed bottom-up: match models over the children, accrue posteriors,
-detect conflicts, and either skip them (marking members and estimating
-the induced parent error at the next level) or resolve them exactly.
-The report carries every hypothesis with the inputs of its accrual, so
-any posterior can be recomputed from the report alone.  Inference draws
-nothing at random: the report is fixed by the config and its inputs, and
-the config's ``seed`` is only echoed into it.
+detect conflicts, and either skip them (their members' parents accrue
+directly from the evidence, each with an error bound) or resolve them
+exactly.  The report carries every hypothesis with the inputs of its
+accrual, so any posterior can be recomputed from the report alone.
+Inference draws nothing at random: the report is fixed by the config
+and its inputs, and the config's ``seed`` is only echoed into it.
 """
 
 from __future__ import annotations
@@ -239,15 +239,6 @@ def run(cfg: RunConfig) -> dict:
 
         propagate_level(g, level)
 
-        # Parents of members skipped one level down now exist: estimate
-        # the error their level-jumping accrual may carry.
-        for report in conflict_log:
-            below = report.conflict_set.level == level - 1
-            if below and report.decision is Decision.SKIP:
-                members = report.conflict_set.members
-                for p in sorted({p for m in members for p in g.parents_of(m)}):
-                    report.skip_error_estimates[p] = skip_error_estimate(g, p, report.k)
-
         for s in detect_conflicts(g, lib, level):
             report = decide(
                 s,
@@ -316,6 +307,10 @@ def _build_report(
     conflicts = []
     for rep in conflict_log:
         members = rep.conflict_set.members
+        estimates = {}
+        if rep.decision is Decision.SKIP:  # so each parent accrued directly
+            for p in sorted({p for m in members for p in g.parents_of(m)}):
+                estimates[p] = skip_error_estimate(g.get(p).accrual.posterior, rep.k)
         conflicts.append(
             {
                 "level": rep.conflict_set.level.label,
@@ -332,7 +327,7 @@ def _build_report(
                 "k": rep.k,
                 "measure": rep.measure,
                 "decision": rep.decision.value,
-                "skip_error_estimates": dict(sorted(rep.skip_error_estimates.items())),
+                "skip_error_estimates": estimates,
                 "consistent_sets": (
                     None
                     if rep.consistent_sets is None

@@ -27,7 +27,7 @@ from echelon.conflict import (
 from echelon.hypotheses import HypothesisGraph
 from echelon.matching import MatchConfig, match_level
 from echelon.models import Level, load_library
-from echelon.oracle import check_skip_identity, random_skip_network
+from echelon.oracle import IDENTITY_TOL, random_skip_network, skip_identity_report
 from echelon.pipeline import RunConfig, run
 from echelon.scenario import (
     dumps,
@@ -40,7 +40,11 @@ from echelon.scenario import (
 from conftest import add_leaf, battalion_ground_truth, write_battalion_inputs
 from test_conflict import brute_force_mis, make_conflict_set
 from test_matching import brute_force_candidates, candidate_keys
-from test_pipeline_cli import noisy_grid_config, run_counting_refusals
+from test_pipeline_cli import (
+    assert_skip_estimates,
+    noisy_grid_config,
+    run_counting_refusals,
+)
 
 
 def report(n, text):
@@ -52,7 +56,8 @@ def test_criterion_1_skip_identity():
     for seed in range(100):
         net = random_skip_network(seed, max_vars=12)
         assert len(net.variables) <= 12
-        assert check_skip_identity(net), f"identity failed on seed {seed}"
+        deviation = skip_identity_report(net).deviation
+        assert deviation <= IDENTITY_TOL, f"identity failed on seed {seed}"
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
     report(1, f"skip identity within 1e-12 on 100 networks in {elapsed:.2f}s")
@@ -351,6 +356,7 @@ def test_criterion_9_skip_error_realism(tmp_path):
         (conf,) = rep_skip["conflicts"]
         assert conf["decision"] == "skip" and conf["measure"] < 0.1, seed
         assert rep_resolve["conflicts"][0]["decision"] == "resolve", seed
+        assert_skip_estimates(rep_skip)
         estimate = conf["skip_error_estimates"]["a0"]
         post_skip = {e["id"]: e["posterior"] for e in rep_skip["levels"]["array"]}["a0"]
         post_res = {e["id"]: e["posterior"] for e in rep_resolve["levels"]["array"]}["a0"]

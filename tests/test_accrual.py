@@ -10,7 +10,6 @@ from echelon.accrual import (
     _combined_et,
     _direct_result,
     accrue_parent,
-    direct_posterior,
     posterior_from_evidence,
     posterior_given_subset,
     propagate_level,
@@ -351,7 +350,7 @@ class TestPropagateLevel:
         h = g.get("a0")
         assert h.accrual.direct
         assert h.accrual.inputs == (("e0", 4.0), ("e1", 6.0), ("fit0", 3.0))
-        assert h.posterior == direct_posterior(g, "a0")
+        assert h.posterior == _direct_result(g, "a0", None).posterior
         expected = posterior_from_evidence(0.3, [4.0, 6.0, 3.0])
         assert h.posterior == pytest.approx(expected, rel=1e-12)
 
@@ -500,7 +499,8 @@ class TestStoredBeliefs:
         propagate_level(g, Level.BATTALION)
         a0 = g.get("a0")
         assert a0.accrual.direct
-        assert a0.accrual.posterior == a0.posterior == direct_posterior(g, "a0")
+        direct = _direct_result(g, "a0", None).posterior
+        assert a0.accrual.posterior == a0.posterior == direct
         assert a0.posterior != rule_path
         assert posterior_given_subset(g, "a0", g.evidence_closure("a0")) == a0.posterior
         assert g.get("b0").accrual.inputs.per_component[0].p_ce == a0.posterior

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -346,13 +347,23 @@ class TestConflictMeasure:
             conflict_measure(-0.1)
 
 
+def direct_accrual(g: HypothesisGraph, parent: str) -> float:
+    """The parent's posterior once its only component is skipped: the
+    direct path's, which the skip-error bound scales."""
+    (child,) = g.get(parent).components
+    g.get(child).status = Status.SKIPPED
+    propagate_level(g, Level.ARRAY)
+    assert g.get(parent).accrual.direct
+    return g.get(parent).accrual.posterior
+
+
 class TestSkipErrorEstimate:
     def test_arithmetic(self, empty_graph):
         g = empty_graph
         add_leaf(g, "v0", items=[("e0", 1.5)], prior=0.5)  # direct posterior 0.6
         add_parent(g, "a0", ["v0"], prior=0.5)
         g.get("a0").prior = 0.5
-        est = skip_error_estimate(g, "a0", k=0.9)
+        est = skip_error_estimate(direct_accrual(g, "a0"), k=0.9)
         direct = 0.5 / 0.5 * 1.5 / (1 + 1.5)
         assert est == pytest.approx(direct * (0.1 / 0.9), rel=1e-12)
 
@@ -360,13 +371,13 @@ class TestSkipErrorEstimate:
         g = empty_graph
         add_leaf(g, "v0", items=[("e0", 1.5)])
         add_parent(g, "a0", ["v0"])
-        assert skip_error_estimate(g, "a0", k=1.0) == 0.0
+        assert skip_error_estimate(direct_accrual(g, "a0"), k=1.0) == 0.0
 
     def test_k_zero_sentinel(self, empty_graph):
         g = empty_graph
         add_leaf(g, "v0", items=[("e0", 1.5)])
         add_parent(g, "a0", ["v0"])
-        assert math.isinf(skip_error_estimate(g, "a0", k=0.0))
+        assert math.isinf(skip_error_estimate(direct_accrual(g, "a0"), k=0.0))
 
     def test_zero_direct_posterior_gives_zero(self, empty_graph):
         g = empty_graph
@@ -374,7 +385,7 @@ class TestSkipErrorEstimate:
         add_parent(g, "a0", ["v0"], prior=0.3)
         g.get("a0").prior = 0.0  # impossible parent: estimate collapses
         with pytest.warns(UserWarning):
-            assert skip_error_estimate(g, "a0", k=0.9) == 0.0
+            assert skip_error_estimate(direct_accrual(g, "a0"), k=0.9) == 0.0
 
 
 def brute_force_mis(members, edges):
@@ -518,9 +529,11 @@ class TestDecide:
         assert g.get("v0").status is Status.SKIPPED
         assert g.get("v1").status is Status.SKIPPED
         assert rep.k == pytest.approx(0.98 * 0.98, rel=1e-12)
-        # parent errors are estimated by pipeline.run once the next
-        # level exists, not by decide
-        assert rep.skip_error_estimates == {}
+        # the report is final: parent errors are bounded from the parents'
+        # own accrual when the pipeline's report is built
+        assert rep.consistent_sets is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.k = 1.0
 
     def test_resolve_updates_posteriors_and_excludes(self, empty_graph, tank_lib):
         g = empty_graph

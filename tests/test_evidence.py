@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -129,11 +130,16 @@ class TestArithmeticOrder:
 
     @given(st.data())
     def test_centroid(self, data):
-        # every finite float: a sum past the float range is order-free too
+        # every finite float: a sum past the float range is order-free too,
+        # and its mean is finite, as a mean of finite points must be
         coordinate = st.floats(allow_nan=False, allow_infinity=False)
         points, shuffled = permuted(data, st.tuples(coordinate, coordinate))
         bits = [tuple(v.hex() for v in centroid(p)) for p in (points, shuffled)]
         assert bits[0] == bits[1]
+        assert all(map(math.isfinite, centroid(points)))
+        top = sys.float_info.max
+        assert centroid([(8e307, 0.0)] * 3) == (8e307, 0.0)
+        assert centroid([(top, -top)] * 3) == (top, -top)
 
     @given(st.data())
     def test_mean_heading(self, data):

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from echelon import kernels
 from echelon.exceptions import OracleStructureError, ZeroProbabilityEvent
 from echelon.oracle import (
+    IDENTITY_TOL,
     DeviationReport,
     OracleNetwork,
     _uniform,
     check_accrual_formula,
     check_approx_k,
-    check_skip_identity,
     make_chain_network,
     make_two_evidence_network,
     random_accrual_network,
@@ -396,9 +396,10 @@ class TestAccrualFormulaCheck:
 
 class TestSkipIdentity:
     def test_chain_and_seeded_networks(self):
-        assert check_skip_identity(make_chain_network())
+        assert skip_identity_report(make_chain_network()).deviation <= IDENTITY_TOL
         for seed in range(100):
-            assert check_skip_identity(random_skip_network(seed)), f"seed {seed}"
+            rep = skip_identity_report(random_skip_network(seed))
+            assert rep.deviation <= IDENTITY_TOL, f"seed {seed}"
 
     def test_sure_components_both_sides_zero(self):
         # components certain regardless of evidence: q = 1, so both the
@@ -412,8 +413,8 @@ class TestSkipIdentity:
                 "e1_1": np.array([0.2, 0.7]),
             },
         )
-        assert check_skip_identity(net)
         rep = skip_identity_report(net)
+        assert rep.deviation <= IDENTITY_TOL
         assert rep.approx == 0.0 and rep.exact == 0.0
 
     def test_precondition_violation_raises(self):
@@ -427,7 +428,7 @@ class TestSkipIdentity:
             },
         )
         with pytest.raises(OracleStructureError, match="not 1"):
-            check_skip_identity(net)
+            skip_identity_report(net)
 
     def test_report_deviation_negligible(self):
         reports = [skip_identity_report(random_skip_network(s)) for s in range(25)]

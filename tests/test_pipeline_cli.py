@@ -818,6 +818,26 @@ class TestLongNamesInMessages:
         assert len(err) < 300 and "duplicate" in err
 
 
+def assert_skip_estimates(report: dict) -> None:
+    """A skipped conflict bounds exactly the parents of its members, in
+    id order, each by min(its accrual's raw, 1) * (1 - k) / k; a resolved
+    one bounds none."""
+    entries = {e["id"]: e for level in report["levels"].values() for e in level}
+    for c in report["conflicts"]:
+        estimates = c["skip_error_estimates"]
+        if c["decision"] != "skip":
+            assert estimates == {}
+            continue
+        members = set(c["members"])
+        parents = sorted(
+            h for h, e in entries.items() if members & set(e["components"])
+        )
+        assert list(estimates) == parents
+        k = c["k"]
+        for p, estimate in estimates.items():
+            assert estimate == min(entries[p]["accrual"]["raw"], 1) * (1 - k) / k
+
+
 class TestSkipFlow:
     def test_skip_estimates_and_direct_accrual(self, tmp_path):
         cfg_path = write_skip_scenario(tmp_path)
@@ -838,6 +858,7 @@ class TestSkipFlow:
         assert conf["skip_error_estimates"]["a0"] == (
             company["posterior"] * (1 - conf["k"]) / conf["k"]
         )
+        assert_skip_estimates(report)
         statuses = {e["id"]: e["status"] for e in report["levels"]["vehicle"]}
         assert statuses["v.d0"] == "skipped" and statuses["v.d4"] == "skipped"
 
@@ -847,6 +868,7 @@ class TestSkipFlow:
         (conf,) = report["conflicts"]
         assert conf["decision"] == "resolve"
         assert conf["consistent_sets"] is not None
+        assert_skip_estimates(report)
         beliefs = {tuple(cs["members"]): cs["belief"] for cs in conf["consistent_sets"]}
         assert math.fsum(beliefs.values()) == pytest.approx(1.0, abs=1e-12)
         company = report["levels"]["array"][0]
