@@ -46,7 +46,7 @@ from echelon.hypotheses import HypothesisGraph, Status
 from echelon.models import Level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentBelief:
     """Per-component inputs: P(C|e), P(C|t), P(C|e,t), P(C)."""
 
@@ -56,7 +56,7 @@ class ComponentBelief:
     p_c: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccrualInputs:
     """Validated inputs of the parent update rule."""
 
@@ -84,7 +84,7 @@ class AccrualInputs:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccrualResult:
     """The unclamped rule value and what produced it.
 

@@ -56,7 +56,7 @@ class Decision(enum.Enum):
     RESOLVE = "resolve"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConflictSet:
     """A connected group of mutually incompatible hypotheses.
 
@@ -75,7 +75,7 @@ class ConflictSet:
             raise ValueError("a conflict set needs at least two members")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxJointResult:
     """The ordered-product joint estimate with its per-member factors."""
 
@@ -84,7 +84,7 @@ class ApproxJointResult:
     factors: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConflictReport:
     """A decided conflict: ``consistent_sets`` is None when skipped."""
 
@@ -96,7 +96,7 @@ class ConflictReport:
     consistent_sets: list["ConsistentSet"] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistentSet:
     """A maximal conflict-free subset with its normalized belief."""
 

@@ -32,7 +32,7 @@ class EvidenceKind(enum.Enum):
     TERRAIN = "terrain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceItem:
     """One atomic support unit: a detection, a formation-fit score, or
     a terrain statement, reduced to a likelihood ratio.  Only terrain

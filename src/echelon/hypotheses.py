@@ -36,7 +36,7 @@ class Status(enum.Enum):
     EXCLUDED = "excluded"
 
 
-@dataclass
+@dataclass(slots=True)
 class Hypothesis:
     """A claim that a force of ``force_type`` exists at ``location``.
 
@@ -71,7 +71,15 @@ class HypothesisGraph:
     """Id-addressed store of hypotheses plus the evidence table backing
     every referenced item id.  Evidence must enter through
     ``add_evidence`` only, which also keeps ``terrain``, the ids of the
-    terrain items."""
+    terrain items.
+
+    The store is kept small, since a scene holds one record per
+    hypothesis and per evidence item: a leaf's closure is its own
+    ``own_evidence`` set, not a copy; the child-to-parents index holds
+    lists, which ``insert`` keeps free of repeats by refusing a
+    component listed twice; and the records (``Hypothesis``,
+    ``EvidenceItem``, the accrual, match and conflict records) are
+    slotted dataclasses, so they take no new attributes at run time."""
 
     hypotheses: dict[str, Hypothesis] = field(default_factory=dict)
     evidence: dict[str, EvidenceItem] = field(default_factory=dict)
@@ -80,7 +88,7 @@ class HypothesisGraph:
     _closures: dict[str, frozenset[str]] = field(default_factory=dict)
     _counters: dict[Level, int] = field(default_factory=dict)
     # child id -> ids of the hypotheses listing it as a component
-    _parents: dict[str, set[str]] = field(default_factory=dict)
+    _parents: dict[str, list[str]] = field(default_factory=dict)
 
     def add_evidence(self, item: EvidenceItem) -> None:
         if item.id in self.evidence:
@@ -100,8 +108,9 @@ class HypothesisGraph:
     def insert(self, h: Hypothesis) -> str:
         """Validate and add a hypothesis; returns its (possibly assigned) id.
 
-        Components must already be present and sit exactly one level
-        below; every own-evidence id must resolve in the evidence table.
+        Components must already be present, each listed once, and sit
+        exactly one level below; every own-evidence id must resolve in the
+        evidence table.
         """
         if not h.id:
             n = self._counters.get(h.level, 0)
@@ -118,10 +127,12 @@ class HypothesisGraph:
             raise LevelViolationError(
                 f"{h.id}: non-leaf hypothesis needs at least one component"
             )
-        for cid in h.components:
+        for i, cid in enumerate(h.components):
             child = self.hypotheses.get(cid)
             if child is None:
                 raise DanglingComponentError(f"{h.id}: dangling component {cid!r}")
+            if cid in h.components[:i]:
+                raise ValueError(f"{h.id}: component {cid!r} listed twice")
             if child.level != h.level - 1:
                 raise LevelViolationError(
                     f"{h.id}: level violation: component {cid} is "
@@ -135,7 +146,7 @@ class HypothesisGraph:
         self.hypotheses[h.id] = h
         self._by_level.setdefault(h.level, []).append(h.id)
         for cid in h.components:
-            self._parents.setdefault(cid, set()).add(h.id)
+            self._parents.setdefault(cid, []).append(h.id)
         return h.id
 
     def get(self, hid: str) -> Hypothesis:
@@ -153,13 +164,18 @@ class HypothesisGraph:
     def evidence_closure(self, hid: str) -> frozenset[str]:
         """Own evidence unioned with all component closures, recursively.
 
-        Component links are fixed at insert, so closures are memoized.
+        Component links are fixed at insert, so closures are memoized; a
+        leaf's is its own evidence set itself.
         """
         cached = self._closures.get(hid)
         if cached is not None:
             return cached
         h = self.get(hid)
-        closure = h.own_evidence.union(*map(self.evidence_closure, h.components))
+        closure = (
+            h.own_evidence.union(*map(self.evidence_closure, h.components))
+            if h.components
+            else h.own_evidence
+        )
         self._closures[hid] = closure
         return closure
 

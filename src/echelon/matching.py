@@ -99,7 +99,7 @@ class MatchConfig:
         return cls(**f.numbers(cls, as_given=True))
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchCandidate:
     """One enumerated model instantiation over child hypotheses.  The
     assignment is fixed at creation, which sorts its children once."""

@@ -212,9 +212,14 @@ def build_graph(
 def run(cfg: RunConfig) -> dict:
     """Execute the full pipeline and return the report document."""
     lib = load_library(read_document(cfg.library, "library", LibraryFormatError))
-    text = read_document(cfg.scenario, "scenario", ScenarioError)
-    scenario = parse_json(text, "scenario", ScenarioError)
+    scenario = parse_json(
+        read_document(cfg.scenario, "scenario", ScenarioError), "scenario", ScenarioError
+    )
     g = build_graph(scenario, lib, cfg.leaf_prior)
+    # The graph holds all the run reads of the scenario but its id: the
+    # document, ground-truth sidecar and all, is freed before matching.
+    scenario_id = scenario.get("scenario_id")
+    del scenario
 
     terrain = [g.evidence[i] for i in sorted(g.terrain)]
     conflict_log: list[ConflictReport] = []
@@ -250,7 +255,7 @@ def run(cfg: RunConfig) -> dict:
             )
             conflict_log.append(report)
 
-    return _build_report(cfg, scenario, g, conflict_log)
+    return _build_report(cfg, scenario_id, g, conflict_log)
 
 
 def _accrual_record(h: Hypothesis) -> dict | None:
@@ -272,7 +277,7 @@ def _accrual_record(h: Hypothesis) -> dict | None:
 
 def _build_report(
     cfg: RunConfig,
-    scenario: dict,
+    scenario_id: object,
     g: HypothesisGraph,
     conflict_log: list[ConflictReport],
 ) -> dict:
@@ -351,7 +356,7 @@ def _build_report(
     config["heuristic"] = cfg.heuristic.value
     return {
         "schema_version": SCHEMA_VERSION,
-        "scenario_id": scenario.get("scenario_id"),
+        "scenario_id": scenario_id,
         "seed": cfg.seed,
         "config": config,
         "levels": levels,

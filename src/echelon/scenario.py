@@ -34,6 +34,11 @@ SCHEMA_VERSION = 1
 # draw a detection list that exhausts time or memory.
 MAX_FALSE_ALARMS = 100_000
 
+# The longest list ``dumps`` hands json's encoder in one call; a longer
+# one is encoded a slice at a time.
+DUMPS_SLICE = 64
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class GroundTruthNode:
@@ -345,19 +350,54 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
 def dumps(doc: dict) -> str:
     """Canonical serialization: the byte-determinism contract.
 
-    The text is ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
-    followed by one newline: compact, keys sorted, non-ASCII as
-    ``\\uXXXX``, floats as ``float.__repr__`` and non-finite floats as
-    ``NaN``/``Infinity``/``-Infinity``.  json coerces ``int``, ``float``,
-    ``bool`` and ``None`` keys to strings; any value json cannot write
-    raises ``TypeError``.  ``python -m json.tool --indent 2 --sort-keys``
-    gives the indented view of the same document.  A string holding a
-    high surrogate directly followed by a low one is written as two
-    escapes that ``json.loads`` reads back as one astral character, so
-    such a string does not round-trip; a lone surrogate does.  No
+    The text is, byte for byte, ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` followed by one newline: compact, keys
+    sorted, non-ASCII as ``\\uXXXX``, floats as ``float.__repr__`` and
+    non-finite floats as ``NaN``/``Infinity``/``-Infinity``.  json coerces
+    ``int``, ``float``, ``bool`` and ``None`` keys to strings; any value
+    json cannot write raises ``TypeError``, and a container that holds
+    itself json's ``ValueError``.  ``python -m json.tool --indent 2
+    --sort-keys`` gives the indented view of the same document.  A string
+    holding a high surrogate directly followed by a low one is written as
+    two escapes that ``json.loads`` reads back as one astral character,
+    so such a string does not round-trip; a lone surrogate does.  No
     document read from JSON holds such a pair.
+
+    Compact JSON composes, so the text is built in pieces: dicts with
+    only ``str`` keys are walked key by key, and a list longer than
+    ``DUMPS_SLICE`` goes to json's encoder one slice at a time, each
+    slice's brackets stripped.  The encoder's token list, several times
+    the text it makes, then holds one slice, not the whole document.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    pieces: list[str] = []
+    _write(doc, pieces, set())
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _write(obj: object, pieces: list[str], walking: set[int]) -> None:
+    """Append the JSON text of ``obj`` to ``pieces`` (``dumps``).
+    ``walking`` holds the ids of the containers being walked, so one
+    that holds itself raises as json does."""
+    is_dict = type(obj) is dict and all(type(k) is str for k in obj)
+    if not is_dict and not (type(obj) in (list, tuple) and len(obj) > DUMPS_SLICE):
+        pieces.append(_encode(obj))
+        return
+    if id(obj) in walking:
+        raise ValueError("Circular reference detected")
+    walking.add(id(obj))
+    if is_dict:
+        pieces.append("{")
+        for i, key in enumerate(sorted(obj)):
+            pieces.append(f"{',' if i else ''}{_encode(key)}:")
+            _write(obj[key], pieces, walking)
+        pieces.append("}")
+    else:
+        for start in range(0, len(obj), DUMPS_SLICE):
+            pieces.append("," if start else "[")
+            pieces.append(_encode(obj[start : start + DUMPS_SLICE])[1:-1])
+        pieces.append("]")
+    walking.remove(id(obj))
 
 
 def score(

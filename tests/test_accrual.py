@@ -406,9 +406,9 @@ def run_graph(cfg, monkeypatch):
     seen = []
     build = pipeline._build_report
 
-    def capture(cfg, scenario, g, conflict_log):
+    def capture(cfg, scenario_id, g, conflict_log):
         seen.append((g, conflict_log))
-        return build(cfg, scenario, g, conflict_log)
+        return build(cfg, scenario_id, g, conflict_log)
 
     monkeypatch.setattr(pipeline, "_build_report", capture)
     with warnings.catch_warnings():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from echelon.accrual import AccrualInputs, AccrualResult, ComponentBelief
+from echelon.conflict import ApproxJointResult, ConflictReport, ConflictSet, ConsistentSet
 from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import (
     DanglingComponentError,
@@ -10,6 +12,7 @@ from echelon.exceptions import (
     UnknownHypothesisError,
 )
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
+from echelon.matching import MatchCandidate
 from echelon.models import Level
 
 from conftest import add_leaf, add_parent
@@ -106,6 +109,32 @@ def test_duplicate_ids_rejected(empty_graph):
         )
 
 
+def test_component_listed_twice_rejected(empty_graph):
+    # accrual would count the child twice: a0 over ("v0", "v0") with a
+    # lambda-6 leaf reported 0.36, over ("v0",) 0.6
+    g = empty_graph
+    add_leaf(g, "v0", lam=6.0)
+    with pytest.raises(ValueError, match="a0: component 'v0' listed twice"):
+        add_parent(g, "a0", ["v0", "v0"])
+    assert "a0" not in g.hypotheses and g.parents_of("v0") == []
+    add_parent(g, "a0", ["v0"])
+    assert g.parents_of("v0") == ["a0"]
+
+
+def test_records_are_slotted():
+    # one record per hypothesis, evidence item, accrual, candidate and
+    # conflict: no per-instance __dict__, and no attribute set at run time
+    records = [
+        Hypothesis, EvidenceItem, ComponentBelief, AccrualInputs, AccrualResult,
+        MatchCandidate, ConflictSet, ApproxJointResult, ConflictReport, ConsistentSet,
+    ]
+    for cls in records:
+        assert "__slots__" in vars(cls) and "__dict__" not in dir(cls), cls
+    h = Hypothesis(id="v0", force_type="tank", level=Level.VEHICLE, location=(0, 0))
+    with pytest.raises(AttributeError):
+        h.note = "not a field"
+
+
 def test_own_evidence_must_resolve(empty_graph):
     with pytest.raises(EvidenceResolutionError):
         empty_graph.insert(
@@ -131,6 +160,11 @@ class TestClosure:
         g = empty_graph
         add_leaf(g, "v0", items=[("1", 2.0), ("2", 3.0)])
         assert g.evidence_closure("v0") == {"1", "2"}
+
+    def test_leaf_closure_is_its_own_evidence(self, empty_graph):
+        g = empty_graph
+        add_leaf(g, "v0", items=[("1", 2.0)])
+        assert g.evidence_closure("v0") is g.get("v0").own_evidence
 
     def test_parent_union(self, empty_graph):
         g = empty_graph

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -1246,6 +1247,24 @@ class TestNoCyclicGarbage:
         # matching, and exact resolution of the local vehicle groups
         cfg, _ = noisy_grid_config(tmp_path)
         assert self.garbage_of(cfg) == []
+
+
+def test_scene_peak_memory_follows_the_report(tmp_path):
+    # The benchmark's grid-clean scene, run and written as the benchmark
+    # does.  Its peak was 12.6 times the report's length while the run
+    # kept the scenario document and json's encoder held the tokens of
+    # the whole report; it is 7.0 times with the document freed after
+    # the graph is built, slotted records and a slicing writer.
+    cfg = perfbench_scene(tmp_path, "grid-clean", 0, 0)
+    dumps(run(cfg))  # the first run fills import-time and module caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = dumps(run(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * len(text)
 
 
 def rule_raw(prior, accrual):

@@ -2,6 +2,7 @@ import copy
 import enum
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from echelon.exceptions import ScenarioError
 from echelon.models import load_library
 from echelon.scenario import (
+    DUMPS_SLICE,
     dumps,
     generate,
     load_ground_truth,
@@ -328,12 +330,25 @@ scalars = st.one_of(
 )
 
 
+def long_lists():
+    """Lists one shorter than the writer's slice, as long, one longer,
+    and two slices and one longer, cycling through a few scalars and
+    small str-keyed dicts: ``dumps`` hands json's encoder the longer
+    ones a slice at a time."""
+    lengths = [DUMPS_SLICE - 1, DUMPS_SLICE, DUMPS_SLICE + 1, 2 * DUMPS_SLICE + 1]
+    values = st.one_of(scalars, st.dictionaries(strings, scalars, max_size=3))
+    return st.tuples(st.sampled_from(lengths), st.lists(values, min_size=1, max_size=3)).map(
+        lambda t: [t[1][i % len(t[1])] for i in range(t[0])]
+    )
+
+
 def documents(depth: int):
     """JSON-like documents nested at most ``depth`` containers deep."""
     if depth == 0:
         return scalars
     inner = documents(depth - 1)
     items = st.lists(inner, max_size=3)
+    long = long_lists()
     return st.one_of(
         scalars,
         st.just({}),
@@ -346,6 +361,11 @@ def documents(depth: int):
         st.lists(st.dictionaries(strings, inner, max_size=3), max_size=3),
         same_key_dicts(inner),
         st.dictionaries(strings, inner, max_size=4),
+        long,
+        st.dictionaries(strings, long, max_size=2),
+        st.tuples(long, inner),
+        long.map(tuple),
+        st.dictionaries(st.integers(-3, 3), long, max_size=2),  # json coerces the keys
     )
 
 
@@ -364,11 +384,9 @@ class TestDumps:
     @given(documents(5))
     @example([{"\udfff": "", "\ud800": None, "\udfff\ud800": 1}])  # lone surrogates
     def test_matches_json_dumps(self, doc):
-        # same document as json's indented writer, in one ASCII line
+        # json's bytes, in one ASCII line
         text = dumps(doc)
-        assert json.dumps(json.loads(text), sort_keys=True, indent=2) == json.dumps(
-            doc, sort_keys=True, indent=2
-        )
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert text.isascii()
         assert text.index("\n") == len(text) - 1
 
@@ -384,8 +402,69 @@ class TestDumps:
             # json coerces int, float, bool and None keys, not these
             {(1, 2): "a"},
             {"a": {b"k": 1}},
+            # past the first slice of a list the writer slices
+            [*range(DUMPS_SLICE), {1, 2}],
+            {"a": [*range(2 * DUMPS_SLICE), b"x"]},
         ],
     )
     def test_non_str_key_or_unsupported_value_raises(self, doc):
         with pytest.raises(TypeError):
             dumps(doc)
+
+    def test_transient_memory_follows_one_slice(self):
+        # 2,000 entries shaped like the report's hypothesis records.
+        # Beyond the document, json.dumps allocated 4.7 times its text
+        # (the encoder's token list for all of it); the slicing writer
+        # allocates 2.0 times (its pieces, their join, and one slice's
+        # tokens).
+        doc = {
+            "levels": {
+                "array": [
+                    {
+                        "id": f"a{i}", "type": "tank-company", "model": "tank-company-line",
+                        "x": 1000.0 + i * 1.5, "y": 2000.0 - i / 3, "heading": None,
+                        "time": 0.0, "prior": 0.3, "posterior": 0.9 - i / 1e4,
+                        "status": "active", "out_of_range": False,
+                        "components": [f"v.d{3 * i + k}" for k in range(3)],
+                        "own_evidence": [f"fit.a{i}"],
+                        "accrual": {
+                            "raw": 0.9 - i / 1e4, "fit": [0.5, 0.75],
+                            "components": [[0.8, 0.5, 0.8 + i / 1e5, 0.5]] * 3,
+                        },
+                    }
+                    for i in range(2000)
+                ]
+            }
+        }
+        tracemalloc.start()
+        try:
+            text = dumps(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
+
+    @staticmethod
+    def holding_itself(kind):
+        long = list(range(2 * DUMPS_SLICE))
+        if kind == "dict":
+            doc = {"a": 1}
+            doc["self"] = doc
+        elif kind == "list":
+            doc = [1]
+            doc.append(doc)
+        elif kind == "long list":
+            doc = long
+            doc.append(doc)
+        else:  # a dict, through a long list
+            doc = {"a": long}
+            long.append(doc)
+        return doc
+
+    @pytest.mark.parametrize("kind", ["dict", "list", "long list", "dict via long list"])
+    def test_container_holding_itself_raises_as_json_does(self, kind):
+        with pytest.raises(ValueError) as ours:
+            dumps(self.holding_itself(kind))
+        with pytest.raises(ValueError) as stdlib:
+            json.dumps(self.holding_itself(kind), sort_keys=True, separators=(",", ":"))
+        assert str(ours.value) == str(stdlib.value) == "Circular reference detected"
