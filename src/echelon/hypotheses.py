@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import (
@@ -79,7 +79,10 @@ class HypothesisGraph:
     lists, which ``insert`` keeps free of repeats by refusing a
     component listed twice; and the records (``Hypothesis``,
     ``EvidenceItem``, the accrual, match and conflict records) are
-    slotted dataclasses, so they take no new attributes at run time."""
+    slotted dataclasses, so they take no new attributes at run time.
+    The report build is the graph's last reader and consumes it through
+    ``drain``, so the graph and the finished report are never both
+    whole."""
 
     hypotheses: dict[str, Hypothesis] = field(default_factory=dict)
     evidence: dict[str, EvidenceItem] = field(default_factory=dict)
@@ -183,3 +186,17 @@ class HypothesisGraph:
         """Ids of hypotheses having ``hid`` as a component, id-sorted."""
         self.get(hid)
         return sorted(self._parents.get(hid, ()))
+
+    def drain(self) -> Iterator[Hypothesis]:
+        """Empty the graph, yielding its hypotheses level by level,
+        bottom up, in insertion order.  The evidence table, closure memo
+        and parents index go at the first step; each hypothesis leaves
+        the store before it is yielded, so a caller that keeps only what
+        it builds from each frees the hypotheses one at a time."""
+        self.evidence.clear()
+        self.terrain.clear()
+        self._closures.clear()
+        self._parents.clear()
+        for level in sorted(self._by_level):
+            for hid in self._by_level.pop(level):
+                yield self.hypotheses.pop(hid)

@@ -6,6 +6,9 @@ detect conflicts, and either skip them (their members' parents accrue
 directly from the evidence, each with an error bound) or resolve them
 exactly.  The report carries every hypothesis with the inputs of its
 accrual, so any posterior can be recomputed from the report alone.
+Building it consumes the graph: the conflicts are written while the
+graph is whole, then each hypothesis leaves the graph as its entry is
+built.
 Inference draws nothing at random: the report is fixed by the config
 and its inputs, and the config's ``seed`` is only echoed into it.
 """
@@ -211,6 +214,15 @@ def build_graph(
 
 def run(cfg: RunConfig) -> dict:
     """Execute the full pipeline and return the report document."""
+    return _build_report(cfg, *_infer(cfg))
+
+
+def _infer(cfg: RunConfig) -> tuple[object, HypothesisGraph, list[ConflictReport]]:
+    """The inference half of ``run``: the scenario id, the finished
+    hypothesis graph and the decided conflicts, before any report is
+    built.  Its locals (the last level's candidates among them) are
+    freed when it returns, so the graph is the only holder of its
+    hypotheses."""
     lib = load_library(read_document(cfg.library, "library", LibraryFormatError))
     scenario = parse_json(
         read_document(cfg.scenario, "scenario", ScenarioError), "scenario", ScenarioError
@@ -255,7 +267,7 @@ def run(cfg: RunConfig) -> dict:
             )
             conflict_log.append(report)
 
-    return _build_report(cfg, scenario_id, g, conflict_log)
+    return scenario_id, g, conflict_log
 
 
 def _accrual_record(h: Hypothesis) -> dict | None:
@@ -281,34 +293,11 @@ def _build_report(
     g: HypothesisGraph,
     conflict_log: list[ConflictReport],
 ) -> dict:
-    levels: dict[str, list[dict]] = {}
-    for level in LEVELS:
-        entries = []
-        for hid in g.at_level(level):
-            h = g.get(hid)
-            out_of_range = bool(h.accrual and h.accrual.out_of_range)
-            entries.append(
-                {
-                    "id": h.id,
-                    "type": h.force_type,
-                    "model": h.model,
-                    "x": h.location[0],
-                    "y": h.location[1],
-                    "heading": h.heading,
-                    "time": h.time,
-                    "prior": h.prior,
-                    "posterior": h.posterior,
-                    "status": h.status.value,
-                    "out_of_range": out_of_range,
-                    "components": list(h.components),
-                    "own_evidence": sorted(h.own_evidence),
-                    "accrual": _accrual_record(h),
-                }
-            )
-        # Ranked by posterior; out-of-range entries listed but demoted.
-        entries.sort(key=lambda e: (e["out_of_range"], -e["posterior"], e["id"]))
-        levels[level.label] = entries
-
+    """The report document; it consumes the graph.  The conflicts come
+    first, as their skip estimates read the parents index and each
+    parent's accrual; then ``drain`` hands over the hypotheses one at a
+    time, each freed once its entry is built, so the graph and the
+    report are never both whole."""
     conflicts = []
     for rep in conflict_log:
         members = rep.conflict_set.members
@@ -347,6 +336,31 @@ def _build_report(
                 ),
             }
         )
+
+    levels: dict[str, list[dict]] = {level.label: [] for level in LEVELS}
+    for h in g.drain():
+        out_of_range = bool(h.accrual and h.accrual.out_of_range)
+        levels[h.level.label].append(
+            {
+                "id": h.id,
+                "type": h.force_type,
+                "model": h.model,
+                "x": h.location[0],
+                "y": h.location[1],
+                "heading": h.heading,
+                "time": h.time,
+                "prior": h.prior,
+                "posterior": h.posterior,
+                "status": h.status.value,
+                "out_of_range": out_of_range,
+                "components": list(h.components),
+                "own_evidence": sorted(h.own_evidence),
+                "accrual": _accrual_record(h),
+            }
+        )
+    for entries in levels.values():
+        # Ranked by posterior; out-of-range entries listed but demoted.
+        entries.sort(key=lambda e: (e["out_of_range"], -e["posterior"], e["id"]))
 
     # The config echo: every field but the paths, and the seed, which the
     # report holds at its top level.

@@ -201,21 +201,30 @@ def write_battalion_inputs(tmp_path, seed=7, tau=0.1):
     }
 
 
-def perfbench_scene(tmp_path, workload, seed, scene):
-    """The run config of scene ``scene`` of benchmark ``workload`` at
-    ``seed``, its files written under ``tmp_path`` by
-    ``perfbench/workloads.py``, imported by path as the benchmark runs it."""
-    root = Path(__file__).resolve().parents[1]
+def perfbench_workloads():
+    """``perfbench/workloads.py``, imported by path as the benchmark runs it."""
     name = "tests_perfbench_workloads"
     workloads = sys.modules.get(name)
     if workloads is None:
+        root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location(
             name, root / "perfbench" / "workloads.py"
         )
         workloads = importlib.util.module_from_spec(spec)
         sys.modules[name] = workloads  # its dataclasses look their module up
         spec.loader.exec_module(workloads)
-    runner = workloads.SceneRunner(workloads.WORKLOADS[workload], seed, root, tmp_path)
+    return workloads
+
+
+def perfbench_scene(tmp_path, workload, seed, scene):
+    """The run config of scene ``scene`` of ``workload`` at ``seed``, its
+    files written under ``tmp_path`` by ``perfbench/workloads.py``.
+    ``workload`` is a benchmark workload's name or a ``SceneWorkload``."""
+    workloads = perfbench_workloads()
+    if isinstance(workload, str):
+        workload = workloads.WORKLOADS[workload]
+    root = Path(__file__).resolve().parents[1]
+    runner = workloads.SceneRunner(workload, seed, root, tmp_path)
     return runner.configs[scene]
 
 

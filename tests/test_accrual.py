@@ -400,21 +400,15 @@ def reference_evaluate(g, hid, keep=None):
     return result.posterior, result
 
 
-def run_graph(cfg, monkeypatch):
+def run_graph(cfg):
     """The hypothesis graph and conflict log of ``pipeline.run(cfg)``, as
-    they stand when the report is built."""
-    seen = []
-    build = pipeline._build_report
-
-    def capture(cfg, scenario_id, g, conflict_log):
-        seen.append((g, conflict_log))
-        return build(cfg, scenario_id, g, conflict_log)
-
-    monkeypatch.setattr(pipeline, "_build_report", capture)
+    they stand before the report is built (building it empties the
+    graph)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # refusals are warned; not the subject here
-        pipeline.run(cfg)
-    return seen[0]
+        _, g, conflict_log = pipeline._infer(cfg)
+    assert all(g.at_level(level) for level in (Level.VEHICLE, Level.ARRAY, Level.BATTALION))
+    return g, conflict_log
 
 
 # grid-noisy seed 2's scene 15 refuses, skips and resolves groups, and
@@ -425,9 +419,9 @@ BENCHMARK_SCENES = [("grid-noisy", 2, 15), ("grid-clean", 0, 0)]
 class TestStoredBeliefs:
     @pytest.mark.parametrize("workload, seed, scene", BENCHMARK_SCENES)
     def test_pipeline_matches_full_recursion_bit_for_bit(
-        self, tmp_path, monkeypatch, workload, seed, scene
+        self, tmp_path, workload, seed, scene
     ):
-        g, conflict_log = run_graph(perfbench_scene(tmp_path, workload, seed, scene), monkeypatch)
+        g, conflict_log = run_graph(perfbench_scene(tmp_path, workload, seed, scene))
         resolved = {
             m
             for r in conflict_log

@@ -249,3 +249,24 @@ def test_status_and_level_filters(empty_graph):
     g.get("v1").status = Status.EXCLUDED
     assert g.at_level(Level.VEHICLE, statuses={Status.ACTIVE}) == ["v0"]
     assert g.at_level(Level.VEHICLE) == ["v0", "v1"]
+
+
+def test_drain_hands_over_each_hypothesis_and_empties_the_graph(empty_graph):
+    g = empty_graph
+    add_leaf(g, "v1", lam=2.0)
+    add_leaf(g, "v0", lam=2.0)
+    add_parent(g, "a0", ["v0", "v1"])
+    add_parent(g, "b0", ["a0"], level=Level.BATTALION, force_type="tank-battalion",
+               model="tank-battalion-std")
+    add_leaf(g, "v2", lam=2.0)  # inserted after the levels above it
+    g.evidence_closure("b0")
+    drained = []
+    for h in g.drain():
+        assert h.id not in g.hypotheses  # out of the store before it is handed over
+        assert not g.evidence and not g._closures and not g._parents
+        drained.append(h.id)
+    assert drained == ["v1", "v0", "v2", "a0", "b0"]  # bottom up, in insertion order
+    assert not g.hypotheses and not g.terrain
+    assert all(not g.at_level(level) for level in Level)
+    with pytest.raises(UnknownHypothesisError):
+        g.parents_of("v0")

@@ -19,7 +19,13 @@ from echelon.evidence import posterior_from_evidence
 from echelon.pipeline import RunConfig, run
 from echelon.scenario import dumps
 
-from conftest import TANK_LIBRARY, perfbench_scene, weak_ratio_scene, write_battalion_inputs
+from conftest import (
+    TANK_LIBRARY,
+    perfbench_scene,
+    perfbench_workloads,
+    weak_ratio_scene,
+    write_battalion_inputs,
+)
 
 # library variant for the doctrine-conflict flow: a four-tank company
 # model plus a tight vehicle separation rule
@@ -1182,6 +1188,63 @@ class TestBenchmarkReportBytes:
         assert hashlib.sha256(dumps(report).encode()).hexdigest() == digest
 
 
+class TestLargeScene:
+    """576 noisy battalions (noise seed 0: p_detect 0.9, 0.5 false alarms
+    per km^2, 15 m jitter), 11,909 detections, nine times the benchmark's
+    largest scene.  The report is finite and strict JSON, but the engine
+    degrades there and nothing in the report flags it; the counts below
+    pin how, so a change that moves them says why."""
+
+    def test_noisy_576_seed_0(self, tmp_path):
+        workloads = perfbench_workloads()
+        workload = workloads.SceneWorkload("noisy-576", 576, 0.9, 0.5, 15.0, scenes=1)
+        cfg = perfbench_scene(tmp_path, workload, 0, 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run(cfg)
+        text = dumps(report)
+        assert workloads.strict_loads(text) == report  # no NaN or Infinity
+        # two resolutions in which every consistent set weighs 0 share
+        # the belief out evenly, each with a warning
+        zero = [
+            (c["level"], len(c["members"]))
+            for c in report["conflicts"]
+            if c["decision"] == "resolve"
+            and all(cs["weight"] == 0.0 for cs in c["consistent_sets"])
+        ]
+        assert zero == [("battalion", 17), ("battalion", 16)]
+        assert sum("weights are zero" in str(w.message) for w in caught) == 2
+        # groups past max_exact are skipped at measure 0, never refused
+        large = [
+            (c["level"], len(c["members"]), c["k"], c["measure"], c["decision"])
+            for c in report["conflicts"]
+            if len(c["members"]) > cfg.max_exact
+        ]
+        assert large == [("battalion", 25, 1.0, 0.0, "skip")] * 2
+        assert not any("resolution too large" in str(w.message) for w in caught)
+        battalions = report["levels"]["battalion"]
+        assert (sum(e["out_of_range"] for e in battalions), len(battalions)) == (523, 532)
+        digest = "7f20c884580a4f661bf739bdacdf4249a54a87e6e9ece87dd4a48eeb9ab247ee"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestReportBuildConsumesTheGraph:
+    def test_graph_is_empty_after_the_report(self, tmp_path):
+        # grid-noisy seed 2, scene 15 skips groups, so its skip estimates
+        # read parents through the graph: the conflicts are written first
+        cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # refusals are warned
+            scenario_id, g, conflict_log = pipeline._infer(cfg)
+            n = len(g.hypotheses)
+            report = pipeline._build_report(cfg, scenario_id, g, conflict_log)
+            assert report == run(cfg)
+        assert any(c["skip_error_estimates"] for c in report["conflicts"])
+        assert sum(len(entries) for entries in report["levels"].values()) == n
+        assert not g.hypotheses and not g.evidence and not g.terrain
+        assert all(not g.at_level(level) for level in pipeline.LEVELS)
+
+
 class TestEvidenceOrder:
     """Evidence ids are unordered sets, iterated in the order
     ``PYTHONHASHSEED`` gives every set of strings.  A product takes its
@@ -1253,8 +1316,11 @@ def test_scene_peak_memory_follows_the_report(tmp_path):
     # The benchmark's grid-clean scene, run and written as the benchmark
     # does.  Its peak was 12.6 times the report's length while the run
     # kept the scenario document and json's encoder held the tokens of
-    # the whole report; it is 7.0 times with the document freed after
-    # the graph is built, slotted records and a slicing writer.
+    # the whole report; 7.0 times with the document freed after the
+    # graph is built, slotted records and a slicing writer, the peak
+    # then being the whole graph and the whole report alive together;
+    # and it is 6.0 times with the report build draining the graph, the
+    # peak now the writer's: the report plus about twice its text.
     cfg = perfbench_scene(tmp_path, "grid-clean", 0, 0)
     dumps(run(cfg))  # the first run fills import-time and module caches
     gc.collect()
@@ -1264,7 +1330,7 @@ def test_scene_peak_memory_follows_the_report(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * len(text)
+    assert peak < 6.5 * len(text)
 
 
 def rule_raw(prior, accrual):
