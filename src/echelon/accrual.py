@@ -18,11 +18,13 @@ hypothesis bottom-up using only a subset of its evidence closure; the
 conflict analysis relies on it.  Restriction removes information, so an
 absent fit item neutralizes the fit ratio rather than disconfirming.
 
-Each hypothesis is accrued once, into ``Hypothesis.accrual``.  A parent
-takes a non-leaf component's P(C|e), the belief before conflict
-resolution, from that record, and so does restricted evaluation when a
-whole closure is kept.  A leaf, a strict subset of a closure, or a
-hypothesis never propagated (as in hand-built graphs) is derived from
+Each hypothesis is accrued once: ``propagate_level`` stores its
+belief, P(H | its whole closure) before conflict resolution, in
+``Hypothesis.belief``, and a non-leaf's rule inputs in
+``Hypothesis.accrual``.  A parent reads each component's stored belief
+as its P(C|e), leaves included, and so does restricted evaluation when
+a whole closure is kept.  Only a strict subset of a closure, or a
+hypothesis never propagated (as in hand-built graphs), is derived from
 its evidence by the recursion.
 
 A fit item with geometric score s contributes fit_num factor
@@ -42,7 +44,7 @@ from echelon.exceptions import (
     EvidenceResolutionError,
     SubsetError,
 )
-from echelon.hypotheses import HypothesisGraph, Status
+from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import Level
 
 
@@ -66,22 +68,38 @@ class AccrualInputs:
     p_h: float
 
     def __post_init__(self) -> None:
-        for name in ("fit_num", "fit_den", "p_h"):
-            val = getattr(self, name)
-            if not (0.0 <= val <= 1.0):
-                raise ValueError(f"{name} outside [0,1]: {val!r}")
-        if self.fit_den == 0.0:
+        fit_num, fit_den, p_h = self.fit_num, self.fit_den, self.p_h
+        if not (0.0 <= fit_num <= 1.0 and 0.0 <= fit_den <= 1.0 and 0.0 <= p_h <= 1.0):
+            _refuse_outside_unit("", _RULE_FIELDS, (fit_num, fit_den, p_h))
+        if fit_den == 0.0:
             raise AccrualDomainError("fit_den is zero")
         for i, cb in enumerate(self.per_component):
-            for name in ("p_ce", "p_ct", "p_cet", "p_c"):
-                val = getattr(cb, name)
-                if not (0.0 <= val <= 1.0):
-                    raise ValueError(f"component {i}: {name} outside [0,1]: {val!r}")
-            if cb.p_cet * (cb.p_c * cb.p_c) == 0.0:  # a zero factor, or underflow
+            p_ce, p_ct, p_cet, p_c = cb.p_ce, cb.p_ct, cb.p_cet, cb.p_c
+            if not (
+                0.0 <= p_ce <= 1.0 and 0.0 <= p_ct <= 1.0
+                and 0.0 <= p_cet <= 1.0 and 0.0 <= p_c <= 1.0
+            ):
+                _refuse_outside_unit(
+                    f"component {i}: ", _COMPONENT_FIELDS, (p_ce, p_ct, p_cet, p_c)
+                )
+            if p_cet * (p_c * p_c) == 0.0:  # a zero factor, or underflow
                 raise AccrualDomainError(
                     f"component {i}: p_cet * p_c**2 is zero "
-                    f"(p_cet {cb.p_cet!r}, p_c {cb.p_c!r})"
+                    f"(p_cet {p_cet!r}, p_c {p_c!r})"
                 )
+
+
+_RULE_FIELDS = ("fit_num", "fit_den", "p_h")
+_COMPONENT_FIELDS = ("p_ce", "p_ct", "p_cet", "p_c")
+
+
+def _refuse_outside_unit(
+    where: str, names: tuple[str, ...], values: tuple[float, ...]
+) -> None:
+    """ValueError naming the first of ``values`` outside [0, 1], NaN included."""
+    for name, val in zip(names, values):
+        if not (0.0 <= val <= 1.0):
+            raise ValueError(f"{where}{name} outside [0,1]: {val!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,8 +136,9 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
     value past the float range raises ``AccrualDomainError``.
     """
     fit_ratio = inputs.fit_num / inputs.fit_den
+    p_h = inputs.p_h
     brackets = [
-        (c.p_ce * c.p_ct * inputs.p_h) / (c.p_cet * (c.p_c * c.p_c))
+        (c.p_ce * c.p_ct * p_h) / (c.p_cet * (c.p_c * c.p_c))
         for c in inputs.per_component
     ]
     raw = product([fit_ratio, *brackets])
@@ -128,7 +147,7 @@ def accrue_parent(inputs: AccrualInputs) -> AccrualResult:
             f"accrual overflows the float range: fit ratio {fit_ratio!r} "
             f"times {len(inputs.per_component)} component factors gives {raw!r}"
         )
-    return AccrualResult(raw=raw, inputs=inputs)
+    return AccrualResult(raw, inputs)
 
 
 def _combined_et(p_ce: float, p_ct: float, p_c: float) -> float:
@@ -160,63 +179,61 @@ def _direct_result(
     return AccrualResult(raw=post, inputs=ratios)
 
 
-def _belief(g: HypothesisGraph, hid: str, keep: frozenset[str] | None) -> float:
-    """P(hid | the kept part of its closure): its accrual record's when
-    the whole closure is kept and it has one, else the recursion.  ``keep``
+def _belief(g: HypothesisGraph, h: Hypothesis, keep: frozenset[str] | None) -> float:
+    """P(h | the kept part of its closure): its stored belief when the
+    whole closure is kept and it has one, else the recursion.  ``keep``
     is None or a subset of the closure, so equal size means all of it."""
-    accrued = g.get(hid).accrual
-    if accrued and (keep is None or len(keep) == len(g.evidence_closure(hid))):
-        return accrued.posterior
-    return _evaluate(g, hid, keep)[0]
+    if h.belief is not None and (
+        keep is None or len(keep) == len(g.evidence_closure(h.id))
+    ):
+        return h.belief
+    return _evaluate(g, h, keep)[0]
 
 
 def _evaluate(
     g: HypothesisGraph,
-    hid: str,
+    h: Hypothesis,
     keep: frozenset[str] | None,
 ) -> tuple[float, AccrualResult | None]:
-    h = g.get(hid)
+    """P(h | the kept items of its closure) and the accrual behind it: a
+    leaf's odds product over its non-terrain evidence (no record), or a
+    parent's rule or direct path over its components, each read once.
+    The item sets are iterated in hash order, which ``product`` makes
+    harmless."""
+    terrain = g.terrain
+    own = h.own_evidence if keep is None else h.own_evidence & keep
     if h.is_leaf():
-        ratios = [
-            g.item(i).likelihood_ratio
-            for i in h.own_evidence
-            if (keep is None or i in keep)
-            and g.item(i).kind is not EvidenceKind.TERRAIN
-        ]
+        detections = own - terrain if terrain else own
+        ratios = [g.item(i).likelihood_ratio for i in detections]
         return posterior_from_evidence(h.prior, ratios), None
 
-    if any(g.get(cid).status is Status.SKIPPED for cid in h.components):
-        result = _direct_result(g, hid, keep)
+    components = [g.get(cid) for cid in h.components]
+    if any(c.status is Status.SKIPPED for c in components):
+        result = _direct_result(g, h.id, keep)
         return result.posterior, result
 
     per_component = []
-    for cid in h.components:
-        c = g.get(cid)
-        c_keep = keep if keep is None else keep & g.evidence_closure(cid)
-        p_ce = _belief(g, cid, c_keep)
-        terrain = [
-            g.item(i).likelihood_ratio
-            for i in c.own_evidence
-            if (keep is None or i in keep)
-            and g.item(i).kind is EvidenceKind.TERRAIN
-        ]
-        p_ct = posterior_from_evidence(c.prior, terrain)
-        per_component.append(
-            ComponentBelief(
-                p_ce=p_ce,
-                p_ct=p_ct,
-                p_cet=_combined_et(p_ce, p_ct, c.prior),
-                p_c=c.prior,
-            )
-        )
+    for c in components:
+        p_c = c.prior
+        p_ce = _belief(g, c, None if keep is None else keep & g.evidence_closure(c.id))
+        ratios = ()
+        if terrain:  # the component's own terrain items, scanned only when any exist
+            c_terrain = c.own_evidence & terrain
+            ratios = [
+                g.item(i).likelihood_ratio
+                for i in (c_terrain if keep is None else c_terrain & keep)
+            ]
+        p_ct = posterior_from_evidence(p_c, ratios)
+        p_cet = _combined_et(p_ce, p_ct, p_c)
+        per_component.append(ComponentBelief(p_ce, p_ct, p_cet, p_c))
 
+    # a fit item outside ``keep`` is absent, not disconfirming:
+    # restriction removes information, not injects it
     scores = []
-    for item_id in h.own_evidence:
+    for item_id in own:
         item = g.item(item_id)
         if item.kind is not EvidenceKind.FIT:
             continue
-        if keep is not None and item_id not in keep:
-            continue  # restriction removes information, not injects it
         score = item.sensor_context.get("fit_score")
         if score is None:
             raise EvidenceResolutionError(
@@ -224,14 +241,10 @@ def _evaluate(
             )
         scores.append(0.5 + 0.5 * float(score))
 
-    result = accrue_parent(
-        AccrualInputs(
-            fit_num=product(scores),
-            fit_den=0.5 ** len(scores),
-            per_component=tuple(per_component),
-            p_h=h.prior,
-        )
+    inputs = AccrualInputs(
+        product(scores), 0.5 ** len(scores), tuple(per_component), h.prior
     )
+    result = accrue_parent(inputs)
     return result.posterior, result
 
 
@@ -241,14 +254,14 @@ def posterior_given_subset(
     """Recompute a posterior bottom-up using only the items in ``keep``.
 
     ``keep`` must be a subset of the hypothesis's evidence closure.
-    Restricting to the full closure gives accrual's belief, from before
-    conflict resolution (identical arithmetic path).
+    Restricting to the full closure gives the belief ``propagate_level``
+    stored, from before conflict resolution (identical arithmetic path).
     """
     closure = g.evidence_closure(hid)
     if not keep <= closure:
         extra = sorted(keep - closure)
         raise SubsetError(f"{hid}: items {extra} are outside the evidence closure")
-    return _belief(g, hid, keep)
+    return _belief(g, g.get(hid), keep)
 
 
 def propagate_level(g: HypothesisGraph, level: Level) -> None:
@@ -257,11 +270,12 @@ def propagate_level(g: HypothesisGraph, level: Level) -> None:
     Levels must be propagated bottom-up; hypotheses whose components
     were skipped by conflict handling accrue via the direct path.
 
-    Each non-leaf's ``accrual`` record, which parents and restricted
-    evaluation read in place of the recursion, is written here only,
-    and re-propagating a level overwrites it.  A record stays exact
-    while nothing it depends on changes: the hypothesis's evidence and
-    prior and the statuses of its components and their descendants.
+    Each hypothesis's ``belief``, which parents and restricted
+    evaluation read in place of the recursion, and each non-leaf's
+    ``accrual`` record are written here only, and re-propagating a
+    level overwrites them.  They stay exact while nothing they depend
+    on changes: the hypothesis's evidence and prior and the statuses of
+    its components and their descendants.
     Conflict handling changes only the statuses and posteriors of the
     level it decides, after that level is propagated and before the next
     one is.  A caller that changes any of these below a propagated level
@@ -269,4 +283,5 @@ def propagate_level(g: HypothesisGraph, level: Level) -> None:
     """
     for hid in g.at_level(level):
         h = g.get(hid)
-        h.posterior, h.accrual = _evaluate(g, hid, None)
+        h.belief, h.accrual = _evaluate(g, h, None)
+        h.posterior = h.belief

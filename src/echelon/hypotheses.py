@@ -42,9 +42,10 @@ class Hypothesis:
 
     Leaves (vehicle level) have no components and no model; every other
     hypothesis was instantiated from a model over one-level-lower
-    components.  ``posterior``, ``status`` and ``accrual`` are bookkeeping
-    updated by the accrual and conflict stages; everything else is fixed
-    at insert.  Parents read ``accrual``, which resolution leaves as is.
+    components.  ``posterior``, ``status``, ``belief`` and ``accrual`` are
+    bookkeeping updated by the accrual and conflict stages; everything
+    else is fixed at insert.  Parents read ``belief``, which resolution
+    leaves as is.
     """
 
     id: str
@@ -59,7 +60,9 @@ class Hypothesis:
     posterior: float = 0.5
     heading: float | None = None
     status: Status = Status.ACTIVE
-    # Filled by propagate_level: the accrual behind `posterior`.
+    # Filled by propagate_level: P(H | its whole closure) before conflict
+    # resolution, which parents read, and a non-leaf's accrual behind it.
+    belief: float | None = None
     accrual: "AccrualResult | None" = None
 
     def is_leaf(self) -> bool:
@@ -115,42 +118,44 @@ class HypothesisGraph:
         exactly one level below; every own-evidence id must resolve in the
         evidence table.
         """
-        if not h.id:
-            n = self._counters.get(h.level, 0)
-            self._counters[h.level] = n + 1
-            h.id = f"{h.level.label[0]}{n}"
-        if h.id in self.hypotheses:
-            raise ValueError(f"duplicate hypothesis id {h.id!r}")
+        hid, level, components = h.id, h.level, h.components
+        if not hid:
+            n = self._counters.get(level, 0)
+            self._counters[level] = n + 1
+            h.id = hid = f"{level.label[0]}{n}"
+        if hid in self.hypotheses:
+            raise ValueError(f"duplicate hypothesis id {hid!r}")
         if h.is_leaf():
-            if h.components:
-                raise LevelViolationError(f"{h.id}: leaf hypotheses have no components")
+            if components:
+                raise LevelViolationError(f"{hid}: leaf hypotheses have no components")
             if h.model is not None:
-                raise LevelViolationError(f"{h.id}: leaf hypotheses carry no model")
-        elif not h.components:
+                raise LevelViolationError(f"{hid}: leaf hypotheses carry no model")
+        elif not components:
             raise LevelViolationError(
-                f"{h.id}: non-leaf hypothesis needs at least one component"
+                f"{hid}: non-leaf hypothesis needs at least one component"
             )
-        for i, cid in enumerate(h.components):
+        below = level - 1
+        for i, cid in enumerate(components):
             child = self.hypotheses.get(cid)
             if child is None:
-                raise DanglingComponentError(f"{h.id}: dangling component {cid!r}")
-            if cid in h.components[:i]:
-                raise ValueError(f"{h.id}: component {cid!r} listed twice")
-            if child.level != h.level - 1:
+                raise DanglingComponentError(f"{hid}: dangling component {cid!r}")
+            if components.index(cid) != i:  # listed before
+                raise ValueError(f"{hid}: component {cid!r} listed twice")
+            if child.level != below:
                 raise LevelViolationError(
-                    f"{h.id}: level violation: component {cid} is "
-                    f"{child.level.label}, expected {Level(h.level - 1).label}"
+                    f"{hid}: level violation: component {cid} is "
+                    f"{child.level.label}, expected {Level(below).label}"
                 )
-        unresolved = [i for i in h.own_evidence if i not in self.evidence]
-        if unresolved:
-            self.item(min(unresolved))  # the first in id order raises
+        if not h.own_evidence <= self.evidence.keys():
+            self.item(min(i for i in h.own_evidence if i not in self.evidence))
         if not (0.0 <= h.prior <= 1.0 and 0.0 <= h.posterior <= 1.0):
-            raise ValueError(f"{h.id}: prior/posterior outside [0,1]")
-        self.hypotheses[h.id] = h
-        self._by_level.setdefault(h.level, []).append(h.id)
-        for cid in h.components:
-            self._parents.setdefault(cid, []).append(h.id)
-        return h.id
+            raise ValueError(f"{hid}: prior/posterior outside [0,1]")
+        self.hypotheses[hid] = h
+        self._by_level.setdefault(level, []).append(hid)
+        parents = self._parents
+        for cid in components:
+            parents.setdefault(cid, []).append(hid)
+        return hid
 
     def get(self, hid: str) -> Hypothesis:
         try:

@@ -452,31 +452,29 @@ def candidate_to_hypothesis(
     above fit 0.5, uninformative at 0.5, disconfirming below.  Neither
     object is registered with the graph; the caller owns insertion.
     """
-    if c.fit_score < cfg.min_fit:
+    model, fit_score, children = c.model, c.fit_score, c.children()
+    if fit_score < cfg.min_fit:
         raise ValueError(
-            f"candidate below fit threshold: {c.fit_score} < {cfg.min_fit}"
+            f"candidate below fit threshold: {fit_score} < {cfg.min_fit}"
         )
-    children = c.children()
     kids = [g.get(i) for i in children]
-    center = centroid([k.location for k in kids])
-    lam = cfg.lambda_max ** (2.0 * c.fit_score - 1.0)
     item = EvidenceItem(
-        id="f:" + c.model.name + ":" + "+".join(children),
+        id="f:" + model.name + ":" + "+".join(children),
         kind=EvidenceKind.FIT,
-        likelihood_ratio=lam,
-        sensor_context={"fit_score": c.fit_score},
+        likelihood_ratio=cfg.lambda_max ** (2.0 * fit_score - 1.0),
+        sensor_context={"fit_score": fit_score},
     )
     h = Hypothesis(
         id="",
-        force_type=c.model.models_type,
-        level=lib.type_of(c.model.models_type).level,
-        location=center,
+        force_type=model.models_type,
+        level=lib.type_of(model.models_type).level,
+        location=centroid([k.location for k in kids]),
         time=max([k.time for k in kids], default=0.0),
-        model=c.model.name,
+        model=model.name,
         components=children,
         own_evidence=frozenset((item.id,)),
-        prior=c.model.prior,
-        posterior=c.model.prior,
+        prior=model.prior,
+        posterior=model.prior,
         heading=mean_heading([k.heading for k in kids if k.heading is not None]),
     )
     return h, item

@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from echelon.accrual import propagate_level
+from echelon.accrual import AccrualResult, propagate_level
 from echelon.conflict import (
     ConflictReport,
     Decision,
@@ -166,7 +166,8 @@ def build_graph(
     but the ``_*_KEYS`` above, a ``schema_version``, when given, equals
     ``SCHEMA_VERSION``, a detection has an ``id`` and a string ``type``,
     and ``x``, ``y``, ``lambda``, ``time`` and ``radius_m`` when given,
-    and ``heading`` when given and not null, are finite numbers.
+    and ``heading`` when given and not null, are finite numbers.  A
+    detection's type is a vehicle-level library type.
     """
     doc = Fields(scenario, _SCENARIO_KEYS, "scenario", ScenarioError)
     version = doc.value("schema_version", SCHEMA_VERSION)
@@ -184,7 +185,12 @@ def build_graph(
         did = str(d.value("id"))
         d.where = f"detection {shown_name(raw['id'])}"
         force_type = d.text("type")
-        lib.type_of(force_type)  # unknown detection types are a domain error
+        level = lib.type_of(force_type).level  # an unknown type is a domain error
+        if level is not Level.VEHICLE:
+            raise ScenarioError(
+                f"{d.where}: type {shown_name(force_type)} is not a vehicle-level "
+                f"type (it is {level.label}-level)"
+            )
         location = (d.number("x"), d.number("y"))
         heading = d.number("heading") if d.given("heading") else None
         item = EvidenceItem(
@@ -270,10 +276,9 @@ def _infer(cfg: RunConfig) -> tuple[object, HypothesisGraph, list[ConflictReport
     return scenario_id, g, conflict_log
 
 
-def _accrual_record(h: Hypothesis) -> dict | None:
+def _accrual_record(a: AccrualResult | None) -> dict | None:
     """What recomputes ``raw``: the rule's inputs, with P(H) the record's
     ``prior``, or the direct path's likelihood ratios by item id."""
-    a = h.accrual
     if a is None:
         return None
     if a.direct:
@@ -338,9 +343,11 @@ def _build_report(
         )
 
     levels: dict[str, list[dict]] = {level.label: [] for level in LEVELS}
+    # each level's list, keyed by the level: no label formatted per entry
+    entries_at = {level: levels[level.label] for level in LEVELS}
     for h in g.drain():
-        out_of_range = bool(h.accrual and h.accrual.out_of_range)
-        levels[h.level.label].append(
+        a = h.accrual
+        entries_at[h.level].append(
             {
                 "id": h.id,
                 "type": h.force_type,
@@ -352,10 +359,10 @@ def _build_report(
                 "prior": h.prior,
                 "posterior": h.posterior,
                 "status": h.status.value,
-                "out_of_range": out_of_range,
+                "out_of_range": a is not None and a.out_of_range,
                 "components": list(h.components),
                 "own_evidence": sorted(h.own_evidence),
-                "accrual": _accrual_record(h),
+                "accrual": _accrual_record(a),
             }
         )
     for entries in levels.values():

@@ -25,7 +25,7 @@ import numpy as np
 
 from echelon.exceptions import ScenarioError
 from echelon.geometry import centroid, distance
-from echelon.models import Fields, Level, ModelLibrary, field_names, subsumes
+from echelon.models import Fields, Level, ModelLibrary, field_names, shown_name, subsumes
 
 SCHEMA_VERSION = 1
 
@@ -111,8 +111,8 @@ def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTru
         scenario_id=f.text("id", "scenario"),
     )
     if lib is not None:
-        for force in gt.forces:
-            _validate_node(force, lib)
+        for i, force in enumerate(gt.forces):
+            _validate_node(force, lib, f"force {i}")
     return gt
 
 
@@ -176,14 +176,22 @@ def _node_type(node: GroundTruthNode, lib: ModelLibrary) -> str:
     return lib.models[node.model].models_type
 
 
-def _validate_node(node: GroundTruthNode, lib: ModelLibrary) -> None:
+def _validate_node(node: GroundTruthNode, lib: ModelLibrary, where: str) -> None:
+    """Check a node against the library; ``where`` names it by position,
+    as ``_parse_node`` does."""
     if node.is_vehicle():
-        lib.type_of(node.vehicle_type or "")
+        vehicle_type = node.vehicle_type or ""
+        level = lib.type_of(vehicle_type).level
+        if level is not Level.VEHICLE:
+            raise ScenarioError(
+                f"{where}: type {shown_name(vehicle_type)} is not a vehicle-level "
+                f"type (it is {level.label}-level)"
+            )
         return
     if node.model not in lib.models:
         raise ScenarioError(f"unknown model {node.model!r} in ground truth")
-    for child in node.children:  # first, so every child's model is known
-        _validate_node(child, lib)
+    for i, child in enumerate(node.children):  # first, so every child's model is known
+        _validate_node(child, lib, f"{where} component {i}")
     model = lib.models[node.model]
     # First-fit slot assignment in listed child order, then a strict
     # (no-slack) check of every deployment constraint.

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from echelon.exceptions import AccrualDomainError, SubsetError
 from echelon.hypotheses import Status
 from echelon.models import Level
 from echelon.oracle import OracleNetwork, check_accrual_formula
+from echelon.pipeline import RunConfig
 
-from conftest import add_leaf, add_parent, perfbench_scene
+from conftest import add_leaf, add_parent, perfbench_scene, weak_ratio_scene
 
 
 def cb(p_ce, p_ct, p_cet, p_c):
@@ -411,17 +413,29 @@ def run_graph(cfg):
     return g, conflict_log
 
 
+def benchmark_scene(workload, seed, scene):
+    return pytest.param(
+        lambda tmp_path: perfbench_scene(tmp_path, workload, seed, scene),
+        id=f"{workload}-{seed}-{scene}",
+    )
+
+
 # grid-noisy seed 2's scene 15 refuses, skips and resolves groups, and
-# the parents of its skipped arrays take the direct path
-BENCHMARK_SCENES = [("grid-noisy", 2, 15), ("grid-clean", 0, 0)]
+# the parents of its skipped arrays take the direct path; its weak-ratio
+# variant puts terrain on every hypothesis, which no benchmark scene has
+STORED_BELIEF_SCENES = [
+    benchmark_scene("grid-noisy", 2, 15),
+    benchmark_scene("grid-clean", 0, 0),
+    pytest.param(
+        lambda tmp_path: RunConfig.from_file(weak_ratio_scene(tmp_path)), id="weak-ratio"
+    ),
+]
 
 
 class TestStoredBeliefs:
-    @pytest.mark.parametrize("workload, seed, scene", BENCHMARK_SCENES)
-    def test_pipeline_matches_full_recursion_bit_for_bit(
-        self, tmp_path, workload, seed, scene
-    ):
-        g, conflict_log = run_graph(perfbench_scene(tmp_path, workload, seed, scene))
+    @pytest.mark.parametrize("scene", STORED_BELIEF_SCENES)
+    def test_pipeline_matches_full_recursion_bit_for_bit(self, tmp_path, scene):
+        g, conflict_log = run_graph(scene(tmp_path))
         resolved = {
             m
             for r in conflict_log
@@ -478,6 +492,25 @@ class TestStoredBeliefs:
             n_calls, rule, direct, n = per_level[level]
             assert n_calls == rule and rule + direct == n > 0
         assert per_level[Level.BATTALION][2] > 0  # the direct path is exercised
+
+    def test_each_leaf_is_evaluated_once(self, tmp_path, monkeypatch):
+        # a leaf's belief from its own level's pass is what its parents
+        # and the conflict analysis read: inference evaluates a leaf's
+        # whole evidence once
+        cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
+        whole = Counter()
+        evaluate = accrual._evaluate
+
+        def counted(g, h, keep):
+            if h.is_leaf() and (keep is None or keep == g.evidence_closure(h.id)):
+                whole[h.id] += 1
+            return evaluate(g, h, keep)
+
+        monkeypatch.setattr(accrual, "_evaluate", counted)
+        g, conflict_log = run_graph(cfg)
+        leaves = g.at_level(Level.VEHICLE)
+        assert len(leaves) == 327 and conflict_log
+        assert whole == Counter(leaves)
 
     def test_repropagating_after_a_status_change_below_refreshes(self, empty_graph):
         g = build_two_leaf_parent(empty_graph)

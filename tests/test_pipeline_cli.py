@@ -21,6 +21,7 @@ from echelon.scenario import dumps
 
 from conftest import (
     TANK_LIBRARY,
+    battalion_ground_truth,
     perfbench_scene,
     perfbench_workloads,
     weak_ratio_scene,
@@ -265,6 +266,44 @@ class TestInferCommand:
         )
         assert main(["infer", "--config", str(paths["config"])]) == 1
         assert "hovercraft" in capsys.readouterr().err
+
+    def test_detection_of_a_higher_level_type_is_refused(self, tmp_path, capsys):
+        # three "vehicles" typed tank-company 100 m apart would be
+        # resolved against each other under the company's 400 m separation
+        paths = write_battalion_inputs(tmp_path)
+        detections = [
+            {"id": f"d{k}", "type": "tank-company", "x": 100.0 * k, "y": 0.0,
+             "heading": 0.0, "lambda": 3.0, "time": 0.0}
+            for k in range(3)
+        ]
+        paths["scenario"].write_text(
+            dumps({"schema_version": 1, "scenario_id": "companies",
+                   "detections": detections, "terrain": []})
+        )
+        assert main(["infer", "--config", str(paths["config"])]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert (
+            "detection 'd0': type 'tank-company' is not a vehicle-level type "
+            "(it is array-level)"
+        ) in err
+        assert not paths["report"].exists()
+
+    def test_ground_truth_vehicle_of_a_higher_level_type_is_refused(self, tmp_path, capsys):
+        paths = write_battalion_inputs(tmp_path)
+        gt = battalion_ground_truth()
+        gt["forces"][0]["components"][0]["components"][1]["type"] = "tank-company"
+        paths["ground_truth"].write_text(json.dumps(gt))
+        argv = ["simulate", str(paths["ground_truth"]), str(paths["noise"]),
+                "--library", str(paths["library"]), "--out", str(paths["scenario"])]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert (
+            "force 0 component 0 component 1: type 'tank-company' is not a "
+            "vehicle-level type (it is array-level)"
+        ) in err
+        assert not paths["scenario"].exists()
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["infer", "--config", str(tmp_path / "nope.json")]) == 2
