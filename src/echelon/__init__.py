@@ -5,6 +5,9 @@ hypotheses level by level; belief accrues up the hierarchy; conflicting
 interpretations are analyzed in polynomial time and either skipped with
 a bounded error or resolved exactly over maximal consistent sets.
 Every formula is measurable against an exact-enumeration oracle.
+
+Importing the package loads no numpy: only the oracle (``OracleNetwork``,
+resolved on first use) and scenario generation draw on it.
 """
 
 from echelon.accrual import (
@@ -54,11 +57,21 @@ from echelon.models import (
     load_library,
     subsumes,
 )
-from echelon.oracle import OracleNetwork
 from echelon.pipeline import RunConfig, run
 from echelon.scenario import GroundTruth, NoiseSpec, generate, score
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    """``OracleNetwork`` on first use (PEP 562), so that inference, which
+    never builds one, does not load numpy with the oracle."""
+    if name == "OracleNetwork":
+        from echelon.oracle import OracleNetwork
+
+        return OracleNetwork
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AccrualInputs",

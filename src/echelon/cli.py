@@ -14,13 +14,16 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from echelon import oracle
 from echelon.conflict import Heuristic
 from echelon.exceptions import EchelonError, FixtureError, LibraryFormatError, ScenarioError
 from echelon.models import Fields, load_library, parse_json, read_document
 from echelon.pipeline import RunConfig, run
 from echelon.scenario import dumps, generate, load_ground_truth, load_noise_spec
+
+if TYPE_CHECKING:
+    from echelon import oracle
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -116,6 +119,8 @@ SUITES = ("skip", "accrual", "approx-k")
 def _suite_reports(suite: str) -> list[oracle.DeviationReport]:
     # each network is built inside the check that reads it, so its joint
     # table is freed before the next one is filled
+    from echelon import oracle
+
     if suite == "skip":
         return [
             oracle.skip_identity_report(oracle.random_skip_network(seed))
@@ -178,6 +183,10 @@ def _fixture_faults(path: Path, records: list[dict]) -> list[str]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    # imported by the oracle command alone: the oracle loads numpy, which
+    # no other command needs
+    from echelon import oracle
+
     suites = SUITES if args.suite == "all" else (args.suite,)
     failed = False
     for suite in suites:

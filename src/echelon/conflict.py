@@ -182,7 +182,9 @@ def detect_conflicts(
         hyps = [g.get(i) for i in ids]
         # Terrain is context, not an associable measurement: two forces
         # over the same ground are not in conflict for that reason alone.
-        sharable = [g.evidence_closure(i) - g.terrain for i in ids]
+        sharable = [g.evidence_closure(i) for i in ids]
+        if g.terrain:
+            sharable = [closure - g.terrain for closure in sharable]
         # doctrine of each type pair, looked up once per unordered pair
         limits: dict[tuple[str, str], Limits] = {}
         types = sorted({h.force_type for h in hyps})

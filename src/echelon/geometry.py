@@ -1,57 +1,32 @@
 """Planar and angular helpers shared by matching, doctrine and scoring.
 
 ``near_pairs`` generates the candidate pairs for the distance tests of
-clustering and conflict detection, on one numpy grid over all points at
-once, and returns them as plain (i, j) index pairs.  It is a
-conservative filter: it may return pairs that fail the test, never miss
-one that passes, whatever the rounding; the caller's exact test
-(``distance``) decides.  ``linked_groups`` joins the pairs that pass
+clustering and conflict detection from a pure-Python grid whose cells
+are slightly wider than the reach, and returns them as plain (i, j)
+index pairs.  It is a conservative filter: it may return pairs that
+fail the test, never miss one that passes, whatever the rounding; the
+caller's exact test (``distance``) decides.  ``linked_groups`` joins the pairs that pass
 into connected groups, for both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def _axis_cells(
-    v: np.ndarray, reach: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First and last grid cell (width ``reach``) holding every w with
-    |fl(w - v)| <= reach, per coordinate v, and whether they could be
-    computed.
-
-    Every such w lies within reach + ulp(reach) of v.  The ends
-    v -+ (reach + slack) are rounded twice; a slack of four ulps of v and
-    of reach covers that extra unit and both roundings.  Division by the
-    cell width is monotone, so the cells of the two ends bound the cell
-    of every such w.  They cannot be computed for a non-finite v or
-    reach, nor when the slack reaches a whole cell: far out, where
-    floats are that coarse, the grid would not narrow anything.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        # np.spacing is math.ulp but at the largest float and at inf,
-        # where it gives inf and NaN: such a v is not placed either way
-        slack = 4.0 * (np.spacing(np.abs(v)) + math.ulp(reach))
-        first = np.floor((v - reach - slack) / reach)
-        last = np.floor((v + reach + slack) / reach)
-        placed = (slack < reach) & np.isfinite(first) & np.isfinite(last)
-    return first, last, placed
-
-
-def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every position of the ranges [start[r], stop[r]), with its r."""
-    counts = stop - start
-    r = np.repeat(np.arange(len(start)), counts)
-    offsets = np.cumsum(counts) - counts
-    return r, np.arange(len(r)) - offsets[r] + start[r]
+# Cells are this much wider than the reach, a margin no rounding below
+# uses up (see ``near_pairs``).
+_WIDEN = 1.0 + 2.0**-20
+# A point is placed when both of its coordinates lie within this many
+# cells of the origin, where a quotient's rounding is under 2**-23 cell.
+_CELL_BOUND = 2.0**30
 
 
 def near_pairs(
@@ -65,49 +40,68 @@ def near_pairs(
     ``reach`` in magnitude is returned; since ``distance`` is faithfully
     rounded it never falls below either difference, so this covers both
     ``distance <= reach`` and ``distance < reach``.  Points are binned on
-    a uniform grid with cell ``reach`` (fixed-radius near neighbours,
-    Bentley, Stanat & Williams 1977), and a pair is returned when the
-    cell of j lies in the cells the reach of i overlaps.  The occupied
-    cells are ranked per axis and the points sorted by cell, so each
-    point bisects, column by column, the points of its overlapped cells.
-    A point whose cells cannot be computed (a non-finite or near-overflow
-    coordinate, or an infinite reach) is paired with every other point.
+    a uniform grid (fixed-radius near neighbours, Bentley, Stanat &
+    Williams 1977) of cell width w = reach * (1 + 2**-20): a point's cell
+    is (floor(x / w), floor(y / w)), and a pair is returned when the two
+    cells are equal or adjacent, diagonals included.  Each cell is paired
+    with itself and its four forward neighbours, so each pair comes once.
+
+    Why that covers: a difference that rounds to at most ``reach`` is at
+    most reach * (1 + 2**-53), under (1 - 2**-20 + 2**-39) cells of w,
+    and each quotient x / w below 2**30 in magnitude is rounded by less
+    than 2**-23; so the two rounded quotients are less than one apart,
+    and their floors at most one.  A point is loose, and paired with
+    every other point, when a quotient is not finite or not below 2**30
+    in magnitude, or when ``reach`` is below the smallest normal float,
+    where w would lose its margin.
     """
-    xy = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(xy)
-    x_first, x_last, x_placed = _axis_cells(xy[:, 0], reach)
-    y_first, y_last, y_placed = _axis_cells(xy[:, 1], reach)
-    placed = x_placed & y_placed
-    # placed points' cells are integers under 2**53 in magnitude; the
-    # points are taken in cell order, so every search below bisects with
-    # nearly sorted needles
-    on = np.flatnonzero(placed)
-    columns, x_rank = np.unique(np.floor(xy[on, 0] / reach), return_inverse=True)
-    rows, y_rank = np.unique(np.floor(xy[on, 1] / reach), return_inverse=True)
-    cell = x_rank * len(rows) + y_rank
-    order = np.argsort(cell, kind="stable")
-    on, cell = on[order], cell[order]
-    # one entry per (point, overlapped occupied column)
-    p, column = _ranges(
-        np.searchsorted(columns, x_first[on], side="left"),
-        np.searchsorted(columns, x_last[on], side="right"),
-    )
-    base = column * len(rows)
-    row_lo = np.searchsorted(rows, y_first[on], side="left")
-    row_hi = np.searchsorted(rows, y_last[on], side="right")
-    q, slot = _ranges(
-        np.searchsorted(cell, base + row_lo[p], side="left"),
-        np.searchsorted(cell, base + row_hi[p], side="left"),
-    )
-    i, j = on[p[q]], on[slot]
-    # each loose point with every other point; loose pairs come twice
-    loose = np.flatnonzero(~placed)
-    li = np.repeat(loose, n)
-    lj = np.tile(np.arange(n), len(loose))
-    a = np.concatenate([i, np.minimum(li, lj)])
-    b = np.concatenate([j, np.maximum(li, lj)])
-    codes = np.unique((a * n + b)[a < b])
-    return list(zip((codes // n).tolist(), (codes % n).tolist()))
+    n = len(points)
+    w = reach * _WIDEN
+    # below the smallest normal float w has no margin, and no point is placed
+    bound = _CELL_BOUND if reach >= sys.float_info.min else 0.0
+    floor = math.floor
+    placed: list[int] = []
+    columns: list[int] = []
+    rows: list[int] = []
+    loose: list[int] = []
+    for i, (x, y) in enumerate(points):
+        u = x / w
+        v = y / w
+        # false for NaN, so a non-finite coordinate is loose
+        if -bound < u < bound and -bound < v < bound:
+            placed.append(i)
+            columns.append(floor(u))
+            rows.append(floor(v))
+        else:
+            loose.append(i)
+    codes: list[int] = []  # i * n + j for each pair
+    if placed:
+        # integer keys, one empty row between columns: no forward
+        # neighbour of an occupied cell aliases another occupied one
+        m = max(rows) - min(rows) + 2
+        cells: dict[int, list[int]] = {}
+        for i, cx, cy in zip(placed, columns, rows):
+            key = cx * m + cy
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = [i]
+            else:
+                cell.append(i)
+        get, empty = cells.get, []
+        for key, members in cells.items():
+            if len(members) > 1:  # ascending
+                codes += [a * n + b for a, b in itertools.combinations(members, 2)]
+            near = (
+                get(key + 1, empty) + get(key + m - 1, empty)
+                + get(key + m, empty) + get(key + m + 1, empty)
+            )
+            if near:
+                codes += [a * n + b if a < b else b * n + a for a in members for b in near]
+    for a in loose:
+        codes += [b * n + a if b < a else a * n + b for b in placed]
+        codes += [a * n + b for b in loose if b > a]
+    codes.sort()
+    return [divmod(c, n) for c in codes]
 
 
 def linked_groups(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:

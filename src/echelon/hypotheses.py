@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Collection, Iterator
 
 from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import (
@@ -163,11 +163,17 @@ class HypothesisGraph:
         except KeyError:
             raise UnknownHypothesisError(f"unknown hypothesis {hid!r}") from None
 
-    def at_level(self, level: Level, statuses: set[Status] | None = None) -> list[str]:
+    def at_level(
+        self, level: Level, statuses: Collection[Status] | None = None
+    ) -> list[str]:
         ids = self._by_level.get(level, [])
         if statuses is None:
             return list(ids)
-        return [i for i in ids if self.hypotheses[i].status in statuses]
+        # a tuple's ``in`` tests identity first, where a set would hash
+        # every status through the Python-level ``Enum.__hash__``
+        wanted = tuple(statuses)
+        hypotheses = self.hypotheses
+        return [i for i in ids if hypotheses[i].status in wanted]
 
     def evidence_closure(self, hid: str) -> frozenset[str]:
         """Own evidence unioned with all component closures, recursively.

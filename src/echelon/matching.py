@@ -248,8 +248,9 @@ def _clusters(
     """Connected components of the graph joining children at most
     ``radius`` apart, each id-sorted, ordered by their first id.
 
-    Candidate pairs come from a uniform grid with cell ``radius``
-    (``near_pairs``), a conservative filter; the distance test decides.
+    Candidate pairs come from a uniform grid with cells slightly wider
+    than ``radius`` (``near_pairs``), a conservative filter; the distance
+    test decides.
     """
     locations = [g.get(i).location for i in ids]
     pairs = [

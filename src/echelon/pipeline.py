@@ -46,7 +46,7 @@ from echelon.models import (
     shown,
     shown_name,
 )
-from echelon.scenario import SCHEMA_VERSION
+from echelon.scenario import SCHEMA_VERSION, check_vehicle_type
 
 
 @dataclass
@@ -185,12 +185,7 @@ def build_graph(
         did = str(d.value("id"))
         d.where = f"detection {shown_name(raw['id'])}"
         force_type = d.text("type")
-        level = lib.type_of(force_type).level  # an unknown type is a domain error
-        if level is not Level.VEHICLE:
-            raise ScenarioError(
-                f"{d.where}: type {shown_name(force_type)} is not a vehicle-level "
-                f"type (it is {level.label}-level)"
-            )
+        check_vehicle_type(force_type, lib, d.where)
         location = (d.number("x"), d.number("y"))
         heading = d.number("heading") if d.given("heading") else None
         item = EvidenceItem(

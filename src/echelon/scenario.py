@@ -20,12 +20,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from echelon.exceptions import ScenarioError
 from echelon.geometry import centroid, distance
 from echelon.models import Fields, Level, ModelLibrary, field_names, shown_name, subsumes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -86,10 +88,10 @@ class NoiseSpec:
             total = math.fsum(row.values())
             if abs(total - 1.0) > 1e-9:
                 raise ScenarioError(
-                    f"misclassification row {row_type!r} sums to {total}, not 1"
+                    f"misclassification row {shown_name(row_type)} sums to {total}, not 1"
                 )
             if any(p < 0 for p in row.values()):
-                raise ScenarioError(f"negative entry in row {row_type!r}")
+                raise ScenarioError(f"negative entry in row {shown_name(row_type)}")
 
 
 def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTruth:
@@ -126,7 +128,7 @@ def load_noise_spec(doc: object) -> NoiseSpec:
         rows = f.value("misclassification")
         Fields(rows, None, "noise spec misclassification", ScenarioError)
         for true_type, raw_row in rows.items():
-            where = f"noise spec misclassification row {true_type!r}"
+            where = f"noise spec misclassification row {shown_name(true_type)}"
             row = Fields(raw_row, None, where, ScenarioError)
             for observed in raw_row:
                 row.number(observed)
@@ -180,16 +182,10 @@ def _validate_node(node: GroundTruthNode, lib: ModelLibrary, where: str) -> None
     """Check a node against the library; ``where`` names it by position,
     as ``_parse_node`` does."""
     if node.is_vehicle():
-        vehicle_type = node.vehicle_type or ""
-        level = lib.type_of(vehicle_type).level
-        if level is not Level.VEHICLE:
-            raise ScenarioError(
-                f"{where}: type {shown_name(vehicle_type)} is not a vehicle-level "
-                f"type (it is {level.label}-level)"
-            )
+        check_vehicle_type(node.vehicle_type or "", lib, where)
         return
     if node.model not in lib.models:
-        raise ScenarioError(f"unknown model {node.model!r} in ground truth")
+        raise ScenarioError(f"unknown model {shown_name(node.model)} in ground truth")
     for i, child in enumerate(node.children):  # first, so every child's model is known
         _validate_node(child, lib, f"{where} component {i}")
     model = lib.models[node.model]
@@ -206,13 +202,13 @@ def _validate_node(node: GroundTruthNode, lib: ModelLibrary, where: str) -> None
                 break
         else:
             raise ScenarioError(
-                f"ground truth node {node.model!r}: child of type "
-                f"{child_type!r} fits no slot"
+                f"ground truth node {shown_name(node.model)}: child of type "
+                f"{shown_name(child_type)} fits no slot"
             )
     for i, slot in enumerate(model.slots):
         if len(assigned[i]) < slot.count_min:
             raise ScenarioError(
-                f"ground truth node {node.model!r}: slot {i} underfilled"
+                f"ground truth node {shown_name(node.model)}: slot {i} underfilled"
             )
     for c in model.constraints:
         if c.slot_a == c.slot_b:
@@ -223,9 +219,36 @@ def _validate_node(node: GroundTruthNode, lib: ModelLibrary, where: str) -> None
             d = distance(node_location(u), node_location(v))
             if not (c.distance_min <= d <= c.distance_max):
                 raise ScenarioError(
-                    f"ground truth node {node.model!r}: pair distance {d:.1f} "
+                    f"ground truth node {shown_name(node.model)}: pair distance {d:.1f} "
                     f"outside [{c.distance_min}, {c.distance_max}]"
                 )
+
+
+def check_vehicle_type(name: str, lib: ModelLibrary, where: str) -> None:
+    """ScenarioError naming the entry ``where`` unless ``name`` is a
+    vehicle-level library type: the one check of every type a detection
+    is read or written with."""
+    force_type = lib.types.get(name)
+    if force_type is None:
+        raise ScenarioError(f"{where}: unknown force type {shown_name(name)}")
+    if force_type.level is not Level.VEHICLE:
+        raise ScenarioError(
+            f"{where}: type {shown_name(name)} is not a vehicle-level "
+            f"type (it is {force_type.level.label}-level)"
+        )
+
+
+def _check_noise_types(noise: NoiseSpec, lib: ModelLibrary) -> None:
+    """Every type the noise spec names, a false-alarm type, a
+    misclassification row's type or a label it observes, is a
+    vehicle-level library type, so a detection it writes is one."""
+    for i, name in enumerate(noise.false_alarm_types):
+        check_vehicle_type(name, lib, f"noise spec false_alarm_types entry {i}")
+    for row_type, row in noise.misclassification.items():
+        where = f"noise spec misclassification row {shown_name(row_type)}"
+        check_vehicle_type(row_type, lib, where)
+        for observed in row:
+            check_vehicle_type(observed, lib, f"{where} label {shown_name(observed)}")
 
 
 def _draw_from_row(rng: np.random.Generator, row: dict[str, float]) -> str:
@@ -241,8 +264,10 @@ def _draw_from_row(rng: np.random.Generator, row: dict[str, float]) -> str:
 
 def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None) -> dict:
     """Run the noise channel over the ground truth; returns the scenario
-    document with its ground-truth sidecar for scoring.  ScenarioError
-    when the expected false-alarm count exceeds ``MAX_FALSE_ALARMS``."""
+    document with its ground-truth sidecar for scoring.  ScenarioError,
+    before anything is drawn, when the expected false-alarm count
+    exceeds ``MAX_FALSE_ALARMS``, or when a library is given and the
+    noise spec names a type that is not a vehicle-level library type."""
     area_km2 = gt.area[0] * gt.area[1] / 1e6
     expected = noise.false_alarm_density * area_km2
     if expected > MAX_FALSE_ALARMS:
@@ -250,6 +275,10 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
             f"noise spec: false_alarm_density {noise.false_alarm_density!r} expects "
             f"{expected!r} false alarms over the area, more than {MAX_FALSE_ALARMS}"
         )
+    if lib is not None:
+        _check_noise_types(noise, lib)
+    import numpy as np  # only drawing needs it; inference never loads it
+
     rng = np.random.default_rng(noise.seed)
 
     vehicles: list[GroundTruthNode] = []

@@ -55,6 +55,21 @@ CASES = [
      ["simulate", "{tmp}/bad.json", "{tmp}/noise.json", "--library",
       "{tmp}/missing.json", "--out", "{tmp}/s.json"],
      2, NOT_FOUND),
+    ("simulate-noise-false-alarm-type-not-vehicle",
+     ["simulate", "{tmp}/gt.json", "{tmp}/noise-company.json", "--library",
+      "{tmp}/library.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: noise spec false_alarm_types entry 0: type 'tank-company' "
+     "is not a vehicle-level type (it is array-level)"),
+    ("simulate-noise-unknown-observed-label",
+     ["simulate", "{tmp}/gt.json", "{tmp}/noise-unknown.json", "--library",
+      "{tmp}/library.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: noise spec misclassification row 'T-72-tank' label "
+     "'Abrams': unknown force type 'Abrams'"),
+    ("simulate-noise-row-type-not-vehicle",
+     ["simulate", "{tmp}/gt.json", "{tmp}/noise-row.json", "--library",
+      "{tmp}/library.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: noise spec misclassification row 'battalion': type "
+     "'battalion' is not a vehicle-level type (it is battalion-level)"),
     ("simulate-unwritable-out",
      ["simulate", "{tmp}/gt.json", "{tmp}/noise.json", "--out", "{tmp}/no-dir/s.json"],
      2, "error: cannot write scenario: "),
@@ -71,11 +86,23 @@ CASES = [
     ("oracle-unknown-suite", ["oracle", "warp-drive"], 2, "usage: "),
 ]
 
+# noise specs that would write detections of types ``infer`` refuses
+NOISE_NAMING_OTHER_TYPES = {
+    "noise-company.json": {
+        "false_alarm_density": 1.0, "false_alarm_types": ["tank-company"], "seed": 7,
+    },
+    "noise-unknown.json": {
+        "misclassification": {"T-72-tank": {"T-72-tank": 0.9, "Abrams": 0.1}}, "seed": 7,
+    },
+    "noise-row.json": {"misclassification": {"battalion": {"BMP": 1.0}}, "seed": 7},
+}
+
 
 def write_inputs(tmp_path):
     """A valid library, ground truth, noise spec, empty scenario and run
     config, a document that is not JSON, configs that point at a missing
-    scenario or at that document as their library, and two fixture
+    scenario or at that document as their library, noise specs that name
+    types other than the library's vehicle types, and two fixture
     directories: one whose ``skip.json`` is not JSON, one whose
     ``skip.json`` is a directory."""
     paths = write_battalion_inputs(tmp_path)
@@ -89,6 +116,8 @@ def write_inputs(tmp_path):
         ("bad-library.json", "library", "bad.json"),
     ):
         (tmp_path / name).write_text(json.dumps({**config, key: value}))
+    for name, noise in NOISE_NAMING_OTHER_TYPES.items():
+        (tmp_path / name).write_text(json.dumps(noise))
     (tmp_path / "bad-fixtures").mkdir()
     (tmp_path / "bad-fixtures" / "skip.json").write_text("not json")
     (tmp_path / "dir-fixtures" / "skip.json").mkdir(parents=True)
@@ -107,3 +136,11 @@ def test_failure_exit_code_and_message(tmp_path, capsys, argv, code, prefix):
     assert rc == code, err
     assert err.startswith(prefix.format(tmp=tmp_path)), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("noise", sorted(NOISE_NAMING_OTHER_TYPES))
+def test_noise_types_are_checked_against_a_library_only(tmp_path, capsys, noise):
+    write_inputs(tmp_path)
+    argv = ["simulate", f"{tmp_path}/gt.json", f"{tmp_path}/{noise}",
+            "--out", f"{tmp_path}/s.json"]
+    assert main(argv) == 0, capsys.readouterr().err

@@ -34,25 +34,23 @@ def coordinates(draw, reach):
 
 def reference_near_pairs(points, reach):
     """The grid rule one pair at a time: (i, j) when either point is loose
-    or the cell of j lies in the cells the reach of i overlaps."""
+    or their cells of width reach * (1 + 2**-20) are equal or adjacent,
+    diagonals included.  A point is loose when a coordinate over the
+    width is not finite or not below 2**30 in magnitude, or when the
+    reach is below the smallest normal float."""
+    width = reach * (1 + 2.0**-20)
 
-    def span(v):
-        if not math.isfinite(reach):
-            return None
-        slack = 4.0 * (math.ulp(v) + math.ulp(reach))
-        first, last = (v - reach - slack) / reach, (v + reach + slack) / reach
-        if not (slack < reach and math.isfinite(first) and math.isfinite(last)):
-            return None
-        return math.floor(first), math.floor(last)
+    def cell(x, y):
+        u, v = x / width, y / width
+        if reach >= sys.float_info.min and abs(u) < 2.0**30 and abs(v) < 2.0**30:
+            return math.floor(u), math.floor(v)
+        return None
 
-    spans = [(span(x), span(y)) for x, y in points]
+    cells = [cell(x, y) for x, y in points]
     pairs = []
     for i, j in itertools.combinations(range(len(points)), 2):
-        (xs, ys), (xt, yt) = spans[i], spans[j]
-        if None in (xs, ys, xt, yt) or (
-            xs[0] <= math.floor(points[j][0] / reach) <= xs[1]
-            and ys[0] <= math.floor(points[j][1] / reach) <= ys[1]
-        ):
+        a, b = cells[i], cells[j]
+        if None in (a, b) or (abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1):
             pairs.append((i, j))
     return pairs
 
@@ -76,6 +74,61 @@ def test_near_pairs_equal_the_grid_rule_and_cover_every_near_pair(data):
         (xi, yi), (xj, yj) = points[i], points[j]
         if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
             assert (i, j) in found
+
+
+def near_pairs_by_the_rule(points, reach):
+    found = near_pairs(points, reach)
+    assert found == reference_near_pairs(points, reach)
+    return found
+
+
+@pytest.mark.parametrize("reach", [1.0, 1e-3, 30.0, 300.0000000000002, 1200.0, 1e300])
+def test_near_pairs_find_points_one_reach_apart_across_a_cell_edge(reach):
+    width = reach * (1 + 2.0**-20)
+    for k in (-3, 0, 1, 1000):
+        edge = k * width
+        for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
+            # one reach on either side and along both axes, diagonals too
+            points = [(x, x), (x + reach, x), (x - reach, x), (x, x + reach),
+                      (x + reach, x - reach), (x - reach, x - reach)]
+            found = near_pairs_by_the_rule(points, reach)
+            near = [
+                (i, j) for i, j in itertools.combinations(range(len(points)), 2)
+                if abs(points[i][0] - points[j][0]) <= reach
+                and abs(points[i][1] - points[j][1]) <= reach
+            ]
+            assert set(near) <= set(found)
+            assert (0, 1) in found and (0, 2) in found and (0, 3) in found
+
+
+@pytest.mark.parametrize("reach", [1.0, 600.0, 1e-3])
+def test_near_pairs_at_the_loose_bound(reach):
+    """Just inside 2**30 cells a point is placed and still finds a point
+    one reach away; at the bound it is loose, paired with every point."""
+    width = reach * (1 + 2.0**-20)
+    inside = math.nextafter(2.0**30 * width, 0.0)
+    while not abs(inside / width) < 2.0**30:
+        inside = math.nextafter(inside, 0.0)
+    at = 2.0**30 * width
+    far = (0.0, 0.0)
+    points = [(inside, 0.0), (inside - reach, 0.0), far, (at, 0.0), (-at, 5.0),
+              (0.0, -inside), (0.0, reach - inside)]
+    found = near_pairs_by_the_rule(points, reach)
+    assert (0, 1) in found and (5, 6) in found
+    assert (0, 2) not in found and (2, 5) not in found  # placed, far apart
+    assert all((min(i, 3), max(i, 3)) in found for i in range(7) if i != 3)
+    assert (3, 4) in found  # two loose points, once
+
+
+def test_near_pairs_keep_index_order_and_pair_loose_points_once():
+    points = [(math.nan, 0.0), (0.0, 0.0), (math.inf, 1.0), (0.5, 0.5), (50.0, 50.0)]
+    found = near_pairs(points, 1.0)
+    assert found == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]
+    assert near_pairs([], 1.0) == [] and near_pairs([(0.0, 0.0)], 1.0) == []
+    # a reach below the smallest normal float places no point
+    assert near_pairs([(0.0, 0.0), (1.0, 1.0), (5.0, 5.0)], 5e-324) == [
+        (0, 1), (0, 2), (1, 2)
+    ]
 
 
 def reference_linked_groups(n, pairs):

@@ -863,6 +863,42 @@ class TestLongNamesInMessages:
         err = self.validate_error(tmp_path, capsys, library)
         assert len(err) < 300 and "duplicate" in err
 
+    @pytest.mark.parametrize(
+        "noise, where",
+        [
+            pytest.param({"misclassification": {LONG: "x"}},
+                         "noise spec misclassification row 'nnn", id="row-object"),
+            pytest.param({"misclassification": {LONG: {"BMP": 0.5}}},
+                         "misclassification row 'nnn", id="row-sum"),
+            pytest.param({"misclassification": {LONG: {"BMP": -1.0, "tank": 2.0}}},
+                         "negative entry in row 'nnn", id="row-negative"),
+            pytest.param({"misclassification": {"BMP": {LONG: 1.0}}},
+                         "label 'nnn", id="observed-label"),
+            pytest.param({"false_alarm_types": [LONG]},
+                         "entry 0: unknown force type 'nnn", id="false-alarm-type"),
+        ],
+    )
+    def test_noise_spec_names(self, tmp_path, capsys, noise, where):
+        paths = write_battalion_inputs(tmp_path)
+        paths["noise"].write_text(json.dumps(noise))
+        argv = ["simulate", str(paths["ground_truth"]), str(paths["noise"]),
+                "--library", str(paths["library"]), "--out", str(tmp_path / "s.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 300 and where in err
+
+    def test_ground_truth_model_name(self, tmp_path, capsys):
+        paths = write_battalion_inputs(tmp_path)
+        vehicle = {"type": "T-72-tank", "x": 0.0, "y": 0.0}
+        paths["ground_truth"].write_text(
+            json.dumps({"forces": [{"model": self.LONG, "components": [vehicle]}]})
+        )
+        argv = ["simulate", str(paths["ground_truth"]), str(paths["noise"]),
+                "--library", str(paths["library"]), "--out", str(tmp_path / "s.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err) < 300 and "unknown model 'nnn" in err
+
 
 def assert_skip_estimates(report: dict) -> None:
     """A skipped conflict bounds exactly the parents of its members, in
