@@ -4,11 +4,16 @@ Same-level hypotheses conflict when their evidence closures overlap
 (one item claimed by both) or when doctrine rules them implausible
 together (too close, or incompatible headings while near each other):
 a conflict is local.  Detection never tests every pair: an evidence
-index finds the shared items, and one uniform grid proposes every pair
-near enough for a doctrine test (a conservative filter).  The doctrine
-tests run on those candidates one pair at a time, with the same
-``heading_difference`` and ``distance`` as matching, the exact
-``distance`` deciding.  A group's ``reasons`` holds one plain row per
+index finds the shared items, and one uniform grid per level proposes
+every pair near enough for a doctrine test (a conservative filter), at
+the reach of the tests that can flag a pair there: the heading test
+runs, at ``HEADING_REACH_M``, only when the level's headings are spread
+wide enough for it to flag one, and otherwise the grid is at the
+level's largest separation.  The tests run on those candidates one
+pair at a time, with the same ``heading_difference`` and ``distance``
+as matching, the exact tests deciding.  Groups are joined from the
+edges' endpoints alone, so a level without an edge costs no grouping.
+A group's ``reasons`` holds one plain row per
 conflicting pair.  Each connected group is analyzed in polynomial
 time: members are ordered heuristically, each is scored on its own
 closure minus the closures of the members after it, and the product k
@@ -125,6 +130,51 @@ def _shared_pairs(sharable: list[frozenset[str]]) -> set[Pair]:
     }
 
 
+# A level's finite headings take part in the arc test of ``_may_face_apart``
+# when each lies within this many degrees of 0; a larger one turns the
+# test off for its level.
+_HEADING_BOUND = 2.0**30
+# The arc test's margin in degrees, a margin no rounding below uses up
+# (see ``_may_face_apart``).
+_ARC_MARGIN = 2.0**-20
+
+
+def _may_face_apart(headings: list[float | None], limit: float) -> bool:
+    """False only when no two of ``headings`` can have a
+    ``heading_difference`` over ``limit``: fewer than two are finite, or
+    the finite ones lie within a circular arc of width w with
+    w + 2**-20 <= ``limit``.  None and non-finite headings never flag,
+    as ``heading_difference`` gives NaN for a non-finite one.
+
+    The arc is 360 minus the widest gap between neighbouring residues
+    ``h % 360.0`` on the circle.  Why the margin covers the rounding, for
+    finite headings below 2**30 in magnitude (else the answer is True):
+    in ``heading_difference``, ``a - b`` is below 2**31 and rounded by at
+    most 2**-22, ``% 360.0`` is exact and ``360.0 - d`` is rounded by at
+    most 2**-46, so the result exceeds the circular distance of a and b
+    by under 2**-21.  A residue is exact for h >= 0 and rounded by at most
+    2**-45 for h < 0 (exact ``fmod`` plus 360), and the gaps and w add
+    under 2**-42 more, so every two headings lie within w + 2**-41 of
+    each other on the circle, and their computed difference is below
+    w + 2**-21 + 2**-41, less than the sum w + 2**-20 rounded down.
+    """
+    residues = []
+    for h in headings:
+        if h is None or not math.isfinite(h):
+            continue
+        if not -_HEADING_BOUND < h < _HEADING_BOUND:
+            return True
+        residues.append(h % 360.0)
+    if len(residues) < 2:
+        return False
+    residues.sort()
+    widest = residues[0] + 360.0 - residues[-1]
+    for a, b in zip(residues, residues[1:]):
+        if b - a > widest:
+            widest = b - a
+    return 360.0 - widest + _ARC_MARGIN > limit
+
+
 def _doctrine_pairs(
     hyps: list[Hypothesis], limits: dict[tuple[str, str], Limits]
 ) -> Iterator[tuple[Pair, ConflictReason]]:
@@ -132,13 +182,18 @@ def _doctrine_pairs(
     ``HEADING_REACH_M``, each with its reason, in ascending order;
     ``limits`` holds the separation and heading limit of each type pair.
 
-    One grid (``near_pairs``) at the level's largest positive separation,
-    or at the heading reach if that is larger and the level has a heading
-    row, proposes every pair either test can flag; ``distance`` between
-    the two locations then decides both tests.
+    The heading test runs only when the level has a heading row and its
+    headings can differ by more than the smallest heading limit
+    (``_may_face_apart``).  One grid (``near_pairs``) proposes the pairs
+    either test can flag, at the largest reach of a test that runs: the
+    level's largest positive separation, or ``HEADING_REACH_M``; the
+    exact ``distance`` and ``heading_difference`` tests decide.
     """
     reach = max((s for s, _ in limits.values() if s is not None and s > 0), default=0.0)
-    if any(delta is not None for _, delta in limits.values()):
+    deltas = [delta for _, delta in limits.values() if delta is not None]
+    headings = [h.heading for h in hyps]
+    facing = bool(deltas) and _may_face_apart(headings, min(deltas))
+    if facing:
         reach = max(reach, HEADING_REACH_M)
     if reach == 0.0:
         return
@@ -148,9 +203,10 @@ def _doctrine_pairs(
         sep, delta = limits[hyps[i].force_type, hyps[j].force_type]
         if sep is not None and apart < sep:
             yield (i, j), ConflictReason.TOO_CLOSE
-        hi, hj = hyps[i].heading, hyps[j].heading
+        hi, hj = headings[i], headings[j]
         if (
-            delta is not None and apart <= HEADING_REACH_M and None not in (hi, hj)
+            facing and delta is not None and apart <= HEADING_REACH_M
+            and hi is not None and hj is not None
             and heading_difference(hi, hj) > delta
         ):
             yield (i, j), ConflictReason.ORIENTATION
@@ -170,8 +226,10 @@ def detect_conflicts(
     resolved once per type pair present.  A level's edges are the pairs
     (i, j), i < j over the id-sorted hypotheses, that an evidence index
     finds or the doctrine tests flag among a grid's candidates.
-    ``linked_groups`` takes them in ascending order, as a test of every
-    pair would, so it yields the same groups in the same order.
+    Groups are joined from the edges' endpoints alone: ``linked_groups``
+    takes them renumbered in ascending order, in ascending edge order, as
+    a test of every pair would, so it yields the same groups in the same
+    order, without a hypothesis that no edge touches.
     """
     out: list[ConflictSet] = []
     for lvl in LEVELS if level is None else (level,):
@@ -197,21 +255,27 @@ def detect_conflicts(
         for pair, reason in _doctrine_pairs(hyps, limits):
             reasons.setdefault(pair, set()).add(reason)
         edges = sorted(reasons)
-        groups = linked_groups(n, edges)
-        # each hypothesis's group and position among the group's members;
+        if not edges:
+            continue
+        # the endpoints, ascending, numbered 0..m-1: the numbering keeps
+        # their order, so the groups' order and each group's members
+        nodes = sorted({i for edge in edges for i in edge})
+        number = {i: k for k, i in enumerate(nodes)}
+        groups = linked_groups(len(nodes), [(number[a], number[b]) for a, b in edges])
+        # each endpoint's group and position among the group's members;
         # rows keep ascending pair order, since positions follow indices
-        group_of, position = [0] * n, [0] * n
-        for k, indices in enumerate(groups):
-            for p, i in enumerate(indices):
-                group_of[i], position[i] = k, p
+        group_of, position = [0] * len(nodes), [0] * len(nodes)
+        for k, members in enumerate(groups):
+            for p, node in enumerate(members):
+                group_of[node], position[node] = k, p
         rows: list[list] = [[] for _ in groups]
-        for a, b in edges:
-            row = (position[a], position[b], frozenset(reasons[a, b]))
-            rows[group_of[a]].append(row)
-        for indices, group_rows in zip(groups, rows):
-            if len(indices) > 1:
-                members = tuple(ids[i] for i in indices)
-                out.append(ConflictSet(members, tuple(group_rows), lvl))
+        for edge in edges:
+            a, b = number[edge[0]], number[edge[1]]
+            rows[group_of[a]].append((position[a], position[b], frozenset(reasons[edge])))
+        for members, group_rows in zip(groups, rows):
+            out.append(
+                ConflictSet(tuple(ids[nodes[k]] for k in members), tuple(group_rows), lvl)
+            )
     return out
 
 

@@ -3,7 +3,9 @@
 Child hypotheses are gathered, per model, into single-linkage clusters
 at the model's pool radius (``_pool_radius``); inside each cluster every
 slot assignment satisfying type subsumption and count bounds is
-enumerated exactly and scored on deployment geometry.  What does not
+enumerated exactly and scored on deployment geometry; a cluster with
+fewer children than the model's slots need, less ``max_missing``, is
+not enumerated, as no assignment can hold so few.  What does not
 depend on the cluster is set up once per model and level
 (``_Enumeration``): each slot's accepted children, from one
 subsumption test per slot type and child type present at the level,
@@ -400,7 +402,9 @@ def match_level(
     """All candidates at ``level`` meeting the fit and missing bounds.
 
     Output order is deterministic (descending fit, then model name,
-    then child ids) and invariant to child insertion order.
+    then child ids) and invariant to child insertion order.  A cluster
+    with fewer children than any assignment of a model holds is not
+    enumerated for that model.
     """
     if level == Level.VEHICLE:
         raise ValueError("vehicle level has no child level to match against")
@@ -417,7 +421,12 @@ def match_level(
     for model in models:
         sat = _PairTable(g, model, cfg.slack)
         enumeration = _Enumeration(lib, model, by_type, cfg, sat, fits)
+        # no assignment holds fewer children: at least one, and each slot
+        # at least its count_min less what it leaves missing
+        fewest = max(1, sum(s.count_min for s in model.slots) - cfg.max_missing)
         for cluster in _clusters(g, child_ids, _pool_radius(model, cfg)):
+            if len(cluster) < fewest:
+                continue
             for n, (assignment, missing) in enumerate(
                 enumeration.assignments(cluster), 1
             ):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 from echelon.accrual import AccrualResult, propagate_level
 from echelon.conflict import (
@@ -40,6 +41,7 @@ from echelon.models import (
     ModelLibrary,
     checked,
     field_names,
+    finite_number,
     load_library,
     parse_json,
     read_document,
@@ -157,6 +159,23 @@ def _attach_terrain(terrain: list[EvidenceItem], hyps: list[Hypothesis]) -> None
             h.own_evidence = h.own_evidence.union(near)
 
 
+def _refuse_detection(raw: object, k: int, lib: ModelLibrary) -> NoReturn:
+    """Raise the ScenarioError of detection entry ``k``, which
+    ``build_graph`` could not read: the strict read (``Fields``) of its
+    fields in ``build_graph``'s order words the first fault."""
+    d = Fields(raw, _DETECTION_KEYS, f"detection entry {k}", ScenarioError)
+    d.value("id")
+    d.where = f"detection {shown_name(raw['id'])}"
+    check_vehicle_type(d.text("type"), lib, d.where)
+    d.number("x")
+    d.number("y")
+    if d.given("heading"):
+        d.number("heading")
+    d.number("lambda")
+    d.number("time", 0.0)
+    raise AssertionError(f"detection entry {k} reads cleanly")
+
+
 def build_graph(
     scenario: object, lib: ModelLibrary, leaf_prior: float
 ) -> HypothesisGraph:
@@ -167,7 +186,10 @@ def build_graph(
     ``SCHEMA_VERSION``, a detection has an ``id`` and a string ``type``,
     and ``x``, ``y``, ``lambda``, ``time`` and ``radius_m`` when given,
     and ``heading`` when given and not null, are finite numbers.  A
-    detection's type is a vehicle-level library type.
+    detection's type is a vehicle-level library type.  Each detection's
+    fields are read once, each number by ``finite_number``, and each
+    distinct type is checked once; a detection that does not read goes
+    to ``_refuse_detection`` for its message.
     """
     doc = Fields(scenario, _SCENARIO_KEYS, "scenario", ScenarioError)
     version = doc.value("schema_version", SCHEMA_VERSION)
@@ -180,28 +202,35 @@ def build_graph(
     for t in terrain:
         g.add_evidence(t)
     leaves = []
+    vehicle_types: set[str] = set()
     for k, raw in enumerate(doc.list("detections", [])):
-        d = Fields(raw, _DETECTION_KEYS, f"detection entry {k}", ScenarioError)
-        did = str(d.value("id"))
-        d.where = f"detection {shown_name(raw['id'])}"
-        force_type = d.text("type")
-        check_vehicle_type(force_type, lib, d.where)
-        location = (d.number("x"), d.number("y"))
-        heading = d.number("heading") if d.given("heading") else None
-        item = EvidenceItem(
-            id=did,
-            kind=EvidenceKind.DETECTION,
-            likelihood_ratio=d.number("lambda"),
-        )
+        if not (
+            isinstance(raw, dict) and raw.keys() <= _DETECTION_KEYS and "id" in raw
+            and isinstance(force_type := raw.get("type"), str)
+        ):
+            _refuse_detection(raw, k, lib)
+        if force_type not in vehicle_types:
+            check_vehicle_type(force_type, lib, f"detection {shown_name(raw['id'])}")
+            vehicle_types.add(force_type)
+        x = finite_number(raw.get("x"))
+        y = finite_number(raw.get("y"))
+        given = raw.get("heading")
+        heading = None if given is None else finite_number(given)
+        lam = finite_number(raw.get("lambda"))
+        time = finite_number(raw.get("time", 0.0))
+        if None in (x, y, lam, time) or (heading is None and given is not None):
+            _refuse_detection(raw, k, lib)
+        did = str(raw["id"])
+        item = EvidenceItem(id=did, kind=EvidenceKind.DETECTION, likelihood_ratio=lam)
         g.add_evidence(item)
         leaves.append(
             Hypothesis(
                 id=f"v.{did}",
                 force_type=force_type,
                 level=Level.VEHICLE,
-                location=location,
-                time=d.number("time", 0.0),
-                own_evidence=frozenset((item.id,)),
+                location=(x, y),
+                time=time,
+                own_evidence=frozenset((did,)),
                 prior=leaf_prior,
                 posterior=leaf_prior,
                 heading=heading,

@@ -1,17 +1,25 @@
 """Candidate generation in conflict detection and clustering.
 
 ``detect_conflicts`` and ``matching._clusters`` test only the pairs that
-an evidence index and a uniform grid (``geometry.near_pairs``) propose.
+an evidence index and uniform grids (``geometry.near_pairs``) propose:
+in detection, one grid per level at the reach of the doctrine tests that
+can flag a pair there (the heading test runs only when the level's
+headings span an arc wide enough to flag one), and groups joined from
+the edges' endpoints alone.
 These tests hold them to the all-pairs versions below, which stay here
 as the reference, on scenes built to sit on every boundary the filters
 and tests have: limits and reaches hit exactly or missed by 1e-9,
-headings across 0/360, negative, large and non-finite headings, negative
-coordinates, points on grid-cell edges, far-apart pairs sharing evidence
-or facing apart, and zero-metre separation rows.  The last tests
-count doctrine lookups, the exact distance tests and the edges given to
-``linked_groups``, and the matcher's fit scores and pair evaluations,
-on generated clean scenes, so a return to all-pairs work or to scoring
-every slot assignment fails without timing.
+heading arcs just under, at and just over the smallest limit (across
+0/360, near the arc test's 2**30 magnitude bound and past it, and one
+under the limit whose heading difference rounds over it), negative, large
+and non-finite headings mixed with finite ones, negative coordinates,
+points on grid-cell edges, far-apart pairs sharing evidence or facing
+apart, and type pairs with separation rows of 0 m, of different widths
+and with none.  The last tests count doctrine lookups, the exact
+distance and heading tests and the edges given to ``linked_groups``,
+and the matcher's fit scores and pair evaluations, on generated clean
+scenes, so a return to all-pairs work or to scoring every slot
+assignment fails without timing.
 """
 
 import itertools
@@ -42,6 +50,7 @@ LIBRARY = load_library(
                 {"name": "mbt", "level": "vehicle", "isa": "tank"},
                 {"name": "apc", "level": "vehicle", "isa": "tracked"},
                 {"name": "truck", "level": "vehicle", "isa": "vehicle"},
+                {"name": "drone", "level": "vehicle"},
                 {"name": "array", "level": "array"},
                 {"name": "company", "level": "array", "isa": "array"},
             ],
@@ -58,16 +67,24 @@ LIBRARY = load_library(
                     {"a": "tracked", "b": "truck", "degrees": 150},
                     {"a": "apc", "b": "apc", "degrees": 0},
                     {"a": "company", "b": "company", "degrees": 45},
+                    {"a": "drone", "b": "drone", "degrees": 20},
                 ],
             },
         }
     )
 )
-VEHICLE_TYPES = ["vehicle", "tracked", "tank", "mbt", "apc", "truck"]
+# a drone has no separation row with any type, and its own heading row
+VEHICLE_TYPES = ["vehicle", "tracked", "tank", "mbt", "apc", "truck", "drone"]
 ARRAY_TYPES = ["array", "company"]
 SEPARATIONS = [0.0, 30.0, 45.0, 60.0, 400.0, 600.0]
-HEADING_LIMITS = [0.0, 45.0, 90.0, 150.0]
+HEADING_LIMITS = [0.0, 20.0, 45.0, 90.0, 150.0]
 NUDGES = [0.0, 0.0, 1e-9, -1e-9, 2.0**-40, -(2.0**-40)]
+# moves of a heading limit: off by nothing, by less than the margin of
+# ``conflict._may_face_apart`` (2**-20 degrees), by it, and by more
+ARC_NUDGES = [0.0, 1e-9, -1e-9, 2.0**-20, -(2.0**-20), 2.0**-19, -(2.0**-19), 1e-5, -1e-5]
+# whole turns that put a heading just under or over the 2**30 degrees
+# past which that test is off (2**30 / 360 = 2982616.2)
+TURNS = [-2982617, -2982616, -2, -1, 0, 0, 1, 2, 2982616, 2982617]
 EXAMPLES = dict(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -206,8 +223,11 @@ def places(draw, anchors):
 @st.composite
 def headings(draw, anchors):
     """None, a free heading (negative and >= 360 included), a circle
-    edge, or an earlier heading moved by a heading limit +- 1e-9."""
-    kind = draw(st.sampled_from(["none", "free", "edge", "limit"]))
+    edge, NaN or an infinity, or an earlier heading moved by a heading
+    limit, nudged (``ARC_NUDGES``) and turned (``TURNS``): two such
+    headings span an arc just under, at or just over the limit, across
+    0/360 or not, near the magnitude bound or not."""
+    kind = draw(st.sampled_from(["none", "free", "edge", "special", "limit", "limit"]))
     if kind == "none":
         return None
     if kind == "edge":
@@ -216,10 +236,12 @@ def headings(draw, anchors):
                 [0.0, -0.0, 360.0, -360.0, 180.0, -180.0, 720.0, 359.999999999, -1e-20]
             )
         )
+    if kind == "special":
+        return draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     if kind == "limit" and anchors:
         step = draw(st.sampled_from(HEADING_LIMITS)) * draw(st.sampled_from([-1, 1]))
-        wrap = 360.0 * draw(st.integers(-2, 2))
-        nudge = draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+        wrap = 360.0 * draw(st.sampled_from(TURNS))
+        nudge = draw(st.sampled_from(ARC_NUDGES))
         return draw(st.sampled_from(anchors)) + step + wrap + nudge
     return draw(st.floats(-1000.0, 1500.0, allow_nan=False))
 
@@ -240,7 +262,7 @@ def scenes(draw):
         x, y = draw(places(points))
         heading = draw(headings(hs))
         points.append((x, y))
-        if heading is not None:
+        if heading is not None and math.isfinite(heading):
             hs.append(heading)
         own = draw(st.lists(st.sampled_from(pool), max_size=2))
         g.add_evidence(EvidenceItem(f"d{v}", EvidenceKind.DETECTION, 3.0))
@@ -329,23 +351,37 @@ def test_non_finite_and_extreme_coordinates_match_all_pairs(empty_graph):
     assert as_compared(found) == reference_detect_conflicts(g, LIBRARY)
 
 
-HEADING_LIBRARY = load_library(
+HEADING_LIBRARY_DOC = {
+    "types": [
+        {"name": "vehicle", "level": "vehicle"},
+        {"name": "tank", "level": "vehicle", "isa": "vehicle"},
+        {"name": "apc", "level": "vehicle", "isa": "vehicle"},
+        {"name": "truck", "level": "vehicle", "isa": "vehicle"},
+    ],
+    "doctrine": {
+        "max_heading_delta": [
+            {"a": "tank", "b": "tank", "degrees": 180},
+            {"a": "tank", "b": "apc", "degrees": 200},
+            {"a": "apc", "b": "apc", "degrees": 30},
+            {"a": "truck", "b": "vehicle", "degrees": 179.999999},
+            {"a": "truck", "b": "truck", "degrees": -5},
+        ]
+    },
+}
+HEADING_LIBRARY = load_library(json.dumps(HEADING_LIBRARY_DOC))
+# the same types and heading rows, with separation rows of 25 m, 15 m
+# and 0 m between some type pairs and none between the others
+SEPARATED_HEADING_LIBRARY = load_library(
     json.dumps(
         {
-            "types": [
-                {"name": "vehicle", "level": "vehicle"},
-                {"name": "tank", "level": "vehicle", "isa": "vehicle"},
-                {"name": "apc", "level": "vehicle", "isa": "vehicle"},
-                {"name": "truck", "level": "vehicle", "isa": "vehicle"},
-            ],
+            "types": HEADING_LIBRARY_DOC["types"],
             "doctrine": {
-                "max_heading_delta": [
-                    {"a": "tank", "b": "tank", "degrees": 180},
-                    {"a": "tank", "b": "apc", "degrees": 200},
-                    {"a": "apc", "b": "apc", "degrees": 30},
-                    {"a": "truck", "b": "vehicle", "degrees": 179.999999},
-                    {"a": "truck", "b": "truck", "degrees": -5},
-                ]
+                **HEADING_LIBRARY_DOC["doctrine"],
+                "min_separation": [
+                    {"a": "tank", "b": "tank", "meters": 25},
+                    {"a": "apc", "b": "apc", "meters": 15},
+                    {"a": "apc", "b": "truck", "meters": 0},
+                ],
             },
         }
     )
@@ -357,10 +393,10 @@ SPECIAL_HEADINGS = [
 
 
 def _heading_scene(placed):
-    """Vehicles of the given (type, heading), 10 m apart on a line, so only
-    the orientation test can join them: pairs up to 60 places apart lie
-    within ``HEADING_REACH_M`` (60 places exactly on it), those further
-    apart beyond it."""
+    """Vehicles of the given (type, heading), 10 m apart on a line, so
+    under ``HEADING_LIBRARY`` only the orientation test can join them:
+    pairs up to 60 places apart lie within ``HEADING_REACH_M`` (60 places
+    exactly on it), those further apart beyond it."""
     g = HypothesisGraph()
     for i, (force_type, heading) in enumerate(placed):
         add_leaf(g, f"v{i:02d}", force_type=force_type, location=(10.0 * i, 0.0),
@@ -475,6 +511,66 @@ def test_non_finite_headings_and_wide_limits_match_all_pairs():
     assert found and len(found[0].reasons) > 100
 
 
+def test_a_heading_past_the_arc_bound_is_still_tested():
+    # 1e100 and 64 have the same residue, 1e100 % 360, so they lie on one
+    # point of the circle; but 1e100 - 64 rounds to 1e100, and
+    # heading_difference reads them 64 degrees apart, over the apcs' 30
+    assert 1e100 % 360.0 == 64.0
+    g = _heading_scene([("apc", 1e100), ("apc", 64.0)])
+    found = detect_conflicts(g, HEADING_LIBRARY)
+    assert as_compared(found) == reference_detect_conflicts(g, HEADING_LIBRARY)
+    assert [s.members for s in found] == [("v00", "v01")]
+
+
+def test_rounding_past_the_arc_is_covered_by_the_margin():
+    # two headings 0.1 - 6e-9 apart on the circle, under a 0.1 limit, yet
+    # a - 2**-25 rounds up to a (its spacing is 2**-23 above 2**29), so
+    # heading_difference reads them 0.1 + 2.4e-8 apart: the arc test's
+    # margin is all that keeps the pair under test
+    lib = load_library(
+        json.dumps(
+            {
+                "types": [{"name": "vehicle", "level": "vehicle"}],
+                "doctrine": {
+                    "max_heading_delta": [{"a": "vehicle", "b": "vehicle", "degrees": 0.1}]
+                },
+            }
+        )
+    )
+    residue = math.ceil(0.1 * 2**23) / 2**23
+    a, b = 360.0 * 1491309 + residue, 2.0**-25
+    assert a % 360.0 - b < 0.1 < heading_difference(a, b)
+    g = _heading_scene([("vehicle", a), ("vehicle", b)])
+    found = detect_conflicts(g, lib)
+    assert as_compared(found) == reference_detect_conflicts(g, lib)
+    assert [s.members for s in found] == [("v00", "v01")]
+
+
+# where an arc of headings starts: across 0/360 or not, and near the
+# 2**30 degrees past which ``conflict._may_face_apart`` is off
+ARC_STARTS = [
+    0.0, 90.0, 359.75, -0.25, -180.0, 2.0**30 - 400.0, -(2.0**30) + 100.0,
+    2.0**30 - 2.0**-22, -(2.0**30),
+]
+# the heading rows of HEADING_LIBRARY that an arc can just fit or exceed
+ARC_LIMITS = [30.0, 179.999999, 180.0]
+
+
+@st.composite
+def arc_headings(draw):
+    """Headings spanning an arc of a heading limit, nudged
+    (``ARC_NUDGES``), from a start (``ARC_STARTS``): the arc's two ends
+    and points inside it, some turned by whole circles."""
+    start = draw(st.sampled_from(ARC_STARTS))
+    width = draw(st.sampled_from(ARC_LIMITS)) + draw(st.sampled_from(ARC_NUDGES))
+    inside = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), max_size=3))
+    out = []
+    for fraction in [0.0, 1.0, *inside]:
+        turn = 360.0 * draw(st.sampled_from([0, 0, 0, -1, 1]))
+        out.append(start + fraction * width + turn)
+    return out
+
+
 @settings(**EXAMPLES)
 @given(
     st.lists(
@@ -485,12 +581,21 @@ def test_non_finite_headings_and_wide_limits_match_all_pairs():
             ),
         ),
         max_size=12,
-    )
+    ),
+    st.one_of(st.just([]), arc_headings()),
+    st.lists(st.sampled_from(["tank", "apc", "truck", "vehicle"]), min_size=8, max_size=8),
+    st.sampled_from([HEADING_LIBRARY, SEPARATED_HEADING_LIBRARY]),
+    st.randoms(use_true_random=False),
 )
-def test_special_headings_equal_all_pairs(placed):
+def test_special_headings_equal_all_pairs(placed, arc, arc_types, lib, shuffle):
+    # special and free headings, with or without an arc at a limit, in
+    # any order along the line, under heading rows alone or with
+    # separation rows of 25 m (2 places), 15 m, 0 m and none
+    placed = placed + list(zip(arc_types, arc))
+    shuffle.shuffle(placed)
     g = _heading_scene(placed)
-    found = detect_conflicts(g, HEADING_LIBRARY)
-    assert as_compared(found) == reference_detect_conflicts(g, HEADING_LIBRARY)
+    found = detect_conflicts(g, lib)
+    assert as_compared(found) == reference_detect_conflicts(g, lib)
 
 
 # -- scaling guard -------------------------------------------------------
@@ -534,13 +639,14 @@ def _grid_scene(tmp_path, battalions: int):
     return tmp_path / "config.json"
 
 
-def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
+def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch, tank_lib):
     counts = {
         "min_separation": 0,
         "max_heading_delta": 0,
         "distance_tests": 0,
+        "heading_tests": 0,
         "edges": 0,
-        "levels": 0,
+        "groupings": 0,
     }
 
     def counted(name, original):
@@ -554,16 +660,23 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
         original = getattr(ModelLibrary, name)
         monkeypatch.setattr(ModelLibrary, name, counted(name, original))
     # the exact doctrine tests: one distance per candidate of the grid,
-    # which proposes a bounded number per hypothesis (about two here)
+    # which proposes a bounded number per hypothesis (none at the vehicle
+    # level here: every tank faces the same way, so the grid is at the
+    # 25 m separation, and no two tanks come that close), and one heading
+    # difference per orientation candidate
     monkeypatch.setattr(
         conflict, "distance", counted("distance_tests", conflict.distance)
+    )
+    monkeypatch.setattr(
+        conflict, "heading_difference",
+        counted("heading_tests", conflict.heading_difference),
     )
     original_groups = conflict.linked_groups
 
     def counted_groups(n, edges):
-        # one call per level takes every edge of that level
+        # one call per level with an edge takes every edge of that level
         counts["edges"] += len(edges)
-        counts["levels"] += 1
+        counts["groupings"] += 1
         return original_groups(n, edges)
 
     monkeypatch.setattr(conflict, "linked_groups", counted_groups)
@@ -576,7 +689,7 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
         for c in counts:
             counts[c] = 0
         out = detect_conflicts(g, lib, level)
-        per_level.append((len(ids), types, dict(counts)))
+        per_level.append((level, len(ids), types, dict(counts)))
         return out
 
     monkeypatch.setattr(pipeline, "detect_conflicts", detect)
@@ -588,14 +701,35 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch):
         config = pipeline.RunConfig.from_file(_grid_scene(scene, battalions))
         report = pipeline.run(config)
         assert len(report["levels"]["battalion"]) == battalions
-        hypotheses = sum(n for n, _, _ in per_level)
+        hypotheses = sum(n for _, n, _, _ in per_level)
         assert hypotheses == 13 * battalions  # 9 vehicles, 3 arrays, 1 battalion each
-        for n, types, c in per_level:
+        for level, n, types, c in per_level:
             assert c["min_separation"] <= types**2
             assert c["max_heading_delta"] <= types**2
-            assert c["distance_tests"] <= 3 * n
+            assert c["distance_tests"] <= (n if level is Level.VEHICLE else 3 * n)
+            # every tank faces the same way: no orientation candidate
+            assert c["heading_tests"] == 0
             assert c["edges"] <= n
-            assert c["levels"] == (n >= 2)  # the count above is live
+
+    # the counters are live: the same wrappers count a level whose two
+    # tanks sit 10 m apart facing opposite ways, one edge of both reasons
+    g = HypothesisGraph()
+    add_leaf(g, "v0", location=(0.0, 0.0), heading=0.0)
+    add_leaf(g, "v1", location=(10.0, 0.0), heading=180.0)
+    for c in counts:
+        counts[c] = 0
+    (found,) = detect_conflicts(g, tank_lib, Level.VEHICLE)
+    assert found.reasons == (
+        (0, 1, frozenset({ConflictReason.TOO_CLOSE, ConflictReason.ORIENTATION})),
+    )
+    assert counts == {
+        "min_separation": 1,
+        "max_heading_delta": 1,
+        "distance_tests": 1,
+        "heading_tests": 1,
+        "edges": 1,
+        "groupings": 1,
+    }
 
 
 def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypatch):

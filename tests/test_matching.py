@@ -122,6 +122,40 @@ class TestMatchLevel:
         cfg = MatchConfig(gather_radius=500, min_fit=0.2, max_missing=0)
         assert match_level(g, tank_lib, Level.ARRAY, cfg) == []
 
+    def test_a_lone_tank_matches_when_two_may_be_missing(self, tank_lib, empty_graph):
+        # the company line needs three tanks; with max_missing 2 the
+        # fewest children an assignment holds is one
+        g = empty_graph
+        add_leaf(g, "v0", lam=6.0, force_type="T-72-tank", location=(1000.0, 1000.0))
+        cfg = MatchConfig(gather_radius=500, min_fit=0.2, max_missing=2)
+        cands = match_level(g, tank_lib, Level.ARRAY, cfg)
+        assert [(c.children(), c.missing_slots, c.fit_score) for c in cands] == [
+            (("v0",), 2, 0.25)  # rho**2
+        ]
+        assert candidate_keys(cands) == brute_force_candidates(
+            g, tank_lib, Level.ARRAY, cfg
+        )
+
+    @pytest.mark.parametrize("max_missing", [0, 1, 2])
+    def test_a_cluster_below_the_fewest_children_holds_no_assignment(
+        self, tank_lib, max_missing
+    ):
+        # 3 - max_missing tanks is the fewest an assignment of the company
+        # line holds: the enumeration itself yields nothing for one tank
+        # fewer, so match_level, which does not enumerate such a cluster,
+        # loses nothing; at the fewest it yields a candidate
+        model = tank_lib.models["tank-company-line"]
+        cfg = MatchConfig(gather_radius=500, min_fit=0.2, max_missing=max_missing)
+        fewest = 3 - max_missing
+        for n, expected in ((fewest - 1, 0), (fewest, 1)):
+            g = HypothesisGraph()
+            ids = place_company(g, "v", 1000, 1000, n=n)
+            enumeration = _Enumeration(
+                tank_lib, model, {"T-72-tank": ids}, cfg, _PairTable(g, model, cfg.slack), {}
+            )
+            assert len(list(enumeration.assignments(ids))) == expected
+            assert len(match_level(g, tank_lib, Level.ARRAY, cfg)) == expected
+
     def test_subsumption_respected(self, tank_lib, empty_graph):
         g = empty_graph
         add_leaf(g, "v0", lam=6.0, force_type="BMP", location=(900, 1000))

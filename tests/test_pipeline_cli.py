@@ -11,13 +11,17 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import echelon
 from echelon import cli, kernels, matching, oracle, pipeline
 from echelon.cli import main
 from echelon.evidence import posterior_from_evidence
+from echelon.exceptions import ScenarioError
+from echelon.models import Fields, load_library, shown_name
 from echelon.pipeline import RunConfig, run
-from echelon.scenario import dumps
+from echelon.scenario import check_vehicle_type, dumps
 
 from conftest import (
     TANK_LIBRARY,
@@ -957,6 +961,80 @@ class TestSkipFlow:
         assert set(company["accrual"]) == {"raw", "fit", "components"}
 
 
+def reference_leaves(detections, lib):
+    """Each detection read through its own ``Fields`` object, as
+    ``build_graph`` once read them: (id, type, x, y, heading, lambda,
+    time) per detection, or the message of the first refusal."""
+    out = []
+    try:
+        for k, raw in enumerate(detections):
+            d = Fields(raw, pipeline._DETECTION_KEYS, f"detection entry {k}", ScenarioError)
+            did = str(d.value("id"))
+            d.where = f"detection {shown_name(raw['id'])}"
+            force_type = d.text("type")
+            check_vehicle_type(force_type, lib, d.where)
+            x, y = d.number("x"), d.number("y")
+            heading = d.number("heading") if d.given("heading") else None
+            out.append((did, force_type, x, y, heading, d.number("lambda"), d.number("time", 0.0)))
+    except ScenarioError as exc:
+        return str(exc)
+    return out
+
+
+DETECTION_VALUES = st.sampled_from(
+    [1.5, 1.5, 1.5, 7, 10**400, True, None, math.nan, math.inf, "1", [1]]
+)
+
+
+@st.composite
+def detection_entries(draw, k):
+    """A detection, usually well formed, else with one or more fields
+    missing, of the wrong kind or not finite, an unknown key, an array-level
+    or unknown type, or not an object at all."""
+    if draw(st.integers(0, 39)) == 0:
+        return draw(st.sampled_from([5, [], "d", None]))
+    raw = {}
+    if draw(st.integers(0, 29)):
+        raw["id"] = draw(st.sampled_from([f"d{k}", f"d{k}", k, "x" * 40 + str(k)]))
+    if draw(st.integers(0, 29)):
+        raw["type"] = draw(
+            st.sampled_from(["T-72-tank"] * 6 + ["BMP", "tank-company", "nope", 5])
+        )
+    for key in ("x", "y", "lambda", "heading", "time"):
+        if draw(st.integers(0, 19)):
+            raw[key] = draw(DETECTION_VALUES) if draw(st.integers(0, 19)) == 0 else 2.5
+    if "heading" in raw and draw(st.integers(0, 3)) == 0:
+        raw["heading"] = None  # an unknown heading, which reads
+    if draw(st.integers(0, 39)) == 0:
+        raw["z"] = 1.0
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_detections_read_as_the_strict_read_reads_them(data):
+    # build_graph reads each field once and checks each type once; its
+    # leaves, or its refusal word for word, are those of a Fields object
+    # per detection
+    lib = load_library(json.dumps(TANK_LIBRARY))
+    n = data.draw(st.integers(1, 4))
+    detections = [data.draw(detection_entries(k)) for k in range(n)]
+    expected = reference_leaves(detections, lib)
+    try:
+        g = pipeline.build_graph({"detections": detections}, lib, 0.5)
+    except ScenarioError as exc:
+        assert str(exc) == expected
+        return
+    leaves = []
+    for h in g.hypotheses.values():
+        (did,) = h.own_evidence
+        item = g.evidence[did]
+        x, y = h.location
+        leaves.append((did, h.force_type, x, y, h.heading, item.likelihood_ratio, h.time))
+    assert leaves == expected
+    assert all(type(value) is float for leaf in leaves for value in leaf[2:] if value is not None)
+
+
 # The names perfbench/tracer.py wraps on echelon.pipeline: a stage that
 # stops looking its name up there at call time reads 0 when traced.
 TRACED_NAMES = (
@@ -1356,20 +1434,21 @@ class TestEvidenceOrder:
 
 class TestNoCyclicGarbage:
     """A run's hypothesis graph is freed by reference counting alone:
-    with the cyclic collector off, a run leaves nothing for it to find,
-    so memory does not wait on when a collection happens to run."""
+    with the cyclic collector off, a run and the writing of its report
+    leave nothing for it to find, so memory does not wait on when a
+    collection happens to run."""
 
     @staticmethod
     def garbage_of(cfg):
-        run(cfg)  # the first run fills import-time and module caches
+        dumps(run(cfg))  # the first run fills import-time and module caches
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             gc.garbage.clear()
-            run(cfg)
-            gc.collect()
+            dumps(run(cfg))
+            assert gc.collect() == len(gc.garbage)
             return list(gc.garbage)
         finally:
             gc.set_debug(0)
@@ -1385,6 +1464,17 @@ class TestNoCyclicGarbage:
         # matching, and exact resolution of the local vehicle groups
         cfg, _ = noisy_grid_config(tmp_path)
         assert self.garbage_of(cfg) == []
+
+    @pytest.mark.parametrize(
+        "workload, seed, scene", [("grid-clean", 0, 0), ("grid-noisy", 2, 15)]
+    )
+    def test_benchmark_scene_leaves_no_cycles(self, tmp_path, workload, seed, scene):
+        # grid-noisy seed 2, scene 15 refuses exact resolution, skips
+        # groups and warns on the way
+        cfg = perfbench_scene(tmp_path, workload, seed, scene)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert self.garbage_of(cfg) == []
 
 
 def test_scene_peak_memory_follows_the_report(tmp_path):
