@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from echelon.evidence import (
     EvidenceKind, from_odds, odds, posterior_from_evidence, product
@@ -48,8 +49,7 @@ from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import Level
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentBelief:
+class ComponentBelief(NamedTuple):
     """Per-component inputs: P(C|e), P(C|t), P(C|e,t), P(C)."""
 
     p_ce: float
@@ -102,8 +102,7 @@ def _refuse_outside_unit(
             raise ValueError(f"{where}{name} outside [0,1]: {val!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class AccrualResult:
+class AccrualResult(NamedTuple):
     """The unclamped rule value and what produced it.
 
     ``inputs`` is the validated ``AccrualInputs`` on the rule path, or

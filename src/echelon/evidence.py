@@ -19,8 +19,8 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from echelon.exceptions import DegeneratePriorWarning
 from echelon.models import shown_name
@@ -32,25 +32,47 @@ class EvidenceKind(enum.Enum):
     TERRAIN = "terrain"
 
 
-@dataclass(frozen=True, slots=True)
-class EvidenceItem:
-    """One atomic support unit: a detection, a formation-fit score, or
-    a terrain statement, reduced to a likelihood ratio.  Only terrain
-    items carry a ``location``; a hypothesis carries its own."""
+_NO_CONTEXT: Mapping[str, Any] = MappingProxyType({})
 
+
+class _EvidenceFields(NamedTuple):
     id: str
     kind: EvidenceKind
     likelihood_ratio: float
     location: tuple[float, float] | None = None
-    sensor_context: Mapping[str, Any] = field(default_factory=dict)
+    sensor_context: Mapping[str, Any] = _NO_CONTEXT
 
-    def __post_init__(self) -> None:
-        lr = self.likelihood_ratio
-        if not (lr > 0.0 and math.isfinite(lr)):
+
+class EvidenceItem(_EvidenceFields):
+    """One atomic support unit: a detection, a formation-fit score, or
+    a terrain statement, reduced to a likelihood ratio.  Only terrain
+    items carry a ``location``; a hypothesis carries its own.
+
+    A named tuple, so its fields are read-only; building one, also
+    through ``_make`` or ``_replace``, checks the likelihood ratio.  The
+    default ``sensor_context`` is one empty mapping shared by every item
+    and read-only: a caller with context passes its own."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        kind: EvidenceKind,
+        likelihood_ratio: float,
+        location: tuple[float, float] | None = None,
+        sensor_context: Mapping[str, Any] = _NO_CONTEXT,
+    ) -> "EvidenceItem":
+        if not (likelihood_ratio > 0.0 and math.isfinite(likelihood_ratio)):
             raise ValueError(
-                f"evidence {shown_name(self.id)}: likelihood_ratio must be positive "
-                f"and finite, got {lr!r}"
+                f"evidence {shown_name(id)}: likelihood_ratio must be positive "
+                f"and finite, got {likelihood_ratio!r}"
             )
+        return tuple.__new__(cls, (id, kind, likelihood_ratio, location, sensor_context))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "EvidenceItem":
+        return cls(*iterable)
 
 
 def product(values: Iterable[float]) -> float:

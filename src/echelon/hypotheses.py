@@ -80,9 +80,12 @@ class HypothesisGraph:
     hypothesis and per evidence item: a leaf's closure is its own
     ``own_evidence`` set, not a copy; the child-to-parents index holds
     lists, which ``insert`` keeps free of repeats by refusing a
-    component listed twice; and the records (``Hypothesis``,
-    ``EvidenceItem``, the accrual, match and conflict records) are
-    slotted dataclasses, so they take no new attributes at run time.
+    component listed twice; and the records take no new attributes at
+    run time: ``Hypothesis``, ``AccrualInputs`` and the match and
+    conflict records are slotted dataclasses, and the pure-data records
+    a scene builds by the thousand (``EvidenceItem``,
+    ``ComponentBelief`` and ``AccrualResult``) are named tuples, read-only
+    and cheaper to build than frozen dataclasses.
     The report build is the graph's last reader and consumes it through
     ``drain``, so the graph and the finished report are never both
     whole."""

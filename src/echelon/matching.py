@@ -354,15 +354,49 @@ class _Enumeration:
         eligible = [[c for c in pool if c in ok] for ok in self.accepts]
         return self.rec(eligible, 0, frozenset(), 0, {})
 
-    def combos(self, avail: list[str], size: int, same: list[int], chosen=(), start=0):
-        if len(chosen) == size:
-            yield chosen
+    def combos(self, avail: list[str], size: int, same: list[int]):
+        """The ``size``-subsets of ``avail`` in ``itertools.combinations``
+        order, less every one holding a pair with satisfaction exactly 0.0
+        under a constraint in ``same``.  One loop over a stack of chosen
+        indices: a child joins when, constraint by constraint and then
+        child by child in the order chosen, no pair with the children
+        already chosen is 0.0, the first such pair ending its checks."""
+        if size == 0:
+            yield ()
             return
         sat = self.sat
-        for i in range(start, len(avail) - size + len(chosen) + 1):
-            x = avail[i]
-            if all(sat(ci, x, y) != 0.0 for ci in same for y in chosen):
-                yield from self.combos(avail, size, same, chosen + (x,), i + 1)
+        room = len(avail) - size
+        chosen: list[str] = []
+        stack: list[int] = []
+        i = 0
+        while True:
+            # the last index the next child can take and still leave
+            # room for the rest
+            stop = room + len(stack)
+            while i <= stop:
+                x = avail[i]
+                # x joins (the outer else) unless some pair is 0.0
+                for ci in same:
+                    for y in chosen:
+                        if sat(ci, x, y) == 0.0:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    break
+                i += 1
+            if i <= stop:
+                chosen.append(x)
+                stack.append(i)
+                if len(stack) < size:
+                    i += 1
+                    continue
+                yield tuple(chosen)
+            elif not stack:
+                return
+            chosen.pop()
+            i = stack.pop() + 1
 
     def rec(
         self, eligible: list[list[str]], slot_idx: int, used: frozenset[str],

@@ -16,6 +16,7 @@ and its inputs, and the config's ``seed`` is only echoed into it.
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
@@ -243,8 +244,25 @@ def build_graph(
 
 
 def run(cfg: RunConfig) -> dict:
-    """Execute the full pipeline and return the report document."""
-    return _build_report(cfg, *_infer(cfg))
+    """Execute the full pipeline and return the report document.
+
+    The cyclic garbage collector is off for the run, which makes no
+    reference cycles: reference counting frees its objects, and a
+    collector pass would only walk them, more often the larger the
+    scene.  The state found is restored on return or raise: a collector
+    that was off stays off.  The pause is process-global: every thread
+    of the process runs without collector passes while a run is inside,
+    and when runs overlap in threads, the first to start re-enables the
+    collector as it returns, while the others may still be running.
+    Results never depend on it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build_report(cfg, *_infer(cfg))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _infer(cfg: RunConfig) -> tuple[object, HypothesisGraph, list[ConflictReport]]:

@@ -155,6 +155,45 @@ class TestAccrueParent:
         assert res.posterior == min(res.raw, 1.0)
 
 
+class TestAccrualRecords:
+    """``ComponentBelief`` and ``AccrualResult`` are read-only records
+    whose derived fields follow ``raw`` and ``inputs``."""
+
+    RULE_INPUTS = AccrualInputs(
+        fit_num=0.8, fit_den=0.5, per_component=(cb(0.9, 0.6, 0.95, 0.5),), p_h=0.3
+    )
+
+    @pytest.mark.parametrize("name", ComponentBelief._fields)
+    def test_component_belief_fields_are_read_only(self, name):
+        belief = cb(0.9, 0.6, 0.95, 0.5)
+        with pytest.raises(AttributeError):
+            setattr(belief, name, 0.1)
+        assert belief == cb(0.9, 0.6, 0.95, 0.5)
+
+    @pytest.mark.parametrize("name", ["raw", "inputs", "posterior", "out_of_range", "direct"])
+    def test_accrual_result_fields_are_read_only(self, name):
+        res = accrue_parent(self.RULE_INPUTS)
+        with pytest.raises(AttributeError):
+            setattr(res, name, 0.1)
+        assert res.inputs is self.RULE_INPUTS
+
+    def test_a_rule_result_derives_its_flags(self):
+        over = accrue_parent(self.RULE_INPUTS)  # raw 1.091, the worked example
+        assert (over.posterior, over.out_of_range, over.direct) == (1.0, True, False)
+        under = accrue_parent(
+            AccrualInputs(fit_num=0.5, fit_den=0.5, per_component=(cb(0.4, 0.5, 0.45, 0.5),), p_h=0.3)
+        )
+        assert under.raw < 1.0
+        assert (under.posterior, under.out_of_range, under.direct) == (under.raw, False, False)
+
+    def test_a_direct_result_derives_its_flags(self, empty_graph):
+        g = build_two_leaf_parent(empty_graph)
+        res = _direct_result(g, "a0", None)
+        assert res.inputs == (("e0", 4.0), ("e1", 6.0), ("fit0", 3.0))
+        assert res.raw == posterior_from_evidence(0.3, [4.0, 6.0, 3.0])
+        assert (res.posterior, res.out_of_range, res.direct) == (res.raw, False, True)
+
+
 def linear_raw(inputs):
     """The rule written out: the fit ratio and each component's bracket,
     multiplied in ascending value order."""

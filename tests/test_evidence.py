@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -19,10 +20,42 @@ from conftest import add_leaf, add_parent
 
 
 class TestEvidenceItem:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
     def test_bad_likelihood_ratio(self, bad):
-        with pytest.raises(ValueError):
+        message = re.escape(
+            f"evidence 'x': likelihood_ratio must be positive and finite, got {bad!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
             EvidenceItem(id="x", kind=EvidenceKind.DETECTION, likelihood_ratio=bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EvidenceItem("x", EvidenceKind.DETECTION, bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EvidenceItem("x", EvidenceKind.TERRAIN, bad, (0.0, 0.0), {"radius_m": 1.0})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EvidenceItem("x", EvidenceKind.DETECTION, 2.0)._replace(likelihood_ratio=bad)
+
+    @pytest.mark.parametrize("name", EvidenceItem._fields)
+    def test_fields_are_read_only(self, name):
+        item = EvidenceItem("x", EvidenceKind.DETECTION, 2.0)
+        with pytest.raises(AttributeError):
+            setattr(item, name, None)
+        assert item == EvidenceItem("x", EvidenceKind.DETECTION, 2.0)
+
+    def test_default_sensor_context_is_shared_and_read_only(self):
+        a = EvidenceItem("a", EvidenceKind.DETECTION, 2.0)
+        b = EvidenceItem(id="b", kind=EvidenceKind.DETECTION, likelihood_ratio=3.0)
+        assert a.sensor_context == {} and a.sensor_context is b.sensor_context
+        with pytest.raises(TypeError):
+            a.sensor_context["fit_score"] = 1.0
+        assert b.sensor_context == {} and a.location is None
+
+    def test_given_contexts_pass_through(self):
+        terrain_context, fit_context = {"radius_m": 500.0}, {"fit_score": 0.75}
+        terrain = EvidenceItem("t0", EvidenceKind.TERRAIN, 2.5, (10.0, 20.0), terrain_context)
+        fit = EvidenceItem(id="f0", kind=EvidenceKind.FIT, likelihood_ratio=3.0,
+                           sensor_context=fit_context)
+        assert terrain.sensor_context is terrain_context and terrain.location == (10.0, 20.0)
+        assert fit.sensor_context is fit_context and fit.location is None
 
 
 class TestPosteriorFromEvidence:

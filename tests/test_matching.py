@@ -700,6 +700,51 @@ def test_pruned_enumeration_equals_unpruned_reference(data):
                 )
 
 
+def recursive_combos(sat, avail, size, same, chosen=(), start=0):
+    """One slot's combinations as ``_Enumeration.combos`` enumerated
+    them with a generator per chosen child: the reference for the order
+    of its output and of its ``sat`` calls."""
+    if len(chosen) == size:
+        yield chosen
+        return
+    for i in range(start, len(avail) - size + len(chosen) + 1):
+        x = avail[i]
+        if all(sat(ci, x, y) != 0.0 for ci in same for y in chosen):
+            yield from recursive_combos(sat, avail, size, same, chosen + (x,), i + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_slot_combinations_are_the_filtered_itertools_combinations(data):
+    n = data.draw(st.integers(0, 8))
+    avail = [f"c{i}" for i in range(n)]
+    size = data.draw(st.integers(0, n + 1))
+    same = data.draw(st.lists(st.integers(0, 2), max_size=3, unique=True))
+    pairs = list(itertools.combinations(avail, 2))
+    zero = [
+        data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        for _ in range(3)
+    ]
+
+    def counting(calls):
+        def sat(ci, u, v):
+            calls.append((ci, u, v))
+            return 0.0 if (min(u, v), max(u, v)) in zero[ci] else 0.5
+        return sat
+
+    calls, reference_calls = [], []
+    enumeration = object.__new__(_Enumeration)
+    enumeration.sat = counting(calls)
+    got = list(enumeration.combos(avail, size, same))
+    assert got == [
+        combo for combo in itertools.combinations(avail, size)
+        if not any(pair in zero[ci] for ci in same for pair in itertools.combinations(combo, 2))
+    ]
+    assert got == list(recursive_combos(counting(reference_calls), avail, size, same))
+    # the same pairs asked in the same order: none the recursion did not ask
+    assert calls == reference_calls
+
+
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
 @pytest.mark.parametrize(
     "d_min, d_max, slack",

@@ -1477,6 +1477,48 @@ class TestNoCyclicGarbage:
             assert self.garbage_of(cfg) == []
 
 
+class TestRunPausesTheCollector:
+    """``run`` turns the cyclic collector off for its length and leaves
+    it as it found it, on return and on raise."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    def test_a_run_restores_the_state_it_found(self, collector, monkeypatch):
+        seen = []
+        build_graph = pipeline.build_graph
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return build_graph(*args)
+
+        monkeypatch.setattr(pipeline, "build_graph", recording)
+        demo = Path(__file__).resolve().parents[1] / "demo"
+        run(RunConfig.from_file(demo / "run_config.json"))
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_a_run_refusing_a_detection_restores_it(self, collector, tmp_path):
+        path = write_empty_run(tmp_path)
+        (tmp_path / "scenario.json").write_text(json.dumps({
+            "detections": [{"id": "d0", "type": "T-72-tank", "x": 0.0,
+                            "y": 0.0, "lambda": "six"}],
+        }))
+        with pytest.raises(ScenarioError, match="detection 'd0'"):
+            run(RunConfig.from_file(path))
+        assert gc.isenabled() is collector
+
+    def test_a_run_missing_its_scenario_restores_it(self, collector, tmp_path):
+        path = write_empty_run(tmp_path, scenario="missing.json")
+        with pytest.raises(OSError):
+            run(RunConfig.from_file(path))
+        assert gc.isenabled() is collector
+
+
 def test_scene_peak_memory_follows_the_report(tmp_path):
     # The benchmark's grid-clean scene, run and written as the benchmark
     # does.  Its peak was 12.6 times the report's length while the run
