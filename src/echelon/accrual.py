@@ -280,7 +280,8 @@ def propagate_level(g: HypothesisGraph, level: Level) -> None:
     one is.  A caller that changes any of these below a propagated level
     must re-propagate every level from the change up.
     """
+    hypotheses = g.hypotheses
     for hid in g.at_level(level):
-        h = g.get(hid)
+        h = hypotheses[hid]
         h.belief, h.accrual = _evaluate(g, h, None)
         h.posterior = h.belief

@@ -4,7 +4,8 @@ Same-level hypotheses conflict when their evidence closures overlap
 (one item claimed by both) or when doctrine rules them implausible
 together (too close, or incompatible headings while near each other):
 a conflict is local.  Detection never tests every pair: an evidence
-index finds the shared items, and one uniform grid per level proposes
+index finds the shared items, built only when the level's closures are
+not pairwise disjoint, and one uniform grid per level proposes
 every pair near enough for a doctrine test (a conservative filter), at
 the reach of the tests that can flag a pair there: the heading test
 runs, at ``HEADING_REACH_M``, only when the level's headings are spread
@@ -116,18 +117,28 @@ Limits = tuple[float | None, float | None]
 
 
 def _shared_pairs(sharable: list[frozenset[str]]) -> set[Pair]:
-    """The pairs (i, j), i < j, whose closures share an item, from an
-    inverted index of item id to its holders: exact."""
+    """The pairs (i, j), i < j, whose closures share an item: exact.
+    Closures whose sizes sum to the size of their union are pairwise
+    disjoint and give none at once; otherwise the pairs come from an
+    inverted index of item id to its holders (``_evidence_holders``)."""
+    if sum(map(len, sharable)) == len(frozenset().union(*sharable)):
+        return set()
+    return {
+        pair
+        for group in _evidence_holders(sharable).values()
+        if len(group) > 1
+        for pair in itertools.combinations(group, 2)
+    }
+
+
+def _evidence_holders(sharable: list[frozenset[str]]) -> dict[str, list[int]]:
+    """Each item id of ``sharable`` with the ascending indices of the
+    closures holding it."""
     holders: dict[str, list[int]] = {}
     for i, items in enumerate(sharable):
         for item_id in items:
             holders.setdefault(item_id, []).append(i)
-    return {
-        pair
-        for group in holders.values()
-        if len(group) > 1
-        for pair in itertools.combinations(group, 2)
-    }
+    return holders
 
 
 # A level's finite headings take part in the arc test of ``_may_face_apart``

@@ -28,6 +28,11 @@ from echelon.models import Level, shown_name
 if TYPE_CHECKING:
     from echelon.accrual import AccrualResult
 
+# an assigned id's prefix per level, the first letter of its label, read
+# by index: ``Level.label`` formats the name on every read
+_ID_PREFIXES = tuple(level.label[0] for level in Level)
+
+
 class Status(enum.Enum):
     """SKIPPED and EXCLUDED are set by conflict handling."""
 
@@ -125,7 +130,7 @@ class HypothesisGraph:
         if not hid:
             n = self._counters.get(level, 0)
             self._counters[level] = n + 1
-            h.id = hid = f"{level.label[0]}{n}"
+            h.id = hid = f"{_ID_PREFIXES[level]}{n}"
         if hid in self.hypotheses:
             raise ValueError(f"duplicate hypothesis id {hid!r}")
         if h.is_leaf():

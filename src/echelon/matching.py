@@ -248,11 +248,13 @@ def _clusters(
     g: HypothesisGraph, ids: list[str], radius: float
 ) -> list[list[str]]:
     """Connected components of the graph joining children at most
-    ``radius`` apart, each id-sorted, ordered by their first id.
+    ``radius`` apart, each id-sorted, ordered by their first id; ``ids``
+    is id-sorted.
 
     Candidate pairs come from a uniform grid with cells slightly wider
     than ``radius`` (``near_pairs``), a conservative filter; the distance
-    test decides.
+    test decides.  ``linked_groups`` lists each group's indices
+    ascending, so its ids come in order, unsorted.
     """
     locations = [g.get(i).location for i in ids]
     pairs = [
@@ -260,8 +262,9 @@ def _clusters(
         for a, b in near_pairs(locations, radius)
         if distance(locations[a], locations[b]) <= radius
     ]
-    groups = (sorted(ids[i] for i in group) for group in linked_groups(len(ids), pairs))
-    return sorted(groups, key=lambda m: m[0])
+    groups = [[ids[i] for i in group] for group in linked_groups(len(ids), pairs)]
+    groups.sort()  # by first id, as the groups are disjoint
+    return groups
 
 
 def _pool_radius(model: ForceModel, cfg: MatchConfig) -> float:
@@ -503,22 +506,24 @@ def candidate_to_hypothesis(
         )
     kids = [g.get(i) for i in children]
     item = EvidenceItem(
-        id="f:" + model.name + ":" + "+".join(children),
-        kind=EvidenceKind.FIT,
-        likelihood_ratio=cfg.lambda_max ** (2.0 * fit_score - 1.0),
-        sensor_context={"fit_score": fit_score},
+        "f:" + model.name + ":" + "+".join(children),  # id
+        EvidenceKind.FIT,
+        cfg.lambda_max ** (2.0 * fit_score - 1.0),  # likelihood_ratio
+        None,  # location
+        {"fit_score": fit_score},  # sensor_context
     )
+    # by position, in field order, as ``build_graph`` builds its leaves
     h = Hypothesis(
-        id="",
-        force_type=model.models_type,
-        level=lib.type_of(model.models_type).level,
-        location=centroid([k.location for k in kids]),
-        time=max([k.time for k in kids], default=0.0),
-        model=model.name,
-        components=children,
-        own_evidence=frozenset((item.id,)),
-        prior=model.prior,
-        posterior=model.prior,
-        heading=mean_heading([k.heading for k in kids if k.heading is not None]),
+        "",  # id, assigned at insert
+        model.models_type,  # force_type
+        lib.type_of(model.models_type).level,
+        centroid([k.location for k in kids]),  # location
+        max([k.time for k in kids], default=0.0),  # time
+        model.name,  # model
+        children,  # components
+        frozenset((item.id,)),  # own_evidence
+        model.prior,  # prior
+        model.prior,  # posterior
+        mean_heading([k.heading for k in kids if k.heading is not None]),
     )
     return h, item

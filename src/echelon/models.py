@@ -477,13 +477,24 @@ def _parse_models(raw: list) -> dict[str, ForceModel]:
 
 
 def _parse_doctrine(raw: object) -> DoctrineConfig:
+    """The doctrine tables, each row keyed by its unordered type pair; a
+    row whose pair an earlier row of its table holds, in either order,
+    is refused rather than let replace it."""
     doctrine = Fields(raw, field_names(DoctrineConfig), "doctrine", LibraryFormatError)
     tables: dict[str, dict[tuple[str, str], float]] = {}
     for table, unit in (("min_separation", "meters"), ("max_heading_delta", "degrees")):
         rows = tables[table] = {}
+        first: dict[tuple[str, str], int] = {}  # each pair's row
         for k, entry in enumerate(doctrine.list(table, [])):
             f = Fields(entry, ("a", "b", unit), f"{table} row {k}", LibraryFormatError)
-            rows[DoctrineConfig.key(f.text("a"), f.text("b"))] = f.number(unit)
+            pair = DoctrineConfig.key(f.text("a"), f.text("b"))
+            if pair in first:
+                raise LibraryValidationError(
+                    f"{f.where}: duplicate pair {shown_name(pair[0])}, "
+                    f"{shown_name(pair[1])} (first in row {first[pair]})"
+                )
+            first[pair] = k
+            rows[pair] = f.number(unit)
     return DoctrineConfig(**tables)
 
 

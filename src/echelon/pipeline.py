@@ -49,7 +49,7 @@ from echelon.models import (
     shown,
     shown_name,
 )
-from echelon.scenario import SCHEMA_VERSION, check_vehicle_type
+from echelon.scenario import SCHEMA_VERSION, check_vehicle_type, terrain_items
 
 
 @dataclass
@@ -123,26 +123,6 @@ _SCENARIO_KEYS = (
     "schema_version", "scenario_id", "detections", "terrain", "ground_truth"
 )
 _DETECTION_KEYS = frozenset(("id", "type", "x", "y", "heading", "lambda", "time"))
-_TERRAIN_KEYS = frozenset(("id", "x", "y", "radius_m", "lambda"))
-
-
-def _terrain_items(terrain: list) -> list[EvidenceItem]:
-    """Terrain evidence from the scenario's ``terrain`` list (``build_graph``)."""
-    items = []
-    for i, raw in enumerate(terrain):
-        t = Fields(raw, _TERRAIN_KEYS, f"terrain entry {i}", ScenarioError)
-        tid = str(t.value("id", f"t{i}"))
-        t.where = f"terrain entry {shown_name(tid)}"
-        items.append(
-            EvidenceItem(
-                id=tid,
-                kind=EvidenceKind.TERRAIN,
-                likelihood_ratio=t.number("lambda"),
-                location=(t.number("x"), t.number("y")),
-                sensor_context={"radius_m": t.number("radius_m", 1000.0)},
-            )
-        )
-    return items
 
 
 def _attach_terrain(terrain: list[EvidenceItem], hyps: list[Hypothesis]) -> None:
@@ -199,7 +179,7 @@ def build_graph(
             f"scenario: schema_version must be {SCHEMA_VERSION}, got {shown(version)}"
         )
     g = HypothesisGraph()
-    terrain = _terrain_items(doc.list("terrain", []))
+    terrain = terrain_items(doc.list("terrain", []))
     for t in terrain:
         g.add_evidence(t)
     leaves = []
@@ -222,19 +202,22 @@ def build_graph(
         if None in (x, y, lam, time) or (heading is None and given is not None):
             _refuse_detection(raw, k, lib)
         did = str(raw["id"])
-        item = EvidenceItem(id=did, kind=EvidenceKind.DETECTION, likelihood_ratio=lam)
-        g.add_evidence(item)
+        g.add_evidence(EvidenceItem(did, EvidenceKind.DETECTION, lam))
+        # by position, in field order: binding them by keyword costs about
+        # as much as the rest of building the leaf
         leaves.append(
             Hypothesis(
-                id=f"v.{did}",
-                force_type=force_type,
-                level=Level.VEHICLE,
-                location=(x, y),
-                time=time,
-                own_evidence=frozenset((did,)),
-                prior=leaf_prior,
-                posterior=leaf_prior,
-                heading=heading,
+                f"v.{did}",  # id
+                force_type,
+                Level.VEHICLE,
+                (x, y),  # location
+                time,
+                None,  # model
+                (),  # components
+                frozenset((did,)),  # own_evidence
+                leaf_prior,  # prior
+                leaf_prior,  # posterior
+                heading,
             )
         )
     _attach_terrain(terrain, leaves)
@@ -320,17 +303,19 @@ def _infer(cfg: RunConfig) -> tuple[object, HypothesisGraph, list[ConflictReport
 
 def _accrual_record(a: AccrualResult | None) -> dict | None:
     """What recomputes ``raw``: the rule's inputs, with P(H) the record's
-    ``prior``, or the direct path's likelihood ratios by item id."""
+    ``prior``, or the direct path's likelihood ratios by item id.  Its
+    keys are in written order (``_build_report``)."""
     if a is None:
         return None
+    inputs = a.inputs
     if a.direct:
-        return {"raw": a.raw, "ratios": dict(a.inputs)}
+        return {"ratios": dict(inputs), "raw": a.raw}
     return {
-        "raw": a.raw,
-        "fit": [a.inputs.fit_num, a.inputs.fit_den],
         "components": [
-            [cb.p_ce, cb.p_ct, cb.p_cet, cb.p_c] for cb in a.inputs.per_component
+            [cb.p_ce, cb.p_ct, cb.p_cet, cb.p_c] for cb in inputs.per_component
         ],
+        "fit": [inputs.fit_num, inputs.fit_den],
+        "raw": a.raw,
     }
 
 
@@ -344,7 +329,11 @@ def _build_report(
     first, as their skip estimates read the parents index and each
     parent's accrual; then ``drain`` hands over the hypotheses one at a
     time, each freed once its entry is built, so the graph and the
-    report are never both whole."""
+    report are never both whole.
+
+    Every dict below the top level is built with its keys in the order
+    ``dumps`` writes them, sorted: json's encoder sorts each dict's items
+    with timsort, which checks items already in order in one pass."""
     conflicts = []
     for rep in conflict_log:
         members = rep.conflict_set.members
@@ -354,8 +343,24 @@ def _build_report(
                 estimates[p] = skip_error_estimate(g.get(p).accrual.posterior, rep.k)
         conflicts.append(
             {
+                "consistent_sets": (
+                    None
+                    if rep.consistent_sets is None
+                    else [
+                        {
+                            "belief": cs.normalized_belief,
+                            "members": list(cs.included),
+                            "weight": cs.weight,
+                        }
+                        for cs in rep.consistent_sets
+                    ]
+                ),
+                "decision": rep.decision.value,
+                "k": rep.k,
                 "level": rep.conflict_set.level.label,
+                "measure": rep.measure,
                 "members": list(members),
+                "ordering": list(rep.ordering),
                 # in ascending pair order, as the conflict set holds them
                 "reasons": [
                     {
@@ -364,47 +369,39 @@ def _build_report(
                     }
                     for a, b, rs in rep.conflict_set.reasons
                 ],
-                "ordering": list(rep.ordering),
-                "k": rep.k,
-                "measure": rep.measure,
-                "decision": rep.decision.value,
                 "skip_error_estimates": estimates,
-                "consistent_sets": (
-                    None
-                    if rep.consistent_sets is None
-                    else [
-                        {
-                            "members": list(cs.included),
-                            "weight": cs.weight,
-                            "belief": cs.normalized_belief,
-                        }
-                        for cs in rep.consistent_sets
-                    ]
-                ),
             }
         )
 
-    levels: dict[str, list[dict]] = {level.label: [] for level in LEVELS}
+    levels: dict[str, list[dict]] = {
+        label: [] for label in sorted(level.label for level in LEVELS)
+    }
     # each level's list, keyed by the level: no label formatted per entry
     entries_at = {level: levels[level.label] for level in LEVELS}
     for h in g.drain():
         a = h.accrual
+        location = h.location
+        # Keys in sorted order, the order dumps writes them, so that
+        # json's encoder sorts the row's items in one pass.  ``status``
+        # and ``out_of_range`` are read from the enum's ``_value_`` and the
+        # result's ``raw`` field, past the Python-level ``Enum.value`` and
+        # ``AccrualResult.out_of_range`` descriptors.
         entries_at[h.level].append(
             {
-                "id": h.id,
-                "type": h.force_type,
-                "model": h.model,
-                "x": h.location[0],
-                "y": h.location[1],
-                "heading": h.heading,
-                "time": h.time,
-                "prior": h.prior,
-                "posterior": h.posterior,
-                "status": h.status.value,
-                "out_of_range": a is not None and a.out_of_range,
-                "components": list(h.components),
-                "own_evidence": sorted(h.own_evidence),
                 "accrual": _accrual_record(a),
+                "components": list(h.components),
+                "heading": h.heading,
+                "id": h.id,
+                "model": h.model,
+                "out_of_range": a is not None and a.raw > 1.0,
+                "own_evidence": sorted(h.own_evidence),
+                "posterior": h.posterior,
+                "prior": h.prior,
+                "status": h.status._value_,
+                "time": h.time,
+                "type": h.force_type,
+                "x": location[0],
+                "y": location[1],
             }
         )
     for entries in levels.values():
@@ -412,11 +409,16 @@ def _build_report(
         entries.sort(key=lambda e: (e["out_of_range"], -e["posterior"], e["id"]))
 
     # The config echo: every field but the paths, and the seed, which the
-    # report holds at its top level.
+    # report holds at its top level.  Its keys are sorted, as above, in
+    # place: moving each key to the end, in sorted order, builds no
+    # second dict.
     config = dataclasses.asdict(cfg)
     for key in ("library", "scenario", "out", "seed"):
         del config[key]
     config["heuristic"] = cfg.heuristic.value
+    for echo in (config, config["matcher"]):
+        for key in sorted(echo):
+            echo[key] = echo.pop(key)
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario_id": scenario_id,

@@ -22,9 +22,18 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import ScenarioError
 from echelon.geometry import centroid, distance
-from echelon.models import Fields, Level, ModelLibrary, field_names, shown_name, subsumes
+from echelon.models import (
+    Fields,
+    Level,
+    ModelLibrary,
+    checked,
+    field_names,
+    shown_name,
+    subsumes,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,6 +89,12 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_detect <= 1.0):
             raise ScenarioError("p_detect outside [0,1]")
+        # every detection's ratio is lambda_hit or a positive multiple of
+        # it, which inference reads only when positive and finite
+        checked(
+            self.lambda_hit, "a finite number > 0", "lambda_hit", "noise spec",
+            ScenarioError,
+        )
         if self.false_alarm_density < 0 or self.location_jitter < 0:
             raise ScenarioError("negative noise magnitude")
         if self.seed < 0:
@@ -97,14 +112,14 @@ class NoiseSpec:
 def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTruth:
     """Parse a ground-truth doc strictly (``Fields``), and validate its
     placements when a library is given; ScenarioError naming the entry
-    and key.  ``terrain`` is a list of objects, passed through as given."""
+    and key.  ``terrain`` is read as inference reads a scenario's
+    (``terrain_items``), then passed through as given."""
     f = Fields(doc, ("id", "area", "forces", "terrain"), "ground truth", ScenarioError)
     area = Fields(
         f.value("area", {}), ("width_m", "height_m"), "ground truth area", ScenarioError
     )
     terrain = f.list("terrain", [])
-    for i, t in enumerate(terrain):
-        Fields(t, None, f"ground truth terrain entry {i}", ScenarioError)
+    terrain_items(terrain, "ground truth terrain entry")  # as inference reads it
     forces = f.list("forces", [])
     gt = GroundTruth(
         forces=tuple(_parse_node(n, f"force {i}") for i, n in enumerate(forces)),
@@ -116,6 +131,31 @@ def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTru
         for i, force in enumerate(gt.forces):
             _validate_node(force, lib, f"force {i}")
     return gt
+
+
+_TERRAIN_KEYS = frozenset(("id", "x", "y", "radius_m", "lambda"))
+
+
+def terrain_items(terrain: list, what: str = "terrain entry") -> list[EvidenceItem]:
+    """Terrain evidence from a ``terrain`` list, read strictly (``Fields``):
+    the one reader of a scenario's terrain (``pipeline.build_graph``) and
+    of a ground truth's, whose entries ``generate`` copies into the
+    scenario.  An entry is named ``what`` and its position, then its id."""
+    items = []
+    for i, raw in enumerate(terrain):
+        t = Fields(raw, _TERRAIN_KEYS, f"{what} {i}", ScenarioError)
+        tid = str(t.value("id", f"t{i}"))
+        t.where = f"{what} {shown_name(tid)}"
+        items.append(
+            EvidenceItem(
+                id=tid,
+                kind=EvidenceKind.TERRAIN,
+                likelihood_ratio=t.number("lambda"),
+                location=(t.number("x"), t.number("y")),
+                sensor_context={"radius_m": t.number("radius_m", 1000.0)},
+            )
+        )
+    return items
 
 
 def load_noise_spec(doc: object) -> NoiseSpec:
@@ -405,6 +445,10 @@ def dumps(doc: dict) -> str:
     ``DUMPS_SLICE`` goes to json's encoder one slice at a time, each
     slice's brackets stripped.  The encoder's token list, several times
     the text it makes, then holds one slice, not the whole document.
+    The encoder sorts each dict's items with timsort, which checks items
+    already in key order in one pass, so a document whose dicts are built
+    in sorted key order (the report, ``pipeline._build_report``) is
+    written faster, to the same bytes.
     """
     pieces: list[str] = []
     _write(doc, pieces, set())

@@ -16,8 +16,9 @@ and non-finite headings mixed with finite ones, negative coordinates,
 points on grid-cell edges, far-apart pairs sharing evidence or facing
 apart, and type pairs with separation rows of 0 m, of different widths
 and with none.  The last tests count doctrine lookups, the exact
-distance and heading tests and the edges given to ``linked_groups``,
-and the matcher's fit scores and pair evaluations, on generated clean
+distance and heading tests, the edges given to ``linked_groups``, the
+builds of the shared-evidence index (none where closures are pairwise
+disjoint), and the matcher's fit scores and pair evaluations, on generated clean
 scenes, so a return to all-pairs work or to scoring every slot
 assignment fails without timing.
 """
@@ -38,7 +39,7 @@ from echelon.matching import _clusters
 from echelon.models import HEADING_REACH_M, LEVELS, Level, ModelLibrary, load_library
 from echelon.scenario import NoiseSpec, dumps, generate, load_ground_truth
 
-from conftest import TANK_LIBRARY, add_leaf, company_node
+from conftest import TANK_LIBRARY, add_leaf, add_parent, company_node
 
 LIBRARY = load_library(
     json.dumps(
@@ -730,6 +731,49 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch, tank
         "edges": 1,
         "groupings": 1,
     }
+
+
+def test_shared_evidence_index_is_built_only_where_closures_overlap(
+    tmp_path, monkeypatch, tank_lib
+):
+    # closures whose sizes sum to the size of their union share nothing:
+    # no level of a clean scene builds the item-to-holders index
+    built = []
+
+    def counted_holders(sharable):
+        built.append(len(sharable))
+        return original_holders(sharable)
+
+    original_holders = conflict._evidence_holders
+    monkeypatch.setattr(conflict, "_evidence_holders", counted_holders)
+    detected = []
+
+    def detect(g, lib, level):
+        detected.append(len(g.at_level(level, statuses={Status.ACTIVE})))
+        return detect_conflicts(g, lib, level)
+
+    monkeypatch.setattr(pipeline, "detect_conflicts", detect)
+    for battalions in (4, 16):
+        detected.clear()
+        scene = tmp_path / str(battalions)
+        scene.mkdir()
+        report = pipeline.run(pipeline.RunConfig.from_file(_grid_scene(scene, battalions)))
+        assert detected[:3] == [9 * battalions, 3 * battalions, battalions]
+        assert built == [] and report["conflicts"] == []
+
+    # the counter is live: two companies sharing a tank, 3 km apart so
+    # that doctrine flags nothing, build it once, at their level only
+    g = HypothesisGraph()
+    for i in range(3):
+        add_leaf(g, f"v{i}", lam=4.0, location=(1500.0 * i, 0.0))
+    add_parent(g, "a0", ["v0", "v1"], location=(0.0, 0.0))
+    add_parent(g, "a1", ["v1", "v2"], location=(3000.0, 0.0))
+    assert detect_conflicts(g, tank_lib, Level.VEHICLE) == []
+    assert built == []
+    (found,) = detect_conflicts(g, tank_lib, Level.ARRAY)
+    assert found.members == ("a0", "a1")
+    assert found.reasons == ((0, 1, frozenset({ConflictReason.SHARED_EVIDENCE})),)
+    assert built == [2]
 
 
 def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from echelon.cli import main
 from echelon.scenario import dumps
 
-from conftest import write_battalion_inputs
+from conftest import TANK_LIBRARY, battalion_ground_truth, write_battalion_inputs
 
 NOT_FOUND = "error: [Errno 2] No such file or directory: "
 
@@ -23,6 +23,9 @@ CASES = [
     ("validate-missing", ["validate", "{tmp}/missing.json"], 2,
      "error: cannot read {tmp}/missing.json: "),
     ("validate-malformed", ["validate", "{tmp}/bad.json"], 1, "invalid library: "),
+    ("validate-duplicate-doctrine-pair", ["validate", "{tmp}/dup-doctrine.json"], 1,
+     "invalid library: min_separation row 2: duplicate pair 'vehicle', 'vehicle' "
+     "(first in row 0)"),
     ("infer-missing-config", ["infer", "--config", "{tmp}/missing.json"], 2,
      "error: cannot read config: "),
     ("infer-config-not-json", ["infer", "--config", "{tmp}/bad.json"], 1,
@@ -70,6 +73,22 @@ CASES = [
       "{tmp}/library.json", "--out", "{tmp}/s.json"],
      1, "simulation failed: noise spec misclassification row 'battalion': type "
      "'battalion' is not a vehicle-level type (it is battalion-level)"),
+    ("simulate-noise-lambda-hit-zero",
+     ["simulate", "{tmp}/gt.json", "{tmp}/noise-lambda-zero.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: noise spec: lambda_hit must be a finite number > 0, got 0"),
+    ("simulate-noise-lambda-hit-negative",
+     ["simulate", "{tmp}/gt.json", "{tmp}/noise-lambda-negative.json", "--out",
+      "{tmp}/s.json"],
+     1, "simulation failed: noise spec: lambda_hit must be a finite number > 0, "
+     "got -6.0"),
+    ("simulate-terrain-negative-lambda",
+     ["simulate", "{tmp}/gt-terrain.json", "{tmp}/noise.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: evidence 't0': likelihood_ratio must be positive and "
+     "finite, got -2.0"),
+    ("simulate-terrain-unknown-key",
+     ["simulate", "{tmp}/gt-terrain-key.json", "{tmp}/noise.json", "--out",
+      "{tmp}/s.json"],
+     1, "simulation failed: ground truth terrain entry 0: unknown keys ['radius']"),
     ("simulate-unwritable-out",
      ["simulate", "{tmp}/gt.json", "{tmp}/noise.json", "--out", "{tmp}/no-dir/s.json"],
      2, "error: cannot write scenario: "),
@@ -97,12 +116,39 @@ NOISE_NAMING_OTHER_TYPES = {
     "noise-row.json": {"misclassification": {"battalion": {"BMP": 1.0}}, "seed": 7},
 }
 
+# inputs that simulate refuses, where it used to write a scenario that
+# every infer then refused: a duplicate doctrine row, noise specs whose
+# detections would carry a ratio <= 0, and ground-truth terrain that
+# infer's reader rejects
+REFUSED_INPUTS = {
+    "dup-doctrine.json": {
+        **TANK_LIBRARY,
+        "doctrine": {
+            "min_separation": [
+                *TANK_LIBRARY["doctrine"]["min_separation"],
+                {"a": "vehicle", "b": "vehicle", "meters": 5},
+            ],
+        },
+    },
+    "noise-lambda-zero.json": {"lambda_hit": 0, "seed": 7},
+    "noise-lambda-negative.json": {"lambda_hit": -6.0, "seed": 7},
+    "gt-terrain.json": {
+        **battalion_ground_truth(),
+        "terrain": [{"id": "t0", "x": 0.0, "y": 0.0, "lambda": -2.0}],
+    },
+    "gt-terrain-key.json": {
+        **battalion_ground_truth(),
+        "terrain": [{"id": "t0", "x": 0.0, "y": 0.0, "lambda": 2.0, "radius": 9.0}],
+    },
+}
+
 
 def write_inputs(tmp_path):
     """A valid library, ground truth, noise spec, empty scenario and run
     config, a document that is not JSON, configs that point at a missing
     scenario or at that document as their library, noise specs that name
-    types other than the library's vehicle types, and two fixture
+    types other than the library's vehicle types, the ``REFUSED_INPUTS``
+    documents, and two fixture
     directories: one whose ``skip.json`` is not JSON, one whose
     ``skip.json`` is a directory."""
     paths = write_battalion_inputs(tmp_path)
@@ -116,8 +162,8 @@ def write_inputs(tmp_path):
         ("bad-library.json", "library", "bad.json"),
     ):
         (tmp_path / name).write_text(json.dumps({**config, key: value}))
-    for name, noise in NOISE_NAMING_OTHER_TYPES.items():
-        (tmp_path / name).write_text(json.dumps(noise))
+    for name, doc in {**NOISE_NAMING_OTHER_TYPES, **REFUSED_INPUTS}.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     (tmp_path / "bad-fixtures").mkdir()
     (tmp_path / "bad-fixtures" / "skip.json").write_text("not json")
     (tmp_path / "dir-fixtures" / "skip.json").mkdir(parents=True)

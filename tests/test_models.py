@@ -278,6 +278,44 @@ def test_doctrine_dangling_type_rejected():
         load_library(json.dumps(doc))
 
 
+@pytest.mark.parametrize("a, b", [("vehicle", "vehicle"), ("tank", "BMP"), ("BMP", "tank")])
+def test_doctrine_duplicate_pair_rejected_in_either_order(a, b):
+    # a later row with the same unordered type pair would silently
+    # replace the earlier one: the tank library's 25 m would become 5 m
+    doctrine = {
+        "min_separation": [
+            {"a": "vehicle", "b": "vehicle", "meters": 25},
+            {"a": "tank", "b": "BMP", "meters": 40},
+            {"a": a, "b": b, "meters": 5},
+        ],
+        "max_heading_delta": [{"a": a, "b": b, "degrees": 120}],
+    }
+    first, second = sorted((a, b))
+    row = 0 if a == "vehicle" else 1
+    with pytest.raises(LibraryValidationError) as caught:
+        load_library(lib_text(doctrine=doctrine))
+    assert str(caught.value) == (
+        f"min_separation row 2: duplicate pair {first!r}, {second!r} "
+        f"(first in row {row})"
+    )
+
+
+def test_doctrine_duplicate_pair_rejected_in_each_table():
+    rows = [{"a": "tank", "b": "BMP", "degrees": 90}, {"a": "BMP", "b": "tank", "degrees": 30}]
+    with pytest.raises(
+        LibraryValidationError,
+        match=r"^max_heading_delta row 1: duplicate pair 'BMP', 'tank' \(first in row 0\)$",
+    ):
+        load_library(lib_text(doctrine={"max_heading_delta": rows}))
+    # the same pair in the two tables is one row of each
+    lib = load_library(
+        lib_text(doctrine={"min_separation": [{"a": "tank", "b": "BMP", "meters": 5}],
+                           "max_heading_delta": rows[:1]})
+    )
+    assert lib.min_separation("BMP", "tank") == 5
+    assert lib.max_heading_delta("BMP", "tank") == 90
+
+
 def test_models_at_levels(tank_lib):
     assert [m.name for m in tank_lib.models_at(Level.ARRAY)] == ["tank-company-line"]
     assert [m.name for m in tank_lib.models_at(Level.DIVISION)] == []

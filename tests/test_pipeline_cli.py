@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1139,6 +1140,58 @@ class TestCompanyLevelConflict:
         assert all(len(m) == 1 for m in sets)  # pairwise conflicting
         assert math.fsum(sets.values()) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(posts.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def key_orders(report):
+    """Each dict below the report's top level, as its path and its keys
+    in the order the dict lists them."""
+    found = []
+
+    def walk(obj, path):
+        if isinstance(obj, dict):
+            found.append((path, list(obj)))
+            for key, value in obj.items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(obj, list):
+            for i, value in enumerate(obj):
+                walk(value, f"{path}[{i}]")
+
+    for key, value in report.items():
+        walk(value, key)
+    return found
+
+
+class TestReportKeyOrder:
+    """The report's dicts are built with their keys in the order ``dumps``
+    writes them, sorted, so json's encoder meets each dict's items in
+    order.  Bytes cannot show this: ``dumps`` sorts either way."""
+
+    def test_demo_report(self):
+        report = run(RunConfig.from_file(DEMO / "run_config.json"))
+        orders = key_orders(report)
+        assert [(path, keys) for path, keys in orders if keys != sorted(keys)] == []
+        # the config echo, its matcher block, the levels, their rows and
+        # the rows' rule records, positions left out
+        paths = {re.sub(r"\[\d+\]", "", path) for path, _ in orders}
+        assert {"config", "config.matcher", "levels", "levels.vehicle",
+                "levels.array", "levels.array.accrual"} <= paths
+
+    def test_grid_noisy_seed_2_scene_15(self, tmp_path):
+        # the scene TestBenchmarkReportBytes pins: resolved and skipped
+        # groups, and direct-path ``ratios`` records beside rule records
+        cfg = perfbench_scene(tmp_path, "grid-noisy", 2, 15)
+        report, _ = run_counting_refusals(cfg)
+        orders = key_orders(report)
+        assert [(path, keys) for path, keys in orders if keys != sorted(keys)] == []
+        shapes = {tuple(keys) for _, keys in orders}
+        assert {
+            ("belief", "members", "weight"),  # a consistent set
+            ("pair", "reasons"),  # a conflict's pair row
+            ("ratios", "raw"),  # a direct-path accrual record
+            ("components", "fit", "raw"),  # a rule accrual record
+        } <= shapes
+        assert any(c["skip_error_estimates"] for c in report["conflicts"])
+        assert {c["decision"] for c in report["conflicts"]} == {"skip", "resolve"}
 
 
 def run_counting_refusals(cfg):

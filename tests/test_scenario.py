@@ -12,6 +12,7 @@ from echelon.exceptions import ScenarioError
 from echelon.models import load_library
 from echelon.scenario import (
     DUMPS_SLICE,
+    NoiseSpec,
     dumps,
     generate,
     load_ground_truth,
@@ -90,6 +91,41 @@ class TestNoiseSpec:
     def test_p_detect_range(self):
         with pytest.raises(ScenarioError):
             load_noise_spec({"p_detect": 1.5})
+
+    @pytest.mark.parametrize("value", [0, 0.0, -6.0, math.nan, math.inf])
+    def test_lambda_hit_must_be_positive_and_finite(self, value):
+        # every detection's ratio is lambda_hit or a positive multiple of
+        # it, which infer refuses unless positive and finite
+        with pytest.raises(ScenarioError, match="^noise spec: lambda_hit must be"):
+            NoiseSpec(lambda_hit=value)
+        assert NoiseSpec(lambda_hit=2).lambda_hit == 2
+
+
+class TestGroundTruthTerrain:
+    """Ground-truth terrain is read as infer reads a scenario's, then
+    copied into the scenario as given."""
+
+    def test_entries_pass_through_as_given(self, lib):
+        terrain = [{"x": 1.0, "y": 2.0, "lambda": 2.0}, {"id": 7, "x": 0, "y": 0, "lambda": 1}]
+        gt = load_ground_truth({**battalion_doc(), "terrain": terrain}, lib)
+        scenario = generate(gt, NoiseSpec(), lib)
+        assert scenario["terrain"] == terrain
+
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            ({"id": "t0", "x": 0.0, "y": 0.0, "lambda": -2.0}, ValueError,
+             "evidence 't0': likelihood_ratio must be positive and finite, got -2.0"),
+            ({"id": "t0", "x": 0.0, "lambda": 2.0}, ScenarioError,
+             "ground truth terrain entry 't0': missing key 'y'"),
+            ({"x": 0.0, "y": 0.0, "lambda": 2.0, "radius": 5.0}, ScenarioError,
+             "ground truth terrain entry 0: unknown keys ['radius']"),
+        ],
+    )
+    def test_entries_infer_refuses_are_refused(self, entry, error, message):
+        with pytest.raises(error) as caught:
+            load_ground_truth({**battalion_doc(), "terrain": [entry]})
+        assert str(caught.value) == message
 
 
 class TestGenerate:
