@@ -8,11 +8,11 @@ index finds the shared items, built only when the level's closures are
 not pairwise disjoint, and one uniform grid per level proposes
 every pair near enough for a doctrine test (a conservative filter), at
 the reach of the tests that can flag a pair there: the heading test
-runs, at ``HEADING_REACH_M``, only when the level's headings are spread
-wide enough for it to flag one, and otherwise the grid is at the
-level's largest separation.  The tests run on those candidates one
-pair at a time, with the same ``heading_difference`` and ``distance``
-as matching, the exact tests deciding.  Groups are joined from the
+runs, at ``HEADING_REACH_M``, only when the level's finite headings are
+not all equal (or a heading limit is negative), and otherwise the grid
+is at the level's largest separation.  The tests run on those
+candidates one pair at a time, with the same ``heading_difference`` and
+``distance`` as matching, the exact tests deciding.  Groups are joined from the
 edges' endpoints alone, so a level without an edge costs no grouping.
 A group's ``reasons`` holds one plain row per
 conflicting pair.  Each connected group is analyzed in polynomial
@@ -141,51 +141,6 @@ def _evidence_holders(sharable: list[frozenset[str]]) -> dict[str, list[int]]:
     return holders
 
 
-# A level's finite headings take part in the arc test of ``_may_face_apart``
-# when each lies within this many degrees of 0; a larger one turns the
-# test off for its level.
-_HEADING_BOUND = 2.0**30
-# The arc test's margin in degrees, a margin no rounding below uses up
-# (see ``_may_face_apart``).
-_ARC_MARGIN = 2.0**-20
-
-
-def _may_face_apart(headings: list[float | None], limit: float) -> bool:
-    """False only when no two of ``headings`` can have a
-    ``heading_difference`` over ``limit``: fewer than two are finite, or
-    the finite ones lie within a circular arc of width w with
-    w + 2**-20 <= ``limit``.  None and non-finite headings never flag,
-    as ``heading_difference`` gives NaN for a non-finite one.
-
-    The arc is 360 minus the widest gap between neighbouring residues
-    ``h % 360.0`` on the circle.  Why the margin covers the rounding, for
-    finite headings below 2**30 in magnitude (else the answer is True):
-    in ``heading_difference``, ``a - b`` is below 2**31 and rounded by at
-    most 2**-22, ``% 360.0`` is exact and ``360.0 - d`` is rounded by at
-    most 2**-46, so the result exceeds the circular distance of a and b
-    by under 2**-21.  A residue is exact for h >= 0 and rounded by at most
-    2**-45 for h < 0 (exact ``fmod`` plus 360), and the gaps and w add
-    under 2**-42 more, so every two headings lie within w + 2**-41 of
-    each other on the circle, and their computed difference is below
-    w + 2**-21 + 2**-41, less than the sum w + 2**-20 rounded down.
-    """
-    residues = []
-    for h in headings:
-        if h is None or not math.isfinite(h):
-            continue
-        if not -_HEADING_BOUND < h < _HEADING_BOUND:
-            return True
-        residues.append(h % 360.0)
-    if len(residues) < 2:
-        return False
-    residues.sort()
-    widest = residues[0] + 360.0 - residues[-1]
-    for a, b in zip(residues, residues[1:]):
-        if b - a > widest:
-            widest = b - a
-    return 360.0 - widest + _ARC_MARGIN > limit
-
-
 def _doctrine_pairs(
     hyps: list[Hypothesis], limits: dict[tuple[str, str], Limits]
 ) -> Iterator[tuple[Pair, ConflictReason]]:
@@ -193,17 +148,22 @@ def _doctrine_pairs(
     ``HEADING_REACH_M``, each with its reason, in ascending order;
     ``limits`` holds the separation and heading limit of each type pair.
 
-    The heading test runs only when the level has a heading row and its
-    headings can differ by more than the smallest heading limit
-    (``_may_face_apart``).  One grid (``near_pairs``) proposes the pairs
-    either test can flag, at the largest reach of a test that runs: the
-    level's largest positive separation, or ``HEADING_REACH_M``; the
-    exact ``distance`` and ``heading_difference`` tests decide.
+    The heading test runs only when the level has a heading row and
+    either a limit is negative or the level's finite headings are not all
+    equal: two equal headings differ by exactly 0, which no limit >= 0
+    exceeds, and a NaN or infinite heading differs from any by NaN, which
+    exceeds none.  One grid (``near_pairs``) proposes the pairs either
+    test can flag, at the largest reach of a test that runs: the level's
+    largest positive separation, or ``HEADING_REACH_M``; the exact
+    ``distance`` and ``heading_difference`` tests decide.
     """
     reach = max((s for s, _ in limits.values() if s is not None and s > 0), default=0.0)
     deltas = [delta for _, delta in limits.values() if delta is not None]
     headings = [h.heading for h in hyps]
-    facing = bool(deltas) and _may_face_apart(headings, min(deltas))
+    facing = bool(deltas) and (
+        min(deltas) < 0.0
+        or len({h for h in headings if h is not None and math.isfinite(h)}) > 1
+    )
     if facing:
         reach = max(reach, HEADING_REACH_M)
     if reach == 0.0:

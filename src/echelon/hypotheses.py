@@ -28,11 +28,6 @@ from echelon.models import Level, shown_name
 if TYPE_CHECKING:
     from echelon.accrual import AccrualResult
 
-# an assigned id's prefix per level, the first letter of its label, read
-# by index: ``Level.label`` formats the name on every read
-_ID_PREFIXES = tuple(level.label[0] for level in Level)
-
-
 class Status(enum.Enum):
     """SKIPPED and EXCLUDED are set by conflict handling."""
 
@@ -130,7 +125,7 @@ class HypothesisGraph:
         if not hid:
             n = self._counters.get(level, 0)
             self._counters[level] = n + 1
-            h.id = hid = f"{_ID_PREFIXES[level]}{n}"
+            h.id = hid = f"{level.label[0]}{n}"
         if hid in self.hypotheses:
             raise ValueError(f"duplicate hypothesis id {hid!r}")
         if h.is_leaf():
@@ -177,11 +172,7 @@ class HypothesisGraph:
         ids = self._by_level.get(level, [])
         if statuses is None:
             return list(ids)
-        # a tuple's ``in`` tests identity first, where a set would hash
-        # every status through the Python-level ``Enum.__hash__``
-        wanted = tuple(statuses)
-        hypotheses = self.hypotheses
-        return [i for i in ids if hypotheses[i].status in wanted]
+        return [i for i in ids if self.hypotheses[i].status in statuses]
 
     def evidence_closure(self, hid: str) -> frozenset[str]:
         """Own evidence unioned with all component closures, recursively.

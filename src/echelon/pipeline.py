@@ -152,7 +152,7 @@ def _refuse_detection(raw: object, k: int, lib: ModelLibrary) -> NoReturn:
     d.number("y")
     if d.given("heading"):
         d.number("heading")
-    d.number("lambda")
+    d.check("lambda", d.value("lambda"), "a finite number > 0")
     d.number("time", 0.0)
     raise AssertionError(f"detection entry {k} reads cleanly")
 
@@ -166,11 +166,12 @@ def build_graph(
     but the ``_*_KEYS`` above, a ``schema_version``, when given, equals
     ``SCHEMA_VERSION``, a detection has an ``id`` and a string ``type``,
     and ``x``, ``y``, ``lambda``, ``time`` and ``radius_m`` when given,
-    and ``heading`` when given and not null, are finite numbers.  A
-    detection's type is a vehicle-level library type.  Each detection's
-    fields are read once, each number by ``finite_number``, and each
-    distinct type is checked once; a detection that does not read goes
-    to ``_refuse_detection`` for its message.
+    and ``heading`` when given and not null, are finite numbers, and
+    every ``lambda`` is > 0.  A detection's type is a vehicle-level
+    library type.  Each detection's fields are read once, each number by
+    ``finite_number``, and each distinct type is checked once; a
+    detection that does not read goes to ``_refuse_detection`` for its
+    message.
     """
     doc = Fields(scenario, _SCENARIO_KEYS, "scenario", ScenarioError)
     version = doc.value("schema_version", SCHEMA_VERSION)
@@ -199,7 +200,10 @@ def build_graph(
         heading = None if given is None else finite_number(given)
         lam = finite_number(raw.get("lambda"))
         time = finite_number(raw.get("time", 0.0))
-        if None in (x, y, lam, time) or (heading is None and given is not None):
+        if (
+            None in (x, y, lam, time) or (heading is None and given is not None)
+            or lam <= 0.0
+        ):
             _refuse_detection(raw, k, lib)
         did = str(raw["id"])
         g.add_evidence(EvidenceItem(did, EvidenceKind.DETECTION, lam))

@@ -107,6 +107,18 @@ class NoiseSpec:
                 )
             if any(p < 0 for p in row.values()):
                 raise ScenarioError(f"negative entry in row {shown_name(row_type)}")
+            # each misclassified detection's ratio, as ``generate`` computes it
+            p_correct = row.get(row_type, 0.0)
+            for observed, p_observed in row.items():
+                if (
+                    observed != row_type and p_correct > 0.0
+                    and not math.isfinite(self.lambda_hit * p_observed / p_correct)
+                ):
+                    raise ScenarioError(
+                        f"noise spec misclassification row {shown_name(row_type)} "
+                        f"label {shown_name(observed)}: its detection ratio "
+                        f"lambda_hit * {p_observed!r} / {p_correct!r} is not finite"
+                    )
 
 
 def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTruth:
@@ -140,17 +152,19 @@ def terrain_items(terrain: list, what: str = "terrain entry") -> list[EvidenceIt
     """Terrain evidence from a ``terrain`` list, read strictly (``Fields``):
     the one reader of a scenario's terrain (``pipeline.build_graph``) and
     of a ground truth's, whose entries ``generate`` copies into the
-    scenario.  An entry is named ``what`` and its position, then its id."""
+    scenario.  An entry is named ``what`` and its position, then its id;
+    its ``lambda`` is a finite number > 0."""
     items = []
     for i, raw in enumerate(terrain):
         t = Fields(raw, _TERRAIN_KEYS, f"{what} {i}", ScenarioError)
         tid = str(t.value("id", f"t{i}"))
         t.where = f"{what} {shown_name(tid)}"
+        lam = t.check("lambda", t.value("lambda"), "a finite number > 0")
         items.append(
             EvidenceItem(
                 id=tid,
                 kind=EvidenceKind.TERRAIN,
-                likelihood_ratio=t.number("lambda"),
+                likelihood_ratio=lam,
                 location=(t.number("x"), t.number("y")),
                 sensor_context={"radius_m": t.number("radius_m", 1000.0)},
             )
@@ -368,6 +382,11 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
             if noise.location_jitter > 0.0:
                 x += rng.normal(0.0, noise.location_jitter)
                 y += rng.normal(0.0, noise.location_jitter)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ScenarioError(
+                        f"noise spec: location_jitter {noise.location_jitter!r} moves "
+                        f"vehicle 'gv{vi}' to a location that is not finite"
+                    )
             if observed == v.vehicle_type:
                 lam = noise.lambda_hit
             else:

@@ -4,14 +4,15 @@
 an evidence index and uniform grids (``geometry.near_pairs``) propose:
 in detection, one grid per level at the reach of the doctrine tests that
 can flag a pair there (the heading test runs only when the level's
-headings span an arc wide enough to flag one), and groups joined from
-the edges' endpoints alone.
+finite headings are not all equal, or a heading limit is negative), and
+groups joined from the edges' endpoints alone.
 These tests hold them to the all-pairs versions below, which stay here
 as the reference, on scenes built to sit on every boundary the filters
 and tests have: limits and reaches hit exactly or missed by 1e-9,
 heading arcs just under, at and just over the smallest limit (across
-0/360, near the arc test's 2**30 magnitude bound and past it, and one
-under the limit whose heading difference rounds over it), negative, large
+0/360, near 2**30 degrees and past it, and one under the limit whose
+heading difference rounds over it), equal headings (0 and -0 among
+them) under positive and negative limits, negative, large
 and non-finite headings mixed with finite ones, negative coordinates,
 points on grid-cell edges, far-apart pairs sharing evidence or facing
 apart, and type pairs with separation rows of 0 m, of different widths
@@ -27,6 +28,7 @@ import itertools
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -80,11 +82,11 @@ ARRAY_TYPES = ["array", "company"]
 SEPARATIONS = [0.0, 30.0, 45.0, 60.0, 400.0, 600.0]
 HEADING_LIMITS = [0.0, 20.0, 45.0, 90.0, 150.0]
 NUDGES = [0.0, 0.0, 1e-9, -1e-9, 2.0**-40, -(2.0**-40)]
-# moves of a heading limit: off by nothing, by less than the margin of
-# ``conflict._may_face_apart`` (2**-20 degrees), by it, and by more
+# moves of a heading limit: off by nothing, by less than 2**-20 degrees,
+# by that, and by more
 ARC_NUDGES = [0.0, 1e-9, -1e-9, 2.0**-20, -(2.0**-20), 2.0**-19, -(2.0**-19), 1e-5, -1e-5]
-# whole turns that put a heading just under or over the 2**30 degrees
-# past which that test is off (2**30 / 360 = 2982616.2)
+# whole turns that put a heading just under or over 2**30 degrees
+# (2**30 / 360 = 2982616.2), where a difference rounds by up to 2**-22
 TURNS = [-2982617, -2982616, -2, -1, 0, 0, 1, 2, 2982616, 2982617]
 EXAMPLES = dict(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -225,9 +227,9 @@ def places(draw, anchors):
 def headings(draw, anchors):
     """None, a free heading (negative and >= 360 included), a circle
     edge, NaN or an infinity, or an earlier heading moved by a heading
-    limit, nudged (``ARC_NUDGES``) and turned (``TURNS``): two such
-    headings span an arc just under, at or just over the limit, across
-    0/360 or not, near the magnitude bound or not."""
+    limit (0 among them), nudged (``ARC_NUDGES``) and turned (``TURNS``):
+    two such headings are equal, or span an arc just under, at or just
+    over the limit, across 0/360 or not, near 2**30 degrees or not."""
     kind = draw(st.sampled_from(["none", "free", "edge", "special", "limit", "limit"]))
     if kind == "none":
         return None
@@ -515,7 +517,8 @@ def test_non_finite_headings_and_wide_limits_match_all_pairs():
 def test_a_heading_past_the_arc_bound_is_still_tested():
     # 1e100 and 64 have the same residue, 1e100 % 360, so they lie on one
     # point of the circle; but 1e100 - 64 rounds to 1e100, and
-    # heading_difference reads them 64 degrees apart, over the apcs' 30
+    # heading_difference reads them 64 degrees apart, over the apcs' 30:
+    # only headings equal as floats may skip the test
     assert 1e100 % 360.0 == 64.0
     g = _heading_scene([("apc", 1e100), ("apc", 64.0)])
     found = detect_conflicts(g, HEADING_LIBRARY)
@@ -526,8 +529,8 @@ def test_a_heading_past_the_arc_bound_is_still_tested():
 def test_rounding_past_the_arc_is_covered_by_the_margin():
     # two headings 0.1 - 6e-9 apart on the circle, under a 0.1 limit, yet
     # a - 2**-25 rounds up to a (its spacing is 2**-23 above 2**29), so
-    # heading_difference reads them 0.1 + 2.4e-8 apart: the arc test's
-    # margin is all that keeps the pair under test
+    # heading_difference reads them 0.1 + 2.4e-8 apart: a shortcut that
+    # reasons on the circle, not on the computed difference, misses it
     lib = load_library(
         json.dumps(
             {
@@ -547,8 +550,43 @@ def test_rounding_past_the_arc_is_covered_by_the_margin():
     assert [s.members for s in found] == [("v00", "v01")]
 
 
-# where an arc of headings starts: across 0/360 or not, and near the
-# 2**30 degrees past which ``conflict._may_face_apart`` is off
+EQUAL = [0.0, -0.0, math.nan, math.inf, None, 0.0]
+
+
+@pytest.mark.parametrize(
+    "force_type, headings, tested, flagged",
+    [
+        ("apc", EQUAL, False, False),  # limit 30
+        ("tank", EQUAL, False, False),  # limit 180
+        ("truck", EQUAL, True, True),  # limit -5: equal headings conflict
+        ("apc", [0.0, 360.0, 10.0, math.nan], True, False),  # unequal, within 30
+        ("apc", [5.0, None, 40.0], True, True),
+    ],
+)
+def test_equal_headings_skip_the_heading_test_exactly(
+    monkeypatch, force_type, headings, tested, flagged
+):
+    # under limits >= 0 a level whose finite headings are all equal (0.0
+    # and -0.0 are equal floats) runs no heading test: equal headings
+    # differ by exactly 0, and a NaN or infinite one by NaN, which exceeds
+    # no limit; a negative limit flags equal headings, so it runs
+    tests = [0]
+    original = conflict.heading_difference
+
+    def counted(a, b):
+        tests[0] += 1
+        return original(a, b)
+
+    monkeypatch.setattr(conflict, "heading_difference", counted)
+    g = _heading_scene([(force_type, h) for h in headings])
+    found = detect_conflicts(g, HEADING_LIBRARY)
+    assert as_compared(found) == reference_detect_conflicts(g, HEADING_LIBRARY)
+    assert bool(found) is flagged
+    assert (tests[0] > 0) is tested
+
+
+# where an arc of headings starts: across 0/360 or not, and near 2**30
+# degrees, where differences round by up to 2**-22
 ARC_STARTS = [
     0.0, 90.0, 359.75, -0.25, -180.0, 2.0**30 - 400.0, -(2.0**30) + 100.0,
     2.0**30 - 2.0**-22, -(2.0**30),

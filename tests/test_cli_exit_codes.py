@@ -81,10 +81,18 @@ CASES = [
       "{tmp}/s.json"],
      1, "simulation failed: noise spec: lambda_hit must be a finite number > 0, "
      "got -6.0"),
+    ("simulate-noise-ratio-overflow",
+     ["simulate", "{tmp}/gt.json", "{tmp}/noise-overflow.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: noise spec misclassification row 'T-72-tank' label 'BMP': "
+     "its detection ratio lambda_hit * 0.9 / 0.1 is not finite"),
+    ("simulate-noise-jitter-overflow",
+     ["simulate", "{tmp}/gt.json", "{tmp}/noise-jitter.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: noise spec: location_jitter 1e+308 moves vehicle 'gv4' to "
+     "a location that is not finite"),
     ("simulate-terrain-negative-lambda",
      ["simulate", "{tmp}/gt-terrain.json", "{tmp}/noise.json", "--out", "{tmp}/s.json"],
-     1, "simulation failed: evidence 't0': likelihood_ratio must be positive and "
-     "finite, got -2.0"),
+     1, "simulation failed: ground truth terrain entry 't0': lambda must be a finite "
+     "number > 0, got -2.0"),
     ("simulate-terrain-unknown-key",
      ["simulate", "{tmp}/gt-terrain-key.json", "{tmp}/noise.json", "--out",
       "{tmp}/s.json"],
@@ -118,8 +126,9 @@ NOISE_NAMING_OTHER_TYPES = {
 
 # inputs that simulate refuses, where it used to write a scenario that
 # every infer then refused: a duplicate doctrine row, noise specs whose
-# detections would carry a ratio <= 0, and ground-truth terrain that
-# infer's reader rejects
+# detections would carry a ratio <= 0 or one that overflows to infinity,
+# or whose jitter moves a vehicle past the float range, and ground-truth
+# terrain that infer's reader rejects
 REFUSED_INPUTS = {
     "dup-doctrine.json": {
         **TANK_LIBRARY,
@@ -132,6 +141,12 @@ REFUSED_INPUTS = {
     },
     "noise-lambda-zero.json": {"lambda_hit": 0, "seed": 7},
     "noise-lambda-negative.json": {"lambda_hit": -6.0, "seed": 7},
+    "noise-overflow.json": {
+        "lambda_hit": 1e308,
+        "misclassification": {"T-72-tank": {"T-72-tank": 0.1, "BMP": 0.9}},
+        "seed": 7,
+    },
+    "noise-jitter.json": {"location_jitter": 1e308, "seed": 7},
     "gt-terrain.json": {
         **battalion_ground_truth(),
         "terrain": [{"id": "t0", "x": 0.0, "y": 0.0, "lambda": -2.0}],

@@ -329,7 +329,10 @@ class TestInferCommand:
             )
         )
         assert main(["infer", "--config", str(paths["config"])]) == 1
-        assert "likelihood_ratio" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "inference failed: detection 'd0': lambda must be a finite number > 0, "
+            "got -1.0\n"
+        )
 
     @pytest.mark.parametrize(
         "key, value, text",
@@ -845,7 +848,7 @@ class TestLongNamesInMessages:
         [
             pytest.param(
                 [{"id": LONG, "type": "tank", "x": 0.0, "y": 0.0, "lambda": -1.0}],
-                "evidence 'nnn",
+                "detection 'nnn",
                 id="lambda",
             ),
             pytest.param(
@@ -976,21 +979,23 @@ def reference_leaves(detections, lib):
             check_vehicle_type(force_type, lib, d.where)
             x, y = d.number("x"), d.number("y")
             heading = d.number("heading") if d.given("heading") else None
-            out.append((did, force_type, x, y, heading, d.number("lambda"), d.number("time", 0.0)))
+            lam = d.check("lambda", d.value("lambda"), "a finite number > 0")
+            out.append((did, force_type, x, y, heading, lam, d.number("time", 0.0)))
     except ScenarioError as exc:
         return str(exc)
     return out
 
 
 DETECTION_VALUES = st.sampled_from(
-    [1.5, 1.5, 1.5, 7, 10**400, True, None, math.nan, math.inf, "1", [1]]
+    [1.5, 1.5, 1.5, 7, 0.0, -2.5, 10**400, True, None, math.nan, math.inf, "1", [1]]
 )
 
 
 @st.composite
 def detection_entries(draw, k):
     """A detection, usually well formed, else with one or more fields
-    missing, of the wrong kind or not finite, an unknown key, an array-level
+    missing, of the wrong kind, not finite or not positive (which only
+    ``lambda`` must be), an unknown key, an array-level
     or unknown type, or not an object at all."""
     if draw(st.integers(0, 39)) == 0:
         return draw(st.sampled_from([5, [], "d", None]))

@@ -100,6 +100,35 @@ class TestNoiseSpec:
             NoiseSpec(lambda_hit=value)
         assert NoiseSpec(lambda_hit=2).lambda_hit == 2
 
+    @pytest.mark.parametrize(
+        "lambda_hit, row, label",
+        [
+            (1e308, {"tank": 0.1, "BMP": 0.9}, "BMP"),
+            (6.0, {"tank": 1e-308, "BMP": 1.0}, "BMP"),
+        ],
+    )
+    def test_a_ratio_that_overflows_is_refused(self, lambda_hit, row, label):
+        # a misclassified detection carries lambda_hit * row[observed] /
+        # row[true], which must stay finite for infer to read it
+        with pytest.raises(ScenarioError) as caught:
+            NoiseSpec(lambda_hit=lambda_hit, misclassification={"tank": row})
+        assert str(caught.value) == (
+            f"noise spec misclassification row 'tank' label {label!r}: its detection "
+            f"ratio lambda_hit * {row[label]!r} / {row['tank']!r} is not finite"
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"tank": 0.5, "BMP": 0.5},  # a ratio of lambda_hit itself
+            {"tank": 0.9, "BMP": 0.1, "truck": 0.0},  # a label never drawn
+            {"BMP": 1.0},  # no correct reading: generate writes 1.0
+        ],
+    )
+    def test_finite_ratios_of_a_huge_lambda_hit_are_kept(self, row):
+        noise = NoiseSpec(lambda_hit=1e308, misclassification={"tank": row})
+        assert noise.misclassification == {"tank": row}
+
 
 class TestGroundTruthTerrain:
     """Ground-truth terrain is read as infer reads a scenario's, then
@@ -114,8 +143,9 @@ class TestGroundTruthTerrain:
     @pytest.mark.parametrize(
         "entry, error, message",
         [
-            ({"id": "t0", "x": 0.0, "y": 0.0, "lambda": -2.0}, ValueError,
-             "evidence 't0': likelihood_ratio must be positive and finite, got -2.0"),
+            ({"id": "t0", "x": 0.0, "y": 0.0, "lambda": -2.0}, ScenarioError,
+             "ground truth terrain entry 't0': lambda must be a finite number > 0, "
+             "got -2.0"),
             ({"id": "t0", "x": 0.0, "lambda": 2.0}, ScenarioError,
              "ground truth terrain entry 't0': missing key 'y'"),
             ({"x": 0.0, "y": 0.0, "lambda": 2.0, "radius": 5.0}, ScenarioError,
