@@ -5,15 +5,15 @@ Same-level hypotheses conflict when their evidence closures overlap
 together (too close, or incompatible headings while near each other):
 a conflict is local.  Detection never tests every pair: an evidence
 index finds the shared items, built only when the level's closures are
-not pairwise disjoint, and one uniform grid per level proposes
-every pair near enough for a doctrine test (a conservative filter), at
-the reach of the tests that can flag a pair there: the heading test
-runs, at ``HEADING_REACH_M``, only when the level's finite headings are
-not all equal (or a heading limit is negative), and otherwise the grid
-is at the level's largest separation.  The tests run on those
-candidates one pair at a time, with the same ``heading_difference`` and
-``distance`` as matching, the exact tests deciding.  Groups are joined from the
-edges' endpoints alone, so a level without an edge costs no grouping.
+not pairwise disjoint, and one ``near_pairs`` query per level finds
+every pair near enough for a doctrine test, with its distance, at the
+reach of the tests that can flag a pair there: the heading test runs,
+at ``HEADING_REACH_M``, only when the level's finite headings are not
+all equal (or a heading limit is negative), and otherwise the query is
+at the level's largest separation.  The tests run on those pairs one at
+a time, on the same distance and ``heading_difference`` as matching.
+Groups are joined from the edges' endpoints alone, so a level without
+an edge costs no grouping.
 A group's ``reasons`` holds one plain row per
 conflicting pair.  Each connected group is analyzed in polynomial
 time: members are ordered heuristically, each is scored on its own
@@ -40,7 +40,7 @@ from echelon.exceptions import (
     DegenerateThresholdWarning,
     ResolutionTooLargeError,
 )
-from echelon.geometry import distance, heading_difference, linked_groups, near_pairs
+from echelon.geometry import heading_difference, linked_groups, near_pairs
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.models import HEADING_REACH_M, LEVELS, Level, ModelLibrary
 
@@ -145,17 +145,16 @@ def _doctrine_pairs(
     hyps: list[Hypothesis], limits: dict[tuple[str, str], Limits]
 ) -> Iterator[tuple[Pair, ConflictReason]]:
     """The pairs (i, j), i < j, too close or facing apart within
-    ``HEADING_REACH_M``, each with its reason, in ascending order;
+    ``HEADING_REACH_M``, each with its reason, in no promised order;
     ``limits`` holds the separation and heading limit of each type pair.
 
     The heading test runs only when the level has a heading row and
     either a limit is negative or the level's finite headings are not all
     equal: two equal headings differ by exactly 0, which no limit >= 0
     exceeds, and a NaN or infinite heading differs from any by NaN, which
-    exceeds none.  One grid (``near_pairs``) proposes the pairs either
-    test can flag, at the largest reach of a test that runs: the level's
-    largest positive separation, or ``HEADING_REACH_M``; the exact
-    ``distance`` and ``heading_difference`` tests decide.
+    exceeds none.  One ``near_pairs`` query finds the pairs either test
+    can flag, with their distances, at the largest reach of a test that
+    runs: the level's largest positive separation, or ``HEADING_REACH_M``.
     """
     reach = max((s for s, _ in limits.values() if s is not None and s > 0), default=0.0)
     deltas = [delta for _, delta in limits.values() if delta is not None]
@@ -169,8 +168,7 @@ def _doctrine_pairs(
     if reach == 0.0:
         return
     locations = [h.location for h in hyps]
-    for i, j in near_pairs(locations, reach):
-        apart = distance(locations[i], locations[j])
+    for i, j, apart in near_pairs(locations, reach):
         sep, delta = limits[hyps[i].force_type, hyps[j].force_type]
         if sep is not None and apart < sep:
             yield (i, j), ConflictReason.TOO_CLOSE
@@ -196,7 +194,7 @@ def detect_conflicts(
     pair's maximum while at most ``HEADING_REACH_M`` apart).  Doctrine is
     resolved once per type pair present.  A level's edges are the pairs
     (i, j), i < j over the id-sorted hypotheses, that an evidence index
-    finds or the doctrine tests flag among a grid's candidates.
+    finds or the doctrine tests flag among the pairs ``near_pairs`` finds.
     Groups are joined from the edges' endpoints alone: ``linked_groups``
     takes them renumbered in ascending order, in ascending edge order, as
     a test of every pair would, so it yields the same groups in the same

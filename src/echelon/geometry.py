@@ -1,12 +1,10 @@
 """Planar and angular helpers shared by matching, doctrine and scoring.
 
-``near_pairs`` generates the candidate pairs for the distance tests of
-clustering and conflict detection from a pure-Python grid whose cells
-are slightly wider than the reach, and returns them as plain (i, j)
-index pairs.  It is a conservative filter: it may return pairs that
-fail the test, never miss one that passes, whatever the rounding; the
-caller's exact test (``distance``) decides.  ``linked_groups`` joins the pairs that pass
-into connected groups, for both.
+``near_pairs`` answers clustering's and conflict detection's question,
+which points lie within a distance of each other, exactly: every pair
+with ``distance <= reach``, with that distance, from a pure-Python grid
+whose cells are slightly wider than the reach.  ``linked_groups`` joins
+pairs into connected groups, for both.
 """
 
 from __future__ import annotations
@@ -27,86 +25,76 @@ _WIDEN = 1.0 + 2.0**-20
 # A point is placed when both of its coordinates lie within this many
 # cells of the origin, where a quotient's rounding is under 2**-23 cell.
 _CELL_BOUND = 2.0**30
+# A cell's key is column * _STRIDE + row: rows of placed cells and their
+# neighbours lie within 2**30 + 1 of 0, so no two cells' keys alias.
+_STRIDE = 2**32
 
 
 def near_pairs(
     points: Sequence[tuple[float, float]], reach: float
-) -> list[tuple[int, int]]:
-    """The index pairs (i, j) of the points (x, y) that may lie within
-    ``reach`` (> 0) of each other: i < j, each pair once, in ascending
-    order.
+) -> list[tuple[int, int, float]]:
+    """Every pair of the points (x, y) at most ``reach`` (> 0) apart, as
+    (i, j, d): i < j, each pair once, d = ``distance`` of the two points
+    and d <= reach; the list has no promised order.
 
-    Every pair whose rounded coordinate differences are both at most
-    ``reach`` in magnitude is returned; since ``distance`` is faithfully
-    rounded it never falls below either difference, so this covers both
-    ``distance <= reach`` and ``distance < reach``.  Points are binned on
-    a uniform grid (fixed-radius near neighbours, Bentley, Stanat &
-    Williams 1977) of cell width w = reach * (1 + 2**-20): a point's cell
-    is (floor(x / w), floor(y / w)), and a pair is returned when the two
-    cells are equal or adjacent, diagonals included.  Each cell is paired
-    with itself and its four forward neighbours, so each pair comes once.
+    Candidates come from a uniform grid (fixed-radius near neighbours,
+    Bentley, Stanat & Williams 1977) of cell width w = reach * (1 +
+    2**-20): a point's cell is (floor(x / w), floor(y / w)), and a pair is
+    a candidate when the two cells are equal or adjacent, diagonals
+    included.  Each cell is paired with itself and its four forward
+    neighbours, so each pair comes once.  ``distance`` then decides.
 
-    Why that covers: a difference that rounds to at most ``reach`` is at
-    most reach * (1 + 2**-53), under (1 - 2**-20 + 2**-39) cells of w,
-    and each quotient x / w below 2**30 in magnitude is rounded by less
-    than 2**-23; so the two rounded quotients are less than one apart,
-    and their floors at most one.  A point is loose, and paired with
+    Why the candidates cover every pair within reach: ``distance`` is
+    faithfully rounded, so it never falls below either rounded coordinate
+    difference, and a difference that rounds to at most ``reach`` is at
+    most reach * (1 + 2**-53), under (1 - 2**-20 + 2**-39) cells of w;
+    each quotient x / w below 2**30 in magnitude is rounded by less than
+    2**-23, so the two rounded quotients are less than one apart, and
+    their floors at most one.  A point is loose, and a candidate with
     every other point, when a quotient is not finite or not below 2**30
     in magnitude, or when ``reach`` is below the smallest normal float,
     where w would lose its margin.
     """
-    n = len(points)
     w = reach * _WIDEN
     # below the smallest normal float w has no margin, and no point is placed
     bound = _CELL_BOUND if reach >= sys.float_info.min else 0.0
     floor = math.floor
-    placed: list[int] = []
-    columns: list[int] = []
-    rows: list[int] = []
+    cells: dict[int, list[int]] = {}
     loose: list[int] = []
     for i, (x, y) in enumerate(points):
         u = x / w
         v = y / w
         # false for NaN, so a non-finite coordinate is loose
         if -bound < u < bound and -bound < v < bound:
-            placed.append(i)
-            columns.append(floor(u))
-            rows.append(floor(v))
+            cells.setdefault(floor(u) * _STRIDE + floor(v), []).append(i)
         else:
             loose.append(i)
-    codes: list[int] = []  # i * n + j for each pair
-    if placed:
-        # integer keys, one empty row between columns: no forward
-        # neighbour of an occupied cell aliases another occupied one
-        m = max(rows) - min(rows) + 2
-        cells: dict[int, list[int]] = {}
-        for i, cx, cy in zip(placed, columns, rows):
-            key = cx * m + cy
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = [i]
-            else:
-                cell.append(i)
-        get, empty = cells.get, []
-        for key, members in cells.items():
-            if len(members) > 1:  # ascending
-                codes += [a * n + b for a, b in itertools.combinations(members, 2)]
-            near = (
-                get(key + 1, empty) + get(key + m - 1, empty)
-                + get(key + m, empty) + get(key + m + 1, empty)
-            )
-            if near:
-                codes += [a * n + b if a < b else b * n + a for a in members for b in near]
-    for a in loose:
-        codes += [b * n + a if b < a else a * n + b for b in placed]
-        codes += [a * n + b for b in loose if b > a]
-    codes.sort()
-    return [divmod(c, n) for c in codes]
+    candidates: list[tuple[int, int]] = []
+    get, empty = cells.get, []
+    for key, members in cells.items():
+        if len(members) > 1:  # ascending
+            candidates += itertools.combinations(members, 2)
+        near = (
+            get(key + 1, empty) + get(key + _STRIDE - 1, empty)
+            + get(key + _STRIDE, empty) + get(key + _STRIDE + 1, empty)
+        )
+        if near:
+            candidates += [(a, b) if a < b else (b, a) for a in members for b in near]
+    paired: set[int] = set()
+    for a in loose:  # with every point but itself and the loose ones before it
+        paired.add(a)
+        candidates += [
+            (a, b) if a < b else (b, a) for b in range(len(points)) if b not in paired
+        ]
+    return [
+        (a, b, d) for a, b in candidates if (d := distance(points[a], points[b])) <= reach
+    ]
 
 
-def linked_groups(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+def linked_groups(n: int, pairs: Iterable[Sequence[int]]) -> list[list[int]]:
     """Connected components of the graph on 0..n-1 with edges ``pairs``,
-    each ascending, ordered by root index.
+    each ascending, ordered by root index.  A pair's first two entries are
+    its endpoints; any after them (``near_pairs``' distance) are ignored.
 
     Union-find with path halving; each pair, in the given order, links
     the root of its first index under the root of its second, so the
@@ -120,8 +108,8 @@ def linked_groups(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for a, b in pairs:
-        parent[find(a)] = find(b)
+    for pair in pairs:
+        parent[find(pair[0])] = find(pair[1])
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

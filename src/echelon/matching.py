@@ -79,18 +79,18 @@ class MatchConfig:
     lambda_max: float = 9.0
 
     def __post_init__(self) -> None:
-        if self.gather_radius <= 0:
-            raise ValueError("gather_radius must be positive")
-        if not (0.0 <= self.min_fit <= 1.0):
-            raise ValueError("min_fit outside [0,1]")
-        if self.max_missing < 0:
-            raise ValueError("max_missing must be >= 0")
-        if not (0.0 < self.rho <= 1.0):
-            raise ValueError("rho outside (0,1]")
-        if self.slack < 0.0:
-            raise ValueError("slack must be nonnegative")
-        if self.lambda_max <= 1.0:
-            raise ValueError("lambda_max must exceed 1")
+        for key, ok, kind in (
+            ("gather_radius", self.gather_radius > 0.0, "> 0"),
+            ("min_fit", 0.0 <= self.min_fit <= 1.0, "in [0, 1]"),
+            ("max_missing", self.max_missing >= 0, ">= 0"),
+            ("rho", 0.0 < self.rho <= 1.0, "in (0, 1]"),
+            ("slack", self.slack >= 0.0, ">= 0"),
+            ("lambda_max", self.lambda_max > 1.0, "> 1"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"matcher config: {key} must be {kind}, got {getattr(self, key)!r}"
+                )
 
     @classmethod
     def from_dict(cls, raw: object) -> "MatchConfig":
@@ -248,20 +248,12 @@ def _clusters(
     g: HypothesisGraph, ids: list[str], radius: float
 ) -> list[list[str]]:
     """Connected components of the graph joining children at most
-    ``radius`` apart, each id-sorted, ordered by their first id; ``ids``
-    is id-sorted.
-
-    Candidate pairs come from a uniform grid with cells slightly wider
-    than ``radius`` (``near_pairs``), a conservative filter; the distance
-    test decides.  ``linked_groups`` lists each group's indices
-    ascending, so its ids come in order, unsorted.
+    ``radius`` apart (``near_pairs``), each id-sorted, ordered by their
+    first id; ``ids`` is id-sorted.  ``linked_groups`` lists each group's
+    indices ascending, so its ids come in order, unsorted.
     """
     locations = [g.get(i).location for i in ids]
-    pairs = [
-        (a, b)
-        for a, b in near_pairs(locations, radius)
-        if distance(locations[a], locations[b]) <= radius
-    ]
+    pairs = near_pairs(locations, radius)
     groups = [[ids[i] for i in group] for group in linked_groups(len(ids), pairs)]
     groups.sort()  # by first id, as the groups are disjoint
     return groups

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.exceptions import ScenarioError
-from echelon.geometry import centroid, distance
+from echelon.geometry import centroid, distance, heading_difference, mean_heading
 from echelon.models import (
     Fields,
     Level,
@@ -48,7 +48,7 @@ MAX_FALSE_ALARMS = 100_000
 # The longest list ``dumps`` hands json's encoder in one call; a longer
 # one is encoded a slice at a time.
 DUMPS_SLICE = 64
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,10 @@ def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTru
     forces = f.list("forces", [])
     gt = GroundTruth(
         forces=tuple(_parse_node(n, f"force {i}") for i, n in enumerate(forces)),
-        area=(area.number("width_m", 10000.0), area.number("height_m", 10000.0)),
+        area=tuple(
+            area.check(key, area.value(key, 10000.0), "a finite number > 0")
+            for key in ("width_m", "height_m")
+        ),
         terrain=tuple(terrain),
         scenario_id=f.text("id", "scenario"),
     )
@@ -225,6 +228,14 @@ def node_location(node: GroundTruthNode) -> tuple[float, float]:
     return centroid([node_location(c) for c in node.children])
 
 
+def node_heading(node: GroundTruthNode) -> float | None:
+    """A vehicle's heading, or the circular mean of its children's known
+    headings (None without one), as matching heads a parent hypothesis."""
+    if node.is_vehicle():
+        return node.heading
+    return mean_heading(h for c in node.children if (h := node_heading(c)) is not None)
+
+
 def _node_type(node: GroundTruthNode, lib: ModelLibrary) -> str:
     if node.is_vehicle():
         assert node.vehicle_type is not None
@@ -244,7 +255,8 @@ def _validate_node(node: GroundTruthNode, lib: ModelLibrary, where: str) -> None
         _validate_node(child, lib, f"{where} component {i}")
     model = lib.models[node.model]
     # First-fit slot assignment in listed child order, then a strict
-    # (no-slack) check of every deployment constraint.
+    # (no-slack) check of every deployment constraint: the distance, and
+    # the heading difference where both headings are known.
     assigned: dict[int, list[GroundTruthNode]] = {i: [] for i in range(len(model.slots))}
     for child in node.children:
         child_type = _node_type(child, lib)
@@ -276,6 +288,14 @@ def _validate_node(node: GroundTruthNode, lib: ModelLibrary, where: str) -> None
                     f"ground truth node {shown_name(node.model)}: pair distance {d:.1f} "
                     f"outside [{c.distance_min}, {c.distance_max}]"
                 )
+            hu, hv = node_heading(u), node_heading(v)
+            if c.bearing_tolerance is not None and hu is not None and hv is not None:
+                diff = heading_difference(hu, hv)
+                if not diff <= c.bearing_tolerance:
+                    raise ScenarioError(
+                        f"ground truth node {shown_name(node.model)}: pair heading "
+                        f"difference {diff:.1f} over bearing_tol {c.bearing_tolerance}"
+                    )
 
 
 def check_vehicle_type(name: str, lib: ModelLibrary, where: str) -> None:
@@ -447,17 +467,18 @@ def dumps(doc: dict) -> str:
     """Canonical serialization: the byte-determinism contract.
 
     The text is, byte for byte, ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))`` followed by one newline: compact, keys
-    sorted, non-ASCII as ``\\uXXXX``, floats as ``float.__repr__`` and
-    non-finite floats as ``NaN``/``Infinity``/``-Infinity``.  json coerces
-    ``int``, ``float``, ``bool`` and ``None`` keys to strings; any value
-    json cannot write raises ``TypeError``, and a container that holds
-    itself json's ``ValueError``.  ``python -m json.tool --indent 2
-    --sort-keys`` gives the indented view of the same document.  A string
-    holding a high surrogate directly followed by a low one is written as
-    two escapes that ``json.loads`` reads back as one astral character,
-    so such a string does not round-trip; a lone surrogate does.  No
-    document read from JSON holds such a pair.
+    separators=(",", ":"), allow_nan=False)`` followed by one newline:
+    compact, keys sorted, non-ASCII as ``\\uXXXX``, floats as
+    ``float.__repr__``.  json coerces ``int``, ``float``, ``bool`` and
+    ``None`` keys to strings; any value json cannot write raises
+    ``TypeError``, and a float that is not finite (``NaN``, ``Infinity``,
+    not JSON) or a container that holds itself json's ``ValueError``.
+    ``python -m json.tool --indent 2 --sort-keys`` gives the indented view
+    of the same document.  A string holding a high surrogate directly
+    followed by a low one is written as two escapes that ``json.loads``
+    reads back as one astral character, so such a string does not
+    round-trip; a lone surrogate does.  No document read from JSON holds
+    such a pair.
 
     Compact JSON composes, so the text is built in pieces: dicts with
     only ``str`` keys are walked key by key, and a list longer than

@@ -1,7 +1,8 @@
 """Candidate generation in conflict detection and clustering.
 
-``detect_conflicts`` and ``matching._clusters`` test only the pairs that
-an evidence index and uniform grids (``geometry.near_pairs``) propose:
+``detect_conflicts`` and ``matching._clusters`` see only the pairs that
+an evidence index finds and the pairs within reach that uniform grids
+(``geometry.near_pairs``) find:
 in detection, one grid per level at the reach of the doctrine tests that
 can flag a pair there (the heading test runs only when the level's
 finite headings are not all equal, or a heading limit is negative), and
@@ -16,8 +17,8 @@ them) under positive and negative limits, negative, large
 and non-finite headings mixed with finite ones, negative coordinates,
 points on grid-cell edges, far-apart pairs sharing evidence or facing
 apart, and type pairs with separation rows of 0 m, of different widths
-and with none.  The last tests count doctrine lookups, the exact
-distance and heading tests, the edges given to ``linked_groups``, the
+and with none.  The last tests count doctrine lookups, the distances
+the grids test, the heading tests, the edges given to ``linked_groups``, the
 builds of the shared-evidence index (none where closures are pairwise
 disjoint), and the matcher's fit scores and pair evaluations, on generated clean
 scenes, so a return to all-pairs work or to scoring every slot
@@ -32,7 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from echelon import conflict, matching, pipeline
+from echelon import conflict, geometry, matching, pipeline
 from echelon.conflict import ConflictReason, detect_conflicts
 from echelon.evidence import EvidenceItem, EvidenceKind
 from echelon.geometry import distance, heading_difference
@@ -698,13 +699,13 @@ def test_detection_work_stays_linear_on_clean_scenes(tmp_path, monkeypatch, tank
     for name in ("min_separation", "max_heading_delta"):
         original = getattr(ModelLibrary, name)
         monkeypatch.setattr(ModelLibrary, name, counted(name, original))
-    # the exact doctrine tests: one distance per candidate of the grid,
-    # which proposes a bounded number per hypothesis (none at the vehicle
-    # level here: every tank faces the same way, so the grid is at the
-    # 25 m separation, and no two tanks come that close), and one heading
-    # difference per orientation candidate
+    # one distance per candidate pair of the grid, which proposes a
+    # bounded number per hypothesis (none at the vehicle level here: every
+    # tank faces the same way, so the grid is at the 25 m separation, and
+    # no two tanks come that close), and one heading difference per pair
+    # within the heading reach
     monkeypatch.setattr(
-        conflict, "distance", counted("distance_tests", conflict.distance)
+        geometry, "distance", counted("distance_tests", geometry.distance)
     )
     monkeypatch.setattr(
         conflict, "heading_difference",

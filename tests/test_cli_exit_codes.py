@@ -32,6 +32,10 @@ CASES = [
      "invalid config: "),
     ("infer-bad-tau", ["infer", "--config", "{tmp}/config.json", "--tau", "-1"], 1,
      "invalid config: "),
+    ("infer-matcher-out-of-range", ["infer", "--config", "{tmp}/bad-matcher.json"], 1,
+     "invalid config: matcher config: gather_radius must be > 0, got -5"),
+    ("infer-k-underflow", ["infer", "--config", "{tmp}/k-underflow.json"], 1,
+     "inference failed: Out of range float values are not JSON compliant"),
     ("infer-missing-scenario", ["infer", "--config", "{tmp}/no-scenario.json"], 2,
      NOT_FOUND),
     ("infer-malformed-library", ["infer", "--config", "{tmp}/bad-library.json"], 1,
@@ -97,6 +101,15 @@ CASES = [
      ["simulate", "{tmp}/gt-terrain-key.json", "{tmp}/noise.json", "--out",
       "{tmp}/s.json"],
      1, "simulation failed: ground truth terrain entry 0: unknown keys ['radius']"),
+    ("simulate-ground-truth-negative-area",
+     ["simulate", "{tmp}/gt-area.json", "{tmp}/noise-false-alarms.json", "--out",
+      "{tmp}/s.json"],
+     1, "simulation failed: ground truth area: width_m must be a finite number > 0, "
+     "got -5000"),
+    ("simulate-ground-truth-zero-area",
+     ["simulate", "{tmp}/gt-area-zero.json", "{tmp}/noise.json", "--out", "{tmp}/s.json"],
+     1, "simulation failed: ground truth area: height_m must be a finite number > 0, "
+     "got 0"),
     ("simulate-unwritable-out",
      ["simulate", "{tmp}/gt.json", "{tmp}/noise.json", "--out", "{tmp}/no-dir/s.json"],
      2, "error: cannot write scenario: "),
@@ -128,7 +141,10 @@ NOISE_NAMING_OTHER_TYPES = {
 # every infer then refused: a duplicate doctrine row, noise specs whose
 # detections would carry a ratio <= 0 or one that overflows to infinity,
 # or whose jitter moves a vehicle past the float range, and ground-truth
-# terrain that infer's reader rejects
+# terrain that infer's reader rejects; ground-truth areas of no size,
+# which simulate refuses by name rather than with numpy's message (or
+# none, where no false alarm is drawn); and a scenario whose report infer
+# refuses to write, rather than write Infinity
 REFUSED_INPUTS = {
     "dup-doctrine.json": {
         **TANK_LIBRARY,
@@ -151,6 +167,23 @@ REFUSED_INPUTS = {
         **battalion_ground_truth(),
         "terrain": [{"id": "t0", "x": 0.0, "y": 0.0, "lambda": -2.0}],
     },
+    # two tanks 10 m apart, inside the 25 m separation, whose posteriors'
+    # product k underflows to 0: the report would hold an infinite measure
+    "k-underflow-scenario.json": {
+        "schema_version": 1, "scenario_id": "k-underflow", "terrain": [],
+        "detections": [
+            {"id": f"d{i}", "type": "T-72-tank", "x": 10.0 * i, "y": 0.0,
+             "lambda": 1e-200}
+            for i in range(2)
+        ],
+    },
+    "gt-area.json": {
+        **battalion_ground_truth(), "area": {"width_m": -5000, "height_m": 5000},
+    },
+    "noise-false-alarms.json": {"false_alarm_density": 0.5, "seed": 3},
+    "gt-area-zero.json": {
+        **battalion_ground_truth(), "area": {"width_m": 5000, "height_m": 0},
+    },
     "gt-terrain-key.json": {
         **battalion_ground_truth(),
         "terrain": [{"id": "t0", "x": 0.0, "y": 0.0, "lambda": 2.0, "radius": 9.0}],
@@ -161,7 +194,9 @@ REFUSED_INPUTS = {
 def write_inputs(tmp_path):
     """A valid library, ground truth, noise spec, empty scenario and run
     config, a document that is not JSON, configs that point at a missing
-    scenario or at that document as their library, noise specs that name
+    scenario, at a scenario whose conflict measure is infinite or at that
+    document as their library, or hold a matcher value out of range, noise
+    specs that name
     types other than the library's vehicle types, the ``REFUSED_INPUTS``
     documents, and two fixture
     directories: one whose ``skip.json`` is not JSON, one whose
@@ -175,6 +210,8 @@ def write_inputs(tmp_path):
     for name, key, value in (
         ("no-scenario.json", "scenario", "missing.json"),
         ("bad-library.json", "library", "bad.json"),
+        ("bad-matcher.json", "matcher", {"gather_radius": -5}),
+        ("k-underflow.json", "scenario", "k-underflow-scenario.json"),
     ):
         (tmp_path / name).write_text(json.dumps({**config, key: value}))
     for name, doc in {**NOISE_NAMING_OTHER_TYPES, **REFUSED_INPUTS}.items():

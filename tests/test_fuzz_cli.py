@@ -5,7 +5,7 @@ Each example takes the five demo documents (library, scenario, run config,
 ground truth and noise spec), makes one mutation in one of them, writes
 them to a fresh directory and runs each command that reads the mutated
 document.  The report's numbers are not checked: a ``k`` that underflows
-still writes ``Infinity``.
+ends in exit 1, since no command writes ``Infinity``.
 """
 
 import json

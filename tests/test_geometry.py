@@ -15,7 +15,7 @@ from echelon.geometry import (
     near_pairs,
 )
 
-REACHES = [1.0, 1e-3, 30.0, 600.0, 1e-300, 1e300, math.inf]
+REACHES = [1.0, 1e-3, 30.0, 600.0, 1e-300, 5e-324, 1e300, math.inf]
 SPECIAL = [math.nan, math.inf, -math.inf, sys.float_info.max, -1.7e308, 1e300,
            2.0**52, -0.0, 5e-324]
 
@@ -33,31 +33,28 @@ def coordinates(draw, reach):
 
 
 def reference_near_pairs(points, reach):
-    """The grid rule one pair at a time: (i, j) when either point is loose
-    or their cells of width reach * (1 + 2**-20) are equal or adjacent,
-    diagonals included.  A point is loose when a coordinate over the
-    width is not finite or not below 2**30 in magnitude, or when the
-    reach is below the smallest normal float."""
-    width = reach * (1 + 2.0**-20)
+    """Every pair within reach, one pair at a time: (i, j, d), i < j, for
+    d = distance(points[i], points[j]) <= reach, with d as its bits."""
+    return {
+        (i, j, d.hex())
+        for i, j in itertools.combinations(range(len(points)), 2)
+        if (d := distance(points[i], points[j])) <= reach
+    }
 
-    def cell(x, y):
-        u, v = x / width, y / width
-        if reach >= sys.float_info.min and abs(u) < 2.0**30 and abs(v) < 2.0**30:
-            return math.floor(u), math.floor(v)
-        return None
 
-    cells = [cell(x, y) for x, y in points]
-    pairs = []
-    for i, j in itertools.combinations(range(len(points)), 2):
-        a, b = cells[i], cells[j]
-        if None in (a, b) or (abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1):
-            pairs.append((i, j))
-    return pairs
+def near_pairs_by_brute_force(points, reach):
+    """``near_pairs``, checked against the reference: i < j, each pair
+    once, exactly the pairs within reach, each d bit-equal to distance."""
+    found = near_pairs(points, reach)
+    assert all(i < j for i, j, _ in found)
+    assert len({(i, j) for i, j, _ in found}) == len(found)
+    assert {(i, j, d.hex()) for i, j, d in found} == reference_near_pairs(points, reach)
+    return {(i, j): d for i, j, d in found}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_near_pairs_equal_the_grid_rule_and_cover_every_near_pair(data):
+def test_near_pairs_equal_the_pairs_within_reach(data):
     reach = data.draw(st.sampled_from(REACHES))
     points = data.draw(
         st.lists(st.tuples(coordinates(reach), coordinates(reach)), max_size=20)
@@ -66,69 +63,53 @@ def test_near_pairs_equal_the_grid_rule_and_cover_every_near_pair(data):
     if points and math.isfinite(reach):
         x, y = points[0]
         points += [(x + reach, y), (x, y - reach), (x - reach, y + reach)]
-    found = near_pairs(points, reach)
-    assert found == sorted(set(found))  # ascending, each pair once
-    assert all(i < j for i, j in found)
-    assert found == reference_near_pairs(points, reach)
-    for i, j in itertools.combinations(range(len(points)), 2):
-        (xi, yi), (xj, yj) = points[i], points[j]
-        if abs(xi - xj) <= reach and abs(yi - yj) <= reach:
-            assert (i, j) in found
-
-
-def near_pairs_by_the_rule(points, reach):
-    found = near_pairs(points, reach)
-    assert found == reference_near_pairs(points, reach)
-    return found
+    near_pairs_by_brute_force(points, reach)
 
 
 @pytest.mark.parametrize("reach", [1.0, 1e-3, 30.0, 300.0000000000002, 1200.0, 1e300])
 def test_near_pairs_find_points_one_reach_apart_across_a_cell_edge(reach):
     width = reach * (1 + 2.0**-20)
+    at_reach = 0  # pairs found exactly one reach apart
     for k in (-3, 0, 1, 1000):
         edge = k * width
         for x in (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)):
             # one reach on either side and along both axes, diagonals too
             points = [(x, x), (x + reach, x), (x - reach, x), (x, x + reach),
                       (x + reach, x - reach), (x - reach, x - reach)]
-            found = near_pairs_by_the_rule(points, reach)
-            near = [
-                (i, j) for i, j in itertools.combinations(range(len(points)), 2)
-                if abs(points[i][0] - points[j][0]) <= reach
-                and abs(points[i][1] - points[j][1]) <= reach
-            ]
-            assert set(near) <= set(found)
-            assert (0, 1) in found and (0, 2) in found and (0, 3) in found
+            found = near_pairs_by_brute_force(points, reach)
+            at_reach += sum(d == reach for d in found.values())
+    assert at_reach > 0
 
 
 @pytest.mark.parametrize("reach", [1.0, 600.0, 1e-3])
 def test_near_pairs_at_the_loose_bound(reach):
     """Just inside 2**30 cells a point is placed and still finds a point
-    one reach away; at the bound it is loose, paired with every point."""
+    one reach away; at the bound it is loose, and found by distance alone,
+    with a placed point or another loose one."""
     width = reach * (1 + 2.0**-20)
     inside = math.nextafter(2.0**30 * width, 0.0)
     while not abs(inside / width) < 2.0**30:
         inside = math.nextafter(inside, 0.0)
     at = 2.0**30 * width
     far = (0.0, 0.0)
-    points = [(inside, 0.0), (inside - reach, 0.0), far, (at, 0.0), (-at, 5.0),
-              (0.0, -inside), (0.0, reach - inside)]
-    found = near_pairs_by_the_rule(points, reach)
-    assert (0, 1) in found and (5, 6) in found
-    assert (0, 2) not in found and (2, 5) not in found  # placed, far apart
-    assert all((min(i, 3), max(i, 3)) in found for i in range(7) if i != 3)
-    assert (3, 4) in found  # two loose points, once
+    points = [(inside, 0.0), (inside - reach / 2, 0.0), far, (at, 0.0), (-at, 5.0),
+              (0.0, -inside), (0.0, reach / 2 - inside), (at, reach / 2)]
+    found = near_pairs_by_brute_force(points, reach)
+    assert (0, 1) in found and (5, 6) in found  # placed, within reach
+    assert (0, 3) in found and (1, 3) in found  # placed and loose, within reach
+    assert (3, 7) in found  # two loose points within reach
+    assert (0, 2) not in found and (2, 3) not in found and (3, 4) not in found
 
 
-def test_near_pairs_keep_index_order_and_pair_loose_points_once():
-    points = [(math.nan, 0.0), (0.0, 0.0), (math.inf, 1.0), (0.5, 0.5), (50.0, 50.0)]
-    found = near_pairs(points, 1.0)
-    assert found == [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)]
+def test_near_pairs_pair_loose_points_by_distance_once():
+    points = [(math.nan, 0.0), (0.0, 0.0), (math.inf, 1.0), (0.5, 0.5), (50.0, 50.0),
+              (1e300, 0.0), (1e300, 0.5), (math.inf, 1.0)]
+    assert sorted(near_pairs(points, 1.0)) == [(1, 3, math.hypot(0.5, 0.5)), (5, 6, 0.5)]
     assert near_pairs([], 1.0) == [] and near_pairs([(0.0, 0.0)], 1.0) == []
     # a reach below the smallest normal float places no point
-    assert near_pairs([(0.0, 0.0), (1.0, 1.0), (5.0, 5.0)], 5e-324) == [
-        (0, 1), (0, 2), (1, 2)
-    ]
+    points = [(0.0, 0.0), (1.0, 1.0), (5e-324, 0.0), (5.0, 5.0)]
+    assert near_pairs(points, 5e-324) == [(0, 2, 5e-324)]
+    near_pairs_by_brute_force(points, 5e-324)
 
 
 def reference_linked_groups(n, pairs):

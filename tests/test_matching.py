@@ -359,8 +359,28 @@ def test_match_config_from_dict_strict():
     assert cfg.gather_radius == 800 and cfg.min_fit == 0.3
     with pytest.raises(ValueError, match="unknown keys"):
         MatchConfig.from_dict({"radius": 800})
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^matcher config: lambda_max must be > 1, got 0\.5$"
+    ):
         MatchConfig(lambda_max=0.5)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("gather_radius", 0, "gather_radius must be > 0, got 0"),
+        ("gather_radius", math.nan, "gather_radius must be > 0, got nan"),
+        ("min_fit", 1.5, "min_fit must be in [0, 1], got 1.5"),
+        ("max_missing", -1, "max_missing must be >= 0, got -1"),
+        ("rho", 0.0, "rho must be in (0, 1], got 0.0"),
+        ("slack", -0.25, "slack must be >= 0, got -0.25"),
+        ("lambda_max", 1, "lambda_max must be > 1, got 1"),
+    ],
+)
+def test_match_config_range_refusals_name_the_block_and_value(key, value, message):
+    with pytest.raises(ValueError) as exc:
+        MatchConfig(**{key: value})
+    assert str(exc.value) == f"matcher config: {message}"
 
 
 # -- reference scorer and instantiation ------------------------------------

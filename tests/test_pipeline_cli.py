@@ -357,8 +357,10 @@ class TestInferCommand:
                      "heading": 0.0, "lambda": 3.0, "time": 0.0, key: value}
         doc = {"schema_version": 1, "scenario_id": "bad",
                "detections": [detection], "terrain": []}
-        assert text in dumps(doc)  # the malformed token reaches the file as is
-        paths["scenario"].write_text(dumps(doc))
+        # json, not dumps, which refuses NaN and Infinity: the malformed
+        # token reaches the file as is
+        assert text in json.dumps(doc)
+        paths["scenario"].write_text(json.dumps(doc))
         assert main(["infer", "--config", str(paths["config"])]) == 1
         err = capsys.readouterr().err
         assert "'d0'" in err and f"{key} must be a finite number" in err
@@ -413,8 +415,10 @@ class TestInferCommand:
                    "lambda": 2.0, key: value}
         doc = {"schema_version": 1, "scenario_id": "bad",
                "detections": [], "terrain": [terrain]}
-        assert text in dumps(doc)  # the malformed token reaches the file as is
-        paths["scenario"].write_text(dumps(doc))
+        # json, not dumps, which refuses NaN and Infinity: the malformed
+        # token reaches the file as is
+        assert text in json.dumps(doc)
+        paths["scenario"].write_text(json.dumps(doc))
         assert main(["infer", "--config", str(paths["config"])]) == 1
         err = capsys.readouterr().err
         assert f"terrain entry 't0': {key} must be a finite number" in err
@@ -674,7 +678,12 @@ class TestRunConfigValidation:
             ({"matcher": {"min_fit": None}}, "min_fit must be a finite number"),
             ({"matcher": {"max_missing": 2.5}}, "max_missing must be an integer"),
             ({"matcher": {"max_cluster": 12}}, "unknown keys ['max_cluster']"),
-            ({"matcher": {"max_missing": -1}}, "max_missing must be >= 0"),
+            ({"matcher": {"max_missing": -1}},
+             "invalid config: matcher config: max_missing must be >= 0, got -1"),
+            ({"matcher": {"gather_radius": -5}},
+             "invalid config: matcher config: gather_radius must be > 0, got -5"),
+            ({"matcher": {"rho": 2}},
+             "invalid config: matcher config: rho must be in (0, 1], got 2"),
             ({"matcher": {"radius": 1}}, "unknown keys"),
             ({"library": ...}, "run config: missing key 'library'"),
             ({"scenario": 3}, "run config: scenario must be a string, got 3"),
@@ -1801,7 +1810,7 @@ class TestSimulateCommand:
             ),
             pytest.param(
                 lambda d: d["ground_truth"].update(area={"width_m": "6 km"}),
-                "ground truth area: width_m must be a finite number, got '6 km'",
+                "ground truth area: width_m must be a finite number > 0, got '6 km'",
                 id="area-width-string",
             ),
             pytest.param(

@@ -66,6 +66,57 @@ class TestGroundTruth:
         with pytest.raises(ScenarioError, match="outside"):
             load_ground_truth(doc, lib)
 
+    @pytest.mark.parametrize(
+        "headings, refused",
+        [
+            ((90.0, 90.0, 90.0), False),
+            ((80.0, 110.0, 95.0), False),  # 30 apart: the limit, no slack
+            ((350.0, 20.0, 5.0), False),  # 30 apart across north
+            ((80.0, 110.5, 95.0), True),
+            ((0.0, 180.0, 0.0), True),
+            ((0.0, None, 180.0), True),
+            ((0.0, None, None), False),  # a pair needs both headings
+        ],
+    )
+    def test_bearing_tolerance_checked_strictly(self, headings, refused):
+        library = copy.deepcopy(TANK_LIBRARY)
+        library["models"][0]["constraints"][0]["bearing_tol"] = 30
+        doc = battalion_doc()
+        for tank, heading in zip(doc["forces"][0]["components"][0]["components"], headings):
+            if heading is None:
+                del tank["heading"]
+            else:
+                tank["heading"] = heading
+        lib = load_library(json.dumps(library))
+        if refused:
+            with pytest.raises(ScenarioError, match="pair heading difference"):
+                load_ground_truth(doc, lib)
+        else:
+            load_ground_truth(doc, lib)
+
+    @pytest.mark.parametrize(
+        "heading, refused", [(90.0, False), (100.0, False), (120.0, True), (None, False)]
+    )
+    def test_a_models_heading_is_its_childrens_mean(self, heading, refused):
+        # companies head as their tanks do, on average; one with no
+        # tank heading has none, and no pair of it is held to a bearing
+        library = copy.deepcopy(TANK_LIBRARY)
+        library["models"][1]["constraints"][0]["bearing_tol"] = 10
+        doc = battalion_doc()
+        for tank in doc["forces"][0]["components"][0]["components"]:
+            if heading is None:
+                del tank["heading"]
+            else:
+                tank["heading"] = heading
+        lib = load_library(json.dumps(library))
+        if refused:
+            with pytest.raises(
+                ScenarioError, match="heading difference 30.0 over bearing_tol 10"
+            ):
+                load_ground_truth(doc, lib)
+        else:
+            load_ground_truth(doc, lib)
+
     def test_wrong_child_type_rejected(self, lib):
         doc = battalion_doc()
         doc["forces"][0]["components"][0]["components"][0]["type"] = "BMP"
@@ -450,11 +501,33 @@ class TestDumps:
     @given(documents(5))
     @example([{"\udfff": "", "\ud800": None, "\udfff\ud800": 1}])  # lone surrogates
     def test_matches_json_dumps(self, doc):
-        # json's bytes, in one ASCII line
+        # json's bytes, in one ASCII line, or json's ValueError on a
+        # float that is not finite
+        try:
+            want = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dumps(doc)
+            return
         text = dumps(doc)
-        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text == want + "\n"
         assert text.isascii()
         assert text.index("\n") == len(text) - 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda v: v,
+            lambda v: {"a": [1.0, {"b": v}]},
+            lambda v: [*range(DUMPS_SLICE + 1), v],  # past the first slice
+            lambda v: {v: 1},  # json writes a float key as its repr
+        ],
+        ids=["alone", "nested", "past-a-slice", "key"],
+    )
+    def test_non_finite_float_raises(self, value, place):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            dumps(place(value))
 
     @pytest.mark.parametrize(
         "doc",
