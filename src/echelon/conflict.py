@@ -9,9 +9,9 @@ not pairwise disjoint, and one ``near_pairs`` query per level finds
 every pair near enough for a doctrine test, with its distance, at the
 reach of the tests that can flag a pair there: the heading test runs,
 at ``HEADING_REACH_M``, only when the level's finite headings are not
-all equal (or a heading limit is negative), and otherwise the query is
-at the level's largest separation.  The tests run on those pairs one at
-a time, on the same distance and ``heading_difference`` as matching.
+all equal, and otherwise the query is at the level's largest
+separation.  The tests run on those pairs one at a time, on the same
+distance and ``heading_difference`` as matching.
 Groups are joined from the edges' endpoints alone, so a level without
 an edge costs no grouping.
 A group's ``reasons`` holds one plain row per
@@ -148,20 +148,18 @@ def _doctrine_pairs(
     ``HEADING_REACH_M``, each with its reason, in no promised order;
     ``limits`` holds the separation and heading limit of each type pair.
 
-    The heading test runs only when the level has a heading row and
-    either a limit is negative or the level's finite headings are not all
-    equal: two equal headings differ by exactly 0, which no limit >= 0
-    exceeds, and a NaN or infinite heading differs from any by NaN, which
-    exceeds none.  One ``near_pairs`` query finds the pairs either test
+    The heading test runs only when the level has a heading row and its
+    finite headings are not all equal: two equal headings differ by
+    exactly 0, which no limit exceeds (a library's limits are >= 0), and
+    a NaN or infinite heading differs from any by NaN, which exceeds
+    none.  One ``near_pairs`` query finds the pairs either test
     can flag, with their distances, at the largest reach of a test that
     runs: the level's largest positive separation, or ``HEADING_REACH_M``.
     """
     reach = max((s for s, _ in limits.values() if s is not None and s > 0), default=0.0)
-    deltas = [delta for _, delta in limits.values() if delta is not None]
     headings = [h.heading for h in hyps]
-    facing = bool(deltas) and (
-        min(deltas) < 0.0
-        or len({h for h in headings if h is not None and math.isfinite(h)}) > 1
+    facing = any(delta is not None for _, delta in limits.values()) and (
+        len({h for h in headings if h is not None and math.isfinite(h)}) > 1
     )
     if facing:
         reach = max(reach, HEADING_REACH_M)

@@ -17,10 +17,10 @@ since every completion would score 0: the work follows the assignments
 that can fit, not every subset of the cluster.  Each pair's satisfaction
 is evaluated once per constraint (``_PairTable``), and scoring reads
 it back.  Unprunable enumeration is refused past ``MAX_ASSIGNMENTS``
-assignments.
-Candidates at or above the fit threshold become parent hypotheses
-carrying a fit evidence item whose likelihood ratio rises with
-geometric fit; a parent is built from one read of each child.
+assignments.  ``fills`` runs the same search at no slack to check a
+ground-truth node.  Candidates at or above the fit threshold become
+parent hypotheses carrying a fit evidence item whose likelihood ratio
+rises with geometric fit; a parent is built from one read of each child.
 """
 
 from __future__ import annotations
@@ -167,9 +167,10 @@ def _pair_satisfaction(
 
 class _PairTable:
     """Pair satisfaction under one model's constraints, each unordered
-    pair evaluated at most once per constraint."""
+    pair evaluated at most once per constraint; ``g`` is the graph, or
+    the children by id (``fills``)."""
 
-    def __init__(self, g: HypothesisGraph, model: ForceModel, slack: float) -> None:
+    def __init__(self, g: HypothesisGraph | dict, model: ForceModel, slack: float) -> None:
         self._g = g
         self._constraints = model.constraints
         self._slack = slack
@@ -477,6 +478,37 @@ def match_level(
                     )
     candidates.sort(key=lambda c: (-c.fit_score, c.model.name, c.children()))
     return candidates
+
+
+# The matcher at zero slack: a constrained pair satisfies exactly 1 or 0,
+# and at min_fit 1 a pair of 0 prunes every assignment holding it.
+_EXACT = MatchConfig(min_fit=1.0, max_missing=0, slack=0.0)
+
+
+def fills(lib: ModelLibrary, model: ForceModel, kids: list[Hypothesis], fits: dict) -> bool:
+    """True when some slot assignment of ``model`` uses every one of
+    ``kids`` (distinct ids) and holds every slot bound and deployment
+    constraint exactly: ``match_level``'s search over one cluster at
+    ``_EXACT``, whose every assignment fits.  ``fits`` is the
+    ``subsumes`` memo, shared as ``match_level`` shares it; past
+    ``MAX_ASSIGNMENTS`` assignments, MatchTooLargeError as there."""
+    if len(kids) > sum(s.count_max for s in model.slots):
+        return False  # without a search, which could pass MAX_ASSIGNMENTS
+    by_id = {k.id: k for k in kids}
+    by_type: dict[str, list[str]] = {}
+    for k in kids:
+        by_type.setdefault(k.force_type, []).append(k.id)
+    sat = _PairTable(by_id, model, _EXACT.slack)
+    enumeration = _Enumeration(lib, model, by_type, _EXACT, sat, fits)
+    for n, (assignment, _) in enumerate(enumeration.assignments(sorted(by_id)), 1):
+        if n > MAX_ASSIGNMENTS:
+            raise MatchTooLargeError(
+                f"model {shown_name(model.name)}: its {len(kids)} children have "
+                f"over {MAX_ASSIGNMENTS} slot assignments"
+            )
+        if sum(map(len, assignment.values())) == len(kids):
+            return True
+    return False
 
 
 def candidate_to_hypothesis(

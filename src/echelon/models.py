@@ -74,9 +74,14 @@ class ComponentSlot:
     def __post_init__(self) -> None:
         what = f"slot {shown_name(self.required_type)}"
         if self.count_min < 0:
-            raise LibraryValidationError(f"{what}: count_min < 0")
+            raise LibraryValidationError(
+                f"{what}: count_min must be >= 0, got {self.count_min!r}"
+            )
         if self.count_max < self.count_min:
-            raise LibraryValidationError(f"{what}: count_max < count_min")
+            raise LibraryValidationError(
+                f"{what}: count_max must be >= count_min {self.count_min!r}, "
+                f"got {self.count_max!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,8 @@ class DeploymentConstraint:
 
     Applies to every cross pair of the two assignments (all distinct
     pairs when both indices name the same slot).  ``bearing_tolerance``
-    bounds the heading difference between the pair, in degrees.
+    bounds the heading difference between the pair, in degrees: a finite
+    number >= 0, or None for no bound.
     """
 
     slot_a: int
@@ -95,10 +101,20 @@ class DeploymentConstraint:
     bearing_tolerance: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0 <= self.distance_min <= self.distance_max):
+        what = f"constraint ({self.slot_a},{self.slot_b})"
+        if not self.distance_min >= 0:
             raise LibraryValidationError(
-                f"constraint ({self.slot_a},{self.slot_b}): "
-                "need 0 <= distance_min <= distance_max"
+                f"{what}: distance_min must be >= 0, got {shown(self.distance_min)}"
+            )
+        if not self.distance_max >= self.distance_min:
+            raise LibraryValidationError(
+                f"{what}: distance_max must be >= distance_min "
+                f"{shown(self.distance_min)}, got {shown(self.distance_max)}"
+            )
+        if self.bearing_tolerance is not None:
+            checked(
+                self.bearing_tolerance, "a finite number >= 0", "bearing_tolerance",
+                what, LibraryValidationError,
             )
 
 
@@ -127,6 +143,10 @@ class ForceModel:
                     )
 
 
+# Each doctrine table and the unit of its rows' values, as a library
+# document names them.
+DOCTRINE_UNITS = (("min_separation", "meters"), ("max_heading_delta", "degrees"))
+
 # Reach of every max_heading_delta row, in meters: two units farther
 # apart than this never conflict by heading, however they face.
 HEADING_REACH_M = 600.0
@@ -149,6 +169,14 @@ class DoctrineConfig:
 
     min_separation: Mapping[tuple[str, str], float] = field(default_factory=dict)
     max_heading_delta: Mapping[tuple[str, str], float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Every row's value is a finite number >= 0; LibraryValidationError
+        naming the table, the row's pair, the unit and the value."""
+        for table, unit in DOCTRINE_UNITS:
+            for (a, b), value in getattr(self, table).items():
+                where = f"doctrine {table} row {shown_name(a)}, {shown_name(b)}"
+                checked(value, "a finite number >= 0", unit, where, LibraryValidationError)
 
     @staticmethod
     def key(a: str, b: str) -> tuple[str, str]:
@@ -263,6 +291,9 @@ _KINDS: dict[str, Callable[[object], object]] = {
     "an integer": lambda v: v if type(v) is int else None,
     "a finite number": finite_number,
     "a finite number > 0": lambda v: n if (n := finite_number(v)) and n > 0 else None,
+    "a finite number >= 0": (
+        lambda v: n if (n := finite_number(v)) is not None and n >= 0 else None
+    ),
     "a list": lambda v: v if isinstance(v, list) else None,
 }
 _NUMERIC = {"int": "an integer", "float": "a finite number"}
@@ -435,34 +466,39 @@ def _parse_models(raw: list) -> dict[str, ForceModel]:
         )
         name = f.text("name")
         f.where = what = f"model {shown_name(name)}"
-        slots = []
-        for i, raw_slot in enumerate(f.list("slots", [])):
-            s = Fields(
-                raw_slot, ("type", "min", "max"), f"{what} slot {i}", LibraryFormatError
-            )
-            slots.append(
-                ComponentSlot(s.text("type"), s.integer("min"), s.integer("max"))
-            )
-        constraints = []
-        for i, raw_constraint in enumerate(f.list("constraints", [])):
-            c = Fields(
-                raw_constraint,
-                ("slots", "d_min", "d_max", "bearing_tol"),
-                f"{what} constraint {i}",
-                LibraryFormatError,
-            )
-            pair = c.value("slots")
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise LibraryFormatError(f"{c.where}: 'slots' must be a pair")
-            constraints.append(
-                DeploymentConstraint(
-                    slot_a=c.check("slots", pair[0], "an integer"),
-                    slot_b=c.check("slots", pair[1], "an integer"),
-                    distance_min=c.number("d_min"),
-                    distance_max=c.number("d_max"),
-                    bearing_tolerance=c.number("bearing_tol", None),
+        # a slot or constraint refused by its own check is named in its model
+        try:
+            slots = []
+            for i, raw_slot in enumerate(f.list("slots", [])):
+                s = Fields(
+                    raw_slot, ("type", "min", "max"), f"{what} slot {i}",
+                    LibraryFormatError,
                 )
-            )
+                slots.append(
+                    ComponentSlot(s.text("type"), s.integer("min"), s.integer("max"))
+                )
+            constraints = []
+            for i, raw_constraint in enumerate(f.list("constraints", [])):
+                c = Fields(
+                    raw_constraint,
+                    ("slots", "d_min", "d_max", "bearing_tol"),
+                    f"{what} constraint {i}",
+                    LibraryFormatError,
+                )
+                pair = c.value("slots")
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise LibraryFormatError(f"{c.where}: 'slots' must be a pair")
+                constraints.append(
+                    DeploymentConstraint(
+                        slot_a=c.check("slots", pair[0], "an integer"),
+                        slot_b=c.check("slots", pair[1], "an integer"),
+                        distance_min=c.number("d_min"),
+                        distance_max=c.number("d_max"),
+                        bearing_tolerance=c.number("bearing_tol", None),
+                    )
+                )
+        except LibraryValidationError as exc:
+            raise LibraryValidationError(f"{what} {exc}") from None
         m = ForceModel(
             name=name,
             models_type=f.text("type"),
@@ -482,7 +518,7 @@ def _parse_doctrine(raw: object) -> DoctrineConfig:
     is refused rather than let replace it."""
     doctrine = Fields(raw, field_names(DoctrineConfig), "doctrine", LibraryFormatError)
     tables: dict[str, dict[tuple[str, str], float]] = {}
-    for table, unit in (("min_separation", "meters"), ("max_heading_delta", "degrees")):
+    for table, unit in DOCTRINE_UNITS:
         rows = tables[table] = {}
         first: dict[tuple[str, str], int] = {}  # each pair's row
         for k, entry in enumerate(doctrine.list(table, [])):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
@@ -31,7 +32,7 @@ from echelon.conflict import (
     skip_error_estimate,
 )
 from echelon.evidence import EvidenceItem, EvidenceKind
-from echelon.exceptions import LibraryFormatError, ScenarioError
+from echelon.exceptions import AccrualDomainError, LibraryFormatError, ScenarioError
 from echelon.geometry import distance
 from echelon.hypotheses import Hypothesis, HypothesisGraph
 from echelon.matching import MatchConfig, candidate_to_hypothesis, match_level
@@ -337,10 +338,19 @@ def _build_report(
 
     Every dict below the top level is built with its keys in the order
     ``dumps`` writes them, sorted: json's encoder sorts each dict's items
-    with timsort, which checks items already in order in one pass."""
+    with timsort, which checks items already in order in one pass.
+
+    AccrualDomainError naming the level, the members and ``k`` for a
+    conflict whose ``k`` is 0, as underflow leaves it: its measure
+    (1-k)/k is infinite, which no JSON report can hold."""
     conflicts = []
     for rep in conflict_log:
         members = rep.conflict_set.members
+        if not math.isfinite(rep.measure):
+            raise AccrualDomainError(
+                f"{rep.conflict_set.level.label} conflict of {shown(list(members))}: "
+                f"k is {rep.k!r}, so its measure (1-k)/k is not finite"
+            )
         estimates = {}
         if rep.decision is Decision.SKIP:  # so each parent accrued directly
             for p in sorted({p for m in members for p in g.parents_of(m)}):

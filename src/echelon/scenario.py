@@ -1,12 +1,11 @@
 """Synthetic ground truth and imperfect-sensor simulation.
 
 A ground-truth document places force instances as trees whose leaves
-are vehicles with explicit coordinates; placements are validated
-against the instantiated models' deployment constraints.  The noise
-channel drops vehicles, jitters surviving locations, misclassifies
-types by a row-stochastic confusion matrix, and sprinkles false
-alarms: the classic detector pathologies.  Generation is deterministic given
-the seed, byte for byte.
+are vehicles with explicit coordinates; each model node must fill its
+model as the matcher's own search finds at no slack (``matching.fills``).
+The noise channel drops vehicles, jitters surviving locations,
+misclassifies types by a row-stochastic confusion matrix, and sprinkles
+false alarms.  Generation is deterministic given the seed, byte for byte.
 
 The detection confidence model is a synthetic stand-in (leaf sensor
 modeling is out of scope): a correctly classified detection carries
@@ -16,23 +15,24 @@ confusion row's odds of the observed label.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from echelon.evidence import EvidenceItem, EvidenceKind
-from echelon.exceptions import ScenarioError
-from echelon.geometry import centroid, distance, heading_difference, mean_heading
+from echelon.exceptions import MatchTooLargeError, ScenarioError
+from echelon.geometry import centroid, distance, mean_heading
+from echelon.hypotheses import Hypothesis
+from echelon.matching import fills
 from echelon.models import (
     Fields,
     Level,
     ModelLibrary,
     checked,
     field_names,
+    shown,
     shown_name,
-    subsumes,
 )
 
 if TYPE_CHECKING:
@@ -88,25 +88,31 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_detect <= 1.0):
-            raise ScenarioError("p_detect outside [0,1]")
+            raise ScenarioError(
+                f"noise spec: p_detect must be in [0, 1], got {shown(self.p_detect)}"
+            )
         # every detection's ratio is lambda_hit or a positive multiple of
         # it, which inference reads only when positive and finite
         checked(
             self.lambda_hit, "a finite number > 0", "lambda_hit", "noise spec",
             ScenarioError,
         )
-        if self.false_alarm_density < 0 or self.location_jitter < 0:
-            raise ScenarioError("negative noise magnitude")
+        for key, kind in (
+            ("false_alarm_density", "a finite number >= 0"),
+            ("location_jitter", "a finite number >= 0"),
+            ("seed", "an integer"),
+        ):
+            checked(getattr(self, key), kind, key, "noise spec", ScenarioError)
         if self.seed < 0:
             raise ScenarioError(f"noise spec: seed must be >= 0, got {self.seed!r}")
         for row_type, row in self.misclassification.items():
+            where = f"noise spec misclassification row {shown_name(row_type)}"
+            for observed, p in row.items():
+                label = f"label {shown_name(observed)}"
+                checked(p, "a finite number >= 0", label, where, ScenarioError)
             total = math.fsum(row.values())
             if abs(total - 1.0) > 1e-9:
-                raise ScenarioError(
-                    f"misclassification row {shown_name(row_type)} sums to {total}, not 1"
-                )
-            if any(p < 0 for p in row.values()):
-                raise ScenarioError(f"negative entry in row {shown_name(row_type)}")
+                raise ScenarioError(f"{where} sums to {total}, not 1")
             # each misclassified detection's ratio, as ``generate`` computes it
             p_correct = row.get(row_type, 0.0)
             for observed, p_observed in row.items():
@@ -143,8 +149,9 @@ def load_ground_truth(doc: object, lib: ModelLibrary | None = None) -> GroundTru
         scenario_id=f.text("id", "scenario"),
     )
     if lib is not None:
+        fits: dict = {}  # the subsumes memo of every node
         for i, force in enumerate(gt.forces):
-            _validate_node(force, lib, f"force {i}")
+            _validate_node(force, lib, f"force {i}", fits)
     return gt
 
 
@@ -221,81 +228,42 @@ def _parse_node(raw: object, where: str) -> GroundTruthNode:
     )
 
 
-def node_location(node: GroundTruthNode) -> tuple[float, float]:
-    if node.is_vehicle():
-        assert node.x is not None and node.y is not None
-        return (node.x, node.y)
-    return centroid([node_location(c) for c in node.children])
-
-
-def node_heading(node: GroundTruthNode) -> float | None:
-    """A vehicle's heading, or the circular mean of its children's known
-    headings (None without one), as matching heads a parent hypothesis."""
-    if node.is_vehicle():
-        return node.heading
-    return mean_heading(h for c in node.children if (h := node_heading(c)) is not None)
-
-
-def _node_type(node: GroundTruthNode, lib: ModelLibrary) -> str:
-    if node.is_vehicle():
-        assert node.vehicle_type is not None
-        return node.vehicle_type
-    return lib.models[node.model].models_type
-
-
-def _validate_node(node: GroundTruthNode, lib: ModelLibrary, where: str) -> None:
-    """Check a node against the library; ``where`` names it by position,
-    as ``_parse_node`` does."""
+def _validate_node(
+    node: GroundTruthNode, lib: ModelLibrary, where: str, fits: dict
+) -> Hypothesis:
+    """Check a node, its children first, and return it as the matcher
+    sees it: a hypothesis with id ``where`` (its position, as
+    ``_parse_node`` names it), its type and level, and its children's
+    centroid and circular mean of known headings.  A model node must fill
+    its model exactly (``matching.fills``, sharing the memo ``fits``)."""
     if node.is_vehicle():
         check_vehicle_type(node.vehicle_type or "", lib, where)
-        return
-    if node.model not in lib.models:
-        raise ScenarioError(f"unknown model {shown_name(node.model)} in ground truth")
-    for i, child in enumerate(node.children):  # first, so every child's model is known
-        _validate_node(child, lib, f"{where} component {i}")
-    model = lib.models[node.model]
-    # First-fit slot assignment in listed child order, then a strict
-    # (no-slack) check of every deployment constraint: the distance, and
-    # the heading difference where both headings are known.
-    assigned: dict[int, list[GroundTruthNode]] = {i: [] for i in range(len(model.slots))}
-    for child in node.children:
-        child_type = _node_type(child, lib)
-        for i, slot in enumerate(model.slots):
-            if len(assigned[i]) < slot.count_max and subsumes(
-                slot.required_type, child_type, lib
-            ):
-                assigned[i].append(child)
-                break
-        else:
-            raise ScenarioError(
-                f"ground truth node {shown_name(node.model)}: child of type "
-                f"{shown_name(child_type)} fits no slot"
-            )
-    for i, slot in enumerate(model.slots):
-        if len(assigned[i]) < slot.count_min:
-            raise ScenarioError(
-                f"ground truth node {shown_name(node.model)}: slot {i} underfilled"
-            )
-    for c in model.constraints:
-        if c.slot_a == c.slot_b:
-            pairs = list(itertools.combinations(assigned[c.slot_a], 2))
-        else:
-            pairs = [(u, v) for u in assigned[c.slot_a] for v in assigned[c.slot_b]]
-        for u, v in pairs:
-            d = distance(node_location(u), node_location(v))
-            if not (c.distance_min <= d <= c.distance_max):
-                raise ScenarioError(
-                    f"ground truth node {shown_name(node.model)}: pair distance {d:.1f} "
-                    f"outside [{c.distance_min}, {c.distance_max}]"
-                )
-            hu, hv = node_heading(u), node_heading(v)
-            if c.bearing_tolerance is not None and hu is not None and hv is not None:
-                diff = heading_difference(hu, hv)
-                if not diff <= c.bearing_tolerance:
-                    raise ScenarioError(
-                        f"ground truth node {shown_name(node.model)}: pair heading "
-                        f"difference {diff:.1f} over bearing_tol {c.bearing_tolerance}"
-                    )
+        return Hypothesis(
+            where, node.vehicle_type, Level.VEHICLE, (node.x, node.y), heading=node.heading
+        )
+    model = lib.models.get(node.model)
+    if model is None:
+        raise ScenarioError(f"{where}: unknown model {shown_name(node.model)}")
+    kids = [
+        _validate_node(child, lib, f"{where} component {i}", fits)
+        for i, child in enumerate(node.children)
+    ]
+    try:
+        filled = fills(lib, model, kids, fits)
+    except MatchTooLargeError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+    if not filled:
+        raise ScenarioError(
+            f"{where}: no slot assignment of its {len(kids)} components fits model "
+            f"{shown_name(model.name)}"
+        )
+    return Hypothesis(
+        where,
+        model.models_type,
+        lib.type_of(model.models_type).level,
+        centroid([k.location for k in kids]),
+        heading=mean_heading(k.heading for k in kids if k.heading is not None),
+    )
 
 
 def check_vehicle_type(name: str, lib: ModelLibrary, where: str) -> None:
@@ -358,24 +326,22 @@ def generate(gt: GroundTruth, noise: NoiseSpec, lib: ModelLibrary | None = None)
     vehicles: list[GroundTruthNode] = []
     units: list[dict] = []
 
-    def walk(node: GroundTruthNode) -> None:
+    def walk(node: GroundTruthNode) -> tuple[float, float]:
+        """Lists the node's vehicles and units, itself first, and returns
+        its location: the centroid of its children's."""
         if node.is_vehicle():
             vehicles.append(node)
-            return
-        loc = node_location(node)
+            return (node.x, node.y)
         model = lib.models.get(node.model) if lib is not None else None
-        units.append(
-            {
-                "id": f"g{len(units)}",
-                "model": node.model,
-                "type": model.models_type if model else None,
-                "level": lib.type_of(model.models_type).level.label if model else None,
-                "x": loc[0],
-                "y": loc[1],
-            }
-        )
-        for child in node.children:
-            walk(child)
+        unit = {
+            "id": f"g{len(units)}",
+            "model": node.model,
+            "type": model.models_type if model else None,
+            "level": lib.type_of(model.models_type).level.label if model else None,
+        }
+        units.append(unit)
+        unit["x"], unit["y"] = centroid([walk(child) for child in node.children])
+        return unit["x"], unit["y"]
 
     for force in gt.forces:
         walk(force)

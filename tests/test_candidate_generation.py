@@ -5,15 +5,15 @@ an evidence index finds and the pairs within reach that uniform grids
 (``geometry.near_pairs``) find:
 in detection, one grid per level at the reach of the doctrine tests that
 can flag a pair there (the heading test runs only when the level's
-finite headings are not all equal, or a heading limit is negative), and
-groups joined from the edges' endpoints alone.
+finite headings are not all equal), and groups joined from the edges'
+endpoints alone.
 These tests hold them to the all-pairs versions below, which stay here
 as the reference, on scenes built to sit on every boundary the filters
 and tests have: limits and reaches hit exactly or missed by 1e-9,
 heading arcs just under, at and just over the smallest limit (across
 0/360, near 2**30 degrees and past it, and one under the limit whose
 heading difference rounds over it), equal headings (0 and -0 among
-them) under positive and negative limits, negative, large
+them), negative, large
 and non-finite headings mixed with finite ones, negative coordinates,
 points on grid-cell edges, far-apart pairs sharing evidence or facing
 apart, and type pairs with separation rows of 0 m, of different widths
@@ -36,10 +36,18 @@ from hypothesis import strategies as st
 from echelon import conflict, geometry, matching, pipeline
 from echelon.conflict import ConflictReason, detect_conflicts
 from echelon.evidence import EvidenceItem, EvidenceKind
+from echelon.exceptions import LibraryValidationError
 from echelon.geometry import distance, heading_difference
 from echelon.hypotheses import Hypothesis, HypothesisGraph, Status
 from echelon.matching import _clusters
-from echelon.models import HEADING_REACH_M, LEVELS, Level, ModelLibrary, load_library
+from echelon.models import (
+    HEADING_REACH_M,
+    LEVELS,
+    DoctrineConfig,
+    Level,
+    ModelLibrary,
+    load_library,
+)
 from echelon.scenario import NoiseSpec, dumps, generate, load_ground_truth
 
 from conftest import TANK_LIBRARY, add_leaf, add_parent, company_node
@@ -368,7 +376,6 @@ HEADING_LIBRARY_DOC = {
             {"a": "tank", "b": "apc", "degrees": 200},
             {"a": "apc", "b": "apc", "degrees": 30},
             {"a": "truck", "b": "vehicle", "degrees": 179.999999},
-            {"a": "truck", "b": "truck", "degrees": -5},
         ]
     },
 }
@@ -503,7 +510,7 @@ def test_terrain_at_its_radius_zero_and_negative_radius_through_a_run(tmp_path):
 
 def test_non_finite_headings_and_wide_limits_match_all_pairs():
     # NaN and infinite headings never conflict; limits of 180 and more
-    # flag nothing, a negative limit flags every headed pair within reach
+    # flag nothing
     placed = [
         (t, h)
         for t in ("tank", "apc", "truck", "vehicle")
@@ -512,7 +519,9 @@ def test_non_finite_headings_and_wide_limits_match_all_pairs():
     g = _heading_scene(placed)
     found = detect_conflicts(g, HEADING_LIBRARY)
     assert as_compared(found) == reference_detect_conflicts(g, HEADING_LIBRARY)
-    assert found and len(found[0].reasons) > 100
+    # one group of 33 vehicles joined by 85 orientation edges, each a pair
+    # of finite headings over 30 (apcs) or 179.999999 apart (trucks)
+    assert [(len(s.members), len(s.reasons)) for s in found] == [(33, 85)]
 
 
 def test_a_heading_past_the_arc_bound_is_still_tested():
@@ -559,7 +568,7 @@ EQUAL = [0.0, -0.0, math.nan, math.inf, None, 0.0]
     [
         ("apc", EQUAL, False, False),  # limit 30
         ("tank", EQUAL, False, False),  # limit 180
-        ("truck", EQUAL, True, True),  # limit -5: equal headings conflict
+        ("truck", EQUAL, False, False),  # limit 179.999999, from truck-vehicle
         ("apc", [0.0, 360.0, 10.0, math.nan], True, False),  # unequal, within 30
         ("apc", [5.0, None, 40.0], True, True),
     ],
@@ -567,10 +576,9 @@ EQUAL = [0.0, -0.0, math.nan, math.inf, None, 0.0]
 def test_equal_headings_skip_the_heading_test_exactly(
     monkeypatch, force_type, headings, tested, flagged
 ):
-    # under limits >= 0 a level whose finite headings are all equal (0.0
-    # and -0.0 are equal floats) runs no heading test: equal headings
-    # differ by exactly 0, and a NaN or infinite one by NaN, which exceeds
-    # no limit; a negative limit flags equal headings, so it runs
+    # a level whose finite headings are all equal (0.0 and -0.0 are
+    # equal floats) runs no heading test: equal headings differ by
+    # exactly 0, and a NaN or infinite one by NaN, which exceeds no limit
     tests = [0]
     original = conflict.heading_difference
 
@@ -584,6 +592,30 @@ def test_equal_headings_skip_the_heading_test_exactly(
     assert as_compared(found) == reference_detect_conflicts(g, HEADING_LIBRARY)
     assert bool(found) is flagged
     assert (tests[0] > 0) is tested
+
+
+@pytest.mark.parametrize("degrees", [-5, -0.5, math.inf, math.nan])
+def test_a_heading_limit_below_0_or_not_finite_is_refused(degrees):
+    # a limit under 0 would flag equal headings, exactly 0 apart, which
+    # the equal-heading rule above skips: no library holds one
+    rows = [
+        *HEADING_LIBRARY_DOC["doctrine"]["max_heading_delta"],
+        {"a": "truck", "b": "truck", "degrees": degrees},
+    ]
+    refusal = (
+        "doctrine max_heading_delta row 'truck', 'truck': degrees must be a finite "
+        "number >= 0, got "
+    )
+    with pytest.raises(LibraryValidationError) as caught:
+        DoctrineConfig(
+            max_heading_delta={DoctrineConfig.key(r["a"], r["b"]): r["degrees"] for r in rows}
+        )
+    assert str(caught.value) == refusal + repr(degrees)
+    if math.isfinite(degrees):  # no other is JSON
+        doc = {**HEADING_LIBRARY_DOC, "doctrine": {"max_heading_delta": rows}}
+        with pytest.raises(LibraryValidationError) as caught:
+            load_library(json.dumps(doc))
+        assert str(caught.value) == refusal + repr(float(degrees))
 
 
 # where an arc of headings starts: across 0/360 or not, and near 2**30
@@ -820,6 +852,13 @@ def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypa
     # its extent, 250 + 0.25 * 200 = 300 m: each company's three tanks
     # form one cluster, and no cluster holds tanks of two companies.
     # Every fit score, from match_level or fit_score, goes through _score.
+    # The scenes are built first, so only the runs are counted: building
+    # one checks its ground truth through matching.fills.
+    configs = {}
+    for battalions in (4, 16):
+        scene = tmp_path / str(battalions)
+        scene.mkdir()
+        configs[battalions] = pipeline.RunConfig.from_file(_grid_scene(scene, battalions))
     counts = {"scores": 0}
     clusters = []  # [children, pair evaluations] per cluster
 
@@ -855,11 +894,8 @@ def test_matching_work_stays_output_sensitive_on_clean_scenes(tmp_path, monkeypa
 
     monkeypatch.setattr(pipeline, "match_level", match)
 
-    for battalions in (4, 16):
+    for battalions, config in configs.items():
         per_level.clear()
-        scene = tmp_path / str(battalions)
-        scene.mkdir()
-        config = pipeline.RunConfig.from_file(_grid_scene(scene, battalions))
         report = pipeline.run(config)
         assert len(report["levels"]["battalion"]) == battalions
         candidates, _, _, array_clusters = per_level[Level.ARRAY]

@@ -35,7 +35,8 @@ CASES = [
     ("infer-matcher-out-of-range", ["infer", "--config", "{tmp}/bad-matcher.json"], 1,
      "invalid config: matcher config: gather_radius must be > 0, got -5"),
     ("infer-k-underflow", ["infer", "--config", "{tmp}/k-underflow.json"], 1,
-     "inference failed: Out of range float values are not JSON compliant"),
+     "inference failed: vehicle conflict of ['v.d0', 'v.d1']: k is 0.0, so its "
+     "measure (1-k)/k is not finite\n"),
     ("infer-missing-scenario", ["infer", "--config", "{tmp}/no-scenario.json"], 2,
      NOT_FOUND),
     ("infer-malformed-library", ["infer", "--config", "{tmp}/bad-library.json"], 1,
@@ -168,7 +169,8 @@ REFUSED_INPUTS = {
         "terrain": [{"id": "t0", "x": 0.0, "y": 0.0, "lambda": -2.0}],
     },
     # two tanks 10 m apart, inside the 25 m separation, whose posteriors'
-    # product k underflows to 0: the report would hold an infinite measure
+    # product k underflows to 0: the report build refuses the group, whose
+    # measure is infinite
     "k-underflow-scenario.json": {
         "schema_version": 1, "scenario_id": "k-underflow", "terrain": [],
         "detections": [

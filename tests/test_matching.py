@@ -430,13 +430,14 @@ def reference_pair_satisfaction(hu, hv, c, slack):
 
 
 def test_pair_satisfaction_matches_reference_for_every_tolerance(empty_graph):
-    # tolerances below, at and just above zero, where the decay margin
-    # vanishes, and ordinary ones; headings inside, at and past each
+    # tolerances at and just above zero, where the decay margin vanishes,
+    # and ordinary ones (DeploymentConstraint refuses one below zero);
+    # headings inside, at and past each
     g = empty_graph
     headings = (0.0, 1e-9, 5.0, 29.0, 30.0, 37.5, 45.0, 179.0)
     for i, heading in enumerate(headings):
         add_leaf(g, f"v{i}", lam=2.0, location=(120.0 * i, 0.0), heading=heading)
-    for tol in (-10.0, -0.0, 0.0, 1e-9, 5.0, 30.0, 180.0):
+    for tol in (-0.0, 0.0, 1e-9, 5.0, 30.0, 180.0):
         c = DeploymentConstraint(0, 0, 50.0, 250.0, bearing_tolerance=tol)
         for slack in (0.0, 0.25, 1.0):
             for u, v in itertools.permutations(range(len(headings)), 2):

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import math
 
 import pytest
 
@@ -8,7 +10,15 @@ from echelon.exceptions import (
     LibraryValidationError,
     UnknownTypeError,
 )
-from echelon.models import Level, isa_ancestors, load_library, subsumes
+from echelon.models import (
+    DOCTRINE_UNITS,
+    DeploymentConstraint,
+    DoctrineConfig,
+    Level,
+    isa_ancestors,
+    load_library,
+    subsumes,
+)
 
 from conftest import TANK_LIBRARY
 
@@ -215,6 +225,71 @@ def test_slot_and_constraint_validation():
                 ]
             )
         )
+
+
+COMPANY = "model 'tank-company-line'"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda d: d["models"][0]["constraints"][0].update(bearing_tol=-5),
+            f"{COMPANY} constraint (0,0): bearing_tolerance must be a finite number "
+            ">= 0, got -5.0",
+        ),
+        (
+            lambda d: d["doctrine"]["min_separation"][1].update(meters=-5),
+            "doctrine min_separation row 'company', 'company': meters must be a "
+            "finite number >= 0, got -5.0",
+        ),
+        (
+            lambda d: d["doctrine"]["max_heading_delta"][0].update(degrees=-5),
+            "doctrine max_heading_delta row 'tank', 'tank': degrees must be a "
+            "finite number >= 0, got -5.0",
+        ),
+        (
+            lambda d: d["models"][0]["constraints"][0].update(d_min=-1),
+            f"{COMPANY} constraint (0,0): distance_min must be >= 0, got -1.0",
+        ),
+        (
+            lambda d: d["models"][0]["constraints"][0].update(d_max=10),
+            f"{COMPANY} constraint (0,0): distance_max must be >= distance_min 50.0, "
+            "got 10.0",
+        ),
+        (
+            lambda d: d["models"][0]["slots"][0].update(max=2),
+            f"{COMPANY} slot 'tank': count_max must be >= count_min 3, got 2",
+        ),
+        (
+            lambda d: d["models"][0]["slots"][0].update(min=-1),
+            f"{COMPANY} slot 'tank': count_min must be >= 0, got -1",
+        ),
+    ],
+)
+def test_a_limit_out_of_range_is_refused_naming_where_key_and_value(edit, message):
+    doc = copy.deepcopy(TANK_LIBRARY)
+    edit(doc)
+    with pytest.raises(LibraryValidationError) as caught:
+        load_library(json.dumps(doc))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", [-5, -1e-300, math.inf, -math.inf, math.nan, True])
+def test_constructors_refuse_a_limit_below_0_or_not_finite(value):
+    # a library built through the Python API is held to what
+    # load_library holds a document to
+    refusal = f" must be a finite number >= 0, got {value!r}"
+    with pytest.raises(LibraryValidationError) as caught:
+        DeploymentConstraint(0, 1, 50.0, 250.0, bearing_tolerance=value)
+    assert str(caught.value) == "constraint (0,1): bearing_tolerance" + refusal
+    for table, unit in DOCTRINE_UNITS:
+        with pytest.raises(LibraryValidationError) as caught:
+            DoctrineConfig(**{table: {("BMP", "tank"): value}})
+        assert str(caught.value) == f"doctrine {table} row 'BMP', 'tank': {unit}" + refusal
+    # 0 is a limit
+    DeploymentConstraint(0, 1, 0, 0, bearing_tolerance=0)
+    DoctrineConfig(min_separation={("BMP", "tank"): 0}, max_heading_delta={("BMP", "tank"): 0})
 
 
 def test_doctrine_lookup_most_specific():

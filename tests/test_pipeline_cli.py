@@ -888,7 +888,8 @@ class TestLongNamesInMessages:
             pytest.param({"misclassification": {LONG: {"BMP": 0.5}}},
                          "misclassification row 'nnn", id="row-sum"),
             pytest.param({"misclassification": {LONG: {"BMP": -1.0, "tank": 2.0}}},
-                         "negative entry in row 'nnn", id="row-negative"),
+                         f"noise spec misclassification row {shown_name(LONG)}: label "
+                         "'BMP' must be a finite number >= 0, got -1.0", id="row-negative"),
             pytest.param({"misclassification": {"BMP": {LONG: 1.0}}},
                          "label 'nnn", id="observed-label"),
             pytest.param({"false_alarm_types": [LONG]},
@@ -1856,7 +1857,7 @@ class TestSimulateCommand:
             # a child's model is checked before its parent's slots look it up
             pytest.param(
                 lambda d: first_company(d["ground_truth"], model="x"),
-                "unknown model 'x' in ground truth",
+                "force 0 component 0: unknown model 'x'",
                 id="child-model-unknown",
             ),
             pytest.param(

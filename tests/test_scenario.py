@@ -2,6 +2,7 @@ import copy
 import enum
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -52,6 +53,14 @@ def lib():
     return load_library(json.dumps(TANK_LIBRARY))
 
 
+def unfilled(where, n, model):
+    """The exact refusal of a node at ``where`` whose ``n`` components
+    fill no slot assignment of ``model``."""
+    return "^" + re.escape(
+        f"{where}: no slot assignment of its {n} components fits model '{model}'"
+    ) + "$"
+
+
 class TestGroundTruth:
     def test_valid_placements_accepted(self, lib):
         gt = load_ground_truth(battalion_doc(), lib)
@@ -63,7 +72,9 @@ class TestGroundTruth:
         bad = doc["forces"][0]["components"][0]["components"]
         for i, v in enumerate(bad):
             v["x"] = 1000.0 + 10.0 * i
-        with pytest.raises(ScenarioError, match="outside"):
+        with pytest.raises(
+            ScenarioError, match=unfilled("force 0 component 0", 3, "tank-company-line")
+        ):
             load_ground_truth(doc, lib)
 
     @pytest.mark.parametrize(
@@ -89,7 +100,9 @@ class TestGroundTruth:
                 tank["heading"] = heading
         lib = load_library(json.dumps(library))
         if refused:
-            with pytest.raises(ScenarioError, match="pair heading difference"):
+            with pytest.raises(
+                ScenarioError, match=unfilled("force 0 component 0", 3, "tank-company-line")
+            ):
                 load_ground_truth(doc, lib)
         else:
             load_ground_truth(doc, lib)
@@ -99,7 +112,9 @@ class TestGroundTruth:
     )
     def test_a_models_heading_is_its_childrens_mean(self, heading, refused):
         # companies head as their tanks do, on average; one with no
-        # tank heading has none, and no pair of it is held to a bearing
+        # tank heading has none, and no pair of it is held to a bearing.
+        # Only the first company turns, so the battalion is refused, not
+        # a company: 30 degrees apart from the others, over the 10
         library = copy.deepcopy(TANK_LIBRARY)
         library["models"][1]["constraints"][0]["bearing_tol"] = 10
         doc = battalion_doc()
@@ -111,7 +126,7 @@ class TestGroundTruth:
         lib = load_library(json.dumps(library))
         if refused:
             with pytest.raises(
-                ScenarioError, match="heading difference 30.0 over bearing_tol 10"
+                ScenarioError, match=unfilled("force 0", 3, "tank-battalion-std")
             ):
                 load_ground_truth(doc, lib)
         else:
@@ -120,13 +135,79 @@ class TestGroundTruth:
     def test_wrong_child_type_rejected(self, lib):
         doc = battalion_doc()
         doc["forces"][0]["components"][0]["components"][0]["type"] = "BMP"
-        with pytest.raises(ScenarioError, match="fits no slot"):
+        with pytest.raises(
+            ScenarioError, match=unfilled("force 0 component 0", 3, "tank-company-line")
+        ):
             load_ground_truth(doc, lib)
 
     def test_underfilled_slot_rejected(self, lib):
         doc = battalion_doc()
         del doc["forces"][0]["components"][0]["components"][2]
-        with pytest.raises(ScenarioError, match="underfilled"):
+        with pytest.raises(
+            ScenarioError, match=unfilled("force 0 component 0", 2, "tank-company-line")
+        ):
+            load_ground_truth(doc, lib)
+
+    def test_overfilled_slot_rejected(self, lib):
+        doc = battalion_doc()
+        doc["forces"][0]["components"].append(company(1500, 2800))
+        with pytest.raises(ScenarioError, match=unfilled("force 0", 4, "tank-battalion-std")):
+            load_ground_truth(doc, lib)
+
+    @pytest.mark.parametrize("order", [("T-72-tank", "BMP"), ("BMP", "T-72-tank")])
+    def test_children_in_any_order_fill_their_slots(self, order):
+        # a T-72 fits both slots and a BMP only the first: listed first,
+        # the T-72 takes the first slot under a first-fit assignment, and
+        # the BMP is left with none
+        library = copy.deepcopy(TANK_LIBRARY)
+        library["models"][0]["slots"] = [
+            {"type": "tracked-vehicle", "min": 1, "max": 1},
+            {"type": "tank", "min": 1, "max": 1},
+        ]
+        library["models"][0]["constraints"] = [{"slots": [0, 1], "d_min": 50, "d_max": 250}]
+        doc = {
+            "forces": [
+                {
+                    "model": "tank-company-line",
+                    "components": [
+                        {"type": t, "x": 100.0 * i, "y": 0.0} for i, t in enumerate(order)
+                    ],
+                }
+            ]
+        }
+        gt = load_ground_truth(doc, load_library(json.dumps(library)))
+        assert [c.vehicle_type for c in gt.forces[0].children] == list(order)
+
+    def test_a_search_past_the_assignment_cap_is_refused(self):
+        # 17 children of a slot of 1 to 17 unconstrained tanks: the search
+        # meets every smaller subset, 2**17 - 2 of them, before the one
+        # that holds all 17, and stops at MAX_ASSIGNMENTS (100,000); the
+        # refusal names the second force
+        library = copy.deepcopy(TANK_LIBRARY)
+        library["models"][0]["slots"] = [{"type": "tank", "min": 1, "max": 17}]
+        library["models"][0]["constraints"] = []
+        doc = {
+            "forces": [
+                company(0.0, 0.0),  # fills the model
+                {
+                    "model": "tank-company-line",
+                    "components": [
+                        {"type": "T-72-tank", "x": 10.0 * i, "y": 0.0} for i in range(17)
+                    ],
+                },
+            ]
+        }
+        with pytest.raises(ScenarioError) as caught:
+            load_ground_truth(doc, load_library(json.dumps(library)))
+        assert str(caught.value) == (
+            "force 1: model 'tank-company-line': its 17 children have over 100000 "
+            "slot assignments"
+        )
+
+    def test_unknown_model_named_by_position(self, lib):
+        doc = battalion_doc()
+        doc["forces"][0]["components"][1]["model"] = "x"
+        with pytest.raises(ScenarioError, match="^force 0 component 1: unknown model 'x'$"):
             load_ground_truth(doc, lib)
 
 
@@ -142,6 +223,39 @@ class TestNoiseSpec:
     def test_p_detect_range(self):
         with pytest.raises(ScenarioError):
             load_noise_spec({"p_detect": 1.5})
+
+    @pytest.mark.parametrize(
+        "spec, key, value",
+        [
+            ({"p_detect": 1.5}, "p_detect must be in [0, 1]", "1.5"),
+            ({"p_detect": math.nan}, "p_detect must be in [0, 1]", "nan"),
+            ({"false_alarm_density": -0.5}, "false_alarm_density", "-0.5"),
+            ({"false_alarm_density": math.nan}, "false_alarm_density", "nan"),
+            ({"location_jitter": -1.0}, "location_jitter", "-1.0"),
+            ({"location_jitter": math.nan}, "location_jitter", "nan"),  # jitter off
+            ({"location_jitter": math.inf}, "location_jitter", "inf"),
+            ({"seed": 1.5}, "seed must be an integer", "1.5"),
+            ({"seed": True}, "seed must be an integer", "True"),
+        ],
+    )
+    def test_refusals_name_the_key_and_the_value(self, spec, key, value):
+        # as the Python API builds it, which reads no JSON first
+        if " must be " not in key:
+            key += " must be a finite number >= 0"
+        with pytest.raises(ScenarioError) as caught:
+            NoiseSpec(**spec)
+        assert str(caught.value) == f"noise spec: {key}, got {value}"
+
+    @pytest.mark.parametrize("entry", [-0.5, math.nan, True])
+    def test_a_row_entry_is_a_number_at_least_0(self, entry):
+        # NaN sums to NaN, which no tolerance test of the sum refuses
+        row = {"tank": 1.0 - entry if entry == entry else 1.0, "BMP": entry}
+        with pytest.raises(ScenarioError) as caught:
+            NoiseSpec(misclassification={"tank": row})
+        assert str(caught.value) == (
+            "noise spec misclassification row 'tank': label 'BMP' must be a finite "
+            f"number >= 0, got {entry!r}"
+        )
 
     @pytest.mark.parametrize("value", [0, 0.0, -6.0, math.nan, math.inf])
     def test_lambda_hit_must_be_positive_and_finite(self, value):
